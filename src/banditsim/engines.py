@@ -4,9 +4,10 @@ The two-bridge engines exploit the instance's structure: majority (A) and
 single-context (C) rounds force the choice, so only B rounds are decision
 points and the forced stretches between them collapse to bulk reward-sum
 draws.  The perturbed engines vectorize whole batches for the batched greedy
-policies and keep a lean per-round loop with a cached inverse for LinUCB.
-Every engine draws from the purpose-keyed replicate streams, so results are
-identical under any scheduling.
+policies and advance a block of LinUCB replicates in replicate lockstep: one
+stacked step per round over cached inverses, with each replicate's result bit
+for bit what it would be alone.  Every engine draws from the purpose-keyed
+replicate streams, so results are identical under any scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import Group, NoiseKind, last_batch_end
 from .environments import PerturbedConfig, TwoBridgeConfig
-from .estimators import bayes_posterior_mean, ols_estimate, SufficientStats
+from .estimators import gaussian_prior, ols_estimate, posterior_mean, SufficientStats
 from .policies import LinUCBParams, interval_width
 from .rng import Purpose, stream
 
@@ -356,6 +357,7 @@ def run_perturbed_batch_greedy(
     """
     cat = CatalogArrays.from_config(cfg)
     d, k = cfg.dim, cfg.n_actions
+    prior = gaussian_prior(prior_mean, prior_cov)
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
     pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
     rew = stream(master_seed, replicate, Purpose.REWARDS)
@@ -430,7 +432,7 @@ def run_perturbed_batch_greedy(
         done += y
         stats = SufficientStats(0.5 * (Z + Z.T), xr, n_obs)
         theta_freq = ols_estimate(stats)
-        theta_bay = bayes_posterior_mean(stats, prior_mean, prior_cov)
+        theta_bay = posterior_mean(stats, prior)
         cold = False
 
     lam = None
@@ -456,77 +458,114 @@ def _lambda_min_curve(rows: np.ndarray) -> np.ndarray:
     return half_tr - disc
 
 
+# Rounds of perturbation noise the LinUCB engine draws and scores at once.
+# Chunked normal draws continue each replicate's stream exactly, so the size
+# bounds memory without changing any result.
+NOISE_CHUNK = 1024
+
+
 def run_perturbed_linucb(
     cfg: PerturbedConfig,
     params: LinUCBParams,
-    theta: np.ndarray,
+    thetas: np.ndarray,
     horizon: int,
     master_seed: int,
-    replicate: int,
+    replicates: tuple,
     refresh_every: int = 10_000,
     track_curve: bool = False,
     restriction: str = "minority",
     restriction_p: float = 0.5,
-) -> PerturbedRunResult:
-    """Per-round LinUCB replicate with a rank-one-updated cached inverse.
+) -> list:
+    """LinUCB replicates advanced in lockstep; one result per replicate.
 
-    Requires a positive ridge; the cached inverse is rebuilt from the exact
-    Gram matrix every ``refresh_every`` rounds to cap floating-point drift.
+    Row ``i`` of ``thetas`` is the latent weight vector of replicate
+    ``replicates[i]``.  Each round makes one stacked score, width, argmax and
+    rank-one (Sherman-Morrison) update of the cached inverses for the whole
+    block.  Every stacked product makes, per replicate, the BLAS call a
+    single-replicate loop would make, and regret is summed in round order, so
+    a replicate's result does not depend on the block it runs in.
+
+    Requires a positive ridge; the cached inverses are rebuilt from the exact
+    Gram matrices every ``refresh_every`` rounds to cap floating-point drift.
     """
     if params.ridge <= 0.0:
         raise ValueError("the perturbed LinUCB engine needs a positive ridge")
     cat = CatalogArrays.from_config(cfg)
     d, k = cfg.dim, cfg.n_actions
-    ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
-    pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
-    rew = stream(master_seed, replicate, Purpose.REWARDS)
+    n = len(replicates)
+    thetas = np.asarray(thetas, dtype=float).reshape(n, d)
+    theta_col = thetas[:, :, None]
 
-    idx = _draw_entry_indices(cat, cfg.minority_prob, horizon, ctx)
-    noise = pert.normal(0.0, cfg.rho, size=(horizon, k, d))
-    reward_noise = rew.standard_normal(horizon)
+    idx = np.stack([
+        _draw_entry_indices(cat, cfg.minority_prob, horizon, stream(master_seed, rep, Purpose.CONTEXTS))
+        for rep in replicates
+    ])
+    pert = [stream(master_seed, rep, Purpose.PERTURBATIONS) for rep in replicates]
+    reward_noise = np.stack([stream(master_seed, rep, Purpose.REWARDS).standard_normal(horizon) for rep in replicates])
+    if restriction == "coin":
+        in_set = np.stack([_coin_mask(master_seed, rep, horizon, restriction_p) for rep in replicates])
+    else:
+        in_set = cat.minority[idx]
 
     f_table = np.array([interval_width(t, params, d) for t in range(horizon)])
 
-    Z = np.zeros((d, d))
-    xr = np.zeros(d)
-    W = np.eye(d) / params.ridge
-    theta_hat = np.zeros(d)
-    theta = np.asarray(theta, dtype=float)
+    Z = np.zeros((n, d, d))
+    xr = np.zeros((n, d, 1))
+    W = np.repeat((np.eye(d) / params.ridge)[None], n, axis=0)
+    theta_hat = np.zeros((n, d, 1))
+    rows = np.arange(n)
 
-    total = minority_total = 0.0
-    inst_curve = np.empty(horizon) if track_curve else None
-    in_set = cat.minority[idx]
-    if restriction == "coin":
-        in_set = _coin_mask(master_seed, replicate, horizon, restriction_p)
-    for t in range(horizon):
-        x = cat.means[idx[t]] + noise[t]
-        avail = cat.avail[idx[t]]
-        xw = x @ W
-        widths = np.sqrt(np.maximum(np.sum(xw * x, axis=1), 0.0))
-        scores = np.where(avail, x @ theta_hat + f_table[t] * widths, -np.inf)
-        a = int(np.argmax(scores))
+    total = np.zeros(n)
+    minority_total = np.zeros(n)
+    curve = np.empty((n, horizon)) if track_curve else None
+    for start in range(0, horizon, NOISE_CHUNK):
+        stop = min(start + NOISE_CHUNK, horizon)
+        # Chunk arrays are round-major: x_chunk[c] is round start + c of
+        # every replicate in the block.
+        entries = idx[:, start:stop].T
+        x_chunk = cat.means[entries] + np.stack(
+            [g.normal(0.0, cfg.rho, size=(stop - start, k, d)) for g in pert], axis=1
+        )
+        avail = cat.avail[entries]
+        # r * x for every action: r is the row's true value, taken as the dot
+        # product a single-replicate loop takes for its chosen row, plus the
+        # round's reward noise.
+        rewards = (x_chunk[..., None, :] @ theta_col[None, :, None])[..., 0, 0]
+        rewards += reward_noise[:, start:stop].T[..., None]
+        reward_x = rewards[..., None] * x_chunk
+        actions = np.empty((stop - start, n), dtype=np.int64)
+        for c, x in enumerate(x_chunk):
+            xw = x @ W
+            widths = np.sqrt(np.maximum(np.add.reduce(xw * x, axis=2), 0.0))
+            scores = np.where(avail[c], (x @ theta_hat)[:, :, 0] + f_table[start + c] * widths, -np.inf)
+            a = scores.argmax(axis=1)
+            actions[c] = a
 
-        true_vals = np.where(avail, x @ theta, -np.inf)
-        inst = float(true_vals.max() - true_vals[a])
-        total += inst
-        if in_set[t]:
-            minority_total += inst
-        if track_curve:
-            inst_curve[t] = inst
+            chosen = x[rows, a][:, :, None]
+            Z += chosen * chosen.transpose(0, 2, 1)
+            xr += reward_x[c][rows, a][:, :, None]
+            wx = W @ chosen
+            W -= (wx * wx.transpose(0, 2, 1)) / (1.0 + chosen.transpose(0, 2, 1) @ wx)
+            if (start + c + 1) % refresh_every == 0:
+                W = np.linalg.inv(0.5 * (Z + Z.transpose(0, 2, 1)) + params.ridge * np.eye(d))
+                W = 0.5 * (W + W.transpose(0, 2, 1))
+            theta_hat = W @ xr
 
-        chosen = x[a]
-        r = float(chosen @ theta) + float(reward_noise[t])
-        Z += np.outer(chosen, chosen)
-        xr += r * chosen
-        wx = W @ chosen
-        W -= np.outer(wx, wx) / (1.0 + float(chosen @ wx))
-        if (t + 1) % refresh_every == 0:
-            W = np.linalg.inv(0.5 * (Z + Z.T) + params.ridge * np.eye(d))
-            W = 0.5 * (W + W.T)
-        theta_hat = W @ xr
+        true_vals = np.where(avail, (x_chunk @ theta_col)[..., 0], -np.inf)
+        inst = true_vals.max(axis=2) - np.take_along_axis(true_vals, actions[..., None], axis=2)[..., 0]
+        # Cumulative sums carried across chunks add the rounds one at a time.
+        running = np.cumsum(np.concatenate([total[None], inst]), axis=0)
+        total = running[-1]
+        if curve is not None:
+            curve[:, start:stop] = running[1:].T
+        restricted = np.where(in_set[:, start:stop].T, inst, 0.0)
+        minority_total = np.cumsum(np.concatenate([minority_total[None], restricted]), axis=0)[-1]
 
-    final = SufficientStats(0.5 * (Z + Z.T), xr, horizon)
-    return PerturbedRunResult(
-        total, minority_total, total, 0.0, {}, None, final, theta,
-        curve=np.cumsum(inst_curve) if track_curve else None,
-    )
+    results = []
+    for i in range(n):
+        final = SufficientStats(0.5 * (Z[i] + Z[i].T), xr[i, :, 0], horizon)
+        results.append(PerturbedRunResult(
+            float(total[i]), float(minority_total[i]), float(total[i]), 0.0, {}, None, final, thetas[i],
+            curve=curve[i] if track_curve else None,
+        ))
+    return results

@@ -89,31 +89,55 @@ def ols_estimate(stats: SufficientStats) -> np.ndarray:
     return np.linalg.solve(c.T, y)
 
 
-def bayes_posterior_mean(
-    stats: SufficientStats,
-    prior_mean: np.ndarray,
-    prior_cov: np.ndarray,
-) -> np.ndarray:
-    """Posterior mean (Z + Sigma^-1)^-1 (xr + Sigma^-1 theta_bar) for unit noise.
+@dataclass(frozen=True)
+class GaussianPrior:
+    """A validated Gaussian prior in the form the posterior mean uses.
 
-    With no observations this is exactly the prior mean.
+    ``precision`` is Sigma^-1 and ``shift`` is Sigma^-1 theta_bar.
     """
+
+    mean: np.ndarray
+    precision: np.ndarray
+    shift: np.ndarray
+
+
+def gaussian_prior(prior_mean: np.ndarray, prior_cov: np.ndarray) -> GaussianPrior:
+    """Validate a prior and invert its covariance, once per run."""
     prior_mean = np.asarray(prior_mean, dtype=float)
     prior_cov = np.asarray(prior_cov, dtype=float)
-    if prior_mean.shape != (stats.dim,) or prior_cov.shape != (stats.dim, stats.dim):
-        raise ValueError("prior dimensions must match the statistics")
+    d = prior_mean.shape[0] if prior_mean.ndim == 1 else -1
+    if d < 0 or prior_cov.shape != (d, d):
+        raise ValueError("prior mean and covariance dimensions must agree")
     if not np.allclose(prior_cov, prior_cov.T, atol=SYMMETRY_TOL):
         raise ConfigurationError("prior covariance must be symmetric")
     try:
         np.linalg.cholesky(prior_cov)
     except np.linalg.LinAlgError:
         raise ConfigurationError("prior covariance must be positive definite") from None
+    precision = _solve_spd(prior_cov, np.eye(d))
+    precision = 0.5 * (precision + precision.T)
+    return GaussianPrior(prior_mean, precision, precision @ prior_mean)
+
+
+def posterior_mean(stats: SufficientStats, prior: GaussianPrior) -> np.ndarray:
+    """Posterior mean (Z + Sigma^-1)^-1 (xr + Sigma^-1 theta_bar) for unit noise.
+
+    With no observations this is exactly the prior mean.
+    """
+    if prior.mean.shape != (stats.dim,):
+        raise ValueError("prior dimensions must match the statistics")
     if stats.n == 0:
-        return prior_mean.copy()
-    d = stats.dim
-    cov_inv = _solve_spd(prior_cov, np.eye(d))
-    cov_inv = 0.5 * (cov_inv + cov_inv.T)
-    return _solve_spd(stats.Z + cov_inv, stats.xr + cov_inv @ prior_mean)
+        return prior.mean.copy()
+    return _solve_spd(stats.Z + prior.precision, stats.xr + prior.shift)
+
+
+def bayes_posterior_mean(
+    stats: SufficientStats,
+    prior_mean: np.ndarray,
+    prior_cov: np.ndarray,
+) -> np.ndarray:
+    """Posterior mean under the prior (prior_mean, prior_cov); see ``posterior_mean``."""
+    return posterior_mean(stats, gaussian_prior(prior_mean, prior_cov))
 
 
 def min_eigenvalue(M: np.ndarray) -> float:

@@ -41,6 +41,13 @@ WORKERS_ENV_VAR = "BANDITSIM_WORKERS"
 # Rounds at which the batched engines probe the posterior/least-squares gap.
 GAP_PROBE_ROUNDS = (1000, 8000)
 
+# Replicates of one perturbed LinUCB cell that one job advances in lockstep.
+# A constant, not derived from the worker count: a replicate's result does not
+# depend on its block, and the blocks do not depend on the scheduling.
+LINUCB_BLOCK = 32
+
+TWO_BRIDGE_EXPERIMENTS = ("TwoBridgeLinUCB", "TwoBridgeImpossibility")
+
 
 class ReplicateError(RuntimeError):
     """A replicate failed; carries the offending seed for reproduction."""
@@ -129,23 +136,26 @@ def linucb_comparator_horizon(horizon: int, batch: int) -> int:
     return max(2, horizon // batch)
 
 
-def _run_job(job) -> tuple:
-    cfg, policy, horizon, rep = job[:4]
-    track_curve = job[4] if len(job) > 4 else False
+def _run_job(job) -> list:
+    """Run one job: one (row, extras, curve) outcome per replicate it holds."""
+    cfg, instance, policy, horizon, reps, track_curve = job
     try:
-        return _dispatch_job(cfg, policy, horizon, rep, track_curve)
+        if instance is None:
+            return [_two_bridge_job(cfg, policy, horizon, rep, track_curve) for rep in reps]
+        return _perturbed_job(cfg, instance, policy, horizon, reps, track_curve)
     except Exception as exc:
-        seed = replicate_seed_id(cfg.master_seed, rep)
+        if len(reps) > 1:
+            # Replicates are independent of their block, so running them one
+            # at a time gives the same outcomes and names the one that fails.
+            return [
+                out for rep in reps
+                for out in _run_job((cfg, instance, policy, horizon, (rep,), track_curve))
+            ]
+        seed = replicate_seed_id(cfg.master_seed, reps[0])
         raise ReplicateError(
-            f"replicate {rep} of {cfg.experiment}/{policy}/T={horizon} failed "
+            f"replicate {reps[0]} of {cfg.experiment}/{policy}/T={horizon} failed "
             f"(seed {seed}): {exc}"
         ) from exc
-
-
-def _dispatch_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, track_curve: bool = False) -> tuple:
-    if cfg.experiment in ("TwoBridgeLinUCB", "TwoBridgeImpossibility"):
-        return _two_bridge_job(cfg, policy, horizon, rep, track_curve)
-    return _perturbed_job(cfg, policy, horizon, rep, track_curve)
 
 
 def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, track_curve: bool = False) -> tuple:
@@ -206,64 +216,69 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
     return row, extras, res.curve
 
 
-def _perturbed_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, track_curve: bool = False) -> tuple:
-    instance, prior_mean, prior_cov = build_instance(cfg)
-    model_theta = draw_theta_for_replicate(cfg, prior_mean, prior_cov, rep)
-    extras: dict = {}
+def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, reps: tuple, track_curve: bool) -> list:
+    catalog, prior_mean, prior_cov = instance
+    thetas = [draw_theta_for_replicate(cfg, prior_mean, prior_cov, rep) for rep in reps]
 
     if policy in ("batch_bayes_greedy", "batch_freq_greedy"):
         acting = "bayes" if policy == "batch_bayes_greedy" else "freq"
         bound = context_norm_bound(cfg.rho, cfg.d, horizon, cfg.n_actions)
-        res = run_perturbed_batch_greedy(
-            instance,
-            prior_mean,
-            prior_cov,
-            model_theta,
-            horizon,
-            cfg.batch,
-            cfg.master_seed,
-            rep,
-            acting=acting,
-            context_bound=bound if acting == "freq" else None,
-            probe_rounds=tuple(p for p in GAP_PROBE_ROUNDS if p <= horizon),
-            track_lambda=(cfg.experiment == "EigGrowth"),
-            track_curve=track_curve,
-            restriction=cfg.restriction,
-            restriction_p=cfg.restriction_p,
-        )
-        extras["gap_allowance"] = res.gap_allowance
-        extras["probes"] = res.probe_values
-        if res.lambda_curve is not None:
-            extras.update(_lambda_checks(res.lambda_curve, cfg.rho, horizon))
+        runs = []
+        for rep, theta in zip(reps, thetas):
+            res = run_perturbed_batch_greedy(
+                catalog,
+                prior_mean,
+                prior_cov,
+                theta,
+                horizon,
+                cfg.batch,
+                cfg.master_seed,
+                rep,
+                acting=acting,
+                context_bound=bound if acting == "freq" else None,
+                probe_rounds=tuple(p for p in GAP_PROBE_ROUNDS if p <= horizon),
+                track_lambda=(cfg.experiment == "EigGrowth"),
+                track_curve=track_curve,
+                restriction=cfg.restriction,
+                restriction_p=cfg.restriction_p,
+            )
+            extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
+            if res.lambda_curve is not None:
+                extras.update(_lambda_checks(res.lambda_curve, cfg.rho, horizon))
+            runs.append((res, extras))
     elif policy in ("linucb", "linucb_full", "linucb_minority"):
-        run_instance = instance
+        run_catalog = catalog
         if policy == "linucb_minority":
-            run_instance = minority_only_instance(instance)
+            run_catalog = minority_only_instance(catalog)
         params = LinUCBParams.for_perturbed(
             cfg.d, cfg.n_actions, horizon, cfg.rho, prior_mean,
             ridge=cfg.ridge if cfg.ridge > 0 else 1.0,
         )
-        res = run_perturbed_linucb(
-            run_instance, params, model_theta, horizon, cfg.master_seed, rep,
+        results = run_perturbed_linucb(
+            run_catalog, params, np.array(thetas), horizon, cfg.master_seed, reps,
             track_curve=track_curve,
             restriction=cfg.restriction,
             restriction_p=cfg.restriction_p,
         )
+        runs = [(res, {}) for res in results]
     else:
         raise ValueError(f"policy '{policy}' is not valid on perturbed instances")
 
-    row = ResultRow(
-        experiment=cfg.experiment,
-        policy=policy,
-        horizon=horizon,
-        replicate=rep,
-        seed=replicate_seed_id(cfg.master_seed, rep),
-        regret_total=res.regret_total,
-        regret_minority=res.regret_minority,
-        regret_prediction=res.regret_prediction,
-        theta_draw_id=rep,
-    )
-    return row, extras, res.curve
+    outcomes = []
+    for rep, (res, extras) in zip(reps, runs):
+        row = ResultRow(
+            experiment=cfg.experiment,
+            policy=policy,
+            horizon=horizon,
+            replicate=rep,
+            seed=replicate_seed_id(cfg.master_seed, rep),
+            regret_total=res.regret_total,
+            regret_minority=res.regret_minority,
+            regret_prediction=res.regret_prediction,
+            theta_draw_id=rep,
+        )
+        outcomes.append((row, extras, res.curve))
+    return outcomes
 
 
 def draw_theta_for_replicate(cfg: ExperimentConfig, prior_mean, prior_cov, rep: int) -> np.ndarray:
@@ -286,15 +301,35 @@ def _lambda_checks(curve: np.ndarray, rho: float, horizon: int, floor_round: int
     }
 
 
-def _jobs_for(cfg: ExperimentConfig) -> list:
+def _instance_for(cfg: ExperimentConfig):
+    """The perturbed instance every job of a run shares; None on two-bridge runs."""
+    if cfg.experiment in TWO_BRIDGE_EXPERIMENTS:
+        return None
+    try:
+        return build_instance(cfg)
+    except Exception as exc:
+        # Every replicate shares the instance, so the first one fails with it.
+        seed = replicate_seed_id(cfg.master_seed, 0)
+        raise ReplicateError(f"replicate 0 of {cfg.experiment} failed (seed {seed}): {exc}") from exc
+
+
+def _jobs_for(cfg: ExperimentConfig, instance) -> list:
+    """Jobs ``(cfg, instance, policy, horizon, replicates, track_curve)``.
+
+    A perturbed LinUCB job holds up to LINUCB_BLOCK consecutive replicates,
+    which the engine advances in lockstep; every other job holds one.
+    """
     jobs = []
     for policy in cfg.policies:
+        lockstep = instance is not None and policy.startswith("linucb")
+        block = LINUCB_BLOCK if lockstep else 1
         for horizon in cfg.horizons:
             used = horizon
             if cfg.experiment in ("GreedyVsLinUCB", "ExternalityVanishing") and policy.startswith("linucb"):
                 used = linucb_comparator_horizon(horizon, cfg.batch)
-            for rep in range(cfg.replicates):
-                jobs.append((cfg, policy, used, rep))
+            for first in range(0, cfg.replicates, block):
+                reps = tuple(range(first, min(first + block, cfg.replicates)))
+                jobs.append((cfg, instance, policy, used, reps, False))
     return jobs
 
 
@@ -302,19 +337,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     """Run every (policy, horizon, replicate) job and aggregate the table."""
     if cfg.experiment == "SimulationVerify":
         return _run_simulation_verify(cfg)
-    jobs = _jobs_for(cfg)
+    jobs = _jobs_for(cfg, _instance_for(cfg))
     n_workers = resolve_workers(workers)
     if n_workers == 1 or len(jobs) == 1:
-        outcomes = [_run_job(j) for j in jobs]
+        per_job = [_run_job(j) for j in jobs]
     else:
         chunk = max(1, len(jobs) // (n_workers * 8))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_run_job, jobs, chunksize=chunk))
+            per_job = list(pool.map(_run_job, jobs, chunksize=chunk))
+    outcomes = [out for outs in per_job for out in outs]
     rows = tuple(sorted((out[0] for out in outcomes), key=ResultRow.sort_key))
-    extras = {}
-    for job, out in zip(jobs, outcomes):
-        _, policy, horizon, rep = job
-        extras[(policy, horizon, rep)] = out[1] or {}
+    extras = {(row.policy, row.horizon, row.replicate): ex or {} for row, ex, _ in outcomes}
     aggregates = _aggregate(cfg, rows, extras)
     return ExperimentResult(rows, aggregates)
 
@@ -328,13 +361,14 @@ def experiment_curves(cfg: ExperimentConfig, n_points: int = 200) -> list:
     """
     if cfg.experiment == "SimulationVerify":
         return []
+    instance = _instance_for(cfg)
     curves = []
     seen = set()
-    for _, policy, horizon, rep in _jobs_for(cfg):
-        if rep != 0 or (policy, horizon) in seen:
+    for _, _, policy, horizon, reps, _ in _jobs_for(cfg, instance):
+        if reps[0] != 0 or (policy, horizon) in seen:
             continue
         seen.add((policy, horizon))
-        _, _, curve = _run_job((cfg, policy, horizon, 0, True))
+        [(_, _, curve)] = _run_job((cfg, instance, policy, horizon, (0,), True))
         if curve is None:
             continue
         curves.append(

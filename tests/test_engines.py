@@ -3,9 +3,12 @@
 Each reference below consumes the replicate streams in the engine's exact
 order but re-derives every decision through the generic building blocks
 (sufficient statistics, interval widths, greedy/UCB selection, posterior
-means) instead of the engines' closed-form shortcuts.
+means) instead of the engines' closed-form shortcuts.  The lockstep LinUCB
+engine is also held bit for bit to a single-replicate loop with the same
+arithmetic.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -16,6 +19,7 @@ from banditsim.engines import (
     _A,
     _B,
     _C,
+    NOISE_CHUNK,
     CatalogArrays,
     _coin_mask,
     _draw_entry_indices,
@@ -265,6 +269,66 @@ def reference_perturbed_linucb(cfg, params, theta, horizon, master_seed, replica
     return total, minority_total
 
 
+def single_replicate_linucb(
+    cfg, params, theta, horizon, master_seed, replicate,
+    refresh_every=10_000, restriction="minority", restriction_p=0.5,
+):
+    """Per-round LinUCB on one replicate with a rank-one-updated cached inverse.
+
+    The same arithmetic, call for call, as the lockstep engine's per-replicate
+    slice; returns (regret_total, regret_minority, curve, Z, xr).
+    """
+    cat = CatalogArrays.from_config(cfg)
+    d, k = cfg.dim, cfg.n_actions
+    ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
+    pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
+    rew = stream(master_seed, replicate, Purpose.REWARDS)
+
+    idx = _draw_entry_indices(cat, cfg.minority_prob, horizon, ctx)
+    noise = pert.normal(0.0, cfg.rho, size=(horizon, k, d))
+    reward_noise = rew.standard_normal(horizon)
+
+    f_table = np.array([interval_width(t, params, d) for t in range(horizon)])
+
+    Z = np.zeros((d, d))
+    xr = np.zeros(d)
+    W = np.eye(d) / params.ridge
+    theta_hat = np.zeros(d)
+    theta = np.asarray(theta, dtype=float)
+
+    total = minority_total = 0.0
+    inst_curve = np.empty(horizon)
+    in_set = cat.minority[idx]
+    if restriction == "coin":
+        in_set = _coin_mask(master_seed, replicate, horizon, restriction_p)
+    for t in range(horizon):
+        x = cat.means[idx[t]] + noise[t]
+        avail = cat.avail[idx[t]]
+        xw = x @ W
+        widths = np.sqrt(np.maximum(np.sum(xw * x, axis=1), 0.0))
+        scores = np.where(avail, x @ theta_hat + f_table[t] * widths, -np.inf)
+        a = int(np.argmax(scores))
+
+        true_vals = np.where(avail, x @ theta, -np.inf)
+        inst = float(true_vals.max() - true_vals[a])
+        total += inst
+        if in_set[t]:
+            minority_total += inst
+        inst_curve[t] = inst
+
+        chosen = x[a]
+        r = float(chosen @ theta) + float(reward_noise[t])
+        Z += np.outer(chosen, chosen)
+        xr += r * chosen
+        wx = W @ chosen
+        W -= np.outer(wx, wx) / (1.0 + float(chosen @ wx))
+        if (t + 1) % refresh_every == 0:
+            W = np.linalg.inv(0.5 * (Z + Z.T) + params.ridge * np.eye(d))
+            W = 0.5 * (W + W.T)
+        theta_hat = W @ xr
+    return total, minority_total, np.cumsum(inst_curve), 0.5 * (Z + Z.T), xr
+
+
 class TestTwoBridgePolicyEngine:
     @pytest.mark.parametrize("variant", ["theta0", "theta1"])
     @pytest.mark.parametrize("noise", [NoiseKind.GAUSSIAN_UNIT, NoiseKind.BERNOULLI])
@@ -498,7 +562,74 @@ class TestPerturbedGreedyEngine:
         )
 
 
+def _linucb_one(cfg, params, theta, horizon, replicate, **kwargs):
+    """The lockstep engine on a block of one replicate."""
+    [res] = run_perturbed_linucb(cfg, params, [theta], horizon, MASTER, (replicate,), **kwargs)
+    return res
+
+
+# Not a multiple of the noise chunk, with refreshes in both chunks and a
+# refresh period that straddles the chunk boundary.
+LOCKSTEP_HORIZON = NOISE_CHUNK + 40
+LOCKSTEP_REFRESH = NOISE_CHUNK // 3 + 1
+LOCKSTEP_REPLICATES = tuple(range(7))
+
+
+def _lockstep_thetas():
+    return np.array([
+        THETA + 0.2 * stream(MASTER, rep, Purpose.THETA).standard_normal(2)
+        for rep in LOCKSTEP_REPLICATES
+    ])
+
+
+@functools.lru_cache(maxsize=None)
+def _single_replicate_runs(two_group: bool, restriction: str) -> tuple:
+    cfg = _two_group_catalog() if two_group else _one_group_catalog()
+    params = LinUCBParams.for_perturbed(
+        d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_mean=PRIOR_MEAN
+    )
+    return tuple(
+        single_replicate_linucb(
+            cfg, params, theta, LOCKSTEP_HORIZON, MASTER, rep,
+            refresh_every=LOCKSTEP_REFRESH, restriction=restriction,
+        )
+        for rep, theta in zip(LOCKSTEP_REPLICATES, _lockstep_thetas())
+    )
+
+
 class TestPerturbedLinUCBEngine:
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    @pytest.mark.parametrize("two_group", [False, True])
+    @pytest.mark.parametrize("restriction", ["minority", "coin"])
+    def test_lockstep_is_bit_identical_to_single_replicate_loop(self, block, two_group, restriction):
+        assert LOCKSTEP_HORIZON % NOISE_CHUNK != 0
+        refreshes = range(LOCKSTEP_REFRESH, LOCKSTEP_HORIZON + 1, LOCKSTEP_REFRESH)
+        assert {t // NOISE_CHUNK for t in refreshes} == {0, 1}
+        assert len(LOCKSTEP_REPLICATES) % block or block == 1  # a ragged last block
+
+        cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        params = LinUCBParams.for_perturbed(
+            d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_mean=PRIOR_MEAN
+        )
+        thetas = _lockstep_thetas()
+        results = []
+        for first in range(0, len(LOCKSTEP_REPLICATES), block):
+            reps = LOCKSTEP_REPLICATES[first:first + block]
+            results += run_perturbed_linucb(
+                cfg, params, thetas[first:first + block], LOCKSTEP_HORIZON, MASTER, reps,
+                refresh_every=LOCKSTEP_REFRESH, track_curve=True, restriction=restriction,
+            )
+        expected = _single_replicate_runs(two_group, restriction)
+        assert len(results) == len(expected)
+        for res, (total, minority, curve, Z, xr) in zip(results, expected):
+            assert res.regret_total == total
+            assert res.regret_minority == minority
+            assert res.regret_prediction == total
+            assert np.array_equal(res.curve, curve)
+            assert np.array_equal(res.final_stats.Z, Z)
+            assert np.array_equal(res.final_stats.xr, xr)
+            assert res.curve[-1] == res.regret_total
+
     @pytest.mark.parametrize("two_group", [False, True])
     def test_matches_direct_inverse_reference(self, two_group):
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
@@ -506,7 +637,7 @@ class TestPerturbedLinUCBEngine:
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
         )
-        res = run_perturbed_linucb(cfg, params, THETA, horizon, MASTER, 1)
+        res = _linucb_one(cfg, params, THETA, horizon, 1)
         total, minority = reference_perturbed_linucb(cfg, params, THETA, horizon, MASTER, 1)
         assert res.regret_total == pytest.approx(total, abs=1e-9)
         assert res.regret_minority == pytest.approx(minority, abs=1e-9)
@@ -517,17 +648,15 @@ class TestPerturbedLinUCBEngine:
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
         )
-        cached = run_perturbed_linucb(cfg, params, THETA, horizon, MASTER, 2)
-        exact = run_perturbed_linucb(
-            cfg, params, THETA, horizon, MASTER, 2, refresh_every=1
-        )
+        cached = _linucb_one(cfg, params, THETA, horizon, 2)
+        exact = _linucb_one(cfg, params, THETA, horizon, 2, refresh_every=1)
         assert cached.regret_total == pytest.approx(exact.regret_total, abs=1e-9)
         np.testing.assert_allclose(cached.final_stats.Z, exact.final_stats.Z, atol=1e-7)
 
     def test_requires_positive_ridge(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=100, ridge=0.0)
         with pytest.raises(ValueError):
-            run_perturbed_linucb(_one_group_catalog(), params, THETA, 100, MASTER, 0)
+            _linucb_one(_one_group_catalog(), params, THETA, 100, 0)
 
     def test_coin_restriction_identity(self):
         cfg = _two_group_catalog()
@@ -535,11 +664,9 @@ class TestPerturbedLinUCBEngine:
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
         )
-        base = run_perturbed_linucb(
-            cfg, params, THETA, horizon, MASTER, 3, track_curve=True
-        )
-        coin = run_perturbed_linucb(
-            cfg, params, THETA, horizon, MASTER, 3, track_curve=True,
+        base = _linucb_one(cfg, params, THETA, horizon, 3, track_curve=True)
+        coin = _linucb_one(
+            cfg, params, THETA, horizon, 3, track_curve=True,
             restriction="coin", restriction_p=0.5,
         )
         assert coin.regret_total == pytest.approx(base.regret_total)

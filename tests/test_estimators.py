@@ -7,8 +7,10 @@ from banditsim.estimators import (
     SufficientStats,
     bayes_posterior_mean,
     estimate_error,
+    gaussian_prior,
     min_eigenvalue,
     ols_estimate,
+    posterior_mean,
     stats_from_data,
     update_stats,
 )
@@ -134,6 +136,21 @@ class TestBayesPosteriorMean:
             bayes_posterior_mean(s, np.zeros(2), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             bayes_posterior_mean(s, np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_prior_step_is_reused_across_statistics(self):
+        rng = np.random.default_rng(5)
+        mean, cov = np.array([0.3, -0.1]), np.array([[2.0, 0.4], [0.4, 1.0]])
+        prior = gaussian_prior(mean, cov)
+        for n in (0, 1, 7):
+            X = rng.normal(size=(n, 2))
+            s = stats_from_data(X, rng.normal(size=n))
+            np.testing.assert_array_equal(posterior_mean(s, prior), bayes_posterior_mean(s, mean, cov))
+
+    def test_prior_dimensions_checked(self):
+        with pytest.raises(ValueError):
+            gaussian_prior(np.zeros(2), np.eye(3))
+        with pytest.raises(ValueError):
+            posterior_mean(SufficientStats.empty(2), gaussian_prior(np.zeros(3), np.eye(3)))
 
 
 class TestMinEigenvalue:

@@ -1,10 +1,12 @@
 """Experiment harness: instance construction, job fanout, aggregation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import banditsim.experiments as experiments
 from banditsim.config import parse_config
 from banditsim.core import Group
 from banditsim.csvio import emit_csv
@@ -225,6 +227,69 @@ class TestRunExperiment:
         assert 0.0 <= eig["bound_fraction"] <= 1.0
         assert eig["floor_round"] == 2000
         assert eig["mean_final_lambda"] > 0.0
+
+
+SMALL_SCALING = """
+experiment = ScalingFit
+horizons = 200, 400, 800
+replicates = 35
+"""
+
+SMALL_EXTERNALITY = """
+experiment = ExternalityVanishing
+horizons = 4000
+replicates = 35
+"""
+
+
+def _outputs(cfg, workers: int) -> tuple:
+    """CSV, aggregates and curves of a run, as the bytes that would be written."""
+    result = run_experiment(cfg, workers=workers)
+    curves = experiment_curves(cfg, n_points=20)
+    return (
+        emit_csv(result.rows),
+        json.dumps(result.aggregates, sort_keys=True, default=repr),
+        json.dumps(curves),
+    )
+
+
+class TestLinUCBBlocks:
+    @pytest.mark.parametrize("text", [SMALL_SCALING, SMALL_EXTERNALITY], ids=["scaling", "externality"])
+    def test_outputs_independent_of_workers_and_block(self, text, monkeypatch):
+        cfg = _cfg(text)
+        assert cfg.replicates > experiments.LINUCB_BLOCK  # a full and a ragged block
+        blocked = _outputs(cfg, workers=1)
+        assert _outputs(cfg, workers=3) == blocked
+        monkeypatch.setattr(experiments, "LINUCB_BLOCK", 1)
+        assert _outputs(cfg, workers=1) == blocked
+
+    def test_linucb_jobs_hold_blocks_and_other_jobs_one_replicate(self):
+        cfg = _cfg(SMALL_SCALING)
+        jobs = experiments._jobs_for(cfg, build_instance(cfg))
+        for _, _, policy, _, reps, _ in jobs:
+            if policy == "linucb":
+                assert len(reps) in (experiments.LINUCB_BLOCK, 35 % experiments.LINUCB_BLOCK)
+            else:
+                assert len(reps) == 1
+        covered = sorted((p, t, r) for _, _, p, t, reps, _ in jobs for r in reps)
+        assert covered == sorted(
+            (p, t, r) for p in cfg.policies for t in cfg.horizons for r in range(35)
+        )
+
+    def test_failing_replicate_in_block_carries_its_seed(self, monkeypatch):
+        cfg = _cfg("experiment = ScalingFit\nhorizons = 200, 400, 800\nreplicates = 6\npolicies = linucb\n")
+        engine = experiments.run_perturbed_linucb
+
+        def fail_on_replicate_3(catalog, params, thetas, horizon, master_seed, replicates, **kwargs):
+            if 3 in replicates:
+                raise FloatingPointError("injected")
+            return engine(catalog, params, thetas, horizon, master_seed, replicates, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_perturbed_linucb", fail_on_replicate_3)
+        with pytest.raises(ReplicateError) as err:
+            run_experiment(cfg, workers=1)
+        assert "replicate 3 " in str(err.value)
+        assert str(replicate_seed_id(cfg.master_seed, 3)) in str(err.value)
 
 
 class TestUniformRandomCalibration:
