@@ -1,9 +1,9 @@
 """Simulation library for linear contextual bandits with group structure.
 
-The package provides the instance generators (two-bridge routing and
-perturbed-context populations), the policies under study (LinUCB and the
-batched greedy family), estimator and regret bookkeeping, the reward
-simulation construction used to audit batched data, and a seeded
+The package provides the instances (two-bridge routing and perturbed-context
+populations), vectorized engines for the policies under study (LinUCB and the
+batched greedy family), the estimators and decision rules they use, the
+reward simulation construction used to audit batched data, and a seeded
 experiment harness with a CSV-emitting CLI.
 """
 
@@ -17,15 +17,9 @@ from .config import (
 from .core import (
     ConfigurationError,
     ContextRound,
-    EmptyBatchError,
     Group,
-    History,
-    LatentModel,
-    ModelError,
     NoiseKind,
-    RoundKind,
     as_context,
-    batch_slice,
     last_batch_end,
 )
 from .csvio import ResultRow, emit_csv, parse_csv
@@ -36,41 +30,19 @@ from .environments import (
     PerturbedConfig,
     TwoBridgeConfig,
     draw_theta,
-    realize_reward,
-    sample_perturbed_round,
-    sample_two_bridge_round,
 )
 from .estimators import (
     SufficientStats,
     bayes_posterior_mean,
-    estimate_error,
     min_eigenvalue,
     ols_estimate,
-    update_stats,
 )
-from .metrics import (
-    RegretLedger,
-    Restriction,
-    bayesian_regret,
-    cumulative_regret,
-    gap,
-    instantaneous_regret,
-    prediction_regret,
-    scaling_exponent,
-)
+from .metrics import bayesian_regret, instantaneous_regret, scaling_exponent
 from .policies import (
-    BatchBayesGreedyPolicy,
-    BatchFreqGreedyPolicy,
     LinUCBParams,
-    LinUCBPolicy,
-    OraclePolicy,
-    UniformRandomPolicy,
     greedy_select,
     interval_width,
     linucb_scores,
-    linucb_select,
-    make_policy,
-    policy_step,
     suggested_batch_size,
 )
 from .experiments import (
@@ -86,7 +58,6 @@ from .simulation import (
     InsufficientDiversityError,
     RadiusError,
     SimulationWeights,
-    simulate_reward,
     simulate_reward_many,
     simulation_weights,
 )

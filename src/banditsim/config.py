@@ -242,6 +242,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("prior_scale must be positive")
     if not 0.0 <= cfg.minority_prob < 1.0:
         raise ConfigError("minority_prob must lie in [0, 1)")
+    if cfg.minority_prob > 0 and cfg.catalog_size < 2:
+        raise ConfigError("minority_prob > 0 needs catalog_size of at least 2, one entry per group")
     if cfg.noise not in ("gaussian", "bernoulli"):
         raise ConfigError("noise must be 'gaussian' or 'bernoulli'")
     if cfg.theta_variant not in ("theta0", "theta1"):

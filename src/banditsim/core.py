@@ -1,10 +1,9 @@
-"""Shared domain types: context rounds, latent models, and history bookkeeping."""
+"""Shared domain types: groups, noise families, context rounds, and batch boundaries."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -13,25 +12,9 @@ class ConfigurationError(ValueError):
     """Invalid model or instance configuration."""
 
 
-class ModelError(ValueError):
-    """A model assumption was violated at runtime."""
-
-
-class EmptyBatchError(IndexError):
-    """Requested batch contains no recorded rounds."""
-
-
 class Group(Enum):
     MAJORITY = "majority"
     MINORITY = "minority"
-
-
-class RoundKind(Enum):
-    """Two-bridge round labels: A = majority top, B = both bridges, C = minority bottom."""
-
-    A = "A"
-    B = "B"
-    C = "C"
 
 
 class NoiseKind(Enum):
@@ -59,24 +42,16 @@ def as_context(coords, d: int | None = None) -> np.ndarray:
     return x
 
 
-_TOP = np.array([1.0, 0.0])
-_BOTTOM = np.array([0.0, 1.0])
-
-
 @dataclass(frozen=True)
 class ContextRound:
     """One round of available actions.
 
     ``contexts`` holds one optional vector per action slot; ``None`` marks an
-    unavailable action.  ``kind`` is only set on two-bridge rounds, where the
-    availability pattern must match the label: A rounds carry the top-bridge
-    context in every slot, C rounds expose exactly one bottom-bridge context,
-    and B rounds expose one of each.
+    unavailable action.  Every available vector must share one dimension.
     """
 
     contexts: tuple
     group: Group
-    kind: Optional[RoundKind] = None
     round_index: int = 1
 
     def __post_init__(self):
@@ -92,22 +67,6 @@ class ContextRound:
         first = as_context(avail[0])
         for c in avail[1:]:
             as_context(c, first.shape[0])
-        if self.kind is not None:
-            self._check_kind_pattern(avail)
-
-    def _check_kind_pattern(self, avail) -> None:
-        if self.dim != 2:
-            raise ValueError("two-bridge rounds are two-dimensional")
-        is_top = [np.array_equal(c, _TOP) for c in avail]
-        is_bottom = [np.array_equal(c, _BOTTOM) for c in avail]
-        if self.kind is RoundKind.A:
-            ok = all(is_top)
-        elif self.kind is RoundKind.C:
-            ok = len(avail) == 1 and is_bottom[0]
-        else:
-            ok = len(avail) == 2 and sum(is_top) == 1 and sum(is_bottom) == 1
-        if not ok:
-            raise ValueError(f"availability pattern does not match kind {self.kind.value}")
 
     @property
     def n_actions(self) -> int:
@@ -127,40 +86,6 @@ class ContextRound:
         return 0 <= a < len(self.contexts) and self.contexts[a] is not None
 
 
-@dataclass(frozen=True)
-class LatentModel:
-    """Latent linear reward model plus its prior and noise family.
-
-    ``theta`` may be ``None`` until a replicate draws it from the prior.
-    """
-
-    prior_mean: np.ndarray
-    prior_cov: np.ndarray
-    perturbation: float = 0.0
-    noise: NoiseKind = NoiseKind.GAUSSIAN_UNIT
-    theta: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        mean = as_context(self.prior_mean)
-        cov = np.asarray(self.prior_cov, dtype=float)
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise ConfigurationError("prior covariance shape does not match prior mean")
-        if not np.allclose(cov, cov.T, atol=1e-9):
-            raise ConfigurationError("prior covariance must be symmetric")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ConfigurationError("prior covariance must be positive definite") from None
-        if self.perturbation < 0:
-            raise ConfigurationError("perturbation scale must be nonnegative")
-        if self.theta is not None:
-            as_context(self.theta, mean.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return np.asarray(self.prior_mean).shape[0]
-
-
 def last_batch_end(t: int, batch_size: int) -> int:
     """Index of the last round of the most recent completed batch before round ``t``.
 
@@ -172,55 +97,3 @@ def last_batch_end(t: int, batch_size: int) -> int:
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     return batch_size * ((t - 1) // batch_size)
-
-
-@dataclass
-class History:
-    """Append-only record of (context, reward) pairs with a batch size.
-
-    Entries are stored in round order; entry ``i`` (0-based) belongs to round
-    ``i + 1``.
-    """
-
-    batch_size: int
-    _xs: list = field(default_factory=list)
-    _rs: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-
-    def append(self, x: np.ndarray, r: float) -> None:
-        x = as_context(x, self._xs[0].shape[0] if self._xs else None)
-        self._xs.append(x)
-        self._rs.append(float(r))
-
-    def __len__(self) -> int:
-        return len(self._xs)
-
-    @property
-    def entries(self) -> list:
-        return list(zip(self._xs, self._rs))
-
-    def contexts_matrix(self) -> np.ndarray:
-        if not self._xs:
-            raise ValueError("history is empty")
-        return np.array(self._xs, dtype=float)
-
-    def rewards(self) -> np.ndarray:
-        return np.array(self._rs, dtype=float)
-
-
-def batch_slice(history: History, b: int) -> list:
-    """Entries of batch ``b`` (1-based): rounds ``(b-1)Y + 1`` through ``min(bY, t)``.
-
-    Raises ``EmptyBatchError`` when the batch holds no recorded rounds.
-    """
-    if b < 1:
-        raise EmptyBatchError(f"batch index {b} out of range")
-    y = history.batch_size
-    lo = (b - 1) * y
-    hi = min(b * y, len(history))
-    if lo >= len(history):
-        raise EmptyBatchError(f"batch {b} starts past the recorded history")
-    return history.entries[lo:hi]

@@ -1,23 +1,14 @@
-"""Instance generators: the two-bridge routing population and perturbed-context catalogs."""
+"""Instances: the two-bridge routing population, perturbed-context catalogs, and
+the prior draw of the latent weights.  The engines draw the rounds."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import (
-    ConfigurationError,
-    ContextRound,
-    Group,
-    LatentModel,
-    ModelError,
-    NoiseKind,
-    RoundKind,
-    as_context,
-)
+from .core import ConfigurationError, Group, NoiseKind, as_context
 
 TOP = np.array([1.0, 0.0])
 BOTTOM = np.array([0.0, 1.0])
@@ -77,23 +68,6 @@ class TwoBridgeConfig:
         )
 
 
-def sample_two_bridge_round(cfg: TwoBridgeConfig, rng: np.random.Generator, t: int) -> ContextRound:
-    """Draw round ``t`` of the two-bridge population.
-
-    Majority rounds (kind A) carry the top context in both slots; minority
-    rounds are kind C (one bottom context) or kind B (slot 0 top, slot 1
-    bottom).
-    """
-    if not 1 <= t <= cfg.horizon:
-        raise ValueError("round index out of range")
-    u = rng.random()
-    if u < cfg.p_majority:
-        return ContextRound((TOP, TOP), Group.MAJORITY, RoundKind.A, t)
-    if rng.random() < cfg.p_minority_c:
-        return ContextRound((BOTTOM, None), Group.MINORITY, RoundKind.C, t)
-    return ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, t)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     """One weighted mean tuple of a perturbed-context catalog.
@@ -126,9 +100,6 @@ class CatalogEntry:
             if m is not None:
                 return np.asarray(m).shape[0]
         raise ConfigurationError("no available mean")
-
-    def availability(self) -> np.ndarray:
-        return np.array([m is not None for m in self.means], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -178,67 +149,16 @@ class PerturbedConfig:
         return tuple(e for e in self.entries if e.group is group)
 
 
-def _weighted_index(entries, rng: np.random.Generator) -> int:
-    w = np.array([e.weight for e in entries], dtype=float)
-    cum = np.cumsum(w / w.sum())
-    return int(np.searchsorted(cum, rng.random(), side="right"))
-
-
-def sample_perturbed_round(
-    cfg: PerturbedConfig,
-    rng: np.random.Generator,
-    t: int,
-    rng_perturb: Optional[np.random.Generator] = None,
-) -> ContextRound:
-    """Draw a mean tuple from the catalog and add per-coordinate Gaussian noise.
-
-    ``rng`` drives the catalog draw; perturbations come from ``rng_perturb``
-    when given (the harness keeps them on a separate stream) and from ``rng``
-    otherwise.
-    """
-    if t < 1:
-        raise ValueError("round index starts at 1")
-    pert = rng_perturb if rng_perturb is not None else rng
-    if cfg.minority_prob > 0:
-        group = Group.MINORITY if rng.random() < cfg.minority_prob else Group.MAJORITY
-        pool = cfg.group_entries(group)
-    else:
-        pool = cfg.entries
-        group = pool[0].group
-    entry = pool[_weighted_index(pool, rng)]
-    group = entry.group
-    contexts = []
-    for m in entry.means:
-        if m is None:
-            contexts.append(None)
-        else:
-            contexts.append(m + pert.normal(0.0, cfg.rho, size=m.shape[0]))
-    return ContextRound(tuple(contexts), group, None, t)
-
-
-def draw_theta(model: LatentModel, rng: np.random.Generator) -> np.ndarray:
-    """Sample latent weights from the model prior via a Cholesky factor."""
-    cov = np.asarray(model.prior_cov, dtype=float)
+def draw_theta(prior_mean: np.ndarray, prior_cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sample latent weights from N(prior_mean, prior_cov) via a Cholesky factor."""
+    mean = as_context(prior_mean)
+    cov = np.asarray(prior_cov, dtype=float)
+    if cov.shape != (mean.shape[0], mean.shape[0]):
+        raise ConfigurationError("prior covariance shape does not match prior mean")
+    if not np.allclose(cov, cov.T, atol=1e-9):
+        raise ConfigurationError("prior covariance must be symmetric")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise ConfigurationError("prior covariance must be positive definite") from None
-    z = rng.standard_normal(model.dim)
-    return np.asarray(model.prior_mean, dtype=float) + chol @ z
-
-
-def realize_reward(
-    theta: np.ndarray,
-    x: np.ndarray,
-    noise: NoiseKind,
-    rng: np.random.Generator,
-) -> float:
-    """Realize one reward for context ``x`` under latent weights ``theta``."""
-    theta = np.asarray(theta, dtype=float)
-    x = as_context(x, theta.shape[0])
-    mean = float(theta @ x)
-    if noise is NoiseKind.GAUSSIAN_UNIT:
-        return mean + float(rng.standard_normal())
-    if not 0.0 <= mean <= 1.0:
-        raise ModelError(f"Bernoulli mean {mean:.6g} outside [0, 1]")
-    return float(rng.random() < mean)
+    return mean + chol @ rng.standard_normal(mean.shape[0])

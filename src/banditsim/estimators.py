@@ -42,23 +42,6 @@ class SufficientStats:
         return self.Z.shape[0]
 
 
-def update_stats(stats: SufficientStats, x: np.ndarray, r: float) -> SufficientStats:
-    """Return new statistics with one (x, r) observation folded in."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (stats.dim,):
-        raise ValueError(f"context has dimension {x.shape}, expected ({stats.dim},)")
-    return SufficientStats(stats.Z + np.outer(x, x), stats.xr + float(r) * x, stats.n + 1)
-
-
-def stats_from_data(X: np.ndarray, r: np.ndarray) -> SufficientStats:
-    """Recompute statistics from raw rows; used to cap incremental drift."""
-    X = np.asarray(X, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if X.ndim != 2 or r.shape != (X.shape[0],):
-        raise ValueError("X must be (n, d) with matching rewards")
-    return SufficientStats(X.T @ X, X.T @ r, X.shape[0])
-
-
 def _solve_spd(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve M v = b for symmetric positive definite M via Cholesky.
 
@@ -148,12 +131,3 @@ def min_eigenvalue(M: np.ndarray) -> float:
     if np.max(np.abs(M - M.T), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("matrix is asymmetric beyond tolerance")
     return float(np.linalg.eigvalsh(M)[0])
-
-
-def estimate_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two weight vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("estimates must share a dimension")
-    return float(np.linalg.norm(a - b))

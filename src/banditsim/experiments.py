@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .config import ExperimentConfig
-from .core import Group, LatentModel, NoiseKind
+from .core import Group, NoiseKind
 from .csvio import ResultRow
 from .engines import (
     run_perturbed_batch_greedy,
@@ -282,8 +282,7 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
 
 
 def draw_theta_for_replicate(cfg: ExperimentConfig, prior_mean, prior_cov, rep: int) -> np.ndarray:
-    model = LatentModel(prior_mean=prior_mean, prior_cov=prior_cov, perturbation=cfg.rho)
-    return draw_theta(model, stream(cfg.master_seed, rep, Purpose.THETA))
+    return draw_theta(prior_mean, prior_cov, stream(cfg.master_seed, rep, Purpose.THETA))
 
 
 def _lambda_checks(curve: np.ndarray, rho: float, horizon: int, floor_round: int = 2000) -> dict:
@@ -356,7 +355,7 @@ def experiment_curves(cfg: ExperimentConfig, n_points: int = 200) -> list:
     """Cumulative-regret curves for replicate 0 of every (policy, horizon) cell.
 
     Returns a list of dicts with keys policy, horizon, and points, where
-    points is a list of (round, cumulative_regret) pairs subsampled on a
+    points is a list of (round, cumulative regret) pairs subsampled on a
     geometric grid.
     """
     if cfg.experiment == "SimulationVerify":

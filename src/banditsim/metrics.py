@@ -1,24 +1,12 @@
-"""Regret accounting, gap statistics, and scaling-exponent fits."""
+"""Per-round regret, replicate summaries, and scaling-exponent fits."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from .core import ContextRound, Group
-
-
-class Restriction(Enum):
-    """Which rounds a cumulative sum ranges over."""
-
-    ALL = "all"
-    MINORITY_ONLY = "minority_only"
-    MAJORITY_ONLY = "majority_only"
-    CUSTOM_SET = "custom_set"
+from .core import ContextRound
 
 
 def instantaneous_regret(theta: np.ndarray, round_: ContextRound, chosen: int) -> float:
@@ -28,78 +16,6 @@ def instantaneous_regret(theta: np.ndarray, round_: ContextRound, chosen: int) -
     theta = np.asarray(theta, dtype=float)
     vals = [float(theta @ round_.contexts[a]) for a in round_.available_indices()]
     return max(vals) - float(theta @ round_.contexts[chosen])
-
-
-def gap(theta: np.ndarray, round_: ContextRound) -> float:
-    """Margin between the best and second-best available actions; inf if fewer than two."""
-    theta = np.asarray(theta, dtype=float)
-    vals = sorted(
-        (float(theta @ round_.contexts[a]) for a in round_.available_indices()),
-        reverse=True,
-    )
-    if len(vals) < 2:
-        return math.inf
-    return vals[0] - vals[1]
-
-
-@dataclass
-class RegretLedger:
-    """Per-round regret records with group tags and a restriction flag."""
-
-    ts: list = field(default_factory=list)
-    regrets: list = field(default_factory=list)
-    prediction_regrets: list = field(default_factory=list)
-    groups: list = field(default_factory=list)
-    restricted: list = field(default_factory=list)
-
-    def append(
-        self,
-        t: int,
-        regret: float,
-        prediction_regret: Optional[float],
-        group: Group,
-        restricted: bool,
-    ) -> None:
-        if t < 1:
-            raise ValueError("round index starts at 1")
-        if self.ts and t <= self.ts[-1]:
-            raise ValueError("rounds must be appended in increasing order")
-        if regret < 0 or (prediction_regret is not None and prediction_regret < 0):
-            raise ValueError("instantaneous regret cannot be negative")
-        self.ts.append(t)
-        self.regrets.append(float(regret))
-        self.prediction_regrets.append(None if prediction_regret is None else float(prediction_regret))
-        self.groups.append(group)
-        self.restricted.append(bool(restricted))
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def _mask(self, restriction: Restriction) -> np.ndarray:
-        if restriction is Restriction.ALL:
-            return np.ones(len(self.ts), dtype=bool)
-        if restriction is Restriction.MINORITY_ONLY:
-            return np.array([g is Group.MINORITY for g in self.groups], dtype=bool)
-        if restriction is Restriction.MAJORITY_ONLY:
-            return np.array([g is Group.MAJORITY for g in self.groups], dtype=bool)
-        return np.array(self.restricted, dtype=bool)
-
-
-def cumulative_regret(ledger: RegretLedger, restriction: Restriction = Restriction.ALL) -> float:
-    """Sum of instantaneous regrets over the selected rounds."""
-    mask = ledger._mask(restriction)
-    return float(np.sum(np.asarray(ledger.regrets, dtype=float)[mask]))
-
-
-def prediction_regret(ledger: RegretLedger, restriction: Restriction = Restriction.ALL) -> float:
-    """Sum of prediction regrets over the selected rounds."""
-    mask = ledger._mask(restriction)
-    vals = np.array(
-        [math.nan if p is None else p for p in ledger.prediction_regrets], dtype=float
-    )[mask]
-    if np.isnan(vals).any():
-        raise ValueError("ledger carries rounds without predictions")
-    return float(np.sum(vals))
 
 
 def bayesian_regret(replicate_regrets) -> tuple:

@@ -1,4 +1,9 @@
-"""Action-selection policies: LinUCB, the batched greedy family, and baselines."""
+"""Decision rules: LinUCB parameters, widths and scores, greedy picks, and the
+batch-size and context-norm bounds of perturbed instances.
+
+The engines use the parameters, widths and bounds.  The per-round scores and
+greedy picks define the decisions that the engines are checked against.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContextRound, last_batch_end
-from .estimators import (
-    SINGULAR_CUTOFF,
-    SufficientStats,
-    bayes_posterior_mean,
-    ols_estimate,
-    stats_from_data,
-    update_stats,
-)
-
-# Incremental statistics are rebuilt from raw rows this often to cap drift.
-RECOMPUTE_EVERY = 10_000
+from .core import ContextRound
+from .estimators import SINGULAR_CUTOFF, SufficientStats
 
 
 @dataclass(frozen=True)
@@ -146,13 +141,6 @@ def linucb_scores(round_: ContextRound, stats: SufficientStats, f: float, ridge:
     return scores
 
 
-def linucb_select(round_: ContextRound, stats: SufficientStats, params: LinUCBParams) -> int:
-    """LinUCB action: maximize estimate plus width; ties go to the lowest index."""
-    f = interval_width(stats.n, params, round_.dim)
-    scores = linucb_scores(round_, stats, f, params.ridge)
-    return int(np.argmax(scores))
-
-
 def greedy_select(round_: ContextRound, estimate: np.ndarray) -> int:
     """Greedy action under a point estimate; ties go to the lowest index."""
     estimate = np.asarray(estimate, dtype=float)
@@ -205,198 +193,3 @@ def context_norm_bound(rho: float, d: int, horizon: int, n_actions: int) -> floa
     delta_r = float(horizon) ** -2
     r_hat = rho * math.sqrt(2.0 * math.log(2.0 * horizon * n_actions * d / delta_r))
     return 1.0 + r_hat * math.sqrt(d)
-
-
-class LinUCBPolicy:
-    """Optimism under a self-normalized confidence ellipsoid."""
-
-    name = "linucb"
-
-    def __init__(self, d: int, params: LinUCBParams):
-        self.d = d
-        self.params = params
-        self.stats = SufficientStats.empty(d)
-        self._xs: list = []
-        self._rs: list = []
-
-    def select(self, round_: ContextRound) -> tuple:
-        a = linucb_select(round_, self.stats, self.params)
-        return a, a
-
-    def observe(self, x: np.ndarray, r: float) -> None:
-        self.stats = update_stats(self.stats, x, r)
-        self._xs.append(np.asarray(x, dtype=float))
-        self._rs.append(float(r))
-        if self.stats.n % RECOMPUTE_EVERY == 0:
-            self.stats = stats_from_data(np.array(self._xs), np.array(self._rs))
-
-
-class OraclePolicy:
-    """Plays the best available action under the true weights."""
-
-    name = "oracle"
-
-    def __init__(self, theta: np.ndarray):
-        self.theta = np.asarray(theta, dtype=float)
-
-    def select(self, round_: ContextRound) -> tuple:
-        a = greedy_select(round_, self.theta)
-        return a, a
-
-    def observe(self, x: np.ndarray, r: float) -> None:
-        pass
-
-
-class UniformRandomPolicy:
-    """Uniform choice among available actions."""
-
-    name = "uniform_random"
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-
-    def select(self, round_: ContextRound) -> tuple:
-        avail = round_.available_indices()
-        a = int(avail[self.rng.integers(len(avail))])
-        return a, a
-
-    def observe(self, x: np.ndarray, r: float) -> None:
-        pass
-
-
-class _BatchedPolicy:
-    """Shared bookkeeping for batch-frozen greedy policies.
-
-    The acting estimate refreshes only when a round crosses a batch boundary,
-    so every decision in a batch uses data from completed batches alone.  A
-    Bayesian-greedy prediction is tracked alongside the action from the same
-    frozen data.
-    """
-
-    def __init__(self, d: int, batch_size: int, prior_mean: np.ndarray, prior_cov: np.ndarray):
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        self.d = d
-        self.batch_size = batch_size
-        self.prior_mean = np.asarray(prior_mean, dtype=float)
-        self.prior_cov = np.asarray(prior_cov, dtype=float)
-        self.stats = SufficientStats.empty(d)
-        self._frozen_t0 = -1
-        self._acting_estimate = np.zeros(d)
-        self._bayes_estimate = self.prior_mean.copy()
-        self._xs: list = []
-        self._rs: list = []
-
-    def _refresh(self, t: int) -> None:
-        t0 = last_batch_end(t, self.batch_size)
-        if t0 != self._frozen_t0:
-            if self.stats.n != t0:
-                raise RuntimeError(
-                    f"batch refresh at round {t} expected {t0} observations, have {self.stats.n}"
-                )
-            self._frozen_t0 = t0
-            self._bayes_estimate = bayes_posterior_mean(self.stats, self.prior_mean, self.prior_cov)
-            self._acting_estimate = self._acting_estimate_from(self.stats)
-
-    def _acting_estimate_from(self, stats: SufficientStats) -> np.ndarray:
-        raise NotImplementedError
-
-    def frozen_estimates(self) -> tuple:
-        """Current (acting, bayes) frozen estimates."""
-        return self._acting_estimate.copy(), self._bayes_estimate.copy()
-
-    def select(self, round_: ContextRound) -> tuple:
-        self._refresh(round_.round_index)
-        a = self._choose(round_)
-        prediction = greedy_select(round_, self._bayes_estimate)
-        return a, prediction
-
-    def _choose(self, round_: ContextRound) -> int:
-        return greedy_select(round_, self._acting_estimate)
-
-    def observe(self, x: np.ndarray, r: float) -> None:
-        self.stats = update_stats(self.stats, x, r)
-        self._xs.append(np.asarray(x, dtype=float))
-        self._rs.append(float(r))
-        if self.stats.n % RECOMPUTE_EVERY == 0:
-            self.stats = stats_from_data(np.array(self._xs), np.array(self._rs))
-
-
-class BatchBayesGreedyPolicy(_BatchedPolicy):
-    """Greedy on the batch-frozen posterior mean; its action is its own prediction."""
-
-    name = "batch_bayes_greedy"
-
-    def _acting_estimate_from(self, stats: SufficientStats) -> np.ndarray:
-        return self._bayes_estimate.copy()
-
-    def select(self, round_: ContextRound) -> tuple:
-        self._refresh(round_.round_index)
-        a = greedy_select(round_, self._acting_estimate)
-        return a, a
-
-
-class BatchFreqGreedyPolicy(_BatchedPolicy):
-    """Greedy on the batch-frozen least-squares estimate.
-
-    Cold start (first batch, no data) acts uniformly at random among the
-    available actions, drawn from the policy stream.
-    """
-
-    name = "batch_freq_greedy"
-
-    def __init__(self, d, batch_size, prior_mean, prior_cov, rng: np.random.Generator):
-        super().__init__(d, batch_size, prior_mean, prior_cov)
-        self.rng = rng
-
-    def _acting_estimate_from(self, stats: SufficientStats) -> np.ndarray:
-        return ols_estimate(stats)
-
-    def _choose(self, round_: ContextRound) -> int:
-        if self._frozen_t0 == 0 and not self._acting_estimate.any():
-            avail = round_.available_indices()
-            return int(avail[self.rng.integers(len(avail))])
-        return greedy_select(round_, self._acting_estimate)
-
-
-def policy_step(policy, round_: ContextRound) -> tuple:
-    """Run one selection step: returns (action, prediction).
-
-    The caller realizes the reward for the chosen context and feeds it back
-    through ``policy.observe``.
-    """
-    a, prediction = policy.select(round_)
-    if not round_.is_available(a):
-        raise RuntimeError(f"policy chose unavailable action {a}")
-    return a, prediction
-
-
-def make_policy(
-    kind: str,
-    d: int,
-    *,
-    params: LinUCBParams | None = None,
-    batch_size: int | None = None,
-    prior_mean: np.ndarray | None = None,
-    prior_cov: np.ndarray | None = None,
-    theta: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-):
-    """Construct a policy by name; unused keyword arguments may stay None."""
-    if kind == "linucb":
-        if params is None:
-            raise ValueError("linucb needs params")
-        return LinUCBPolicy(d, params)
-    if kind == "batch_bayes_greedy":
-        return BatchBayesGreedyPolicy(d, batch_size, prior_mean, prior_cov)
-    if kind == "batch_freq_greedy":
-        return BatchFreqGreedyPolicy(d, batch_size, prior_mean, prior_cov, rng)
-    if kind == "oracle":
-        if theta is None:
-            raise ValueError("oracle needs the true weights")
-        return OraclePolicy(theta)
-    if kind == "uniform_random":
-        if rng is None:
-            raise ValueError("uniform_random needs a policy stream")
-        return UniformRandomPolicy(rng)
-    raise ValueError(f"unknown policy kind: {kind}")

@@ -75,32 +75,16 @@ def simulation_weights(batch_contexts: np.ndarray, x: np.ndarray) -> SimulationW
     return SimulationWeights(w, residual)
 
 
-def simulate_reward(
-    weights: SimulationWeights,
-    batch_rewards: np.ndarray,
-    rng: np.random.Generator,
-) -> float:
-    """Synthesize one reward: weighted batch rewards plus top-up Gaussian noise."""
-    r = np.asarray(batch_rewards, dtype=float)
-    if r.shape != (weights.batch_length,):
-        raise ValueError("reward vector length must match the weights")
-    if weights.residual_var < 0.0:
-        raise RadiusError(
-            f"residual variance {weights.residual_var:.3e} is negative: "
-            "target outside the simulation radius"
-        )
-    value = float(weights.w @ r)
-    if weights.residual_var > 0.0:
-        value += math.sqrt(weights.residual_var) * float(rng.standard_normal())
-    return value
-
-
 def simulate_reward_many(
     weights: SimulationWeights,
     batch_reward_draws: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized ``simulate_reward`` over rows of independent batch-reward draws."""
+    """Synthesize one reward per row of independent batch-reward draws.
+
+    Each value is the weighted batch rewards plus top-up Gaussian noise of the
+    residual variance, drawn from ``rng``.
+    """
     R = np.asarray(batch_reward_draws, dtype=float)
     if R.ndim != 2 or R.shape[1] != weights.batch_length:
         raise ValueError("draws must form an (m, Y) matrix")

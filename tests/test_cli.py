@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import banditsim.experiments as experiments
 from banditsim.cli import main
 from banditsim.config import EXPERIMENTS, parse_config
 from banditsim.csvio import parse_csv
+from banditsim.rng import replicate_seed_id
 
 SMALL_CONFIG = """
 experiment = TwoBridgeLinUCB
@@ -142,8 +144,25 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip())
         assert "KEY=VALUE" in err["message"]
 
-    def test_replicate_error_exit_3(self, tmp_path, capsys):
-        bad = tmp_path / "fail.cfg"
+    def test_replicate_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(experiments, "run_perturbed_batch_greedy", fail)
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text(
+            "experiment = ExternalityVanishing\n"
+            "horizons = 400\n"
+            "replicates = 1\n"
+            "policies = batch_freq_greedy\n"
+        )
+        assert main(["run", str(cfg), "--out", "-", "--workers", "1"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ReplicateError"
+        assert str(replicate_seed_id(parse_config(cfg.read_text()).master_seed, 0)) in err["message"]
+
+    def test_one_entry_two_group_catalog_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "catalog.cfg"
         bad.write_text(
             "experiment = ExternalityVanishing\n"
             "horizons = 400\n"
@@ -151,9 +170,10 @@ class TestRun:
             "catalog_size = 1\n"
             "policies = batch_freq_greedy\n"
         )
-        assert main(["run", str(bad), "--out", "-", "--workers", "1"]) == 3
+        assert main(["run", str(bad), "--out", "-", "--workers", "1"]) == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ReplicateError"
+        assert err["error"] == "ConfigError"
+        assert "catalog_size" in err["message"]
 
     def test_unwritable_output_exit_2(self, config_path, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

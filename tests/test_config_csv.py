@@ -95,6 +95,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="minority_prob"):
             parse_config("experiment = ExternalityVanishing\nminority_prob = 0.0")
 
+    def test_two_group_catalog_needs_two_entries(self):
+        with pytest.raises(ConfigError, match="catalog_size"):
+            parse_config("experiment = ExternalityVanishing\ncatalog_size = 1")
+        with pytest.raises(ConfigError, match="catalog_size"):
+            parse_config("experiment = ScalingFit\nminority_prob = 0.2\ncatalog_size = 1")
+        assert parse_config("experiment = ExternalityVanishing\ncatalog_size = 2").catalog_size == 2
+        assert parse_config("experiment = ScalingFit\ncatalog_size = 1").catalog_size == 1
+
     def test_duplicate_horizons_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             parse_config("experiment = ScalingFit\nhorizons = 100, 100, 200")

@@ -1,20 +1,9 @@
-"""Domain types: context rounds, latent models, batch bookkeeping."""
+"""Domain types: context vectors, context rounds, batch boundaries."""
 
 import numpy as np
 import pytest
 
-from banditsim.core import (
-    ConfigurationError,
-    ContextRound,
-    EmptyBatchError,
-    Group,
-    History,
-    LatentModel,
-    RoundKind,
-    as_context,
-    batch_slice,
-    last_batch_end,
-)
+from banditsim.core import ContextRound, Group, as_context, last_batch_end
 
 TOP = np.array([1.0, 0.0])
 BOTTOM = np.array([0.0, 1.0])
@@ -45,35 +34,27 @@ class TestAsContext:
 
 class TestContextRound:
     def test_a_round_pattern(self):
-        r = ContextRound((TOP, TOP), Group.MAJORITY, RoundKind.A, 1)
+        r = ContextRound((TOP, TOP), Group.MAJORITY, 1)
         assert r.n_actions == 2
         assert r.dim == 2
         assert r.available_indices() == (0, 1)
 
     def test_c_round_pattern(self):
-        r = ContextRound((BOTTOM, None), Group.MINORITY, RoundKind.C, 3)
+        r = ContextRound((BOTTOM, None), Group.MINORITY, 3)
         assert r.available_indices() == (0,)
         assert r.is_available(0)
         assert not r.is_available(1)
 
     def test_b_round_pattern(self):
-        r = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, 2)
+        r = ContextRound((TOP, BOTTOM), Group.MINORITY, 2)
         assert r.available_indices() == (0, 1)
 
-    def test_kind_pattern_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ContextRound((TOP, BOTTOM), Group.MAJORITY, RoundKind.A, 1)
-        with pytest.raises(ValueError):
-            ContextRound((BOTTOM, BOTTOM), Group.MINORITY, RoundKind.B, 1)
-        with pytest.raises(ValueError):
-            ContextRound((TOP, None), Group.MINORITY, RoundKind.C, 1)
-
-    def test_kindless_round_accepts_any_pattern(self):
+    def test_any_availability_pattern_accepted(self):
         r = ContextRound((np.array([0.3, 0.4]), None, np.array([0.1, 0.9])), Group.MAJORITY)
         assert r.available_indices() == (0, 2)
 
     def test_list_contexts_coerced_to_tuple(self):
-        r = ContextRound([TOP, BOTTOM], Group.MINORITY, RoundKind.B, 1)
+        r = ContextRound([TOP, BOTTOM], Group.MINORITY, 1)
         assert isinstance(r.contexts, tuple)
 
     def test_all_unavailable_rejected(self):
@@ -82,7 +63,7 @@ class TestContextRound:
 
     def test_round_index_starts_at_one(self):
         with pytest.raises(ValueError):
-            ContextRound((TOP, TOP), Group.MAJORITY, RoundKind.A, 0)
+            ContextRound((TOP, TOP), Group.MAJORITY, 0)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -92,32 +73,6 @@ class TestContextRound:
         r = ContextRound((TOP, None), Group.MAJORITY)
         assert not r.is_available(5)
         assert not r.is_available(-1)
-
-
-class TestLatentModel:
-    def test_valid_model(self):
-        m = LatentModel(prior_mean=np.zeros(2), prior_cov=np.eye(2))
-        assert m.dim == 2
-
-    def test_singular_covariance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatentModel(prior_mean=np.zeros(2), prior_cov=np.diag([1.0, 0.0]))
-
-    def test_asymmetric_covariance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatentModel(prior_mean=np.zeros(2), prior_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatentModel(prior_mean=np.zeros(3), prior_cov=np.eye(2))
-
-    def test_negative_perturbation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatentModel(prior_mean=np.zeros(2), prior_cov=np.eye(2), perturbation=-0.1)
-
-    def test_theta_dimension_checked(self):
-        with pytest.raises(ValueError):
-            LatentModel(prior_mean=np.zeros(2), prior_cov=np.eye(2), theta=np.zeros(3))
 
 
 class TestLastBatchEnd:
@@ -142,63 +97,3 @@ class TestLastBatchEnd:
             last_batch_end(0, 10)
         with pytest.raises(ValueError):
             last_batch_end(5, 0)
-
-
-def _history_with(n: int, batch_size: int) -> History:
-    h = History(batch_size=batch_size)
-    for i in range(n):
-        h.append(np.array([float(i), 1.0]), float(10 * i))
-    return h
-
-
-class TestHistory:
-    def test_append_and_lengths(self):
-        h = _history_with(3, 2)
-        assert len(h) == 3
-        assert h.contexts_matrix().shape == (3, 2)
-        np.testing.assert_array_equal(h.rewards(), [0.0, 10.0, 20.0])
-
-    def test_dimension_mismatch_rejected(self):
-        h = _history_with(1, 2)
-        with pytest.raises(ValueError):
-            h.append(np.array([1.0, 2.0, 3.0]), 0.0)
-
-    def test_empty_contexts_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            History(batch_size=2).contexts_matrix()
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            History(batch_size=0)
-
-
-class TestBatchSlice:
-    def test_full_second_batch(self):
-        h = _history_with(5, 2)
-        entries = batch_slice(h, 2)
-        np.testing.assert_array_equal(entries[0][0], [2.0, 1.0])
-        np.testing.assert_array_equal(entries[1][0], [3.0, 1.0])
-        assert len(entries) == 2
-
-    def test_partial_final_batch(self):
-        h = _history_with(5, 2)
-        entries = batch_slice(h, 3)
-        assert len(entries) == 1
-        np.testing.assert_array_equal(entries[0][0], [4.0, 1.0])
-
-    def test_out_of_range_batch(self):
-        h = _history_with(5, 2)
-        with pytest.raises(EmptyBatchError):
-            batch_slice(h, 4)
-        with pytest.raises(EmptyBatchError):
-            batch_slice(h, 0)
-
-    def test_concatenation_reproduces_history(self):
-        h = _history_with(11, 3)
-        merged = []
-        for b in range(1, 5):
-            merged.extend(batch_slice(h, b))
-        assert len(merged) == 11
-        for (x, r), (hx, hr) in zip(merged, h.entries):
-            np.testing.assert_array_equal(x, hx)
-            assert r == hr

@@ -45,7 +45,7 @@ from banditsim.policies import LinUCBParams, greedy_select, interval_width, linu
 from banditsim.rng import Purpose, stream
 
 MASTER = 20260814
-B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, None, 1)
+B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
 
 
 def _two_bridge_draws(cfg, master_seed, replicate, inject_rate):
@@ -162,7 +162,7 @@ def _round_from_row(cat, entry_idx, x_block, t):
         x_block[a] if cat.avail[entry_idx, a] else None for a in range(x_block.shape[0])
     )
     group = Group.MINORITY if cat.minority[entry_idx] else Group.MAJORITY
-    return ContextRound(contexts, group, None, t)
+    return ContextRound(contexts, group, t)
 
 
 def reference_perturbed_greedy(

@@ -1,21 +1,11 @@
-"""Instance generators: two-bridge rounds, perturbed catalogs, latent draws."""
+"""Instances: two-bridge configs and kind draws, perturbed catalogs, latent draws."""
 
 import numpy as np
 import pytest
 
-from banditsim.core import ConfigurationError, Group, LatentModel, ModelError, NoiseKind, RoundKind
+from banditsim.core import ConfigurationError, Group
 from banditsim.engines import _kind_codes
-from banditsim.environments import (
-    BOTTOM,
-    TOP,
-    CatalogEntry,
-    PerturbedConfig,
-    TwoBridgeConfig,
-    draw_theta,
-    realize_reward,
-    sample_perturbed_round,
-    sample_two_bridge_round,
-)
+from banditsim.environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig, draw_theta
 from banditsim.policies import context_norm_bound
 from banditsim.rng import Purpose, stream
 
@@ -56,43 +46,15 @@ class TestTwoBridgeConfig:
 
 
 class TestTwoBridgeSampling:
-    def test_round_patterns_match_kinds(self):
-        cfg = TwoBridgeConfig(horizon=3000)
-        rng = np.random.default_rng(0)
-        seen = set()
-        for t in range(1, 3000):
-            r = sample_two_bridge_round(cfg, rng, t)
-            seen.add(r.kind)
-            if r.kind is RoundKind.A:
-                assert r.group is Group.MAJORITY
-                np.testing.assert_array_equal(r.contexts[0], TOP)
-                np.testing.assert_array_equal(r.contexts[1], TOP)
-            elif r.kind is RoundKind.C:
-                assert r.group is Group.MINORITY
-                np.testing.assert_array_equal(r.contexts[0], BOTTOM)
-                assert r.contexts[1] is None
-            else:
-                assert r.group is Group.MINORITY
-                np.testing.assert_array_equal(r.contexts[0], TOP)
-                np.testing.assert_array_equal(r.contexts[1], BOTTOM)
-        assert seen == {RoundKind.A, RoundKind.B, RoundKind.C}
-
     def test_kind_frequencies_vectorized(self):
-        # The sequential sampler and the engine's vectorized kind draw share
-        # one law: P(A) = 0.95, P(C) = 0.0475, P(B) = 0.0025.
+        # The engine's vectorized kind draw follows the configured law:
+        # P(A) = 0.95, P(C) = 0.0475, P(B) = 0.0025.
         n = 1_000_000
         codes = _kind_codes(TwoBridgeConfig(horizon=n), np.random.default_rng(7), n)
         freq = np.bincount(codes, minlength=3) / n
         assert freq[0] == pytest.approx(0.95, abs=3 * 0.0002)
         assert freq[1] == pytest.approx(0.0475, abs=3 * 0.0002)
         assert freq[2] == pytest.approx(0.0025, abs=3 * 0.0002)
-
-    def test_minority_only_has_no_majority_rounds(self):
-        cfg = TwoBridgeConfig(horizon=1000, p_majority=0.0)
-        rng = np.random.default_rng(3)
-        kinds = {sample_two_bridge_round(cfg, rng, t).kind for t in range(1, 500)}
-        assert RoundKind.A not in kinds
-        assert kinds == {RoundKind.B, RoundKind.C}
 
     def test_minority_activity_grows_linearly(self):
         # After the warm-up round count the cumulative number of single-option
@@ -153,75 +115,16 @@ class TestCatalog:
 
 
 class TestPerturbedSampling:
-    def test_zero_rho_reproduces_catalog_means(self):
-        cfg = _two_entry_config(rho=0.0)
-        rng = np.random.default_rng(11)
-        for t in range(1, 50):
-            r = sample_perturbed_round(cfg, rng, t)
-            assert any(
-                all(np.array_equal(c, m) for c, m in zip(r.contexts, e.means))
-                for e in cfg.entries
-            )
-
-    def test_perturbation_moments(self):
-        # Single-entry catalog so every deviation is attributed unambiguously.
-        mean0 = np.array([0.5, 0.1])
-        entries = (CatalogEntry(weight=1.0, means=(mean0,), group=Group.MAJORITY),)
-        cfg = PerturbedConfig(entries=entries, rho=0.3, minority_prob=0.0)
-        rng = np.random.default_rng(5)
-        n = 100_000
-        devs = np.empty((n, 2))
-        for i in range(n):
-            r = sample_perturbed_round(cfg, rng, i + 1)
-            devs[i] = np.asarray(r.contexts[0]) - mean0
-        assert np.abs(devs.mean(axis=0)).max() < 3 * 0.3 / np.sqrt(n) + 1e-3
-        np.testing.assert_allclose(devs.var(axis=0), 0.09, rtol=0.05)
-        corr = np.corrcoef(devs.T)[0, 1]
-        assert abs(corr) < 3 / np.sqrt(n) + 1e-3
-
-    def test_unavailable_slots_stay_unavailable(self):
-        entries = (
-            CatalogEntry(weight=1.0, means=(np.array([0.4, 0.1]), None), group=Group.MAJORITY),
-        )
-        cfg = PerturbedConfig(entries=entries, rho=0.2, minority_prob=0.0)
-        r = sample_perturbed_round(cfg, np.random.default_rng(1), 1)
-        assert r.contexts[1] is None
-        assert r.available_indices() == (0,)
-
-    def test_minority_frequency(self):
-        cfg = _two_entry_config(rho=0.1, minority_prob=0.3)
-        rng = np.random.default_rng(2)
-        n = 20_000
-        hits = sum(
-            sample_perturbed_round(cfg, rng, t).group is Group.MINORITY
-            for t in range(1, n + 1)
-        )
-        assert hits / n == pytest.approx(0.3, abs=3 * np.sqrt(0.3 * 0.7 / n))
-
-    def test_separate_perturbation_stream(self):
-        cfg = _two_entry_config(rho=0.3)
-        r1 = sample_perturbed_round(cfg, np.random.default_rng(1), 1, np.random.default_rng(9))
-        r2 = sample_perturbed_round(cfg, np.random.default_rng(1), 1, np.random.default_rng(9))
-        np.testing.assert_array_equal(r1.contexts[0], r2.contexts[0])
-
     def test_perturbation_magnitude_bound(self):
         # The norm bound used for width tuning should hold with margin at the
-        # stated confidence: no exceedance across 200 short runs.
+        # stated confidence: no exceedance across 200 short runs of the
+        # perturbation draw the engines make.
         rho, horizon, k, d = 0.3, 100, 2, 2
         bound = context_norm_bound(rho, d, horizon, k) - 1.0  # perturbation part
-        cfg = _two_entry_config(rho=rho)
         failures = 0
         for rep in range(200):
-            rng = np.random.default_rng(1000 + rep)
-            for t in range(1, horizon + 1):
-                r = sample_perturbed_round(cfg, rng, t)
-                for c, e_idx in zip(r.contexts, range(k)):
-                    base = min(
-                        cfg.entries,
-                        key=lambda e: np.linalg.norm(np.asarray(c) - e.means[e_idx]),
-                    )
-                    if np.linalg.norm(np.asarray(c) - base.means[e_idx]) > bound:
-                        failures += 1
+            noise = stream(20260814, rep, Purpose.PERTURBATIONS).normal(0.0, rho, (horizon, k, d))
+            failures += int((np.linalg.norm(noise, axis=-1) > bound).sum())
         assert failures == 0
 
 
@@ -229,9 +132,8 @@ class TestLatentDraws:
     def test_mean_and_covariance(self):
         mean = np.array([0.3, -0.2])
         cov = np.array([[0.5, 0.2], [0.2, 0.4]])
-        model = LatentModel(prior_mean=mean, prior_cov=cov)
         rng = np.random.default_rng(17)
-        draws = np.array([draw_theta(model, rng) for _ in range(100_000)])
+        draws = np.array([draw_theta(mean, cov, rng) for _ in range(100_000)])
         kappa = np.sqrt(np.diag(cov))
         np.testing.assert_allclose(
             draws.mean(axis=0), mean, atol=(3 * kappa / np.sqrt(len(draws))).max()
@@ -240,44 +142,25 @@ class TestLatentDraws:
 
     def test_zero_covariance_degenerate(self):
         with pytest.raises(ConfigurationError):
-            LatentModel(prior_mean=np.zeros(2), prior_cov=np.zeros((2, 2)))
+            draw_theta(np.zeros(2), np.zeros((2, 2)), np.random.default_rng(0))
+
+    def test_invalid_covariance_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError):
+            draw_theta(np.zeros(2), np.diag([1.0, 0.0]), rng)
+        with pytest.raises(ConfigurationError):
+            draw_theta(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), rng)
+        with pytest.raises(ConfigurationError):
+            draw_theta(np.zeros(3), np.eye(2), rng)
 
     def test_deterministic_under_seed(self):
-        model = LatentModel(prior_mean=np.zeros(2), prior_cov=np.eye(2))
-        a = draw_theta(model, np.random.default_rng(4))
-        b = draw_theta(model, np.random.default_rng(4))
+        a = draw_theta(np.zeros(2), np.eye(2), np.random.default_rng(4))
+        b = draw_theta(np.zeros(2), np.eye(2), np.random.default_rng(4))
         np.testing.assert_array_equal(a, b)
 
-
-class TestRealizeReward:
-    def test_bernoulli_certain_means(self):
-        rng = np.random.default_rng(0)
-        theta = np.array([1.0, 0.0])
-        assert all(realize_reward(theta, TOP, NoiseKind.BERNOULLI, rng) == 1.0 for _ in range(20))
-        assert all(
-            realize_reward(np.zeros(2), TOP, NoiseKind.BERNOULLI, rng) == 0.0 for _ in range(20)
-        )
-
-    def test_bernoulli_mean_out_of_range(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ModelError):
-            realize_reward(np.array([2.0, 0.0]), TOP, NoiseKind.BERNOULLI, rng)
-        with pytest.raises(ModelError):
-            realize_reward(np.array([-0.5, 0.0]), TOP, NoiseKind.BERNOULLI, rng)
-
-    def test_gaussian_moments(self):
-        rng = np.random.default_rng(21)
-        theta = np.array([0.5, 0.4])
-        n = 100_000
-        draws = np.array([realize_reward(theta, TOP, NoiseKind.GAUSSIAN_UNIT, rng) for _ in range(n)])
-        assert draws.mean() == pytest.approx(0.5, abs=3 / np.sqrt(n))
-        assert draws.var() == pytest.approx(1.0, rel=0.05)
-
-    def test_two_bridge_top_bernoulli_rate(self):
-        cfg = TwoBridgeConfig(horizon=10_000, noise=NoiseKind.BERNOULLI)
-        rng = np.random.default_rng(8)
-        n = 10_000
-        draws = np.array(
-            [realize_reward(cfg.theta, TOP, NoiseKind.BERNOULLI, rng) for _ in range(n)]
-        )
-        assert draws.mean() == pytest.approx(0.5, abs=3 * 0.5 / np.sqrt(n))
+    def test_matches_cholesky_transform_bitwise(self):
+        mean = np.array([0.3, -0.2])
+        cov = np.array([[0.5, 0.2], [0.2, 0.4]])
+        z = np.random.default_rng(9).standard_normal(2)
+        expected = mean + np.linalg.cholesky(cov) @ z
+        np.testing.assert_array_equal(draw_theta(mean, cov, np.random.default_rng(9)), expected)

@@ -6,15 +6,18 @@ import pytest
 from banditsim.estimators import (
     SufficientStats,
     bayes_posterior_mean,
-    estimate_error,
     gaussian_prior,
     min_eigenvalue,
     ols_estimate,
     posterior_mean,
-    stats_from_data,
-    update_stats,
 )
 from banditsim.rng import Purpose, stream
+
+
+def stats_of(X, r) -> SufficientStats:
+    """Statistics of the rows X with rewards r: Z = X^T X, xr = X^T r."""
+    X = np.asarray(X, dtype=float)
+    return SufficientStats(X.T @ X, X.T @ np.asarray(r, dtype=float), X.shape[0])
 
 
 class TestSufficientStats:
@@ -23,37 +26,6 @@ class TestSufficientStats:
         assert s.n == 0
         np.testing.assert_array_equal(s.Z, np.zeros((3, 3)))
         np.testing.assert_array_equal(s.xr, np.zeros(3))
-
-    def test_single_update(self):
-        s = update_stats(SufficientStats.empty(2), np.array([1.0, 0.0]), 2.0)
-        np.testing.assert_array_equal(s.Z, [[1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(s.xr, [2.0, 0.0])
-        assert s.n == 1
-
-    def test_update_is_order_independent(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(10, 3))
-        r = rng.normal(size=10)
-        s_fwd = SufficientStats.empty(3)
-        s_rev = SufficientStats.empty(3)
-        for i in range(10):
-            s_fwd = update_stats(s_fwd, X[i], r[i])
-            s_rev = update_stats(s_rev, X[9 - i], r[9 - i])
-        np.testing.assert_allclose(s_fwd.Z, s_rev.Z)
-        np.testing.assert_allclose(s_fwd.xr, s_rev.xr)
-        assert s_fwd.n == s_rev.n == 10
-
-    def test_incremental_matches_batch(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(100, 4))
-        r = rng.normal(size=100)
-        s = SufficientStats.empty(4)
-        for i in range(100):
-            s = update_stats(s, X[i], r[i])
-        batch = stats_from_data(X, r)
-        np.testing.assert_allclose(s.Z, batch.Z, atol=1e-9)
-        np.testing.assert_allclose(s.xr, batch.xr, atol=1e-9)
-        assert s.n == batch.n
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,23 +38,23 @@ class TestSufficientStats:
 
 class TestOlsEstimate:
     def test_identity_design(self):
-        s = stats_from_data(np.eye(2), np.array([0.3, 0.7]))
+        s = stats_of(np.eye(2), np.array([0.3, 0.7]))
         np.testing.assert_allclose(ols_estimate(s), [0.3, 0.7])
 
     def test_repeated_rows_average(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         r = np.array([1.0, 0.0, 1.0])
-        np.testing.assert_allclose(ols_estimate(stats_from_data(X, r)), [0.5, 1.0])
+        np.testing.assert_allclose(ols_estimate(stats_of(X, r)), [0.5, 1.0])
 
     def test_rank_deficient_min_norm(self):
-        s = stats_from_data(np.array([[1.0, 0.0]]), np.array([1.0]))
+        s = stats_of(np.array([[1.0, 0.0]]), np.array([1.0]))
         np.testing.assert_allclose(ols_estimate(s), [1.0, 0.0], atol=1e-12)
 
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(2)
         theta = np.array([0.4, -0.9, 0.2])
         X = rng.normal(size=(50, 3))
-        s = stats_from_data(X, X @ theta)
+        s = stats_of(X, X @ theta)
         np.testing.assert_allclose(ols_estimate(s), theta, atol=1e-8)
 
     def test_no_data(self):
@@ -98,7 +70,7 @@ class TestBayesPosteriorMean:
         assert mean[0] == 0.1  # defensive copy
 
     def test_single_observation_standard_prior(self):
-        s = update_stats(SufficientStats.empty(2), np.array([1.0, 0.0]), 1.0)
+        s = stats_of([[1.0, 0.0]], [1.0])
         out = bayes_posterior_mean(s, np.zeros(2), np.eye(2))
         np.testing.assert_allclose(out, [0.5, 0.0])
 
@@ -106,7 +78,7 @@ class TestBayesPosteriorMean:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 2))
         r = rng.normal(size=40)
-        s = stats_from_data(X, r)
+        s = stats_of(X, r)
         flat = bayes_posterior_mean(s, np.zeros(2), 1e8 * np.eye(2))
         np.testing.assert_allclose(flat, ols_estimate(s), atol=1e-4)
 
@@ -118,7 +90,7 @@ class TestBayesPosteriorMean:
         r = theta_true * x + rng.standard_normal(12)
         prior_mean, prior_var = 0.2, 0.5
 
-        s = stats_from_data(x[:, None], r)
+        s = stats_of(x[:, None], r)
         closed = bayes_posterior_mean(
             s, np.array([prior_mean]), np.array([[prior_var]])
         )[0]
@@ -143,7 +115,7 @@ class TestBayesPosteriorMean:
         prior = gaussian_prior(mean, cov)
         for n in (0, 1, 7):
             X = rng.normal(size=(n, 2))
-            s = stats_from_data(X, rng.normal(size=n))
+            s = stats_of(X, rng.normal(size=n))
             np.testing.assert_array_equal(posterior_mean(s, prior), bayes_posterior_mean(s, mean, cov))
 
     def test_prior_dimensions_checked(self):
@@ -168,20 +140,6 @@ class TestMinEigenvalue:
             min_eigenvalue(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-class TestEstimateError:
-    def test_zero(self):
-        assert estimate_error(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_unit_offsets(self):
-        assert estimate_error(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(
-            np.sqrt(2)
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            estimate_error(np.zeros(2), np.zeros(3))
-
-
 class TestErrorDecay:
     def test_error_shrinks_with_more_batches(self):
         # Median estimation error after 19 batches of 200 observations should
@@ -197,7 +155,7 @@ class TestErrorDecay:
             )
             r = X @ theta + stream(20260814, rep, Purpose.REWARDS).standard_normal(n_large)
             for j, n in enumerate((n_small, n_large)):
-                est = ols_estimate(stats_from_data(X[:n], r[:n]))
-                errs[rep, j] = estimate_error(est, theta)
+                est = ols_estimate(stats_of(X[:n], r[:n]))
+                errs[rep, j] = np.linalg.norm(est - theta)
         ratio = np.median(errs[:, 1]) / np.median(errs[:, 0])
         assert ratio < 0.5

@@ -202,17 +202,25 @@ class TestRunExperiment:
         for entry in checks.values():
             assert isinstance(entry["above_floor"], bool)
 
-    def test_replicate_failures_carry_seed(self):
+    def test_replicate_failures_carry_seed(self, monkeypatch):
         cfg = _cfg(
             "experiment = ExternalityVanishing\n"
             "horizons = 400\n"
-            "replicates = 1\n"
-            "catalog_size = 1\n"
+            "replicates = 2\n"
             "policies = batch_freq_greedy\n"
         )
+        engine = experiments.run_perturbed_batch_greedy
+
+        def fail_on_replicate_1(catalog, prior_mean, prior_cov, theta, horizon, batch, master_seed, replicate, **kwargs):
+            if replicate == 1:
+                raise FloatingPointError("injected")
+            return engine(catalog, prior_mean, prior_cov, theta, horizon, batch, master_seed, replicate, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_perturbed_batch_greedy", fail_on_replicate_1)
         with pytest.raises(ReplicateError) as err:
             run_experiment(cfg, workers=1)
-        assert str(replicate_seed_id(cfg.master_seed, 0)) in str(err.value)
+        assert "replicate 1 " in str(err.value)
+        assert str(replicate_seed_id(cfg.master_seed, 1)) in str(err.value)
 
     def test_eig_growth_aggregates(self):
         cfg = _cfg(

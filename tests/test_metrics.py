@@ -1,28 +1,15 @@
-"""Regret accounting, gap statistics, and power-law fits."""
+"""Per-round regret, replicate summaries, and power-law fits."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
-from banditsim.core import ContextRound, Group, RoundKind
-from banditsim.environments import (
-    BOTTOM,
-    TOP,
-    CatalogEntry,
-    PerturbedConfig,
-    TwoBridgeConfig,
-    sample_perturbed_round,
-)
+from banditsim.core import ContextRound, Group
+from banditsim.environments import BOTTOM, TOP, TwoBridgeConfig
 from banditsim.metrics import (
-    RegretLedger,
-    Restriction,
     bayesian_regret,
-    cumulative_regret,
-    gap,
     instantaneous_regret,
-    prediction_regret,
     scaling_exponent,
     scaling_exponent_bootstrap,
 )
@@ -30,12 +17,12 @@ from banditsim.metrics import (
 
 class TestInstantaneousRegret:
     def test_best_choice_has_zero_regret(self):
-        round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, 1)
+        round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
         assert instantaneous_regret(np.array([0.5, 0.4]), round_, 0) == 0.0
 
     def test_bottom_choice_pays_the_gap(self):
         cfg = TwoBridgeConfig(horizon=100)
-        round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, 1)
+        round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
         assert instantaneous_regret(cfg.theta, round_, 1) == pytest.approx(cfg.epsilon)
 
     def test_matches_brute_force_on_random_rounds(self):
@@ -55,104 +42,9 @@ class TestInstantaneousRegret:
             assert instantaneous_regret(theta, round_, chosen) == pytest.approx(expected)
 
     def test_unavailable_choice_rejected(self):
-        round_ = ContextRound((BOTTOM, None), Group.MINORITY, RoundKind.C, 1)
+        round_ = ContextRound((BOTTOM, None), Group.MINORITY, 1)
         with pytest.raises(ValueError):
             instantaneous_regret(np.array([0.5, 0.4]), round_, 1)
-
-
-class TestGap:
-    def test_two_bridge_gap_is_epsilon(self):
-        cfg = TwoBridgeConfig(horizon=400)
-        round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, 1)
-        assert gap(cfg.theta, round_) == pytest.approx(cfg.epsilon)
-
-    def test_identical_contexts_have_zero_gap(self):
-        round_ = ContextRound((TOP, TOP), Group.MAJORITY, RoundKind.A, 1)
-        assert gap(np.array([0.5, 0.4]), round_) == 0.0
-
-    def test_single_action_gap_is_infinite(self):
-        round_ = ContextRound((BOTTOM, None), Group.MINORITY, RoundKind.C, 1)
-        assert gap(np.array([0.5, 0.4]), round_) == math.inf
-
-    def test_small_gap_rounds_are_rare(self):
-        # With Gaussian perturbations the margin between two actions is
-        # anti-concentrated: P(gap <= g) is at most K(K-1) g / (2 rho ||theta||
-        # sqrt(pi)) and, for orthogonal catalog means, exactly the mass of a
-        # centered normal with variance 2 rho^2 ||theta||^2.
-        rho, g = 0.3, 0.05
-        theta = np.array([1.0, 0.0])
-        entries = (
-            CatalogEntry(
-                weight=1.0,
-                means=(np.array([0.3, 0.4]), np.array([0.3, -0.4])),
-                group=Group.MAJORITY,
-            ),
-        )
-        cfg = PerturbedConfig(entries=entries, rho=rho, minority_prob=0.0)
-        rng = np.random.default_rng(1)
-        n = 20_000
-        hits = sum(
-            gap(theta, sample_perturbed_round(cfg, rng, t)) <= g for t in range(1, n + 1)
-        )
-        freq = hits / n
-        exact = 2 * sps.norm.cdf(g / (math.sqrt(2) * rho)) - 1
-        union_bound = 2 * g / (2 * rho * math.sqrt(math.pi))
-        se = math.sqrt(exact * (1 - exact) / n)
-        assert freq == pytest.approx(exact, abs=3 * se)
-        assert freq <= union_bound + 3 * se
-
-
-def _ledger_abab() -> RegretLedger:
-    led = RegretLedger()
-    led.append(1, 1.0, 0.5, Group.MAJORITY, restricted=False)
-    led.append(2, 2.0, 0.0, Group.MINORITY, restricted=True)
-    led.append(3, 0.0, 1.0, Group.MAJORITY, restricted=True)
-    led.append(4, 4.0, 0.25, Group.MINORITY, restricted=False)
-    return led
-
-
-class TestRegretLedger:
-    def test_append_validation(self):
-        led = RegretLedger()
-        led.append(1, 0.0, None, Group.MAJORITY, restricted=False)
-        with pytest.raises(ValueError):
-            led.append(1, 0.0, None, Group.MAJORITY, restricted=False)
-        with pytest.raises(ValueError):
-            led.append(2, -0.5, None, Group.MAJORITY, restricted=False)
-        with pytest.raises(ValueError):
-            led.append(2, 0.0, -0.1, Group.MAJORITY, restricted=False)
-        with pytest.raises(ValueError):
-            RegretLedger().append(0, 0.0, None, Group.MAJORITY, restricted=False)
-
-    def test_cumulative_by_restriction(self):
-        led = _ledger_abab()
-        assert cumulative_regret(led) == 7.0
-        assert cumulative_regret(led, Restriction.MINORITY_ONLY) == 6.0
-        assert cumulative_regret(led, Restriction.MAJORITY_ONLY) == 1.0
-        assert cumulative_regret(led, Restriction.CUSTOM_SET) == 2.0
-
-    def test_group_partition_is_additive(self):
-        led = _ledger_abab()
-        assert cumulative_regret(led) == cumulative_regret(
-            led, Restriction.MINORITY_ONLY
-        ) + cumulative_regret(led, Restriction.MAJORITY_ONLY)
-
-    def test_prediction_regret(self):
-        led = _ledger_abab()
-        assert prediction_regret(led) == pytest.approx(1.75)
-        assert prediction_regret(led, Restriction.MINORITY_ONLY) == pytest.approx(0.25)
-
-    def test_missing_prediction_in_selection_rejected(self):
-        led = RegretLedger()
-        led.append(1, 1.0, None, Group.MINORITY, restricted=True)
-        with pytest.raises(ValueError):
-            prediction_regret(led, Restriction.MINORITY_ONLY)
-        # ... but rounds outside the selection may lack predictions.
-        led.append(2, 1.0, 0.5, Group.MAJORITY, restricted=False)
-        assert prediction_regret(led, Restriction.MAJORITY_ONLY) == 0.5
-
-    def test_length(self):
-        assert len(_ledger_abab()) == 4
 
 
 class TestBayesianRegret:

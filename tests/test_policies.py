@@ -1,33 +1,31 @@
-"""Decision rules: LinUCB widths and scores, batch-frozen greedy, baselines."""
+"""Decision rules: LinUCB widths and scores, greedy picks, batch and norm bounds."""
 
 import math
 
 import numpy as np
 import pytest
 
-from banditsim.core import ContextRound, Group, RoundKind
+from banditsim.core import ContextRound, Group
 from banditsim.engines import _B, _kind_codes, closed_form_ucb, run_two_bridge_policy
 from banditsim.environments import BOTTOM, TOP, TwoBridgeConfig
-from banditsim.estimators import SufficientStats, ols_estimate, stats_from_data, update_stats
+from banditsim.estimators import SufficientStats, ols_estimate
 from banditsim.policies import (
-    BatchBayesGreedyPolicy,
-    BatchFreqGreedyPolicy,
     LinUCBParams,
-    LinUCBPolicy,
-    OraclePolicy,
-    UniformRandomPolicy,
     context_norm_bound,
     greedy_select,
     interval_width,
     linucb_scores,
-    linucb_select,
-    make_policy,
-    policy_step,
     suggested_batch_size,
 )
 from banditsim.rng import Purpose, stream
 
-B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, 1)
+B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
+
+
+def _linucb_pick(round_: ContextRound, stats: SufficientStats, params: LinUCBParams) -> int:
+    """The LinUCB decision: the first action of highest upper confidence bound."""
+    f = interval_width(stats.n, params, round_.dim)
+    return int(np.argmax(linucb_scores(round_, stats, f, params.ridge)))
 
 
 class TestIntervalWidth:
@@ -106,7 +104,8 @@ class TestLinUCBScores:
         assert int(np.argmax(scores)) == 1
 
     def test_unseen_direction_gets_infinite_score(self):
-        stats = update_stats(SufficientStats.empty(2), np.array([1.0, 0.0]), 0.3)
+        x = np.array([1.0, 0.0])
+        stats = SufficientStats(np.outer(x, x), 0.3 * x, 1)
         scores = linucb_scores(B_ROUND, stats, f=1.0, ridge=0.0)
         assert np.isfinite(scores[0])
         assert np.isinf(scores[1])
@@ -133,18 +132,18 @@ class TestLinUCBScores:
 
     def test_select_breaks_ties_toward_lower_index(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
-        assert linucb_select(B_ROUND, SufficientStats.empty(2), params) == 0
+        assert _linucb_pick(B_ROUND, SufficientStats.empty(2), params) == 0
 
     def test_single_available_action(self):
-        round_ = ContextRound((BOTTOM, None), Group.MINORITY, RoundKind.C, 1)
+        round_ = ContextRound((BOTTOM, None), Group.MINORITY, 1)
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
-        assert linucb_select(round_, SufficientStats.empty(2), params) == 0
+        assert _linucb_pick(round_, SufficientStats.empty(2), params) == 0
 
     def test_zero_width_invertible_design_matches_greedy(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 2))
         r = rng.normal(size=30)
-        stats = stats_from_data(X, r)
+        stats = SufficientStats(X.T @ X, X.T @ r, X.shape[0])
         est = ols_estimate(stats)
         for _ in range(50):
             ctxs = tuple(rng.normal(size=2) for _ in range(3))
@@ -156,7 +155,7 @@ class TestLinUCBScores:
 class TestGreedySelect:
     def test_ties_prefer_lowest_index(self):
         assert greedy_select(B_ROUND, np.array([0.5, 0.5])) in (0, 1)
-        round_ = ContextRound((TOP, TOP), Group.MAJORITY, RoundKind.A, 1)
+        round_ = ContextRound((TOP, TOP), Group.MAJORITY, 1)
         assert greedy_select(round_, np.array([0.7, 0.1])) == 0
 
     def test_zero_estimate_returns_first_available(self):
@@ -209,116 +208,6 @@ class TestContextNormBound:
         assert context_norm_bound(0.3, 2, 1000, 5) > context_norm_bound(0.1, 2, 1000, 5)
 
 
-def _observe_round(policy, round_, theta, rng):
-    a, pred = policy_step(policy, round_)
-    x = np.asarray(round_.contexts[a], dtype=float)
-    r = float(x @ theta) + float(rng.standard_normal())
-    policy.observe(x, r)
-    return a, pred
-
-
-class TestBatchedPolicies:
-    def test_first_batch_uses_prior(self):
-        prior_mean = np.array([0.2, 0.9])
-        policy = BatchBayesGreedyPolicy(2, 5, prior_mean, np.eye(2))
-        rng = np.random.default_rng(0)
-        theta = np.array([0.5, 0.4])
-        for t in range(1, 6):
-            round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, t)
-            a, pred = _observe_round(policy, round_, theta, rng)
-            assert a == pred == 1  # prior favors the second coordinate
-        acting, bayes = policy.frozen_estimates()
-        np.testing.assert_array_equal(acting, prior_mean)
-        np.testing.assert_array_equal(bayes, prior_mean)
-
-    def test_estimate_frozen_within_batch(self):
-        policy = BatchFreqGreedyPolicy(
-            2, 4, np.zeros(2), np.eye(2), np.random.default_rng(1)
-        )
-        rng = np.random.default_rng(2)
-        theta = np.array([0.5, 0.4])
-        snapshots = []
-        for t in range(1, 13):
-            round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, t)
-            _observe_round(policy, round_, theta, rng)
-            snapshots.append(policy.frozen_estimates()[0])
-        # Rounds 5-8 share one frozen estimate; rounds 9-12 share another.
-        for batch_start in (4, 8):
-            first = snapshots[batch_start]
-            for step in range(1, 4):
-                np.testing.assert_array_equal(snapshots[batch_start + step], first)
-        assert not np.array_equal(snapshots[4], snapshots[8])
-
-    def test_refresh_requires_complete_batch(self):
-        policy = BatchBayesGreedyPolicy(2, 3, np.zeros(2), np.eye(2))
-        rng = np.random.default_rng(3)
-        theta = np.array([0.5, 0.4])
-        for t in range(1, 4):
-            round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, t)
-            a, _ = policy_step(policy, round_)
-            if t < 3:  # skip one observe: round 4's refresh must fail
-                policy.observe(np.asarray(round_.contexts[a]), 0.0)
-        with pytest.raises(RuntimeError):
-            policy_step(policy, ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, 4))
-
-    def test_freq_cold_start_is_uniform(self):
-        hits = 0
-        n = 2000
-        for i in range(n):
-            policy = BatchFreqGreedyPolicy(
-                2, 10, np.zeros(2), np.eye(2), np.random.default_rng(i)
-            )
-            a, _ = policy.select(B_ROUND)
-            hits += a
-        assert hits / n == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(n))
-
-    def test_freq_warm_acts_greedily(self):
-        policy = BatchFreqGreedyPolicy(
-            2, 2, np.zeros(2), np.eye(2), np.random.default_rng(4)
-        )
-        policy.observe(TOP.astype(float), 1.0)
-        policy.observe(BOTTOM.astype(float), -1.0)
-        round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, 3)
-        a, _ = policy.select(round_)
-        assert a == 0
-
-    def test_prediction_comes_from_bayes_estimate(self):
-        # Frequentist acting estimate favors action 1 while the posterior mean
-        # (shrunk toward a prior favoring coordinate 0) favors action 0.
-        policy = BatchFreqGreedyPolicy(
-            2, 2, np.array([5.0, 0.0]), 0.01 * np.eye(2), np.random.default_rng(5)
-        )
-        policy.observe(TOP.astype(float), -1.0)
-        policy.observe(BOTTOM.astype(float), 1.0)
-        round_ = ContextRound((TOP, BOTTOM), Group.MINORITY, RoundKind.B, 3)
-        a, pred = policy.select(round_)
-        assert a == 1
-        assert pred == 0
-
-
-class TestBaselinePolicies:
-    def test_oracle_prefers_top_under_theta0(self):
-        policy = OraclePolicy(np.array([0.5, 0.4]))
-        a, pred = policy.select(B_ROUND)
-        assert a == pred == 0
-
-    def test_oracle_prefers_bottom_under_theta1(self):
-        policy = OraclePolicy(np.array([0.4, 0.5]))
-        a, _ = policy.select(B_ROUND)
-        assert a == 1
-
-    def test_uniform_random_rate(self):
-        policy = UniformRandomPolicy(np.random.default_rng(6))
-        n = 100_000
-        hits = sum(policy.select(B_ROUND)[0] for _ in range(n))
-        assert hits / n == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(n))
-
-    def test_uniform_random_respects_availability(self):
-        policy = UniformRandomPolicy(np.random.default_rng(7))
-        round_ = ContextRound((BOTTOM, None), Group.MINORITY, RoundKind.C, 1)
-        assert all(policy.select(round_)[0] == 0 for _ in range(20))
-
-
 class TestLinUCBWarmBehavior:
     def test_bottom_pick_rate_small_after_warmup(self):
         # On minority-only two-bridge data the optimistic policy should almost
@@ -345,56 +234,3 @@ class TestLinUCBWarmBehavior:
             b_after += int(((codes == _B) & tail).sum())
         assert b_after > 0
         assert wrong_after / b_after <= 0.05
-
-
-class TestPolicyFactory:
-    def test_linucb_requires_params(self):
-        with pytest.raises(ValueError):
-            make_policy("linucb", 2)
-
-    def test_oracle_requires_theta(self):
-        with pytest.raises(ValueError):
-            make_policy("oracle", 2)
-
-    def test_uniform_requires_stream(self):
-        with pytest.raises(ValueError):
-            make_policy("uniform_random", 2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_policy("thompson", 2)
-
-    def test_constructs_each_kind(self):
-        params = LinUCBParams(L=1.0, S=1.0, horizon=10)
-        rng = np.random.default_rng(0)
-        assert isinstance(make_policy("linucb", 2, params=params), LinUCBPolicy)
-        assert isinstance(
-            make_policy(
-                "batch_bayes_greedy", 2, batch_size=5, prior_mean=np.zeros(2), prior_cov=np.eye(2)
-            ),
-            BatchBayesGreedyPolicy,
-        )
-        assert isinstance(
-            make_policy(
-                "batch_freq_greedy",
-                2,
-                batch_size=5,
-                prior_mean=np.zeros(2),
-                prior_cov=np.eye(2),
-                rng=rng,
-            ),
-            BatchFreqGreedyPolicy,
-        )
-        assert isinstance(make_policy("oracle", 2, theta=np.zeros(2)), OraclePolicy)
-        assert isinstance(make_policy("uniform_random", 2, rng=rng), UniformRandomPolicy)
-
-
-class TestPolicyStep:
-    def test_unavailable_choice_rejected(self):
-        class BadPolicy:
-            def select(self, round_):
-                return 1, 1
-
-        round_ = ContextRound((BOTTOM, None), Group.MINORITY, RoundKind.C, 1)
-        with pytest.raises(RuntimeError):
-            policy_step(BadPolicy(), round_)

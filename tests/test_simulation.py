@@ -9,7 +9,6 @@ from banditsim.simulation import (
     InsufficientDiversityError,
     RadiusError,
     SimulationWeights,
-    simulate_reward,
     simulate_reward_many,
     simulation_weights,
 )
@@ -71,22 +70,18 @@ class TestSimulateReward:
     def test_zero_residual_reproduces_weighted_sum(self):
         w = simulation_weights(np.eye(2), np.array([1.0, 0.0]))
         rng = np.random.default_rng(2)
-        r = np.array([0.7, -0.3])
-        assert simulate_reward(w, r, rng) == 0.7
+        r = np.array([[0.7, -0.3], [0.1, 0.2]])
+        np.testing.assert_array_equal(simulate_reward_many(w, r, rng), [0.7, 0.1])
 
     def test_out_of_radius_rejected(self):
         # Target norm exceeds the diversity radius: residual variance < 0.
         w = simulation_weights(np.eye(2), np.array([2.0, 0.0]))
         assert w.residual_var < 0.0
         with pytest.raises(RadiusError):
-            simulate_reward(w, np.zeros(2), np.random.default_rng(0))
-        with pytest.raises(RadiusError):
             simulate_reward_many(w, np.zeros((5, 2)), np.random.default_rng(0))
 
     def test_reward_length_checked(self):
         w = simulation_weights(np.eye(2), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            simulate_reward(w, np.zeros(3), np.random.default_rng(0))
         with pytest.raises(ValueError):
             simulate_reward_many(w, np.zeros((5, 3)), np.random.default_rng(0))
         with pytest.raises(ValueError):
