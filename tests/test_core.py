@@ -1,5 +1,7 @@
 """Domain types: context vectors, context rounds, batch boundaries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,25 @@ class TestContextRound:
         assert not r.is_available(5)
         assert not r.is_available(-1)
 
+    def test_dim_skips_leading_unavailable_slots(self):
+        r = ContextRound((None, None, np.array([0.1, 0.2, 0.3])), Group.MINORITY)
+        assert r.dim == 3
+        assert r.n_actions == 3
+        assert r.available_indices() == (2,)
+
+    def test_no_slots_rejected(self):
+        with pytest.raises(ValueError):
+            ContextRound((), Group.MAJORITY)
+
+    def test_non_finite_context_rejected(self):
+        with pytest.raises(ValueError):
+            ContextRound((TOP, np.array([np.nan, 0.0])), Group.MAJORITY)
+
+    def test_rounds_are_immutable(self):
+        r = ContextRound((TOP, BOTTOM), Group.MINORITY, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.round_index = 5
+
 
 class TestLastBatchEnd:
     def test_mid_second_batch(self):
@@ -91,6 +112,18 @@ class TestLastBatchEnd:
                 t0 = last_batch_end(t, y)
                 assert t0 < t
                 assert t0 % y == 0
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 7, 100])
+    def test_frozen_data_is_the_completed_batches(self, batch_size):
+        # Within a batch every round sees the same data; the data grows by one
+        # whole batch at each batch start, and never lags by a batch or more.
+        horizon = 5 * batch_size + 2
+        ends = np.array([last_batch_end(t, batch_size) for t in range(1, horizon + 1)])
+        starts = np.arange(horizon) % batch_size == 0
+        steps = np.diff(ends, prepend=-batch_size)
+        np.testing.assert_array_equal(steps[starts], batch_size)
+        np.testing.assert_array_equal(steps[~starts], 0)
+        assert np.all(np.arange(1, horizon + 1) - ends <= batch_size)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -372,6 +372,55 @@ class TestTwoBridgePolicyEngine:
             totals += res.b_rounds
         assert wrongs / totals == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(totals))
 
+    @pytest.mark.parametrize("variant", ["theta0", "theta1"])
+    @pytest.mark.parametrize("noise", [NoiseKind.GAUSSIAN_UNIT, NoiseKind.BERNOULLI])
+    def test_oracle_accrues_no_regret(self, variant, noise):
+        cfg = TwoBridgeConfig(horizon=3000, theta_variant=variant, noise=noise, p_majority=0.0)
+        res = run_two_bridge_policy(cfg, "oracle", MASTER, 1, track_curve=True)
+        assert res.b_rounds > 0
+        assert res.wrong_b_rounds == 0
+        assert res.regret_total == res.regret_minority == res.regret_prediction == 0.0
+        np.testing.assert_array_equal(res.curve, np.zeros(cfg.horizon))
+
+    @pytest.mark.parametrize("policy", ["linucb", "uniform_random", "oracle"])
+    def test_no_choice_rounds_means_no_regret(self, policy):
+        # Without B rounds every round forces its action, so nothing is ever
+        # decided and no policy can pay the gap.
+        cfg = TwoBridgeConfig(horizon=2000, p_minority_c=1.0, p_minority_b=0.0)
+        res = run_two_bridge_policy(cfg, policy, MASTER, 0)
+        assert res.b_rounds == 0
+        assert res.wrong_b_rounds == 0
+        assert res.regret_total == 0.0
+
+    def test_theta_override_sets_the_gap(self):
+        cfg = TwoBridgeConfig(horizon=20_000, p_majority=0.0)
+        theta = np.array([0.2, 0.7])  # bottom bridge best, gap 0.5
+        res = run_two_bridge_policy(cfg, "uniform_random", MASTER, 2, theta=theta, track_curve=True)
+        assert res.regret_total == pytest.approx(0.5 * res.wrong_b_rounds)
+        assert res.curve[-1] == pytest.approx(res.regret_total)
+        # The wrong picks are the top-bridge picks: the complement of the
+        # wrong picks under the default theta0 on the same streams.
+        default = run_two_bridge_policy(cfg, "uniform_random", MASTER, 2)
+        assert res.b_rounds == default.b_rounds
+        assert res.wrong_b_rounds == default.b_rounds - default.wrong_b_rounds
+
+    def test_linucb_sanity(self):
+        cfg = TwoBridgeConfig(horizon=400, p_majority=0.0)
+        res = run_two_bridge_policy(cfg, "linucb", MASTER, 10, track_curve=True)
+        assert 0 <= res.wrong_b_rounds <= res.b_rounds
+        assert res.regret_total >= 0.0
+        assert res.regret_minority == res.regret_prediction == res.regret_total
+        assert np.all(np.diff(res.curve) >= 0.0)
+        assert res.curve[-1] == pytest.approx(res.regret_total)
+
+    def test_injected_majority_data_leaves_rounds_unchanged(self):
+        # Injection draws after the kind sequence, so the simulated rounds are
+        # the same with and without it.
+        cfg = TwoBridgeConfig(horizon=5000, p_majority=0.0)
+        plain = run_two_bridge_policy(cfg, "linucb", MASTER, 4)
+        injected = run_two_bridge_policy(cfg, "linucb", MASTER, 4, inject_majority_rate=0.95)
+        assert injected.b_rounds == plain.b_rounds
+
     def test_unknown_policy_rejected(self):
         cfg = TwoBridgeConfig(horizon=100)
         with pytest.raises(ValueError):
@@ -415,6 +464,46 @@ class TestTwoBridgeBatchFreqEngine:
         assert res.b_rounds == n_b
         assert res.regret_total == pytest.approx(cfg.epsilon * wrong)
         assert res.regret_minority == res.regret_total
+
+    def test_no_choice_rounds_means_no_regret(self):
+        cfg = TwoBridgeConfig(horizon=2000, p_minority_c=1.0, p_minority_b=0.0)
+        res = run_two_bridge_batch_freq(cfg, MASTER, 0, 100)
+        assert res.b_rounds == 0
+        assert res.regret_total == 0.0
+
+    def test_cold_batch_splits_uniformly(self):
+        # One batch holds the whole horizon, so every B round is decided on
+        # the empty estimate and errs with probability one half.
+        cfg = TwoBridgeConfig(horizon=4000, p_majority=0.0)
+        wrongs = totals = 0
+        for rep in range(20):
+            res = run_two_bridge_batch_freq(cfg, MASTER, rep, cfg.horizon)
+            wrongs += res.wrong_b_rounds
+            totals += res.b_rounds
+        assert wrongs / totals == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(totals))
+
+    def test_warm_batches_pick_one_bridge(self):
+        # The estimate is frozen within a batch, so after the cold batch each
+        # batch errs on all of its B rounds or on none.
+        cfg = TwoBridgeConfig(horizon=6000, p_majority=0.0)
+        batch_size = 100
+        for rep in range(5):
+            res = run_two_bridge_batch_freq(cfg, MASTER, rep, batch_size, track_curve=True)
+            kinds = _kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
+            starts = np.arange(0, cfg.horizon, batch_size)
+            count_b = np.add.reduceat(kinds == _B, starts)
+            wrong = np.add.reduceat(np.diff(res.curve, prepend=0.0) > 0, starts)
+            assert wrong.sum() == res.wrong_b_rounds
+            for b in range(1, len(starts)):
+                assert wrong[b] in (0, count_b[b])
+
+    def test_deterministic_and_replicate_sensitive(self):
+        cfg = TwoBridgeConfig(horizon=20_000)
+        a = run_two_bridge_batch_freq(cfg, MASTER, 1, 500)
+        b = run_two_bridge_batch_freq(cfg, MASTER, 1, 500)
+        c = run_two_bridge_batch_freq(cfg, MASTER, 2, 500)
+        assert a == b
+        assert (a.regret_total, a.b_rounds) != (c.regret_total, c.b_rounds)
 
     def test_curve_reaches_total(self):
         cfg = TwoBridgeConfig(horizon=3000, p_majority=0.0)
@@ -477,6 +566,12 @@ def _two_group_catalog() -> PerturbedConfig:
     return PerturbedConfig(entries=entries, rho=0.3, minority_prob=0.3)
 
 
+def _fixed_pair_catalog() -> PerturbedConfig:
+    """One entry offering both bridge contexts unperturbed in every round."""
+    entries = (CatalogEntry(weight=1.0, means=(TOP, BOTTOM), group=Group.MAJORITY),)
+    return PerturbedConfig(entries=entries, rho=0.0, minority_prob=0.0)
+
+
 PRIOR_MEAN = np.array([0.4, 0.2])
 PRIOR_COV = np.eye(2)
 THETA = np.array([0.7, -0.3])
@@ -501,6 +596,89 @@ class TestPerturbedGreedyEngine:
         assert set(res.probe_values) == {100, 800}
         for p, v in probes.items():
             assert res.probe_values[p] == pytest.approx(v, abs=1e-9)
+
+    @pytest.mark.parametrize("two_group", [False, True])
+    def test_bayes_acting_predicts_its_own_actions(self, two_group):
+        # The prediction rule is greedy on the posterior mean, which is the
+        # acting estimate of the Bayesian policy.
+        cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        res = run_perturbed_batch_greedy(
+            cfg, PRIOR_MEAN, PRIOR_COV, THETA,
+            horizon=600, batch_size=100, master_seed=MASTER, replicate=5, acting="bayes",
+        )
+        assert res.regret_prediction == res.regret_total
+        assert res.regret_total > 0.0
+
+    def test_first_batch_uses_prior(self):
+        # Exact catalog contexts (rho = 0): the prior favours the second
+        # slot, and the first batch acts on the prior whatever its data.
+        cfg = _fixed_pair_catalog()
+        res = run_perturbed_batch_greedy(
+            cfg, np.array([0.2, 0.9]), np.eye(2), np.array([0.5, 0.4]),
+            horizon=200, batch_size=200, master_seed=MASTER, replicate=0,
+            acting="bayes", track_rows=True,
+        )
+        np.testing.assert_array_equal(res.chosen_rows, np.tile(BOTTOM, (200, 1)))
+        assert res.regret_total == pytest.approx(200 * 0.1)
+
+    def test_prediction_comes_from_bayes_estimate(self):
+        # In the cold batch the frequentist policy picks at random, while the
+        # prediction is greedy on the prior mean, here always the worse slot.
+        cfg = _fixed_pair_catalog()
+        res = run_perturbed_batch_greedy(
+            cfg, np.array([0.0, 5.0]), 0.01 * np.eye(2), np.array([0.5, 0.4]),
+            horizon=300, batch_size=300, master_seed=MASTER, replicate=1, acting="freq",
+        )
+        assert res.regret_prediction == pytest.approx(300 * 0.1)
+        assert 0.0 < res.regret_total < res.regret_prediction
+
+    def test_freq_cold_start_is_uniform(self):
+        cfg = _fixed_pair_catalog()
+        n = 4000
+        res = run_perturbed_batch_greedy(
+            cfg, PRIOR_MEAN, PRIOR_COV, np.array([0.5, 0.4]),
+            horizon=n, batch_size=n, master_seed=MASTER, replicate=2, track_rows=True,
+        )
+        top_rate = float(np.mean(res.chosen_rows[:, 0] == 1.0))
+        assert top_rate == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(n))
+
+    def test_freq_warm_acts_greedily(self):
+        cfg = _fixed_pair_catalog()
+        res = run_perturbed_batch_greedy(
+            cfg, PRIOR_MEAN, PRIOR_COV, np.array([1.0, -1.0]),
+            horizon=400, batch_size=200, master_seed=MASTER, replicate=3, track_rows=True,
+        )
+        np.testing.assert_array_equal(res.chosen_rows[200:], np.tile(TOP, (200, 1)))
+
+    @pytest.mark.parametrize("acting", ["freq", "bayes"])
+    def test_estimate_frozen_within_batch(self, acting):
+        # With identical contexts in every round, a frozen estimate makes
+        # the same pick for a whole batch.
+        cfg = _fixed_pair_catalog()
+        batch_size = 25
+        res = run_perturbed_batch_greedy(
+            cfg, PRIOR_MEAN, PRIOR_COV, np.array([0.5, 0.45]),
+            horizon=1000, batch_size=batch_size, master_seed=MASTER, replicate=4,
+            acting=acting, track_rows=True,
+        )
+        first = 1 if acting == "freq" else 0  # the cold frequentist batch is random
+        batches = res.chosen_rows.reshape(-1, batch_size, 2)[first:]
+        assert np.all(batches == batches[:, :1])
+
+    def test_first_batch_gap_allowance(self):
+        # Before any data the frequentist estimate is zero and the Bayesian
+        # one is the prior mean, for every round of the first batch.
+        res = run_perturbed_batch_greedy(
+            _one_group_catalog(), PRIOR_MEAN, PRIOR_COV, THETA,
+            horizon=150, batch_size=150, master_seed=MASTER, replicate=0, context_bound=1.7,
+        )
+        assert res.gap_allowance == pytest.approx(2 * 1.7 * np.linalg.norm(PRIOR_MEAN) * 150)
+        none = run_perturbed_batch_greedy(
+            _one_group_catalog(), PRIOR_MEAN, PRIOR_COV, THETA,
+            horizon=150, batch_size=150, master_seed=MASTER, replicate=0,
+        )
+        assert none.gap_allowance == 0.0
+        assert none.regret_total == res.regret_total
 
     def test_one_group_minority_regret_is_zero(self):
         res = run_perturbed_batch_greedy(
@@ -652,6 +830,36 @@ class TestPerturbedLinUCBEngine:
         exact = _linucb_one(cfg, params, THETA, horizon, 2, refresh_every=1)
         assert cached.regret_total == pytest.approx(exact.regret_total, abs=1e-9)
         np.testing.assert_allclose(cached.final_stats.Z, exact.final_stats.Z, atol=1e-7)
+
+    @pytest.mark.parametrize("two_group", [False, True])
+    def test_result_fields(self, two_group):
+        cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        horizon = 300
+        params = LinUCBParams.for_perturbed(
+            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
+        )
+        res = _linucb_one(cfg, params, THETA, horizon, 6, track_curve=True)
+        assert res.final_stats.n == horizon
+        assert res.regret_prediction == res.regret_total > 0.0
+        assert 0.0 <= res.regret_minority <= res.regret_total
+        assert (res.regret_minority > 0.0) == two_group
+        assert res.gap_allowance == 0.0 and res.probe_values == {}
+        np.testing.assert_array_equal(res.theta, THETA)
+        assert np.all(np.diff(res.curve) >= 0.0)
+
+    def test_results_follow_replicate_order(self):
+        cfg = _one_group_catalog()
+        horizon = 200
+        params = LinUCBParams.for_perturbed(
+            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
+        )
+        thetas = _lockstep_thetas()[[4, 1]]
+        pair = run_perturbed_linucb(cfg, params, thetas, horizon, MASTER, (4, 1))
+        for res, rep, theta in zip(pair, (4, 1), thetas):
+            alone = _linucb_one(cfg, params, theta, horizon, rep)
+            assert res.regret_total == alone.regret_total
+            np.testing.assert_array_equal(res.theta, theta)
+        assert pair[0].regret_total != pair[1].regret_total
 
     def test_requires_positive_ridge(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=100, ridge=0.0)

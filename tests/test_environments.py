@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from banditsim.core import ConfigurationError, Group
-from banditsim.engines import _kind_codes
+from banditsim.core import ConfigurationError, Group, NoiseKind
+from banditsim.engines import (
+    _A,
+    _B,
+    _C,
+    _kind_codes,
+    _seg_sums,
+    _single_rewards,
+    run_perturbed_batch_greedy,
+    run_perturbed_linucb,
+)
 from banditsim.environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig, draw_theta
-from banditsim.policies import context_norm_bound
+from banditsim.policies import LinUCBParams, context_norm_bound
 from banditsim.rng import Purpose, stream
 
 
@@ -55,6 +64,28 @@ class TestTwoBridgeSampling:
         assert freq[0] == pytest.approx(0.95, abs=3 * 0.0002)
         assert freq[1] == pytest.approx(0.0475, abs=3 * 0.0002)
         assert freq[2] == pytest.approx(0.0025, abs=3 * 0.0002)
+
+    def test_minority_only_has_no_majority_rounds(self):
+        cfg = TwoBridgeConfig(horizon=1000, p_majority=0.0)
+        codes = _kind_codes(cfg, np.random.default_rng(3), 1000)
+        assert set(np.unique(codes)) == {_B, _C}
+
+    def test_one_code_per_round_from_one_uniform_each(self):
+        # The kind draw consumes exactly one uniform per round, so the
+        # context stream continues identically whatever the kinds were.
+        cfg = TwoBridgeConfig(horizon=500)
+        rng = np.random.default_rng(4)
+        codes = _kind_codes(cfg, rng, 500)
+        assert codes.shape == (500,)
+        assert set(np.unique(codes)) <= {_A, _B, _C}
+        twin = np.random.default_rng(4)
+        twin.random(500)
+        assert rng.random() == twin.random()
+
+    def test_choice_only_minority_rounds(self):
+        cfg = TwoBridgeConfig(horizon=200, p_majority=0.0, p_minority_c=0.0, p_minority_b=1.0)
+        codes = _kind_codes(cfg, np.random.default_rng(5), 200)
+        assert np.all(codes == _B)
 
     def test_minority_activity_grows_linearly(self):
         # After the warm-up round count the cumulative number of single-option
@@ -114,7 +145,115 @@ class TestCatalog:
         assert cfg.n_actions == 2
 
 
+class TestTwoBridgeRewards:
+    """Reward draws of the two-bridge engines: single pulls and forced stretches."""
+
+    def test_bernoulli_certain_means(self):
+        rng = np.random.default_rng(0)
+        np.testing.assert_array_equal(_single_rewards(20, 1.0, NoiseKind.BERNOULLI, rng), np.ones(20))
+        np.testing.assert_array_equal(_single_rewards(20, 0.0, NoiseKind.BERNOULLI, rng), np.zeros(20))
+        counts = np.array([0, 1, 5, 40])
+        np.testing.assert_array_equal(_seg_sums(counts, 1.0, NoiseKind.BERNOULLI, rng), counts)
+
+    def test_gaussian_moments(self):
+        n = 100_000
+        draws = _single_rewards(n, 0.5, NoiseKind.GAUSSIAN_UNIT, np.random.default_rng(21))
+        assert draws.mean() == pytest.approx(0.5, abs=3 / np.sqrt(n))
+        assert draws.var() == pytest.approx(1.0, rel=0.05)
+
+    def test_two_bridge_top_bernoulli_rate(self):
+        cfg = TwoBridgeConfig(horizon=10_000, noise=NoiseKind.BERNOULLI)
+        n = 10_000
+        draws = _single_rewards(n, float(cfg.theta[0]), cfg.noise, np.random.default_rng(8))
+        assert set(np.unique(draws)) <= {0.0, 1.0}
+        assert draws.mean() == pytest.approx(0.5, abs=3 * 0.5 / np.sqrt(n))
+
+    def test_gaussian_stretch_sums_have_count_moments(self):
+        # A stretch of c forced pulls sums c unit-variance rewards.
+        n, c, mean = 50_000, 9, 0.4
+        sums = _seg_sums(np.full(n, c), mean, NoiseKind.GAUSSIAN_UNIT, np.random.default_rng(6))
+        assert sums.mean() == pytest.approx(c * mean, abs=3 * np.sqrt(c / n))
+        assert sums.var() == pytest.approx(c, rel=0.05)
+        empty = _seg_sums(np.zeros(3, dtype=np.int64), mean, NoiseKind.GAUSSIAN_UNIT, np.random.default_rng(6))
+        np.testing.assert_array_equal(empty, np.zeros(3))
+
+    def test_bernoulli_stretch_sums_count_successes(self):
+        n, c, p = 50_000, 12, 0.45
+        sums = _seg_sums(np.full(n, c), p, NoiseKind.BERNOULLI, np.random.default_rng(7))
+        assert np.all(sums == np.round(sums))
+        assert sums.min() >= 0 and sums.max() <= c
+        assert sums.mean() == pytest.approx(c * p, abs=3 * np.sqrt(c * p * (1 - p) / n))
+
+
+def _single_entry_config(means, rho: float) -> PerturbedConfig:
+    entries = (CatalogEntry(weight=1.0, means=tuple(means), group=Group.MAJORITY),)
+    return PerturbedConfig(entries=entries, rho=rho, minority_prob=0.0)
+
+
+def _greedy_rows(cfg, theta, horizon, batch_size, replicate=0, acting="freq", prior_mean=None):
+    """Contexts the batched greedy engine chose, one row per round."""
+    d = cfg.dim
+    prior_mean = np.zeros(d) if prior_mean is None else prior_mean
+    res = run_perturbed_batch_greedy(
+        cfg, prior_mean, np.eye(d), np.asarray(theta, dtype=float), horizon, batch_size,
+        20260814, replicate, acting=acting, track_rows=True,
+    )
+    return res.chosen_rows
+
+
 class TestPerturbedSampling:
+    def test_zero_rho_reproduces_catalog_means(self):
+        cfg = _two_entry_config(rho=0.0)
+        rows = _greedy_rows(cfg, np.array([0.6, -0.2]), 300, 50)
+        means = np.array([m for e in cfg.entries for m in e.means])
+        for row in rows:
+            assert np.any(np.all(row == means, axis=1))
+
+    def test_perturbation_moments(self):
+        # One entry with one action, so every chosen row is mean + noise.
+        mean0 = np.array([0.5, 0.1])
+        cfg = _single_entry_config((mean0,), rho=0.3)
+        n = 100_000
+        devs = _greedy_rows(cfg, np.array([1.0, 0.0]), n, n) - mean0
+        assert np.abs(devs.mean(axis=0)).max() < 3 * 0.3 / np.sqrt(n) + 1e-3
+        np.testing.assert_allclose(devs.var(axis=0), 0.09, rtol=0.05)
+        corr = np.corrcoef(devs.T)[0, 1]
+        assert abs(corr) < 3 / np.sqrt(n) + 1e-3
+
+    @pytest.mark.parametrize("policy", ["batch_freq", "batch_bayes", "linucb"])
+    def test_unavailable_slots_stay_unavailable(self, policy):
+        # The second slot would win under theta, but it is never offered, so
+        # the only available action is always best and no regret accrues.
+        cfg = _single_entry_config((np.array([0.4, 0.1]), None), rho=0.2)
+        theta = np.array([-1.0, 0.5])
+        horizon = 400
+        if policy == "linucb":
+            params = LinUCBParams.for_perturbed(
+                d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=np.zeros(2)
+            )
+            [res] = run_perturbed_linucb(cfg, params, [theta], horizon, 20260814, (0,))
+        else:
+            res = run_perturbed_batch_greedy(
+                cfg, np.zeros(2), np.eye(2), theta, horizon, 50, 20260814, 0,
+                acting=policy.removeprefix("batch_"),
+            )
+        assert res.regret_total == 0.0
+        assert res.final_stats.n == horizon
+
+    def test_separate_perturbation_stream(self):
+        # Contexts come from the replicate's own entry and perturbation
+        # streams: neither the acting rule nor theta changes them.
+        mean0 = np.array([0.3, 0.2])
+        cfg = _single_entry_config((mean0,), rho=0.25)
+        horizon = 120
+        rows = _greedy_rows(cfg, np.array([0.5, 0.5]), horizon, 40, replicate=3)
+        expected = mean0 + stream(20260814, 3, Purpose.PERTURBATIONS).normal(0.0, 0.25, (horizon, 1, 2))[:, 0]
+        np.testing.assert_array_equal(rows, expected)
+        np.testing.assert_array_equal(
+            _greedy_rows(cfg, np.array([-0.7, 0.1]), horizon, 40, replicate=3, acting="bayes"), rows
+        )
+        assert not np.array_equal(_greedy_rows(cfg, np.array([0.5, 0.5]), horizon, 40, replicate=4), rows)
+
     def test_perturbation_magnitude_bound(self):
         # The norm bound used for width tuning should hold with margin at the
         # stated confidence: no exceedance across 200 short runs of the

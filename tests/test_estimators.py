@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from banditsim.core import ConfigurationError
 from banditsim.estimators import (
     SufficientStats,
     bayes_posterior_mean,
@@ -26,6 +27,22 @@ class TestSufficientStats:
         assert s.n == 0
         np.testing.assert_array_equal(s.Z, np.zeros((3, 3)))
         np.testing.assert_array_equal(s.xr, np.zeros(3))
+
+    def test_split_data_adds_up(self):
+        # The engines add each batch's statistics to the running totals.
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(100, 4))
+        r = rng.normal(size=100)
+        whole = stats_of(X, r)
+        parts = [stats_of(X[i:i + 30], r[i:i + 30]) for i in range(0, 100, 30)]
+        np.testing.assert_allclose(sum(p.Z for p in parts), whole.Z, atol=1e-9)
+        np.testing.assert_allclose(sum(p.xr for p in parts), whole.xr, atol=1e-9)
+        assert sum(p.n for p in parts) == whole.n
+
+    def test_values_coerced_to_float_arrays(self):
+        s = SufficientStats(Z=[[1, 0], [0, 2]], xr=[3, 4], n=2)
+        assert s.Z.dtype == np.float64 and s.xr.dtype == np.float64
+        assert s.dim == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +134,27 @@ class TestBayesPosteriorMean:
             X = rng.normal(size=(n, 2))
             s = stats_of(X, rng.normal(size=n))
             np.testing.assert_array_equal(posterior_mean(s, prior), bayes_posterior_mean(s, mean, cov))
+
+    def test_prior_precision_inverts_covariance(self):
+        mean, cov = np.array([0.3, -0.1]), np.array([[2.0, 0.4], [0.4, 1.0]])
+        prior = gaussian_prior(mean, cov)
+        np.testing.assert_allclose(prior.precision @ cov, np.eye(2), atol=1e-12)
+        np.testing.assert_array_equal(prior.precision, prior.precision.T)
+        np.testing.assert_allclose(prior.shift, prior.precision @ mean)
+
+    @pytest.mark.parametrize(
+        "cov", [np.diag([1.0, 0.0]), np.array([[1.0, 0.5], [0.0, 1.0]])], ids=["singular", "asymmetric"]
+    )
+    def test_invalid_prior_is_a_configuration_error(self, cov):
+        with pytest.raises(ConfigurationError):
+            gaussian_prior(np.zeros(2), cov)
+
+    def test_posterior_concentrates_on_least_squares(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(20_000, 2))
+        s = stats_of(X, X @ np.array([0.7, -0.3]) + rng.standard_normal(20_000))
+        prior = gaussian_prior(np.array([5.0, 5.0]), 0.1 * np.eye(2))
+        np.testing.assert_allclose(posterior_mean(s, prior), ols_estimate(s), atol=5e-3)
 
     def test_prior_dimensions_checked(self):
         with pytest.raises(ValueError):

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from banditsim.core import ContextRound, Group
-from banditsim.environments import BOTTOM, TOP, TwoBridgeConfig
+from banditsim.engines import CatalogArrays
+from banditsim.environments import BOTTOM, TOP, CatalogEntry, PerturbedConfig, TwoBridgeConfig
 from banditsim.metrics import (
     bayesian_regret,
     instantaneous_regret,
     scaling_exponent,
     scaling_exponent_bootstrap,
 )
+from banditsim.rng import Purpose, stream
 
 
 class TestInstantaneousRegret:
@@ -45,6 +48,41 @@ class TestInstantaneousRegret:
         round_ = ContextRound((BOTTOM, None), Group.MINORITY, 1)
         with pytest.raises(ValueError):
             instantaneous_regret(np.array([0.5, 0.4]), round_, 1)
+
+    def test_identical_contexts_have_zero_regret(self):
+        round_ = ContextRound((TOP, TOP), Group.MAJORITY, 1)
+        assert instantaneous_regret(np.array([0.5, 0.4]), round_, 0) == 0.0
+        assert instantaneous_regret(np.array([0.5, 0.4]), round_, 1) == 0.0
+
+    def test_single_action_round_has_zero_regret(self):
+        round_ = ContextRound((None, BOTTOM), Group.MINORITY, 1)
+        assert instantaneous_regret(np.array([0.5, 0.4]), round_, 1) == 0.0
+
+    def test_small_gap_rounds_are_rare(self):
+        # With Gaussian perturbations the margin between two actions is
+        # anti-concentrated: P(gap <= g) is at most K(K-1) g / (2 rho ||theta||
+        # sqrt(pi)) and, for orthogonal catalog means, exactly the mass of a
+        # centered normal with variance 2 rho^2 ||theta||^2.  The contexts are
+        # the engines' draw: catalog means plus the perturbation stream.
+        rho, g = 0.3, 0.05
+        theta = np.array([1.0, 0.0])
+        entries = (
+            CatalogEntry(
+                weight=1.0,
+                means=(np.array([0.3, 0.4]), np.array([0.3, -0.4])),
+                group=Group.MAJORITY,
+            ),
+        )
+        cat = CatalogArrays.from_config(PerturbedConfig(entries=entries, rho=rho, minority_prob=0.0))
+        n = 20_000
+        x = cat.means[0] + stream(1, 0, Purpose.PERTURBATIONS).normal(0.0, rho, (n, 2, 2))
+        values = x @ theta
+        freq = float(np.mean(np.abs(values[:, 0] - values[:, 1]) <= g))
+        exact = 2 * sps.norm.cdf(g / (math.sqrt(2) * rho)) - 1
+        union_bound = 2 * g / (2 * rho * math.sqrt(math.pi))
+        se = math.sqrt(exact * (1 - exact) / n)
+        assert freq == pytest.approx(exact, abs=3 * se)
+        assert freq <= union_bound + 3 * se
 
 
 class TestBayesianRegret:

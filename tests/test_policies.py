@@ -72,6 +72,10 @@ class TestLinUCBParams:
         with pytest.raises(ValueError):
             LinUCBParams(L=1.0, S=1.0, horizon=10, ridge=-1.0)
 
+    def test_negative_width_floor_rejected(self):
+        with pytest.raises(ValueError):
+            LinUCBParams(L=1.0, S=1.0, horizon=10, width_floor=-0.1)
+
     def test_two_bridge_recipe(self):
         horizon = 10_000
         p = LinUCBParams.for_two_bridge(horizon)
@@ -172,6 +176,28 @@ class TestGreedySelect:
     def test_skips_unavailable(self):
         round_ = ContextRound((None, BOTTOM), Group.MINORITY)
         assert greedy_select(round_, np.array([9.0, 1.0])) == 1
+
+    @pytest.mark.parametrize("variant,best", [("theta0", 0), ("theta1", 1)])
+    def test_oracle_pick_is_the_better_bridge(self, variant, best):
+        # The oracle is greedy on the true weights; the two-bridge engine
+        # counts it as never wrong.
+        theta = TwoBridgeConfig(horizon=100, theta_variant=variant).theta
+        assert greedy_select(B_ROUND, theta) == best
+
+
+class TestClosedFormUCB:
+    def test_unseen_bridges_are_infinite(self):
+        assert closed_form_ucb(0, 0.0, 0, 0.0, 1.0) == (math.inf, math.inf)
+        u1, u2 = closed_form_ucb(4, 2.0, 0, 0.0, 1.0)
+        assert u1 == pytest.approx(1.0) and u2 == math.inf
+
+    @pytest.mark.parametrize("n1,s1,n2,s2", [(1, 0.3, 1, 0.9), (40, 21.0, 3, 1.2), (7, -2.0, 250, 120.0)])
+    def test_matches_generic_scores_on_diagonal_design(self, n1, s1, n2, s2):
+        stats = SufficientStats(np.diag([float(n1), float(n2)]), np.array([s1, s2]), n1 + n2)
+        f = 1.7
+        np.testing.assert_allclose(
+            closed_form_ucb(n1, s1, n2, s2, f), linucb_scores(B_ROUND, stats, f, ridge=0.0), rtol=1e-12
+        )
 
 
 class TestSuggestedBatchSize:
