@@ -49,7 +49,6 @@ from .experiments import (
     ExperimentResult,
     ReplicateError,
     build_instance,
-    experiment_curves,
     run_experiment,
     simulation_verification_report,
 )

@@ -2,7 +2,8 @@
 
 Errors print one JSON line to stderr (``{"error": ..., "message": ...}``) and
 exit nonzero: 2 for configuration and usage problems, 3 for a failed
-replicate, 4 for a failed simulation verification.
+replicate, 4 for a failed simulation verification (too many KS rejections,
+or an audited batch too little diverse to simulate from).
 """
 
 from __future__ import annotations
@@ -23,20 +24,11 @@ from .config import (
 from .core import ConfigurationError
 from .csvio import emit_csv
 from .experiments import (
+    EXPERIMENT_SPECS,
     ReplicateError,
-    experiment_curves,
     run_experiment,
 )
-
-EXPERIMENT_BLURBS = {
-    "TwoBridgeLinUCB": "optimism on the two-bridge instance across horizons",
-    "TwoBridgeImpossibility": "minority-time regret floor for four policies",
-    "GreedyVsLinUCB": "batched greedy regret against a per-batch optimism budget",
-    "ScalingFit": "log-log regret scaling exponents with bootstrap intervals",
-    "ExternalityVanishing": "minority regret of batched greedy on a two-group catalog",
-    "SimulationVerify": "distributional audit of the within-batch reward simulator",
-    "EigGrowth": "minimum-eigenvalue growth of the greedy design matrix",
-}
+from .simulation import InsufficientDiversityError
 
 
 def _json_default(obj):
@@ -133,13 +125,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _curves_csv(experiment: str, curves: list) -> str:
+def _curves_csv(experiment: str, curves: dict) -> str:
     lines = ["experiment,policy,T,round,cum_regret"]
-    for entry in curves:
-        for t, value in entry["points"]:
-            lines.append(
-                f"{experiment},{entry['policy']},{entry['horizon']},{t},{format(value, '.17g')}"
-            )
+    for (policy, horizon), points in curves.items():
+        for t, value in points:
+            lines.append(f"{experiment},{policy},{horizon},{t},{format(value, '.17g')}")
     return "\n".join(lines) + "\n"
 
 
@@ -153,16 +143,16 @@ def _cmd_run(args) -> int:
     if args.out != "-":
         print(payload)
     if args.curves:
-        curves = experiment_curves(cfg)
-        _write_text(args.curves, _curves_csv(cfg.experiment, curves))
+        _write_text(args.curves, _curves_csv(cfg.experiment, result.curves))
     return 0
 
 
 def _cmd_verify(args) -> int:
     overrides = _overrides_from(args)
-    cfg = _load_config(args.config, overrides, default_experiment="SimulationVerify")
-    if cfg.experiment != "SimulationVerify":
-        raise ConfigError("verify-simulation requires the SimulationVerify experiment")
+    audit = "SimulationVerify"
+    cfg = _load_config(args.config, overrides, default_experiment=audit)
+    if EXPERIMENT_SPECS[cfg.experiment].family != "audit":
+        raise ConfigError(f"verify-simulation requires the {audit} experiment")
     result = run_experiment(cfg, workers=1)
     report = result.aggregates["simulation_verify"]
     _write_text(args.out, json.dumps(report, indent=2, default=_json_default) + "\n")
@@ -178,7 +168,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_list() -> int:
     for name in EXPERIMENTS:
-        print(f"{name}: {EXPERIMENT_BLURBS[name]}")
+        print(f"{name}: {EXPERIMENT_SPECS[name].blurb}")
     return 0
 
 
@@ -215,6 +205,8 @@ def main(argv: list | None = None) -> int:
         return _fail(type(exc).__name__, str(exc), 2)
     except ReplicateError as exc:
         return _fail(type(exc).__name__, str(exc), 3)
+    except InsufficientDiversityError as exc:
+        return _fail(type(exc).__name__, str(exc), 4)
     except OSError as exc:
         return _fail(type(exc).__name__, str(exc), 2)
 

@@ -10,28 +10,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .core import ConfigurationError
+from .experiments import EXPERIMENT_SPECS
 
 
 class ConfigError(ConfigurationError):
     """Malformed or invalid configuration text."""
 
 
-EXPERIMENTS = (
-    "TwoBridgeLinUCB",
-    "TwoBridgeImpossibility",
-    "GreedyVsLinUCB",
-    "ScalingFit",
-    "ExternalityVanishing",
-    "SimulationVerify",
-    "EigGrowth",
-)
-
-TWO_BRIDGE_POLICIES = ("linucb", "linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy", "oracle")
-PERTURBED_POLICIES = ("linucb", "batch_bayes_greedy", "batch_freq_greedy")
-EXTERNALITY_POLICIES = ("batch_freq_greedy", "linucb_minority", "linucb_full")
+EXPERIMENTS = tuple(EXPERIMENT_SPECS)
 
 
 @dataclass(frozen=True)
@@ -52,7 +41,6 @@ class ExperimentConfig:
     theta_variant: str
     population: str
     ridge: float
-    c0: float
     enforce_width_floor: bool
     policies: tuple
     n_targets: int
@@ -80,7 +68,6 @@ _GLOBAL_DEFAULTS = {
     "theta_variant": "theta0",
     "population": "full",
     "ridge": 1.0,
-    "c0": 1.0,
     "enforce_width_floor": True,
     "policies": (),
     "n_targets": 20,
@@ -89,47 +76,9 @@ _GLOBAL_DEFAULTS = {
     "restriction_p": 0.5,
 }
 
-EXPERIMENT_DEFAULTS = {
-    "TwoBridgeLinUCB": {
-        "horizons": (10000, 40000, 160000),
-        "ridge": 0.0,
-        "noise": "gaussian",
-        "policies": ("linucb",),
-    },
-    "TwoBridgeImpossibility": {
-        "horizons": (10000, 40000),
-        "ridge": 0.0,
-        "noise": "bernoulli",
-        "policies": ("linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy"),
-    },
-    "GreedyVsLinUCB": {
-        "horizons": (20000,),
-        "policies": ("batch_bayes_greedy", "batch_freq_greedy", "linucb"),
-    },
-    "ScalingFit": {
-        "horizons": (5000, 20000, 80000),
-        "policies": ("linucb", "batch_bayes_greedy", "batch_freq_greedy"),
-    },
-    "ExternalityVanishing": {
-        "horizons": (20000,),
-        "minority_prob": 0.3,
-        "policies": EXTERNALITY_POLICIES,
-    },
-    "SimulationVerify": {
-        "horizons": (1200,),
-        "batch": 300,
-        "replicates": 1,
-        "policies": ("batch_freq_greedy",),
-    },
-    "EigGrowth": {
-        "horizons": (20000,),
-        "policies": ("batch_freq_greedy",),
-    },
-}
-
 _INT_KEYS = {"replicates", "master_seed", "batch", "d", "n_actions", "catalog_size",
              "catalog_seed", "n_targets", "sim_draws"}
-_FLOAT_KEYS = {"rho", "prior_scale", "minority_prob", "ridge", "c0", "restriction_p"}
+_FLOAT_KEYS = {"rho", "prior_scale", "minority_prob", "ridge", "restriction_p"}
 _BOOL_KEYS = {"enforce_width_floor"}
 _LIST_INT_KEYS = {"horizons"}
 _LIST_STR_KEYS = {"policies"}
@@ -210,7 +159,7 @@ def parse_config(
         )
 
     merged = dict(_GLOBAL_DEFAULTS)
-    merged.update(EXPERIMENT_DEFAULTS[experiment])
+    merged.update(EXPERIMENT_SPECS[experiment].defaults)
     merged.update({k: v for k, v in raw.items() if k != "experiment"})
     cfg = ExperimentConfig(experiment=experiment, **merged)
     _validate(cfg)
@@ -252,8 +201,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("population must be 'full' or 'minority'")
     if cfg.ridge < 0:
         raise ConfigError("ridge must be nonnegative")
-    if cfg.c0 < 1:
-        raise ConfigError("c0 must be at least 1")
     if cfg.n_targets < 1:
         raise ConfigError("n_targets must be at least 1")
     if cfg.sim_draws < 10:
@@ -262,34 +209,27 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("restriction must be 'minority' or 'coin'")
     if not 0.0 < cfg.restriction_p < 1.0:
         raise ConfigError("restriction_p must lie in (0, 1)")
-    if cfg.experiment.startswith("TwoBridge"):
-        allowed = TWO_BRIDGE_POLICIES
-    elif cfg.experiment == "ExternalityVanishing":
-        allowed = EXTERNALITY_POLICIES
-    else:
-        allowed = PERTURBED_POLICIES
+    spec = EXPERIMENT_SPECS[cfg.experiment]
     if not cfg.policies:
         raise ConfigError("policies must not be empty")
     for p in cfg.policies:
-        if p not in allowed:
+        if p not in spec.policies:
             raise ConfigError(
-                f"policy '{p}' is not valid for {cfg.experiment}; allowed: {', '.join(allowed)}"
+                f"policy '{p}' is not valid for {cfg.experiment}; allowed: {', '.join(spec.policies)}"
             )
-    if cfg.experiment == "ExternalityVanishing" and cfg.minority_prob <= 0:
-        raise ConfigError("minority_prob must be positive for ExternalityVanishing")
+    problem = spec.check(cfg)
+    if problem:
+        raise ConfigError(problem)
 
 
 def defaults_table() -> dict:
     """Full defaults: global values plus per-experiment overrides."""
     return {
         "global": dict(_GLOBAL_DEFAULTS),
-        "experiments": {name: dict(vals) for name, vals in EXPERIMENT_DEFAULTS.items()},
+        "experiments": {name: dict(spec.defaults) for name, spec in EXPERIMENT_SPECS.items()},
     }
 
 
 def dumps_defaults() -> str:
     return json.dumps(defaults_table(), indent=2, default=list)
 
-
-def config_field_names() -> tuple:
-    return tuple(f.name for f in fields(ExperimentConfig))

@@ -1,9 +1,11 @@
 """Named experiments: replicate scheduling, aggregation, and reproducibility.
 
-Each experiment expands into independent (policy, horizon, replicate) jobs.
-A job's randomness comes only from the purpose-keyed streams of its
-replicate, so tables are byte-identical across repeated runs and across any
-worker count; rows are sorted by (policy, T, replicate) before emission.
+``EXPERIMENT_SPECS`` is the one table of what sets each named experiment
+apart; the config parser, the CLI and the harness read it.  Each experiment
+expands into independent (policy, horizon, replicate) jobs.  A job's
+randomness comes only from the purpose-keyed streams of its replicate, so
+tables are byte-identical across repeated runs and across any worker count;
+rows are sorted by (policy, T, replicate) before emission.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .config import ExperimentConfig
 from .core import Group, NoiseKind
 from .csvio import ResultRow
 from .engines import (
@@ -36,6 +38,9 @@ from .policies import (
 from .rng import Purpose, replicate_seed_id, stream
 from .simulation import simulate_reward_many, simulation_weights
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
 WORKERS_ENV_VAR = "BANDITSIM_WORKERS"
 
 # Rounds at which the batched engines probe the posterior/least-squares gap.
@@ -46,7 +51,8 @@ GAP_PROBE_ROUNDS = (1000, 8000)
 # depend on its block, and the blocks do not depend on the scheduling.
 LINUCB_BLOCK = 32
 
-TWO_BRIDGE_EXPERIMENTS = ("TwoBridgeLinUCB", "TwoBridgeImpossibility")
+# Points of replicate 0's cumulative-regret curve kept per (policy, T) cell.
+CURVE_POINTS = 200
 
 
 class ReplicateError(RuntimeError):
@@ -55,8 +61,15 @@ class ReplicateError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Rows sorted by (policy, T, replicate), the aggregates, and the curves.
+
+    ``curves`` maps each (policy, T) cell to replicate 0's cumulative regret
+    as (round, value) pairs on a geometric grid of at most CURVE_POINTS rounds.
+    """
+
     rows: tuple
     aggregates: dict
+    curves: dict
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -120,24 +133,13 @@ def minority_only_instance(instance: PerturbedConfig) -> PerturbedConfig:
     return PerturbedConfig(entries, rho=instance.rho, minority_prob=0.0)
 
 
-def _two_bridge_config(cfg: ExperimentConfig, horizon: int, theta_variant: str) -> TwoBridgeConfig:
-    p_majority = 0.95 if cfg.population == "full" else 0.0
-    noise = NoiseKind.GAUSSIAN_UNIT if cfg.noise == "gaussian" else NoiseKind.BERNOULLI
-    return TwoBridgeConfig(
-        horizon=horizon,
-        theta_variant=theta_variant,
-        noise=noise,
-        p_majority=p_majority,
-    )
-
-
 def linucb_comparator_horizon(horizon: int, batch: int) -> int:
     """Horizon for the unbatched comparator: one round per batch of the main run."""
     return max(2, horizon // batch)
 
 
 def _run_job(job) -> list:
-    """Run one job: one (row, extras, curve) outcome per replicate it holds."""
+    """Run one job: one (row, extras, curve points) outcome per replicate it holds."""
     cfg, instance, policy, horizon, reps, track_curve = job
     try:
         if instance is None:
@@ -158,22 +160,40 @@ def _run_job(job) -> list:
         ) from exc
 
 
+def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, res, theta_id: int, extras: dict) -> tuple:
+    """A replicate's row and extras, with its curve points when it is replicate 0."""
+    row = ResultRow(
+        experiment=cfg.experiment,
+        policy=policy,
+        horizon=horizon,
+        replicate=rep,
+        seed=replicate_seed_id(cfg.master_seed, rep),
+        regret_total=res.regret_total,
+        regret_minority=res.regret_minority,
+        regret_prediction=res.regret_prediction,
+        theta_draw_id=theta_id,
+    )
+    points = None
+    if rep == 0 and res.curve is not None:
+        points = _subsample_curve(res.curve, CURVE_POINTS)
+    return row, extras, points
+
+
 def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, track_curve: bool = False) -> tuple:
-    if cfg.experiment == "TwoBridgeImpossibility":
+    variant = cfg.theta_variant
+    p_majority = 0.95 if cfg.population == "full" else 0.0
+    if EXPERIMENT_SPECS[cfg.experiment].theta_coin:
         # Minority-time design: every simulated round is a minority round and
         # the latent weights are a fresh uniform draw over the two variants.
-        coin = int(stream(cfg.master_seed, rep, Purpose.THETA).random() < 0.5)
+        coin = stream(cfg.master_seed, rep, Purpose.THETA).random() < 0.5
         variant = "theta1" if coin else "theta0"
-        base = TwoBridgeConfig(
-            horizon=horizon,
-            theta_variant=variant,
-            noise=NoiseKind.GAUSSIAN_UNIT if cfg.noise == "gaussian" else NoiseKind.BERNOULLI,
-            p_majority=0.0,
-        )
-        theta_id = coin
-    else:
-        base = _two_bridge_config(cfg, horizon, cfg.theta_variant)
-        theta_id = 0 if cfg.theta_variant == "theta0" else 1
+        p_majority = 0.0
+    base = TwoBridgeConfig(
+        horizon=horizon,
+        theta_variant=variant,
+        noise=NoiseKind.GAUSSIAN_UNIT if cfg.noise == "gaussian" else NoiseKind.BERNOULLI,
+        p_majority=p_majority,
+    )
 
     params = LinUCBParams.for_two_bridge(
         horizon, ridge=cfg.ridge, enforce_floor=cfg.enforce_width_floor
@@ -201,19 +221,8 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
     else:
         raise ValueError(f"policy '{policy}' is not valid on two-bridge instances")
 
-    row = ResultRow(
-        experiment=cfg.experiment,
-        policy=policy,
-        horizon=horizon,
-        replicate=rep,
-        seed=replicate_seed_id(cfg.master_seed, rep),
-        regret_total=res.regret_total,
-        regret_minority=res.regret_minority,
-        regret_prediction=res.regret_prediction,
-        theta_draw_id=theta_id,
-    )
     extras = {"wrong_b_rounds": res.wrong_b_rounds, "b_rounds": res.b_rounds}
-    return row, extras, res.curve
+    return _outcome(cfg, policy, horizon, rep, res, int(variant == "theta1"), extras)
 
 
 def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, reps: tuple, track_curve: bool) -> list:
@@ -237,7 +246,7 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
                 acting=acting,
                 context_bound=bound if acting == "freq" else None,
                 probe_rounds=tuple(p for p in GAP_PROBE_ROUNDS if p <= horizon),
-                track_lambda=(cfg.experiment == "EigGrowth"),
+                track_lambda=EXPERIMENT_SPECS[cfg.experiment].track_lambda,
                 track_curve=track_curve,
                 restriction=cfg.restriction,
                 restriction_p=cfg.restriction_p,
@@ -264,21 +273,10 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
     else:
         raise ValueError(f"policy '{policy}' is not valid on perturbed instances")
 
-    outcomes = []
-    for rep, (res, extras) in zip(reps, runs):
-        row = ResultRow(
-            experiment=cfg.experiment,
-            policy=policy,
-            horizon=horizon,
-            replicate=rep,
-            seed=replicate_seed_id(cfg.master_seed, rep),
-            regret_total=res.regret_total,
-            regret_minority=res.regret_minority,
-            regret_prediction=res.regret_prediction,
-            theta_draw_id=rep,
-        )
-        outcomes.append((row, extras, res.curve))
-    return outcomes
+    return [
+        _outcome(cfg, policy, horizon, rep, res, rep, extras)
+        for rep, (res, extras) in zip(reps, runs)
+    ]
 
 
 def draw_theta_for_replicate(cfg: ExperimentConfig, prior_mean, prior_cov, rep: int) -> np.ndarray:
@@ -302,7 +300,7 @@ def _lambda_checks(curve: np.ndarray, rho: float, horizon: int, floor_round: int
 
 def _instance_for(cfg: ExperimentConfig):
     """The perturbed instance every job of a run shares; None on two-bridge runs."""
-    if cfg.experiment in TWO_BRIDGE_EXPERIMENTS:
+    if EXPERIMENT_SPECS[cfg.experiment].family == "two_bridge":
         return None
     try:
         return build_instance(cfg)
@@ -316,26 +314,29 @@ def _jobs_for(cfg: ExperimentConfig, instance) -> list:
     """Jobs ``(cfg, instance, policy, horizon, replicates, track_curve)``.
 
     A perturbed LinUCB job holds up to LINUCB_BLOCK consecutive replicates,
-    which the engine advances in lockstep; every other job holds one.
+    which the engine advances in lockstep; every other job holds one.  The
+    job that holds replicate 0 of a cell also tracks its regret curve, which
+    draws nothing and changes no total.
     """
+    comparator = EXPERIMENT_SPECS[cfg.experiment].comparator
     jobs = []
     for policy in cfg.policies:
-        lockstep = instance is not None and policy.startswith("linucb")
-        block = LINUCB_BLOCK if lockstep else 1
+        linucb = policy.startswith("linucb")
+        block = LINUCB_BLOCK if linucb and instance is not None else 1
         for horizon in cfg.horizons:
-            used = horizon
-            if cfg.experiment in ("GreedyVsLinUCB", "ExternalityVanishing") and policy.startswith("linucb"):
-                used = linucb_comparator_horizon(horizon, cfg.batch)
+            used = linucb_comparator_horizon(horizon, cfg.batch) if linucb and comparator else horizon
             for first in range(0, cfg.replicates, block):
                 reps = tuple(range(first, min(first + block, cfg.replicates)))
-                jobs.append((cfg, instance, policy, used, reps, False))
+                jobs.append((cfg, instance, policy, used, reps, first == 0))
     return jobs
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run every (policy, horizon, replicate) job and aggregate the table."""
-    if cfg.experiment == "SimulationVerify":
-        return _run_simulation_verify(cfg)
+    spec = EXPERIMENT_SPECS[cfg.experiment]
+    if spec.family == "audit":
+        report = simulation_verification_report(cfg, cfg.n_targets, cfg.sim_draws)
+        return ExperimentResult((), {"experiment": cfg.experiment, "simulation_verify": report}, {})
     jobs = _jobs_for(cfg, _instance_for(cfg))
     n_workers = resolve_workers(workers)
     if n_workers == 1 or len(jobs) == 1:
@@ -347,33 +348,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     outcomes = [out for outs in per_job for out in outs]
     rows = tuple(sorted((out[0] for out in outcomes), key=ResultRow.sort_key))
     extras = {(row.policy, row.horizon, row.replicate): ex or {} for row, ex, _ in outcomes}
-    aggregates = _aggregate(cfg, rows, extras)
-    return ExperimentResult(rows, aggregates)
+    curves: dict = {}
+    for row, _, points in outcomes:
+        if points is not None:
+            curves.setdefault((row.policy, row.horizon), points)
 
-
-def experiment_curves(cfg: ExperimentConfig, n_points: int = 200) -> list:
-    """Cumulative-regret curves for replicate 0 of every (policy, horizon) cell.
-
-    Returns a list of dicts with keys policy, horizon, and points, where
-    points is a list of (round, cumulative regret) pairs subsampled on a
-    geometric grid.
-    """
-    if cfg.experiment == "SimulationVerify":
-        return []
-    instance = _instance_for(cfg)
-    curves = []
-    seen = set()
-    for _, _, policy, horizon, reps, _ in _jobs_for(cfg, instance):
-        if reps[0] != 0 or (policy, horizon) in seen:
-            continue
-        seen.add((policy, horizon))
-        [(_, _, curve)] = _run_job((cfg, instance, policy, horizon, (0,), True))
-        if curve is None:
-            continue
-        curves.append(
-            {"policy": policy, "horizon": horizon, "points": _subsample_curve(curve, n_points)}
-        )
-    return curves
+    aggregates = {"experiment": cfg.experiment, "summary": _summary(rows)}
+    spec.aggregate(cfg, rows, extras, aggregates)
+    return ExperimentResult(rows, aggregates, curves)
 
 
 def _subsample_curve(curve: np.ndarray, n_points: int) -> list:
@@ -381,44 +363,17 @@ def _subsample_curve(curve: np.ndarray, n_points: int) -> list:
     return [(int(t), float(curve[t - 1])) for t in grid]
 
 
-def _group_rows(rows) -> dict:
+def _summary(rows) -> dict:
     grouped: dict = {}
     for row in rows:
         grouped.setdefault((row.policy, row.horizon), []).append(row)
-    return grouped
-
-
-def _aggregate(cfg: ExperimentConfig, rows, extras) -> dict:
-    grouped = _group_rows(rows)
     summary = {}
     for (policy, horizon), rs in sorted(grouped.items()):
-        total = [r.regret_total for r in rs]
-        minority = [r.regret_minority for r in rs]
-        pred = [r.regret_prediction for r in rs]
-        mean_t, se_t = bayesian_regret(total)
-        mean_m, se_m = bayesian_regret(minority)
-        mean_p, se_p = bayesian_regret(pred)
-        summary[f"{policy}@T={horizon}"] = {
-            "replicates": len(rs),
-            "regret_total": {"mean": mean_t, "se": se_t},
-            "regret_minority": {"mean": mean_m, "se": se_m},
-            "regret_prediction": {"mean": mean_p, "se": se_p},
-        }
-    aggregates = {"experiment": cfg.experiment, "summary": summary}
-
-    if cfg.experiment == "TwoBridgeLinUCB":
-        _aggregate_two_bridge_linucb(cfg, rows, aggregates)
-    elif cfg.experiment == "TwoBridgeImpossibility":
-        _aggregate_impossibility(cfg, rows, aggregates)
-    elif cfg.experiment == "GreedyVsLinUCB":
-        _aggregate_greedy_vs_linucb(cfg, rows, extras, aggregates)
-    elif cfg.experiment == "ScalingFit":
-        _aggregate_scaling(cfg, rows, aggregates)
-    elif cfg.experiment == "ExternalityVanishing":
-        _aggregate_externality(cfg, rows, aggregates)
-    elif cfg.experiment == "EigGrowth":
-        _aggregate_eig_growth(cfg, rows, extras, aggregates)
-    return aggregates
+        cell = summary[f"{policy}@T={horizon}"] = {"replicates": len(rs)}
+        for field in ("regret_total", "regret_minority", "regret_prediction"):
+            mean, se = bayesian_regret([getattr(r, field) for r in rs])
+            cell[field] = {"mean": mean, "se": se}
+    return summary
 
 
 def _per_horizon(rows, policy: str, field: str) -> dict:
@@ -429,7 +384,18 @@ def _per_horizon(rows, policy: str, field: str) -> dict:
     return {t: np.asarray(v) for t, v in out.items()}
 
 
-def _aggregate_two_bridge_linucb(cfg, rows, aggregates) -> None:
+def _batch_bound(cfg: ExperimentConfig, se: float, comparator_mean: float, comparator_se: float,
+                 allowance: float = 0.0) -> tuple:
+    """(pooled SE, bound) for batched regret against batch x the comparator's mean.
+
+    The bound is batch x comparator mean + allowance + 3 pooled SE, where the
+    comparator's SE is scaled by the batch like its mean.
+    """
+    pooled = math.sqrt(se**2 + (cfg.batch * comparator_se) ** 2)
+    return pooled, cfg.batch * comparator_mean + allowance + 3.0 * pooled
+
+
+def _aggregate_two_bridge_linucb(cfg, rows, extras, aggregates) -> None:
     for policy in cfg.policies:
         per_t = _per_horizon(rows, policy, "regret_minority")
         if len(per_t) >= 3 and all(v.mean() > 0 for v in per_t.values()):
@@ -438,7 +404,7 @@ def _aggregate_two_bridge_linucb(cfg, rows, aggregates) -> None:
             aggregates[f"{policy}_minority_exponent"] = {"slope": slope, "intercept": intercept}
 
 
-def _aggregate_impossibility(cfg, rows, aggregates) -> None:
+def _aggregate_impossibility(cfg, rows, extras, aggregates) -> None:
     checks = {}
     for policy in cfg.policies:
         per_t = _per_horizon(rows, policy, "regret_minority")
@@ -470,7 +436,6 @@ def _aggregate_greedy_vs_linucb(cfg, rows, extras, aggregates) -> None:
         if vals is None:
             continue
         mean, se = bayesian_regret(vals)
-        pooled = math.sqrt(se**2 + (cfg.batch * lin_se) ** 2)
         allowance = 0.0
         if policy == "batch_freq_greedy":
             gaps = [
@@ -478,7 +443,7 @@ def _aggregate_greedy_vs_linucb(cfg, rows, extras, aggregates) -> None:
                 for rep in range(cfg.replicates)
             ]
             allowance = float(np.mean(gaps)) if gaps else 0.0
-        rhs = cfg.batch * lin_mean + allowance + 3.0 * pooled
+        pooled, rhs = _batch_bound(cfg, se, lin_mean, lin_se, allowance)
         comparisons[policy] = {
             "mean_regret": mean,
             "se": se,
@@ -505,7 +470,7 @@ def _collect_probes(cfg, extras, policy: str, horizon: int) -> dict:
     }
 
 
-def _aggregate_scaling(cfg, rows, aggregates) -> None:
+def _aggregate_scaling(cfg, rows, extras, aggregates) -> None:
     fits = {}
     boot_rng = stream(cfg.master_seed, 0, Purpose.SIMULATION)
     for policy in cfg.policies:
@@ -517,7 +482,7 @@ def _aggregate_scaling(cfg, rows, aggregates) -> None:
     aggregates["scaling_fits"] = fits
 
 
-def _aggregate_externality(cfg, rows, aggregates) -> None:
+def _aggregate_externality(cfg, rows, extras, aggregates) -> None:
     horizon = cfg.horizons[0]
     t_lin = linucb_comparator_horizon(horizon, cfg.batch)
     bfg = _per_horizon(rows, "batch_freq_greedy", "regret_minority").get(horizon)
@@ -533,8 +498,7 @@ def _aggregate_externality(cfg, rows, aggregates) -> None:
         candidates["linucb_full"] = bayesian_regret(lin_full)
     best_name = min(candidates, key=lambda k: candidates[k][0])
     best_mean, best_se = candidates[best_name]
-    pooled = math.sqrt(se_bfg**2 + (cfg.batch * best_se) ** 2)
-    rhs = cfg.batch * best_mean + 3.0 * pooled
+    pooled, rhs = _batch_bound(cfg, se_bfg, best_mean, best_se)
     aggregates["externality"] = {
         "bfg_minority_mean": mean_bfg,
         "bfg_minority_se": se_bfg,
@@ -572,7 +536,107 @@ def _aggregate_eig_growth(cfg, rows, extras, aggregates) -> None:
     }
 
 
-def _run_simulation_verify(cfg: ExperimentConfig) -> ExperimentResult:
+def _check_externality(cfg) -> str | None:
+    if cfg.minority_prob <= 0:
+        return f"minority_prob must be positive for {cfg.experiment}"
+    return None
+
+
+def _check_audit(cfg) -> str | None:
+    if cfg.rho <= 0:
+        return f"rho must be positive for {cfg.experiment}: the audited batch needs perturbed contexts"
+    if cfg.batch < cfg.d:
+        return f"batch must be at least d for {cfg.experiment}: a smaller batch cannot span R^d"
+    if cfg.horizons[0] < cfg.batch:
+        return f"the first horizon must be at least batch for {cfg.experiment}: the audit needs a full batch"
+    return None
+
+
+def _check_eig_growth(cfg) -> str | None:
+    if cfg.d != 2:
+        return f"{cfg.experiment} needs d = 2, the only dimension its lambda curve tracking supports"
+    return None
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """Everything that sets one named experiment apart from the others."""
+
+    blurb: str  # its list-experiments line
+    defaults: dict  # overrides of the global defaults, in print-defaults order
+    policies: tuple  # the policies a config may name
+    family: str  # jobs run on "two_bridge" or "perturbed" instances; the "audit" runs none
+    aggregate: Callable | None = None  # (cfg, rows, extras, aggregates): adds its checks
+    comparator: bool = False  # LinUCB policies run at linucb_comparator_horizon(T, batch)
+    theta_coin: bool = False  # minority-time design: a coin per replicate picks theta0 or theta1
+    track_lambda: bool = False  # record the greedy design's minimum-eigenvalue curve
+    check: Callable = lambda cfg: None  # (cfg) -> why the experiment cannot run it, or None
+
+
+EXPERIMENT_SPECS = {
+    "TwoBridgeLinUCB": ExperimentSpec(
+        blurb="optimism on the two-bridge instance across horizons",
+        defaults={"horizons": (10000, 40000, 160000), "ridge": 0.0, "noise": "gaussian",
+                  "policies": ("linucb",)},
+        policies=("linucb", "linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy", "oracle"),
+        family="two_bridge",
+        aggregate=_aggregate_two_bridge_linucb,
+    ),
+    "TwoBridgeImpossibility": ExperimentSpec(
+        blurb="minority-time regret floor for four policies",
+        defaults={"horizons": (10000, 40000), "ridge": 0.0, "noise": "bernoulli",
+                  "policies": ("linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy")},
+        policies=("linucb", "linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy", "oracle"),
+        family="two_bridge",
+        aggregate=_aggregate_impossibility,
+        theta_coin=True,
+    ),
+    "GreedyVsLinUCB": ExperimentSpec(
+        blurb="batched greedy regret against a per-batch optimism budget",
+        defaults={"horizons": (20000,), "policies": ("batch_bayes_greedy", "batch_freq_greedy", "linucb")},
+        policies=("linucb", "batch_bayes_greedy", "batch_freq_greedy"),
+        family="perturbed",
+        aggregate=_aggregate_greedy_vs_linucb,
+        comparator=True,
+    ),
+    "ScalingFit": ExperimentSpec(
+        blurb="log-log regret scaling exponents with bootstrap intervals",
+        defaults={"horizons": (5000, 20000, 80000),
+                  "policies": ("linucb", "batch_bayes_greedy", "batch_freq_greedy")},
+        policies=("linucb", "batch_bayes_greedy", "batch_freq_greedy"),
+        family="perturbed",
+        aggregate=_aggregate_scaling,
+    ),
+    "ExternalityVanishing": ExperimentSpec(
+        blurb="minority regret of batched greedy on a two-group catalog",
+        defaults={"horizons": (20000,), "minority_prob": 0.3,
+                  "policies": ("batch_freq_greedy", "linucb_minority", "linucb_full")},
+        policies=("batch_freq_greedy", "linucb_minority", "linucb_full"),
+        family="perturbed",
+        aggregate=_aggregate_externality,
+        comparator=True,
+        check=_check_externality,
+    ),
+    "SimulationVerify": ExperimentSpec(
+        blurb="distributional audit of the within-batch reward simulator",
+        defaults={"horizons": (1200,), "batch": 300, "replicates": 1, "policies": ("batch_freq_greedy",)},
+        policies=("linucb", "batch_bayes_greedy", "batch_freq_greedy"),
+        family="audit",
+        check=_check_audit,
+    ),
+    "EigGrowth": ExperimentSpec(
+        blurb="minimum-eigenvalue growth of the greedy design matrix",
+        defaults={"horizons": (20000,), "policies": ("batch_freq_greedy",)},
+        policies=("linucb", "batch_bayes_greedy", "batch_freq_greedy"),
+        family="perturbed",
+        aggregate=_aggregate_eig_growth,
+        track_lambda=True,
+        check=_check_eig_growth,
+    ),
+}
+
+
+def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draws: int) -> dict:
     """Audit the reward-simulation construction on one diverse batch.
 
     Builds a batch by running batched greedy on the perturbed instance,
@@ -580,13 +644,6 @@ def _run_simulation_verify(cfg: ExperimentConfig) -> ExperimentResult:
     simulated reward law against direct draws with a two-sample KS test per
     target at level 0.01.
     """
-    report = simulation_verification_report(
-        cfg, n_targets=cfg.n_targets, n_draws=cfg.sim_draws
-    )
-    return ExperimentResult((), {"experiment": cfg.experiment, "simulation_verify": report})
-
-
-def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draws: int) -> dict:
     instance, prior_mean, prior_cov = build_instance(cfg)
     theta = draw_theta_for_replicate(cfg, prior_mean, prior_cov, 0)
     horizon = cfg.horizons[0]

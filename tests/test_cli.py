@@ -175,6 +175,22 @@ class TestRun:
         assert err["error"] == "ConfigError"
         assert "catalog_size" in err["message"]
 
+    def test_unused_c0_key_exit_2(self, config_path, capsys):
+        assert main(["run", config_path, "--set", "c0=2", "--out", "-", "--workers", "1"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "unknown key 'c0'" in err["message"]
+
+    def test_eig_growth_other_dimension_exit_2(self, capsys):
+        code = main([
+            "run", "--experiment", "EigGrowth", "--set", "d=3", "--set", "rho=0.3",
+            "--set", "horizons=400", "--replicates", "1", "--out", "-", "--workers", "1",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "d = 2" in err["message"]
+
     def test_unwritable_output_exit_2(self, config_path, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["run", config_path, "--out", str(missing_dir), "--workers", "1"]) == 2
@@ -217,6 +233,28 @@ class TestVerifySimulation:
         assert err["error"] == "SimulationMismatch"
         # The report is still written before the failure is signalled.
         assert json.loads(captured.out)["n_targets"] == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("rho = 0", "rho must be positive"),
+        ("horizons = 200", "first horizon must be at least batch"),
+        ("horizons = 2\nbatch = 1", "batch must be at least d"),
+    ], ids=["no-perturbation", "no-full-batch", "batch-below-d"])
+    def test_audit_without_a_full_diverse_batch_exit_2(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["verify-simulation", str(cfg), "--targets", "2", "--draws", "100", "--out", "-"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+
+    def test_singular_audited_batch_exit_4(self, tmp_path, capsys):
+        # Valid, but one catalog entry with two actions and almost no
+        # perturbation gives a batch whose Gram matrix is singular.
+        cfg = tmp_path / "singular.cfg"
+        cfg.write_text("rho = 1e-9\ncatalog_size = 1\nn_actions = 2\n")
+        assert main(["verify-simulation", str(cfg), "--targets", "2", "--draws", "100", "--out", "-"]) == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InsufficientDiversityError"
 
     def test_wrong_experiment_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "wrong.cfg"

@@ -1,5 +1,6 @@
 """Config text parsing/validation and CSV result serialization."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from banditsim.config import (
     ConfigError,
     EXPERIMENTS,
-    config_field_names,
+    ExperimentConfig,
     convert_value,
     defaults_table,
     dumps_defaults,
@@ -21,7 +22,6 @@ class TestParseConfig:
         cfg = parse_config("experiment = GreedyVsLinUCB")
         assert cfg.replicates == 200
         assert cfg.master_seed == 20260814
-        assert cfg.c0 == 1.0
         assert cfg.ridge == 1.0
         assert cfg.batch == 200
         assert cfg.horizons == (20000,)
@@ -103,6 +103,25 @@ class TestParseConfig:
         assert parse_config("experiment = ExternalityVanishing\ncatalog_size = 2").catalog_size == 2
         assert parse_config("experiment = ScalingFit\ncatalog_size = 1").catalog_size == 1
 
+    def test_unused_c0_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'c0'"):
+            parse_config("experiment = ScalingFit\nc0 = 2")
+
+    def test_eig_growth_needs_two_dimensions(self):
+        with pytest.raises(ConfigError, match="d = 2"):
+            parse_config("experiment = EigGrowth\nd = 3\nrho = 0.3")
+        assert parse_config("experiment = ScalingFit\nd = 3\nrho = 0.3").d == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("rho = 0", "rho must be positive"),
+        ("horizons = 200", "first horizon must be at least batch"),
+        ("horizons = 2\nbatch = 1", "batch must be at least d"),
+    ], ids=["no-perturbation", "no-full-batch", "batch-below-d"])
+    def test_audit_needs_a_full_diverse_batch(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"experiment = SimulationVerify\n{text}")
+        assert parse_config(f"experiment = ScalingFit\n{text}").experiment == "ScalingFit"
+
     def test_duplicate_horizons_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             parse_config("experiment = ScalingFit\nhorizons = 100, 100, 200")
@@ -178,7 +197,7 @@ class TestDefaults:
         assert parsed["global"]["master_seed"] == 20260814
 
     def test_field_names_match_keys(self):
-        names = config_field_names()
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert "experiment" in names
         assert "restriction_p" in names
         defaults = defaults_table()["global"]

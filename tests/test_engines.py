@@ -820,6 +820,28 @@ class TestPerturbedLinUCBEngine:
         assert res.regret_total == pytest.approx(total, abs=1e-9)
         assert res.regret_minority == pytest.approx(minority, abs=1e-9)
 
+    def test_cached_inverse_is_refreshed_every_period(self, monkeypatch):
+        # Decisions rarely depend on the last bits the refresh corrects, so
+        # count the stacked inversions: one per refresh period for the block.
+        cfg = _one_group_catalog()
+        params = LinUCBParams.for_perturbed(
+            d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_mean=PRIOR_MEAN
+        )
+        calls = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        run_perturbed_linucb(
+            cfg, params, _lockstep_thetas()[:2], LOCKSTEP_HORIZON, MASTER, LOCKSTEP_REPLICATES[:2],
+            refresh_every=LOCKSTEP_REFRESH,
+        )
+        assert LOCKSTEP_HORIZON > NOISE_CHUNK
+        assert calls == [(2, 2, 2)] * (LOCKSTEP_HORIZON // LOCKSTEP_REFRESH)
+
     def test_cached_inverse_matches_per_round_refresh(self):
         cfg = _one_group_catalog()
         horizon = 3000

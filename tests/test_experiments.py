@@ -16,7 +16,6 @@ from banditsim.experiments import (
     WORKERS_ENV_VAR,
     build_instance,
     draw_theta_for_replicate,
-    experiment_curves,
     linucb_comparator_horizon,
     minority_only_instance,
     resolve_workers,
@@ -253,11 +252,10 @@ replicates = 35
 def _outputs(cfg, workers: int) -> tuple:
     """CSV, aggregates and curves of a run, as the bytes that would be written."""
     result = run_experiment(cfg, workers=workers)
-    curves = experiment_curves(cfg, n_points=20)
     return (
         emit_csv(result.rows),
         json.dumps(result.aggregates, sort_keys=True, default=repr),
-        json.dumps(curves),
+        repr(result.curves),
     )
 
 
@@ -319,22 +317,31 @@ class TestUniformRandomCalibration:
 
 
 class TestExperimentCurves:
-    def test_curves_monotone_and_consistent_with_rows(self):
+    def test_curves_monotone_and_consistent_with_rows(self, monkeypatch):
         cfg = _cfg(SMALL_TWO_BRIDGE)
-        curves = experiment_curves(cfg, n_points=50)
-        assert {(c["policy"], c["horizon"]) for c in curves} == {
-            ("linucb", 500),
-            ("linucb", 1000),
-        }
-        rows = {r.horizon: r for r in run_experiment(cfg, workers=1).rows if r.replicate == 0}
-        for c in curves:
-            ts = [p[0] for p in c["points"]]
-            vals = [p[1] for p in c["points"]]
+        calls = []
+        engine = experiments.run_two_bridge_policy
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["track_curve"])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_two_bridge_policy", counted)
+        result = run_experiment(cfg, workers=1)
+        # One engine call per row: the curves come from the main run.
+        assert len(calls) == len(result.rows) == 12
+        assert sum(calls) == 2
+        assert list(result.curves) == [("linucb", 500), ("linucb", 1000)]
+        rows = {r.horizon: r for r in result.rows if r.replicate == 0}
+        for (_, horizon), points in result.curves.items():
+            ts = [p[0] for p in points]
+            vals = [p[1] for p in points]
+            assert len(points) <= experiments.CURVE_POINTS
             assert ts == sorted(ts)
-            assert ts[-1] == c["horizon"]
+            assert ts[-1] == horizon
             assert all(b >= a for a, b in zip(vals, vals[1:]))
-            assert vals[-1] == pytest.approx(rows[c["horizon"]].regret_total)
+            assert vals[-1] == pytest.approx(rows[horizon].regret_total)
 
     def test_simulation_verify_has_no_curves(self):
         cfg = _cfg("experiment = SimulationVerify\nsim_draws = 1000\nn_targets = 2\n")
-        assert experiment_curves(cfg) == []
+        assert run_experiment(cfg).curves == {}
