@@ -210,6 +210,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not 0.0 < cfg.restriction_p < 1.0:
         raise ConfigError("restriction_p must lie in (0, 1)")
     spec = EXPERIMENT_SPECS[cfg.experiment]
+    if spec.comparator and len(cfg.horizons) > 1:
+        raise ConfigError(
+            f"{cfg.experiment} takes one horizon: its checks read one, and horizons "
+            "that share T // batch would run the LinUCB comparator twice"
+        )
     if not cfg.policies:
         raise ConfigError("policies must not be empty")
     for p in cfg.policies:

@@ -8,6 +8,12 @@ policies and advance a block of LinUCB replicates in replicate lockstep: one
 stacked step per round over cached inverses, with each replicate's result bit
 for bit what it would be alone.  Every engine draws from the purpose-keyed
 replicate streams, so results are identical under any scheduling.
+
+Every engine feeds the instantaneous regret of its rounds, in round order, to
+one ``RegretSums`` accumulator, which owns the restricted set, the running
+totals and the optional curve of the first replicate; the two-bridge engines
+feed only their wrong B rounds, each at the gap.  A LinUCB block keeps at most
+one curve.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 from .core import Group, NoiseKind, last_batch_end
 from .environments import PerturbedConfig, TwoBridgeConfig
 from .estimators import gaussian_prior, ols_estimate, posterior_mean, SufficientStats
+from .metrics import RegretSums, running_sum
 from .policies import LinUCBParams, interval_width
 from .rng import Purpose, stream
 
@@ -35,17 +42,6 @@ class TwoBridgeRunResult:
     wrong_b_rounds: int
     b_rounds: int
     curve: np.ndarray | None = None
-
-
-def _wrong_curve(horizon: int, wrong_pos: np.ndarray, gap_size: float) -> np.ndarray:
-    curve = np.zeros(horizon)
-    curve[wrong_pos] = gap_size
-    return np.cumsum(curve)
-
-
-def _coin_mask(master_seed: int, replicate: int, horizon: int, p: float) -> np.ndarray:
-    """Per-round membership flags for the i.i.d.-coin restricted-regret set."""
-    return stream(master_seed, replicate, Purpose.RESTRICTION).random(horizon) < p
 
 
 def closed_form_ucb(n1: int, s1: float, n2: int, s2: float, f: float) -> tuple:
@@ -89,9 +85,7 @@ def run_two_bridge_policy(
     theta: np.ndarray | None = None,
     params: LinUCBParams | None = None,
     inject_majority_rate: float = 0.0,
-    track_curve: bool = False,
-    restriction: str = "minority",
-    restriction_p: float = 0.5,
+    sums: RegretSums | None = None,
 ) -> TwoBridgeRunResult:
     """One two-bridge replicate for linucb / uniform_random / oracle.
 
@@ -100,10 +94,8 @@ def run_two_bridge_policy(
     a geometric number of majority rounds (minority rate = 1 - rate) is pulled
     on the top bridge and folded into the statistics.
 
-    ``restriction`` picks the restricted-regret set reported alongside the
-    total: "minority" counts minority rounds (every costly round here is one),
-    "coin" counts rounds flagged by an independent Bernoulli(restriction_p)
-    coin from the replicate's restriction stream.
+    ``sums`` receives the gap for every wrong B round, a minority round; by
+    default it restricts to minority rounds and keeps no curve.
     """
     horizon = int(cfg.horizon)
     theta = cfg.theta if theta is None else np.asarray(theta, dtype=float)
@@ -139,14 +131,12 @@ def run_two_bridge_policy(
     cand_top = _single_rewards(n_b, float(theta[0]), cfg.noise, rew)
     cand_bot = _single_rewards(n_b, float(theta[1]), cfg.noise, rew)
 
-    wrong = 0
     wrong_mask = np.zeros(n_b, dtype=bool)
     if policy_name == "uniform_random":
         picks_top = pol.random(n_b) < 0.5
         wrong_mask = ~picks_top if top_best else picks_top
-        wrong = int(np.sum(wrong_mask))
     elif policy_name == "oracle":
-        wrong = 0
+        pass
     elif policy_name == "linucb":
         if params is None:
             params = LinUCBParams.for_two_bridge(horizon)
@@ -167,17 +157,18 @@ def run_two_bridge_policy(
                 n2 += 1
                 s2 += float(cand_bot[k])
                 wrong_mask[k] = top_best
-        wrong = int(np.sum(wrong_mask))
     else:
         raise ValueError(f"unsupported two-bridge policy: {policy_name}")
+    return _two_bridge_result(master_seed, replicate, horizon, gap_size, b_pos[wrong_mask], n_b, sums)
 
-    regret = gap_size * wrong
-    restricted = regret
-    if restriction == "coin":
-        coins = _coin_mask(master_seed, replicate, horizon, restriction_p)
-        restricted = gap_size * int(np.sum(wrong_mask & coins[b_pos]))
-    curve = _wrong_curve(horizon, b_pos[wrong_mask], gap_size) if track_curve else None
-    return TwoBridgeRunResult(regret, restricted, regret, wrong, n_b, curve)
+
+def _two_bridge_result(master_seed, replicate, horizon, gap_size, wrong_pos, n_b, sums) -> TwoBridgeRunResult:
+    """Feed the gap for each wrong B round, in round order, and read the sums."""
+    if sums is None:
+        sums = RegretSums(master_seed, (replicate,), horizon)
+    sums.add(wrong_pos, np.full((wrong_pos.size, 1), gap_size))
+    total = float(sums.total[0])
+    return TwoBridgeRunResult(total, float(sums.restricted[0]), total, wrong_pos.size, n_b, sums.curve())
 
 
 def run_two_bridge_batch_freq(
@@ -186,15 +177,13 @@ def run_two_bridge_batch_freq(
     replicate: int,
     batch_size: int,
     theta: np.ndarray | None = None,
-    track_curve: bool = False,
-    restriction: str = "minority",
-    restriction_p: float = 0.5,
+    sums: RegretSums | None = None,
 ) -> TwoBridgeRunResult:
     """Batched frequentist greedy on the two-bridge instance.
 
     The acting estimate is frozen per batch, so each batch picks one bridge
     for all of its B rounds; the cold-start batch picks uniformly at random
-    per B round.
+    per B round.  ``sums`` is fed as in ``run_two_bridge_policy``.
     """
     horizon = int(cfg.horizon)
     theta = cfg.theta if theta is None else np.asarray(theta, dtype=float)
@@ -216,13 +205,11 @@ def run_two_bridge_batch_freq(
     seg_bot = _seg_sums(count_c, float(theta[1]), cfg.noise, rew)
 
     b_pos = np.flatnonzero(kinds == _B)
-    b_batch = b_pos // batch_size
+    first_b = np.concatenate([[0], np.cumsum(count_b)])
 
-    need_pos = track_curve or restriction == "coin"
     n1 = n2 = 0
     s1 = s2 = 0.0
-    wrong = 0
-    wrong_pos: list = []
+    wrong_runs = []
     for b in range(n_batches):
         nb = int(count_b[b])
         if n1 + n2 == 0:
@@ -230,12 +217,6 @@ def run_two_bridge_batch_freq(
             # every B round resolves its tie uniformly at random.
             picks_top = int(pol.binomial(nb, 0.5)) if nb else 0
             picks_bot = nb - picks_top
-            batch_wrong = picks_bot if top_best else picks_top
-            wrong += batch_wrong
-            if need_pos and batch_wrong:
-                # Attribution within the cold batch is uniform in law; pin the
-                # wrong picks to its earliest B rounds.
-                wrong_pos.extend(b_pos[b_batch == b][:batch_wrong])
         else:
             e1 = s1 / n1 if n1 else 0.0
             e2 = s2 / n2 if n2 else 0.0
@@ -243,10 +224,11 @@ def run_two_bridge_batch_freq(
                 picks_top, picks_bot = nb, 0
             else:
                 picks_top, picks_bot = 0, nb
-            batch_wrong = picks_bot if top_best else picks_top
-            wrong += batch_wrong
-            if need_pos and batch_wrong:
-                wrong_pos.extend(b_pos[b_batch == b])
+        # A warm batch errs on all of its B rounds or on none.  Attribution
+        # within the cold batch is uniform in law; pin its wrong picks to its
+        # earliest B rounds.
+        batch_wrong = picks_bot if top_best else picks_top
+        wrong_runs.append(b_pos[first_b[b]:first_b[b] + batch_wrong])
         if picks_top:
             n1 += picks_top
             s1 += float(_seg_sums(np.array([picks_top]), float(theta[0]), cfg.noise, rew)[0])
@@ -258,16 +240,9 @@ def run_two_bridge_batch_freq(
         s1 += float(seg_top[b])
         n2 += int(count_c[b])
         s2 += float(seg_bot[b])
-
-    regret = gap_size * wrong
-    restricted = regret
-    if restriction == "coin":
-        coins = _coin_mask(master_seed, replicate, horizon, restriction_p)
-        restricted = gap_size * int(np.sum(coins[np.asarray(wrong_pos, dtype=np.int64)]))
-    curve = None
-    if track_curve:
-        curve = _wrong_curve(horizon, np.asarray(wrong_pos, dtype=np.int64), gap_size)
-    return TwoBridgeRunResult(regret, restricted, regret, wrong, int(count_b.sum()), curve)
+    return _two_bridge_result(
+        master_seed, replicate, horizon, gap_size, np.concatenate(wrong_runs), b_pos.size, sums
+    )
 
 
 @dataclass(frozen=True)
@@ -341,9 +316,7 @@ def run_perturbed_batch_greedy(
     probe_rounds: tuple = (),
     track_lambda: bool = False,
     track_rows: bool = False,
-    track_curve: bool = False,
-    restriction: str = "minority",
-    restriction_p: float = 0.5,
+    sums: RegretSums | None = None,
 ) -> PerturbedRunResult:
     """Batched greedy replicate with whole batches vectorized.
 
@@ -351,9 +324,9 @@ def run_perturbed_batch_greedy(
     "bayes" for the posterior mean.  ``gap_allowance`` accumulates
     ``2 R ||theta_bay - theta_freq||`` per round with the batch-frozen
     estimates, the per-round bound on how far the two greedy rules' reward
-    predictions can disagree.  ``restriction`` selects the restricted-regret
-    set: "minority" for minority-group rounds, "coin" for rounds flagged by
-    an independent Bernoulli(restriction_p) coin per round.
+    predictions can disagree.  ``sums`` receives each batch's regret; by
+    default it restricts to minority rounds and keeps no curve.  The
+    prediction regret is summed in the same round order.
     """
     cat = CatalogArrays.from_config(cfg)
     d, k = cfg.dim, cfg.n_actions
@@ -370,15 +343,12 @@ def run_perturbed_batch_greedy(
     theta_bay = np.asarray(prior_mean, dtype=float).copy()
     cold = True
 
-    total = minority_total = pred_total = 0.0
-    allowance = 0.0
+    if sums is None:
+        sums = RegretSums(master_seed, (replicate,), horizon)
+    pred_total = allowance = 0.0
     probes = {}
     keep_rows = track_lambda or track_rows
     chosen_rows = np.empty((horizon, d)) if keep_rows else None
-    inst_curve = np.empty(horizon) if track_curve else None
-    coins = None
-    if restriction == "coin":
-        coins = _coin_mask(master_seed, replicate, horizon, restriction_p)
 
     done = 0
     while done < horizon:
@@ -405,19 +375,13 @@ def run_perturbed_batch_greedy(
         pred_actions = np.argmax(pred_scores, axis=1)
         pred_val = true_vals[rows, pred_actions]
 
-        inst = best - chosen_val
-        inst_pred = best - pred_val
-        in_set = coins[done:done + y] if coins is not None else cat.minority[idx]
-        total += float(inst.sum())
-        minority_total += float(inst[in_set].sum())
-        pred_total += float(inst_pred.sum())
+        sums.add(slice(done, done + y), (best - chosen_val)[:, None], cat.minority[idx][:, None])
+        pred_total = running_sum(pred_total, best - pred_val)
 
         chosen = x[rows, actions]
         rewards = chosen @ theta + rew.standard_normal(y)
         if keep_rows:
             chosen_rows[done:done + y] = chosen
-        if track_curve:
-            inst_curve[done:done + y] = inst
 
         if context_bound is not None:
             allowance += 2.0 * context_bound * float(np.linalg.norm(theta_bay - theta_freq)) * y
@@ -440,9 +404,8 @@ def run_perturbed_batch_greedy(
         lam = _lambda_min_curve(chosen_rows)
     final = SufficientStats(0.5 * (Z + Z.T), xr, n_obs)
     return PerturbedRunResult(
-        total, minority_total, pred_total, allowance, probes, lam, final, theta,
-        curve=np.cumsum(inst_curve) if track_curve else None,
-        chosen_rows=chosen_rows if track_rows else None,
+        float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes, lam,
+        final, theta, curve=sums.curve(), chosen_rows=chosen_rows if track_rows else None,
     )
 
 
@@ -472,9 +435,7 @@ def run_perturbed_linucb(
     master_seed: int,
     replicates: tuple,
     refresh_every: int = 10_000,
-    track_curve: bool = False,
-    restriction: str = "minority",
-    restriction_p: float = 0.5,
+    sums: RegretSums | None = None,
 ) -> list:
     """LinUCB replicates advanced in lockstep; one result per replicate.
 
@@ -482,8 +443,9 @@ def run_perturbed_linucb(
     ``replicates[i]``.  Each round makes one stacked score, width, argmax and
     rank-one (Sherman-Morrison) update of the cached inverses for the whole
     block.  Every stacked product makes, per replicate, the BLAS call a
-    single-replicate loop would make, and regret is summed in round order, so
-    a replicate's result does not depend on the block it runs in.
+    single-replicate loop would make, and ``sums`` (one column per replicate,
+    by default minority-restricted with no curve) adds regret in round order,
+    so a replicate's result does not depend on the block it runs in.
 
     Requires a positive ridge; the cached inverses are rebuilt from the exact
     Gram matrices every ``refresh_every`` rounds to cap floating-point drift.
@@ -502,10 +464,8 @@ def run_perturbed_linucb(
     ])
     pert = [stream(master_seed, rep, Purpose.PERTURBATIONS) for rep in replicates]
     reward_noise = np.stack([stream(master_seed, rep, Purpose.REWARDS).standard_normal(horizon) for rep in replicates])
-    if restriction == "coin":
-        in_set = np.stack([_coin_mask(master_seed, rep, horizon, restriction_p) for rep in replicates])
-    else:
-        in_set = cat.minority[idx]
+    if sums is None:
+        sums = RegretSums(master_seed, replicates, horizon)
 
     f_table = np.array([interval_width(t, params, d) for t in range(horizon)])
 
@@ -515,9 +475,6 @@ def run_perturbed_linucb(
     theta_hat = np.zeros((n, d, 1))
     rows = np.arange(n)
 
-    total = np.zeros(n)
-    minority_total = np.zeros(n)
-    curve = np.empty((n, horizon)) if track_curve else None
     for start in range(0, horizon, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, horizon)
         # Chunk arrays are round-major: x_chunk[c] is round start + c of
@@ -553,19 +510,13 @@ def run_perturbed_linucb(
 
         true_vals = np.where(avail, (x_chunk @ theta_col)[..., 0], -np.inf)
         inst = true_vals.max(axis=2) - np.take_along_axis(true_vals, actions[..., None], axis=2)[..., 0]
-        # Cumulative sums carried across chunks add the rounds one at a time.
-        running = np.cumsum(np.concatenate([total[None], inst]), axis=0)
-        total = running[-1]
-        if curve is not None:
-            curve[:, start:stop] = running[1:].T
-        restricted = np.where(in_set[:, start:stop].T, inst, 0.0)
-        minority_total = np.cumsum(np.concatenate([minority_total[None], restricted]), axis=0)[-1]
+        sums.add(slice(start, stop), inst, cat.minority[entries])
 
     results = []
     for i in range(n):
         final = SufficientStats(0.5 * (Z[i] + Z[i].T), xr[i, :, 0], horizon)
         results.append(PerturbedRunResult(
-            float(total[i]), float(minority_total[i]), float(total[i]), 0.0, {}, None, final, thetas[i],
-            curve=curve[i] if track_curve else None,
+            float(sums.total[i]), float(sums.restricted[i]), float(sums.total[i]), 0.0, {}, None, final,
+            thetas[i], curve=sums.curve() if i == 0 else None,
         ))
     return results

@@ -29,7 +29,7 @@ from .engines import (
 )
 from .environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig, draw_theta
 from .estimators import min_eigenvalue
-from .metrics import bayesian_regret, scaling_exponent, scaling_exponent_bootstrap
+from .metrics import RegretSums, bayesian_regret, scaling_exponent, scaling_exponent_bootstrap
 from .policies import (
     LinUCBParams,
     context_norm_bound,
@@ -198,25 +198,13 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
     params = LinUCBParams.for_two_bridge(
         horizon, ridge=cfg.ridge, enforce_floor=cfg.enforce_width_floor
     )
-    restriction = {"restriction": cfg.restriction, "restriction_p": cfg.restriction_p}
-    if policy in ("linucb", "linucb_minority"):
+    sums = RegretSums(cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, track_curve)
+    if policy == "batch_freq_greedy":
+        res = run_two_bridge_batch_freq(base, cfg.master_seed, rep, cfg.batch, sums=sums)
+    elif policy in ("linucb", "linucb_full", "linucb_minority", "uniform_random", "oracle"):
         res = run_two_bridge_policy(
-            base, "linucb", cfg.master_seed, rep, params=params,
-            track_curve=track_curve, **restriction,
-        )
-    elif policy == "linucb_full":
-        res = run_two_bridge_policy(
-            base, "linucb", cfg.master_seed, rep, params=params,
-            inject_majority_rate=0.95, track_curve=track_curve, **restriction,
-        )
-    elif policy in ("uniform_random", "oracle"):
-        res = run_two_bridge_policy(
-            base, policy, cfg.master_seed, rep, params=params,
-            track_curve=track_curve, **restriction,
-        )
-    elif policy == "batch_freq_greedy":
-        res = run_two_bridge_batch_freq(
-            base, cfg.master_seed, rep, cfg.batch, track_curve=track_curve, **restriction
+            base, "linucb" if policy.startswith("linucb") else policy, cfg.master_seed, rep, params=params,
+            inject_majority_rate=0.95 if policy == "linucb_full" else 0.0, sums=sums,
         )
     else:
         raise ValueError(f"policy '{policy}' is not valid on two-bridge instances")
@@ -247,9 +235,9 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
                 context_bound=bound if acting == "freq" else None,
                 probe_rounds=tuple(p for p in GAP_PROBE_ROUNDS if p <= horizon),
                 track_lambda=EXPERIMENT_SPECS[cfg.experiment].track_lambda,
-                track_curve=track_curve,
-                restriction=cfg.restriction,
-                restriction_p=cfg.restriction_p,
+                sums=RegretSums(
+                    cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, track_curve
+                ),
             )
             extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
             if res.lambda_curve is not None:
@@ -265,9 +253,7 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
         )
         results = run_perturbed_linucb(
             run_catalog, params, np.array(thetas), horizon, cfg.master_seed, reps,
-            track_curve=track_curve,
-            restriction=cfg.restriction,
-            restriction_p=cfg.restriction_p,
+            sums=RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, track_curve),
         )
         runs = [(res, {}) for res in results]
     else:

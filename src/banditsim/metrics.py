@@ -1,4 +1,10 @@
-"""Per-round regret, replicate summaries, and scaling-exponent fits."""
+"""Per-round regret, round-ordered regret sums, replicate summaries, and scaling fits.
+
+Every engine sums regret through ``RegretSums``: running sums that add the
+rounds one at a time in round order.  A replicate's total, its restricted sum
+and its cumulative curve are therefore the same sum, and the last curve point
+equals ``regret_total`` exactly.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ import math
 import numpy as np
 
 from .core import ContextRound
+from .rng import Purpose, stream
 
 
 def instantaneous_regret(theta: np.ndarray, round_: ContextRound, chosen: int) -> float:
@@ -16,6 +23,52 @@ def instantaneous_regret(theta: np.ndarray, round_: ContextRound, chosen: int) -
     theta = np.asarray(theta, dtype=float)
     vals = [float(theta @ round_.contexts[a]) for a in round_.available_indices()]
     return max(vals) - float(theta @ round_.contexts[chosen])
+
+
+def running_sum(prev, inst: np.ndarray):
+    """``prev`` plus the rows of ``inst`` added one round at a time, in round order."""
+    return np.add.accumulate(np.concatenate(([prev], inst)), axis=0)[-1]
+
+
+class RegretSums:
+    """Running regret sums of the replicates of one engine call.
+
+    An engine feeds ``add`` the instantaneous regret of stretches of rounds, in
+    round order; rounds it never feeds add nothing.  Per replicate it keeps the
+    total and the restricted sum, and for the first replicate, when ``curve``
+    is set, the regret of every round.  The restricted set is the minority
+    rounds the engine flags, or with ``restriction = "coin"`` the rounds an
+    independent Bernoulli(``restriction_p``) coin from the replicate's
+    restriction stream flags.
+    """
+
+    def __init__(self, master_seed: int, replicates, horizon: int,
+                 restriction: str = "minority", restriction_p: float = 0.5, curve: bool = False):
+        self.total = np.zeros(len(replicates))
+        self.restricted = np.zeros(len(replicates))
+        self._coins = None
+        if restriction == "coin":
+            self._coins = np.stack([
+                stream(master_seed, rep, Purpose.RESTRICTION).random(horizon) < restriction_p
+                for rep in replicates
+            ])
+        self._inst = np.zeros(horizon) if curve else None
+
+    def add(self, rounds, inst: np.ndarray, minority=True) -> None:
+        """Add the regret of ``rounds``, a slice or increasing round positions.
+
+        ``inst`` has one row per round and one column per replicate;
+        ``minority`` flags the minority rounds and broadcasts against it.
+        """
+        in_set = minority if self._coins is None else self._coins[:, rounds].T
+        self.total = running_sum(self.total, inst)
+        self.restricted = running_sum(self.restricted, np.where(in_set, inst, 0.0))
+        if self._inst is not None:
+            self._inst[rounds] = inst[:, 0]
+
+    def curve(self) -> np.ndarray | None:
+        """The first replicate's cumulative regret after every round, if kept."""
+        return None if self._inst is None else np.cumsum(self._inst)
 
 
 def bayesian_regret(replicate_regrets) -> tuple:

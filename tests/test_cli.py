@@ -191,6 +191,17 @@ class TestRun:
         assert err["error"] == "ConfigError"
         assert "d = 2" in err["message"]
 
+    def test_comparator_with_two_horizons_exit_2(self, capsys):
+        # Both horizons map to the comparator horizon 400 // 20 = 410 // 20 = 20.
+        code = main([
+            "run", "--experiment", "GreedyVsLinUCB", "--set", "horizons=400,410",
+            "--set", "batch=20", "--replicates", "2", "--out", "-", "--workers", "1",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "GreedyVsLinUCB takes one horizon" in err["message"]
+
     def test_unwritable_output_exit_2(self, config_path, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["run", config_path, "--out", str(missing_dir), "--workers", "1"]) == 2

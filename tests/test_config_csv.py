@@ -122,6 +122,13 @@ class TestParseConfig:
             parse_config(f"experiment = SimulationVerify\n{text}")
         assert parse_config(f"experiment = ScalingFit\n{text}").experiment == "ScalingFit"
 
+    @pytest.mark.parametrize("experiment", ["GreedyVsLinUCB", "ExternalityVanishing"])
+    def test_comparator_experiments_take_one_horizon(self, experiment):
+        with pytest.raises(ConfigError, match=f"{experiment} takes one horizon"):
+            parse_config(f"experiment = {experiment}\nhorizons = 400, 410\nbatch = 20")
+        assert parse_config(f"experiment = {experiment}\nhorizons = 400").horizons == (400,)
+        assert parse_config("experiment = ScalingFit\nhorizons = 400, 410, 420").horizons == (400, 410, 420)
+
     def test_duplicate_horizons_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             parse_config("experiment = ScalingFit\nhorizons = 100, 100, 200")

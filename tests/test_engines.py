@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditsim.core import ContextRound, Group, NoiseKind, last_batch_end
 from banditsim.engines import (
@@ -21,7 +23,6 @@ from banditsim.engines import (
     _C,
     NOISE_CHUNK,
     CatalogArrays,
-    _coin_mask,
     _draw_entry_indices,
     _kind_codes,
     _lambda_min_curve,
@@ -40,12 +41,22 @@ from banditsim.environments import (
     TwoBridgeConfig,
 )
 from banditsim.estimators import SufficientStats, bayes_posterior_mean, ols_estimate
-from banditsim.metrics import instantaneous_regret
+from banditsim.metrics import RegretSums, instantaneous_regret
 from banditsim.policies import LinUCBParams, greedy_select, interval_width, linucb_scores
 from banditsim.rng import Purpose, stream
 
 MASTER = 20260814
 B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
+
+
+def _coins(master_seed, replicate, horizon, p):
+    """The restriction coin flags of a replicate, straight from its stream."""
+    return stream(master_seed, replicate, Purpose.RESTRICTION).random(horizon) < p
+
+
+def _curve_sums(replicates, horizon, **kwargs):
+    """An accumulator that keeps the first replicate's curve."""
+    return RegretSums(MASTER, replicates, horizon, curve=True, **kwargs)
 
 
 def _two_bridge_draws(cfg, master_seed, replicate, inject_rate):
@@ -300,7 +311,7 @@ def single_replicate_linucb(
     inst_curve = np.empty(horizon)
     in_set = cat.minority[idx]
     if restriction == "coin":
-        in_set = _coin_mask(master_seed, replicate, horizon, restriction_p)
+        in_set = _coins(master_seed, replicate, horizon, restriction_p)
     for t in range(horizon):
         x = cat.means[idx[t]] + noise[t]
         avail = cat.avail[idx[t]]
@@ -343,7 +354,7 @@ class TestTwoBridgePolicyEngine:
         params = LinUCBParams.for_two_bridge(horizon)
         res = run_two_bridge_policy(
             cfg, "linucb", MASTER, 3, params=params,
-            inject_majority_rate=inject, track_curve=True,
+            inject_majority_rate=inject, sums=_curve_sums((3,), horizon),
         )
         b_pos, wrong_mask = reference_two_bridge_linucb(cfg, MASTER, 3, params, inject)
         assert res.b_rounds == b_pos.size
@@ -376,7 +387,7 @@ class TestTwoBridgePolicyEngine:
     @pytest.mark.parametrize("noise", [NoiseKind.GAUSSIAN_UNIT, NoiseKind.BERNOULLI])
     def test_oracle_accrues_no_regret(self, variant, noise):
         cfg = TwoBridgeConfig(horizon=3000, theta_variant=variant, noise=noise, p_majority=0.0)
-        res = run_two_bridge_policy(cfg, "oracle", MASTER, 1, track_curve=True)
+        res = run_two_bridge_policy(cfg, "oracle", MASTER, 1, sums=_curve_sums((1,), cfg.horizon))
         assert res.b_rounds > 0
         assert res.wrong_b_rounds == 0
         assert res.regret_total == res.regret_minority == res.regret_prediction == 0.0
@@ -395,9 +406,11 @@ class TestTwoBridgePolicyEngine:
     def test_theta_override_sets_the_gap(self):
         cfg = TwoBridgeConfig(horizon=20_000, p_majority=0.0)
         theta = np.array([0.2, 0.7])  # bottom bridge best, gap 0.5
-        res = run_two_bridge_policy(cfg, "uniform_random", MASTER, 2, theta=theta, track_curve=True)
+        res = run_two_bridge_policy(
+            cfg, "uniform_random", MASTER, 2, theta=theta, sums=_curve_sums((2,), cfg.horizon)
+        )
         assert res.regret_total == pytest.approx(0.5 * res.wrong_b_rounds)
-        assert res.curve[-1] == pytest.approx(res.regret_total)
+        assert res.curve[-1] == res.regret_total
         # The wrong picks are the top-bridge picks: the complement of the
         # wrong picks under the default theta0 on the same streams.
         default = run_two_bridge_policy(cfg, "uniform_random", MASTER, 2)
@@ -406,12 +419,12 @@ class TestTwoBridgePolicyEngine:
 
     def test_linucb_sanity(self):
         cfg = TwoBridgeConfig(horizon=400, p_majority=0.0)
-        res = run_two_bridge_policy(cfg, "linucb", MASTER, 10, track_curve=True)
+        res = run_two_bridge_policy(cfg, "linucb", MASTER, 10, sums=_curve_sums((10,), cfg.horizon))
         assert 0 <= res.wrong_b_rounds <= res.b_rounds
         assert res.regret_total >= 0.0
         assert res.regret_minority == res.regret_prediction == res.regret_total
         assert np.all(np.diff(res.curve) >= 0.0)
-        assert res.curve[-1] == pytest.approx(res.regret_total)
+        assert res.curve[-1] == res.regret_total
 
     def test_injected_majority_data_leaves_rounds_unchanged(self):
         # Injection draws after the kind sequence, so the simulated rounds are
@@ -436,14 +449,14 @@ class TestTwoBridgePolicyEngine:
 
     def test_coin_restriction_counts_flagged_wrong_rounds(self):
         cfg = TwoBridgeConfig(horizon=30_000, p_majority=0.0)
-        base = run_two_bridge_policy(cfg, "uniform_random", MASTER, 5, track_curve=True)
+        base = run_two_bridge_policy(cfg, "uniform_random", MASTER, 5, sums=_curve_sums((5,), cfg.horizon))
         coin = run_two_bridge_policy(
-            cfg, "uniform_random", MASTER, 5, track_curve=True,
-            restriction="coin", restriction_p=0.25,
+            cfg, "uniform_random", MASTER, 5,
+            sums=_curve_sums((5,), cfg.horizon, restriction="coin", restriction_p=0.25),
         )
         assert coin.regret_total == base.regret_total
         np.testing.assert_array_equal(coin.curve, base.curve)
-        coins = _coin_mask(MASTER, 5, cfg.horizon, 0.25)
+        coins = _coins(MASTER, 5, cfg.horizon, 0.25)
         increments = np.diff(base.curve, prepend=0.0)
         assert coin.regret_minority == pytest.approx(float(increments[coins].sum()))
         assert coin.regret_minority < base.regret_minority
@@ -488,7 +501,7 @@ class TestTwoBridgeBatchFreqEngine:
         cfg = TwoBridgeConfig(horizon=6000, p_majority=0.0)
         batch_size = 100
         for rep in range(5):
-            res = run_two_bridge_batch_freq(cfg, MASTER, rep, batch_size, track_curve=True)
+            res = run_two_bridge_batch_freq(cfg, MASTER, rep, batch_size, sums=_curve_sums((rep,), cfg.horizon))
             kinds = _kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
             starts = np.arange(0, cfg.horizon, batch_size)
             count_b = np.add.reduceat(kinds == _B, starts)
@@ -507,19 +520,19 @@ class TestTwoBridgeBatchFreqEngine:
 
     def test_curve_reaches_total(self):
         cfg = TwoBridgeConfig(horizon=3000, p_majority=0.0)
-        res = run_two_bridge_batch_freq(cfg, MASTER, 4, 100, track_curve=True)
+        res = run_two_bridge_batch_freq(cfg, MASTER, 4, 100, sums=_curve_sums((4,), cfg.horizon))
         assert res.curve.shape == (3000,)
-        assert res.curve[-1] == pytest.approx(res.regret_total)
+        assert res.curve[-1] == res.regret_total
         assert np.all(np.diff(res.curve) >= 0)
 
     def test_coin_restriction_identity(self):
         cfg = TwoBridgeConfig(horizon=3000, p_majority=0.0)
-        base = run_two_bridge_batch_freq(cfg, MASTER, 6, 100, track_curve=True)
+        base = run_two_bridge_batch_freq(cfg, MASTER, 6, 100, sums=_curve_sums((6,), cfg.horizon))
         coin = run_two_bridge_batch_freq(
-            cfg, MASTER, 6, 100, track_curve=True, restriction="coin", restriction_p=0.5
+            cfg, MASTER, 6, 100, sums=_curve_sums((6,), cfg.horizon, restriction="coin", restriction_p=0.5)
         )
         assert coin.regret_total == base.regret_total
-        coins = _coin_mask(MASTER, 6, cfg.horizon, 0.5)
+        coins = _coins(MASTER, 6, cfg.horizon, 0.5)
         increments = np.diff(base.curve, prepend=0.0)
         assert coin.regret_minority == pytest.approx(float(increments[coins].sum()))
 
@@ -589,9 +602,9 @@ class TestPerturbedGreedyEngine:
         )
         res = run_perturbed_batch_greedy(cfg, **kwargs)
         total, minority, pred, allowance, probes = reference_perturbed_greedy(cfg, **kwargs)
-        assert res.regret_total == pytest.approx(total, abs=1e-9)
-        assert res.regret_minority == pytest.approx(minority, abs=1e-9)
-        assert res.regret_prediction == pytest.approx(pred, abs=1e-9)
+        assert res.regret_total == total
+        assert res.regret_minority == minority
+        assert res.regret_prediction == pred
         assert res.gap_allowance == pytest.approx(allowance, abs=1e-9)
         assert set(res.probe_values) == {100, 800}
         for p, v in probes.items():
@@ -727,13 +740,13 @@ class TestPerturbedGreedyEngine:
             prior_mean=PRIOR_MEAN, prior_cov=PRIOR_COV, theta=THETA,
             horizon=600, batch_size=150, master_seed=MASTER, replicate=4,
         )
-        base = run_perturbed_batch_greedy(cfg, track_curve=True, **kwargs)
+        base = run_perturbed_batch_greedy(cfg, sums=_curve_sums((4,), 600), **kwargs)
         coin = run_perturbed_batch_greedy(
-            cfg, track_curve=True, restriction="coin", restriction_p=0.25, **kwargs
+            cfg, sums=_curve_sums((4,), 600, restriction="coin", restriction_p=0.25), **kwargs
         )
         assert coin.regret_total == pytest.approx(base.regret_total)
         np.testing.assert_allclose(coin.curve, base.curve)
-        coins = _coin_mask(MASTER, 4, 600, 0.25)
+        coins = _coins(MASTER, 4, 600, 0.25)
         increments = np.diff(base.curve, prepend=0.0)
         assert coin.regret_minority == pytest.approx(
             float(increments[coins].sum()), abs=1e-9
@@ -795,18 +808,23 @@ class TestPerturbedLinUCBEngine:
             reps = LOCKSTEP_REPLICATES[first:first + block]
             results += run_perturbed_linucb(
                 cfg, params, thetas[first:first + block], LOCKSTEP_HORIZON, MASTER, reps,
-                refresh_every=LOCKSTEP_REFRESH, track_curve=True, restriction=restriction,
+                refresh_every=LOCKSTEP_REFRESH,
+                sums=_curve_sums(reps, LOCKSTEP_HORIZON, restriction=restriction),
             )
         expected = _single_replicate_runs(two_group, restriction)
         assert len(results) == len(expected)
-        for res, (total, minority, curve, Z, xr) in zip(results, expected):
+        for i, (res, (total, minority, curve, Z, xr)) in enumerate(zip(results, expected)):
             assert res.regret_total == total
             assert res.regret_minority == minority
             assert res.regret_prediction == total
-            assert np.array_equal(res.curve, curve)
             assert np.array_equal(res.final_stats.Z, Z)
             assert np.array_equal(res.final_stats.xr, xr)
-            assert res.curve[-1] == res.regret_total
+            # Only the first replicate of a block keeps its curve.
+            if i % block:
+                assert res.curve is None
+            else:
+                assert np.array_equal(res.curve, curve)
+                assert res.curve[-1] == res.regret_total
 
     @pytest.mark.parametrize("two_group", [False, True])
     def test_matches_direct_inverse_reference(self, two_group):
@@ -860,7 +878,7 @@ class TestPerturbedLinUCBEngine:
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
         )
-        res = _linucb_one(cfg, params, THETA, horizon, 6, track_curve=True)
+        res = _linucb_one(cfg, params, THETA, horizon, 6, sums=_curve_sums((6,), horizon))
         assert res.final_stats.n == horizon
         assert res.regret_prediction == res.regret_total > 0.0
         assert 0.0 <= res.regret_minority <= res.regret_total
@@ -894,17 +912,96 @@ class TestPerturbedLinUCBEngine:
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
         )
-        base = _linucb_one(cfg, params, THETA, horizon, 3, track_curve=True)
+        base = _linucb_one(cfg, params, THETA, horizon, 3, sums=_curve_sums((3,), horizon))
         coin = _linucb_one(
-            cfg, params, THETA, horizon, 3, track_curve=True,
-            restriction="coin", restriction_p=0.5,
+            cfg, params, THETA, horizon, 3,
+            sums=_curve_sums((3,), horizon, restriction="coin", restriction_p=0.5),
         )
         assert coin.regret_total == pytest.approx(base.regret_total)
-        coins = _coin_mask(MASTER, 3, horizon, 0.5)
+        coins = _coins(MASTER, 3, horizon, 0.5)
         increments = np.diff(base.curve, prepend=0.0)
         assert coin.regret_minority == pytest.approx(
             float(increments[coins].sum()), abs=1e-9
         )
+
+
+# Few, fixed examples keep the property tests to a few seconds and the same on
+# every run.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+RESTRICTIONS = st.sampled_from(["minority", "coin"])
+
+
+def _check_invariants(results, horizon, curve):
+    """Regret is nonnegative, restricted within total, and the first curve ends at the total."""
+    for i, res in enumerate(results):
+        assert res.regret_total >= 0.0
+        assert 0.0 <= res.regret_minority <= res.regret_total
+        if curve and i == 0:
+            assert res.curve.shape == (horizon,)
+            assert np.all(np.diff(res.curve) >= 0.0)
+            assert res.curve[-1] == res.regret_total
+        else:
+            assert res.curve is None
+
+
+class TestEngineInvariants:
+    @PROPERTY
+    @given(horizon=st.integers(4, 2000), policy=st.sampled_from(["linucb", "uniform_random", "oracle"]),
+           p_majority=st.sampled_from([0.0, 0.95]), inject=st.sampled_from([0.0, 0.95]),
+           noise=st.sampled_from(list(NoiseKind)), variant=st.sampled_from(["theta0", "theta1"]),
+           seed=SEEDS, replicate=st.integers(0, 50), restriction=RESTRICTIONS, curve=st.booleans())
+    def test_two_bridge_policy(self, horizon, policy, p_majority, inject, noise, variant, seed,
+                               replicate, restriction, curve):
+        cfg = TwoBridgeConfig(horizon=horizon, theta_variant=variant, noise=noise, p_majority=p_majority)
+        sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
+        res = run_two_bridge_policy(cfg, policy, seed, replicate, inject_majority_rate=inject, sums=sums)
+        _check_invariants([res], horizon, curve)
+        assert res.regret_prediction == res.regret_total
+
+    @PROPERTY
+    @given(horizon=st.integers(4, 2000), batch_frac=st.floats(0.0, 1.0),
+           p_majority=st.sampled_from([0.0, 0.95]), noise=st.sampled_from(list(NoiseKind)),
+           seed=SEEDS, replicate=st.integers(0, 50), restriction=RESTRICTIONS, curve=st.booleans())
+    def test_two_bridge_batch_freq(self, horizon, batch_frac, p_majority, noise, seed, replicate,
+                                   restriction, curve):
+        cfg = TwoBridgeConfig(horizon=horizon, noise=noise, p_majority=p_majority)
+        batch = 1 + int(batch_frac * (horizon - 1))
+        sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
+        res = run_two_bridge_batch_freq(cfg, seed, replicate, batch, sums=sums)
+        _check_invariants([res], horizon, curve)
+
+    @PROPERTY
+    @given(horizon=st.integers(2, 300), batch_frac=st.floats(0.0, 1.0), two_group=st.booleans(),
+           acting=st.sampled_from(["freq", "bayes"]), seed=SEEDS, replicate=st.integers(0, 50),
+           restriction=RESTRICTIONS, curve=st.booleans())
+    def test_perturbed_batch_greedy(self, horizon, batch_frac, two_group, acting, seed, replicate,
+                                    restriction, curve):
+        cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        batch = 1 + int(batch_frac * (horizon - 1))
+        sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
+        res = run_perturbed_batch_greedy(
+            cfg, PRIOR_MEAN, PRIOR_COV, THETA, horizon, batch, seed, replicate, acting=acting, sums=sums,
+        )
+        _check_invariants([res], horizon, curve)
+        assert res.regret_prediction >= 0.0
+        if acting == "bayes":
+            assert res.regret_prediction == res.regret_total
+
+    @PROPERTY
+    @given(horizon=st.integers(2, 120), two_group=st.booleans(), seed=SEEDS,
+           first=st.integers(0, 50), block=st.integers(1, 3), restriction=RESTRICTIONS,
+           curve=st.booleans())
+    def test_perturbed_linucb(self, horizon, two_group, seed, first, block, restriction, curve):
+        cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        # Widths for a longer horizon: the parameters need one beyond their norm bound.
+        params = LinUCBParams.for_perturbed(d=2, n_actions=2, horizon=200, rho=cfg.rho, prior_mean=PRIOR_MEAN)
+        reps = tuple(range(first, first + block))
+        thetas = np.array([THETA + 0.2 * stream(seed, rep, Purpose.THETA).standard_normal(2) for rep in reps])
+        sums = RegretSums(seed, reps, horizon, restriction, 0.5, curve)
+        results = run_perturbed_linucb(cfg, params, thetas, horizon, seed, reps, sums=sums)
+        assert len(results) == block
+        _check_invariants(results, horizon, curve)
 
 
 class TestCatalogArrays:

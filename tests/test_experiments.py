@@ -323,8 +323,9 @@ class TestExperimentCurves:
         engine = experiments.run_two_bridge_policy
 
         def counted(*args, **kwargs):
-            calls.append(kwargs["track_curve"])
-            return engine(*args, **kwargs)
+            res = engine(*args, **kwargs)
+            calls.append(res.curve is not None)
+            return res
 
         monkeypatch.setattr(experiments, "run_two_bridge_policy", counted)
         result = run_experiment(cfg, workers=1)

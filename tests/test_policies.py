@@ -7,6 +7,7 @@ import pytest
 
 from banditsim.core import ContextRound, Group
 from banditsim.engines import _B, _kind_codes, closed_form_ucb, run_two_bridge_policy
+from banditsim.metrics import RegretSums
 from banditsim.environments import BOTTOM, TOP, TwoBridgeConfig
 from banditsim.estimators import SufficientStats, ols_estimate
 from banditsim.policies import (
@@ -251,7 +252,7 @@ class TestLinUCBWarmBehavior:
                 20260814,
                 rep,
                 params=LinUCBParams.for_two_bridge(horizon),
-                track_curve=True,
+                sums=RegretSums(20260814, (rep,), horizon, curve=True),
             )
             increments = np.diff(res.curve, prepend=0.0) > 0
             codes = _kind_codes(cfg, stream(20260814, rep, Purpose.CONTEXTS), horizon)
