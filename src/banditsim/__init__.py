@@ -2,7 +2,7 @@
 
 The package provides the instances (two-bridge routing and perturbed-context
 populations), vectorized engines for the policies under study (LinUCB and the
-batched greedy family), the estimators and decision rules they use, the
+batched greedy family), the estimators and confidence widths they use, the
 reward simulation construction used to audit batched data, and a seeded
 experiment harness with a CSV-emitting CLI.
 """
@@ -16,7 +16,6 @@ from .config import (
 )
 from .core import (
     ConfigurationError,
-    ContextRound,
     Group,
     NoiseKind,
     as_context,
@@ -24,27 +23,14 @@ from .core import (
 )
 from .csvio import ResultRow, emit_csv, parse_csv
 from .environments import (
-    BOTTOM,
-    TOP,
     CatalogEntry,
     PerturbedConfig,
     TwoBridgeConfig,
     draw_theta,
 )
-from .estimators import (
-    SufficientStats,
-    bayes_posterior_mean,
-    min_eigenvalue,
-    ols_estimate,
-)
-from .metrics import bayesian_regret, instantaneous_regret, scaling_exponent
-from .policies import (
-    LinUCBParams,
-    greedy_select,
-    interval_width,
-    linucb_scores,
-    suggested_batch_size,
-)
+from .estimators import SufficientStats, min_eigenvalue, ols_estimate
+from .metrics import bayesian_regret, scaling_exponent
+from .policies import LinUCBParams, interval_width, suggested_batch_size
 from .experiments import (
     ExperimentResult,
     ReplicateError,

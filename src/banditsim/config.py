@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .core import ConfigurationError
-from .experiments import EXPERIMENT_SPECS
+from .experiments import EXPERIMENT_SPECS, check_linucb
 
 
 class ConfigError(ConfigurationError):
@@ -222,7 +222,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"policy '{p}' is not valid for {cfg.experiment}; allowed: {', '.join(spec.policies)}"
             )
-    problem = spec.check(cfg)
+    problem = spec.check(cfg) or check_linucb(cfg)
     if problem:
         raise ConfigError(problem)
 

@@ -10,9 +10,6 @@ import numpy as np
 
 from .core import ConfigurationError, Group, NoiseKind, as_context
 
-TOP = np.array([1.0, 0.0])
-BOTTOM = np.array([0.0, 1.0])
-
 THETA_VARIANTS = ("theta0", "theta1")
 
 

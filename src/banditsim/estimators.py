@@ -33,10 +33,6 @@ class SufficientStats:
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "xr", xr)
 
-    @classmethod
-    def empty(cls, d: int) -> "SufficientStats":
-        return cls(np.zeros((d, d)), np.zeros(d), 0)
-
     @property
     def dim(self) -> int:
         return self.Z.shape[0]
@@ -112,15 +108,6 @@ def posterior_mean(stats: SufficientStats, prior: GaussianPrior) -> np.ndarray:
     if stats.n == 0:
         return prior.mean.copy()
     return _solve_spd(stats.Z + prior.precision, stats.xr + prior.shift)
-
-
-def bayes_posterior_mean(
-    stats: SufficientStats,
-    prior_mean: np.ndarray,
-    prior_cov: np.ndarray,
-) -> np.ndarray:
-    """Posterior mean under the prior (prior_mean, prior_cov); see ``posterior_mean``."""
-    return posterior_mean(stats, gaussian_prior(prior_mean, prior_cov))
 
 
 def min_eigenvalue(M: np.ndarray) -> float:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .core import Group, NoiseKind
 from .csvio import ResultRow
@@ -94,8 +93,7 @@ def build_instance(cfg: ExperimentConfig):
 
     The catalog and prior mean are keyed by ``catalog_seed`` (not the master
     seed), so reseeding an experiment varies the noise but not the instance.
-    The prior mean norm is pushed up to 1 + sqrt(3 ln T_max), the regime the
-    LinUCB width parameters assume.
+    The prior mean is scaled to norm ``prior_mean_norm(cfg)``.
     """
     rng = stream(cfg.catalog_seed, 0, Purpose.CATALOG)
     two_group = cfg.minority_prob > 0
@@ -119,10 +117,23 @@ def build_instance(cfg: ExperimentConfig):
     instance = PerturbedConfig(tuple(entries), rho=cfg.rho, minority_prob=cfg.minority_prob)
 
     raw = rng.standard_normal(cfg.d)
-    target = 1.0 + math.sqrt(3.0 * math.log(max(cfg.horizons)))
-    prior_mean = raw * (target / max(float(np.linalg.norm(raw)), 1e-12))
+    prior_mean = raw * (prior_mean_norm(cfg) / max(float(np.linalg.norm(raw)), 1e-12))
     prior_cov = cfg.prior_scale**2 * np.eye(cfg.d)
     return instance, prior_mean, prior_cov
+
+
+def prior_mean_norm(cfg: ExperimentConfig) -> float:
+    """Norm of the perturbed prior mean, 1 + sqrt(3 ln T_max): the regime the
+    LinUCB width parameters assume."""
+    return 1.0 + math.sqrt(3.0 * math.log(max(cfg.horizons)))
+
+
+def _two_bridge_params(cfg: ExperimentConfig, horizon: int) -> LinUCBParams:
+    return LinUCBParams.for_two_bridge(horizon, ridge=cfg.ridge, enforce_floor=cfg.enforce_width_floor)
+
+
+def _perturbed_params(cfg: ExperimentConfig, horizon: int, prior_norm: float) -> LinUCBParams:
+    return LinUCBParams.for_perturbed(cfg.d, cfg.n_actions, horizon, cfg.rho, prior_norm, ridge=cfg.ridge)
 
 
 def minority_only_instance(instance: PerturbedConfig) -> PerturbedConfig:
@@ -195,9 +206,7 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
         p_majority=p_majority,
     )
 
-    params = LinUCBParams.for_two_bridge(
-        horizon, ridge=cfg.ridge, enforce_floor=cfg.enforce_width_floor
-    )
+    params = _two_bridge_params(cfg, horizon)
     sums = RegretSums(cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, track_curve)
     if policy == "batch_freq_greedy":
         res = run_two_bridge_batch_freq(base, cfg.master_seed, rep, cfg.batch, sums=sums)
@@ -247,10 +256,7 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
         run_catalog = catalog
         if policy == "linucb_minority":
             run_catalog = minority_only_instance(catalog)
-        params = LinUCBParams.for_perturbed(
-            cfg.d, cfg.n_actions, horizon, cfg.rho, prior_mean,
-            ridge=cfg.ridge if cfg.ridge > 0 else 1.0,
-        )
+        params = _perturbed_params(cfg, horizon, float(np.linalg.norm(prior_mean)))
         results = run_perturbed_linucb(
             run_catalog, params, np.array(thetas), horizon, cfg.master_seed, reps,
             sums=RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, track_curve),
@@ -304,17 +310,47 @@ def _jobs_for(cfg: ExperimentConfig, instance) -> list:
     job that holds replicate 0 of a cell also tracks its regret curve, which
     draws nothing and changes no total.
     """
-    comparator = EXPERIMENT_SPECS[cfg.experiment].comparator
     jobs = []
-    for policy in cfg.policies:
-        linucb = policy.startswith("linucb")
-        block = LINUCB_BLOCK if linucb and instance is not None else 1
-        for horizon in cfg.horizons:
-            used = linucb_comparator_horizon(horizon, cfg.batch) if linucb and comparator else horizon
-            for first in range(0, cfg.replicates, block):
-                reps = tuple(range(first, min(first + block, cfg.replicates)))
-                jobs.append((cfg, instance, policy, used, reps, first == 0))
+    for policy, horizon in _cells(cfg):
+        block = LINUCB_BLOCK if policy.startswith("linucb") and instance is not None else 1
+        for first in range(0, cfg.replicates, block):
+            reps = tuple(range(first, min(first + block, cfg.replicates)))
+            jobs.append((cfg, instance, policy, horizon, reps, first == 0))
     return jobs
+
+
+def _cells(cfg: ExperimentConfig) -> list:
+    """(policy, horizon) of every cell a run covers.  A LinUCB policy of an
+    experiment with a comparator runs at ``linucb_comparator_horizon``."""
+    comparator = EXPERIMENT_SPECS[cfg.experiment].comparator
+    return [
+        (policy, linucb_comparator_horizon(horizon, cfg.batch)
+         if comparator and policy.startswith("linucb") else horizon)
+        for policy in cfg.policies for horizon in cfg.horizons
+    ]
+
+
+def check_linucb(cfg: ExperimentConfig) -> str | None:
+    """Why a job of the run could not build its LinUCB parameters, or None.
+
+    Builds the parameters the jobs build, at the horizons they run: every
+    two-bridge job builds them, whatever its policy; on perturbed instances
+    only LinUCB does, and its engine needs a positive ridge.
+    """
+    family = EXPERIMENT_SPECS[cfg.experiment].family
+    for policy, horizon in _cells(cfg):
+        try:
+            if family == "two_bridge":
+                _two_bridge_params(cfg, horizon)
+            elif family == "perturbed" and policy.startswith("linucb"):
+                if cfg.ridge <= 0:
+                    return (f"ridge must be positive for {policy} on {cfg.experiment}: "
+                            "its engine starts from (ridge I)^-1")
+                _perturbed_params(cfg, horizon, prior_mean_norm(cfg))
+        except ValueError as exc:
+            at = f"T = {horizon}" if horizon in cfg.horizons else f"T // batch = {horizon}"
+            return f"{policy} on {cfg.experiment} cannot run at {at}: its LinUCB parameters fail ({exc})"
+    return None
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
@@ -622,13 +658,36 @@ EXPERIMENT_SPECS = {
 }
 
 
+def ks_2samp_equal(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Two-sided two-sample KS test for samples of equal size m: (D, p-value).
+
+    D is the largest gap between the two empirical CDFs.  The p-value is the
+    exact P(D >= h/m), h = round(D m), from the Gnedenko-Korolyuk sum
+    2 sum_{j>=1} (-1)^(j+1) C(2m, m - jh) / C(2m, m), whose binomial ratios
+    are the partial products of (m - t + 1)/(m + t), summed here in logs.
+    """
+    m = x.size
+    if y.size != m:
+        raise ValueError("the KS samples must have equal size")
+    x, y = np.sort(x), np.sort(y)
+    both = np.concatenate([x, y])
+    gaps = np.searchsorted(x, both, side="right") / m - np.searchsorted(y, both, side="right") / m
+    statistic = float(np.abs(gaps).max())
+    h = round(statistic * m)
+    if h == 0:
+        return statistic, 1.0
+    t = np.arange(1, m + 1)
+    terms = np.exp(np.cumsum(np.log((m - t + 1) / (m + t)))[h - 1::h])
+    return statistic, min(1.0, float(2.0 * (terms[0::2].sum() - terms[1::2].sum())))
+
+
 def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draws: int) -> dict:
     """Audit the reward-simulation construction on one diverse batch.
 
     Builds a batch by running batched greedy on the perturbed instance,
     draws targets inside the batch's diversity radius, and compares the
     simulated reward law against direct draws with a two-sample KS test per
-    target at level 0.01.
+    target at level 0.01 (``ks_2samp_equal``).
     """
     instance, prior_mean, prior_cov = build_instance(cfg)
     theta = draw_theta_for_replicate(cfg, prior_mean, prior_cov, 0)
@@ -665,8 +724,8 @@ def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draw
             draws = batch_means[None, :] + rng.standard_normal((m, x_batch.shape[0]))
             sims[start:start + m] = simulate_reward_many(w, draws, rng)
         direct = float(theta @ x) + rng.standard_normal(n_draws)
-        ks = scipy_stats.ks_2samp(sims, direct)
-        reject = bool(ks.pvalue < alpha)
+        statistic, p_value = ks_2samp_equal(sims, direct)
+        reject = bool(p_value < alpha)
         rejections += int(reject)
         targets.append(
             {
@@ -674,8 +733,8 @@ def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draw
                 "weight_norm": float(np.linalg.norm(w.w)),
                 "residual_var": w.residual_var,
                 "reconstruction_error": recon,
-                "ks_statistic": float(ks.statistic),
-                "p_value": float(ks.pvalue),
+                "ks_statistic": statistic,
+                "p_value": p_value,
                 "reject": reject,
             }
         )

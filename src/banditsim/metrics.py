@@ -1,4 +1,4 @@
-"""Per-round regret, round-ordered regret sums, replicate summaries, and scaling fits.
+"""Round-ordered regret sums, replicate summaries, and scaling fits.
 
 Every engine sums regret through ``RegretSums``: running sums that add the
 rounds one at a time in round order.  A replicate's total, its restricted sum
@@ -12,17 +12,7 @@ import math
 
 import numpy as np
 
-from .core import ContextRound
 from .rng import Purpose, stream
-
-
-def instantaneous_regret(theta: np.ndarray, round_: ContextRound, chosen: int) -> float:
-    """Best available mean reward minus the chosen action's mean reward."""
-    if not round_.is_available(chosen):
-        raise ValueError(f"chosen action {chosen} is unavailable in round {round_.round_index}")
-    theta = np.asarray(theta, dtype=float)
-    vals = [float(theta @ round_.contexts[a]) for a in round_.available_indices()]
-    return max(vals) - float(theta @ round_.contexts[chosen])
 
 
 def running_sum(prev, inst: np.ndarray):

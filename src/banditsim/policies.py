@@ -1,19 +1,10 @@
-"""Decision rules: LinUCB parameters, widths and scores, greedy picks, and the
-batch-size and context-norm bounds of perturbed instances.
-
-The engines use the parameters, widths and bounds.  The per-round scores and
-greedy picks define the decisions that the engines are checked against.
-"""
+"""Decision rules: LinUCB parameters and widths, and the batch-size and
+context-norm bounds of perturbed instances."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .core import ContextRound
-from .estimators import SINGULAR_CUTOFF, SufficientStats
 
 
 @dataclass(frozen=True)
@@ -27,7 +18,6 @@ class LinUCBParams:
     L: float
     S: float
     horizon: int
-    c0: float = 1.0
     ridge: float = 0.0
     width_floor: float = 0.0
 
@@ -38,8 +28,6 @@ class LinUCBParams:
             raise ValueError("L must be at least 1")
         if not 0.0 < self.S < self.horizon:
             raise ValueError("S must be positive and smaller than the horizon")
-        if self.c0 < 1.0:
-            raise ValueError("c0 must be at least 1")
         if self.ridge < 0.0:
             raise ValueError("ridge must be nonnegative")
         if self.width_floor < 0.0:
@@ -65,16 +53,17 @@ class LinUCBParams:
         n_actions: int,
         horizon: int,
         rho: float,
-        prior_mean: np.ndarray,
+        prior_norm: float,
         ridge: float = 1.0,
     ) -> "LinUCBParams":
         """Default bounds for perturbed-context instances.
 
         L bounds context norms with high probability and S bounds the latent
-        weight norm under a unit-covariance prior.
+        weight norm under a unit-covariance prior whose mean has norm
+        ``prior_norm``.
         """
         big_l = 1.0 + rho * math.sqrt(2.0 * d * math.log(2.0 * horizon**3 * n_actions * d))
-        big_s = float(np.linalg.norm(prior_mean)) + math.sqrt(3.0 * d * math.log(horizon))
+        big_s = prior_norm + math.sqrt(3.0 * d * math.log(horizon))
         return cls(L=max(1.0, big_l), S=big_s, horizon=horizon, ridge=ridge)
 
 
@@ -85,71 +74,8 @@ def interval_width(t_obs: int, params: LinUCBParams, d: int) -> float:
     if d < 1:
         raise ValueError("dimension must be at least 1")
     t_total = params.horizon
-    val = params.S + math.sqrt(
-        d * params.c0 * math.log(t_total + t_obs * t_total * params.L**2)
-    )
+    val = params.S + math.sqrt(d * math.log(t_total + t_obs * t_total * params.L**2))
     return max(params.width_floor, val)
-
-
-def _ucb_terms(stats: SufficientStats, ridge: float):
-    """Point estimate and a quadratic-form evaluator for the width term.
-
-    With ridge 0 and singular Z the evaluator returns ``inf`` for any vector
-    touching the null space of Z, which forces exploration of unseen
-    directions.
-    """
-    d = stats.dim
-    if ridge > 0.0:
-        A = stats.Z + ridge * np.eye(d)
-        A_inv = np.linalg.inv(A)
-        A_inv = 0.5 * (A_inv + A_inv.T)
-        theta_hat = A_inv @ stats.xr
-
-        def quad(x: np.ndarray) -> float:
-            return float(x @ A_inv @ x)
-
-        return theta_hat, quad
-
-    vals, vecs = np.linalg.eigh(stats.Z)
-    cutoff = SINGULAR_CUTOFF * max(float(vals.max(initial=0.0)), 1e-300)
-    keep = vals > cutoff
-    inv_vals = np.zeros_like(vals)
-    inv_vals[keep] = 1.0 / vals[keep]
-    theta_hat = (vecs * inv_vals) @ (vecs.T @ stats.xr)
-
-    def quad(x: np.ndarray) -> float:
-        comps = vecs.T @ x
-        null_mass = float(np.linalg.norm(comps[~keep])) if (~keep).any() else 0.0
-        if null_mass > 1e-9 * max(1.0, float(np.linalg.norm(x))):
-            return math.inf
-        return float(np.sum(comps[keep] ** 2 * inv_vals[keep]))
-
-    return theta_hat, quad
-
-
-def linucb_scores(round_: ContextRound, stats: SufficientStats, f: float, ridge: float) -> np.ndarray:
-    """Upper confidence bounds per action slot; unavailable slots score -inf."""
-    theta_hat, quad = _ucb_terms(stats, ridge)
-    scores = np.full(round_.n_actions, -math.inf)
-    for a in round_.available_indices():
-        x = round_.contexts[a]
-        q = quad(x)
-        if math.isinf(q):
-            scores[a] = math.inf
-        else:
-            scores[a] = float(x @ theta_hat) + f * math.sqrt(max(q, 0.0))
-    return scores
-
-
-def greedy_select(round_: ContextRound, estimate: np.ndarray) -> int:
-    """Greedy action under a point estimate; ties go to the lowest index."""
-    estimate = np.asarray(estimate, dtype=float)
-    best, best_val = -1, -math.inf
-    for a in round_.available_indices():
-        val = float(round_.contexts[a] @ estimate)
-        if val > best_val:
-            best, best_val = a, val
-    return best
 
 
 def suggested_batch_size(

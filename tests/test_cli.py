@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, overrides, exit codes, outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import banditsim
 
 import banditsim.experiments as experiments
 from banditsim.cli import main
@@ -25,6 +31,17 @@ def config_path(tmp_path):
     return str(path)
 
 
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        # SciPy is a test dependency only; a command must not pay its import.
+        src = str(Path(banditsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, banditsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
+
 class TestListAndDefaults:
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
@@ -39,11 +56,12 @@ class TestListAndDefaults:
         assert table["global"]["replicates"] == 200
         assert set(table["experiments"]) == set(EXPERIMENTS)
 
-    def test_print_defaults_round_trips_through_parser(self, capsys):
-        assert main(["print-defaults", "--experiment", "GreedyVsLinUCB"]) == 0
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_print_defaults_round_trips_through_parser(self, experiment, capsys):
+        assert main(["print-defaults", "--experiment", experiment]) == 0
         text = capsys.readouterr().out
         cfg = parse_config(text)
-        assert cfg == parse_config("experiment = GreedyVsLinUCB")
+        assert cfg == parse_config(f"experiment = {experiment}")
 
 
 class TestRun:
@@ -201,6 +219,31 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert "GreedyVsLinUCB takes one horizon" in err["message"]
+
+    @pytest.mark.parametrize("experiment, sets, message", [
+        ("TwoBridgeLinUCB", ["horizons=2,3", "policies=oracle"], "oracle on TwoBridgeLinUCB cannot run at T = 2"),
+        ("ScalingFit", ["horizons=6,7,8", "policies=linucb"], "linucb on ScalingFit cannot run at T = 6"),
+        ("ScalingFit", ["horizons=10,100000", "policies=linucb"], "linucb on ScalingFit cannot run at T = 10"),
+        ("GreedyVsLinUCB", ["horizons=1000"], "linucb on GreedyVsLinUCB cannot run at T // batch = 5"),
+        ("ExternalityVanishing", ["horizons=1000"], "cannot run at T // batch = 5"),
+    ], ids=["two-bridge", "scaling-short", "scaling-wide", "greedy-comparator", "externality-comparator"])
+    def test_horizon_too_short_for_linucb_exit_2(self, experiment, sets, message, capsys):
+        argv = ["run", "--experiment", experiment, "--replicates", "1", "--out", "-", "--workers", "1"]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+        assert "S must be positive and smaller than the horizon" in err["message"]
+
+    def test_zero_ridge_with_perturbed_linucb_exit_2(self, capsys):
+        argv = ["run", "--experiment", "ScalingFit", "--set", "ridge=0", "--set", "horizons=200,400,800",
+                "--replicates", "1", "--out", "-", "--workers", "1"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "ridge must be positive for linucb on ScalingFit" in err["message"]
 
     def test_unwritable_output_exit_2(self, config_path, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

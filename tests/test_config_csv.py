@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditsim.config import (
     ConfigError,
@@ -120,13 +122,15 @@ class TestParseConfig:
     def test_audit_needs_a_full_diverse_batch(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(f"experiment = SimulationVerify\n{text}")
-        assert parse_config(f"experiment = ScalingFit\n{text}").experiment == "ScalingFit"
+        # LinUCB cannot run at T = 2, so the control runs greedy only.
+        control = f"experiment = ScalingFit\npolicies = batch_freq_greedy\n{text}"
+        assert parse_config(control).experiment == "ScalingFit"
 
     @pytest.mark.parametrize("experiment", ["GreedyVsLinUCB", "ExternalityVanishing"])
     def test_comparator_experiments_take_one_horizon(self, experiment):
         with pytest.raises(ConfigError, match=f"{experiment} takes one horizon"):
             parse_config(f"experiment = {experiment}\nhorizons = 400, 410\nbatch = 20")
-        assert parse_config(f"experiment = {experiment}\nhorizons = 400").horizons == (400,)
+        assert parse_config(f"experiment = {experiment}\nhorizons = 400\nbatch = 20").horizons == (400,)
         assert parse_config("experiment = ScalingFit\nhorizons = 400, 410, 420").horizons == (400, 410, 420)
 
     def test_duplicate_horizons_rejected(self):
@@ -225,7 +229,36 @@ def _row(policy="linucb", horizon=100, replicate=0, total=1.0) -> ResultRow:
     )
 
 
+def _bits(row: ResultRow) -> tuple:
+    """A row with its floats as hex, so that -0.0 and 0.0 differ."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308])
+ROWS = st.lists(
+    st.builds(
+        ResultRow,
+        experiment=st.sampled_from(EXPERIMENTS),
+        policy=st.sampled_from(["linucb", "linucb_full", "batch_bayes_greedy", "oracle"]),
+        horizon=st.integers(2, 10**7),
+        replicate=st.integers(0, 10**5),
+        seed=st.integers(0, 2**64 - 1),
+        regret_total=FINITE,
+        regret_minority=FINITE,
+        regret_prediction=FINITE,
+        theta_draw_id=st.integers(0, 10**5),
+    ),
+    max_size=12,
+)
+
+
 class TestCsv:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=ROWS)
+    def test_round_trip_property(self, rows):
+        parsed = parse_csv(emit_csv(rows))
+        assert [_bits(r) for r in parsed] == [_bits(r) for r in sorted(rows, key=ResultRow.sort_key)]
+
     def test_header_only(self):
         assert emit_csv([]) == ",".join(HEADER) + "\n"
 

@@ -5,10 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from banditsim.core import ContextRound, Group, as_context, last_batch_end
-
-TOP = np.array([1.0, 0.0])
-BOTTOM = np.array([0.0, 1.0])
+from banditsim.core import Group, as_context, last_batch_end
+from oracles import BOTTOM, TOP, ContextRound
 
 
 class TestAsContext:

@@ -2,10 +2,10 @@
 
 Each reference below consumes the replicate streams in the engine's exact
 order but re-derives every decision through the generic building blocks
-(sufficient statistics, interval widths, greedy/UCB selection, posterior
-means) instead of the engines' closed-form shortcuts.  The lockstep LinUCB
-engine is also held bit for bit to a single-replicate loop with the same
-arithmetic.
+(sufficient statistics, interval widths, and the per-round greedy/UCB
+selection, regret and posterior means of ``oracles``) instead of the engines'
+closed-form shortcuts.  The lockstep LinUCB engine is also held bit for bit
+to a single-replicate loop with the same arithmetic.
 """
 
 import functools
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsim.core import ContextRound, Group, NoiseKind, last_batch_end
+from banditsim.core import Group, NoiseKind, last_batch_end
 from banditsim.engines import (
     _A,
     _B,
@@ -33,17 +33,20 @@ from banditsim.engines import (
     run_two_bridge_batch_freq,
     run_two_bridge_policy,
 )
-from banditsim.environments import (
+from banditsim.environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig
+from banditsim.estimators import SufficientStats, ols_estimate
+from banditsim.metrics import RegretSums
+from banditsim.policies import LinUCBParams, interval_width
+from banditsim.rng import Purpose, stream
+from oracles import (
     BOTTOM,
     TOP,
-    CatalogEntry,
-    PerturbedConfig,
-    TwoBridgeConfig,
+    ContextRound,
+    bayes_posterior_mean,
+    greedy_select,
+    instantaneous_regret,
+    linucb_scores,
 )
-from banditsim.estimators import SufficientStats, bayes_posterior_mean, ols_estimate
-from banditsim.metrics import RegretSums, instantaneous_regret
-from banditsim.policies import LinUCBParams, greedy_select, interval_width, linucb_scores
-from banditsim.rng import Purpose, stream
 
 MASTER = 20260814
 B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
@@ -586,6 +589,7 @@ def _fixed_pair_catalog() -> PerturbedConfig:
 
 
 PRIOR_MEAN = np.array([0.4, 0.2])
+PRIOR_NORM = float(np.linalg.norm(PRIOR_MEAN))
 PRIOR_COV = np.eye(2)
 THETA = np.array([0.7, -0.3])
 
@@ -777,7 +781,7 @@ def _lockstep_thetas():
 def _single_replicate_runs(two_group: bool, restriction: str) -> tuple:
     cfg = _two_group_catalog() if two_group else _one_group_catalog()
     params = LinUCBParams.for_perturbed(
-        d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_mean=PRIOR_MEAN
+        d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_norm=PRIOR_NORM
     )
     return tuple(
         single_replicate_linucb(
@@ -800,7 +804,7 @@ class TestPerturbedLinUCBEngine:
 
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         params = LinUCBParams.for_perturbed(
-            d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_mean=PRIOR_MEAN
+            d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         thetas = _lockstep_thetas()
         results = []
@@ -831,7 +835,7 @@ class TestPerturbedLinUCBEngine:
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         horizon = 400
         params = LinUCBParams.for_perturbed(
-            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
+            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         res = _linucb_one(cfg, params, THETA, horizon, 1)
         total, minority = reference_perturbed_linucb(cfg, params, THETA, horizon, MASTER, 1)
@@ -843,7 +847,7 @@ class TestPerturbedLinUCBEngine:
         # count the stacked inversions: one per refresh period for the block.
         cfg = _one_group_catalog()
         params = LinUCBParams.for_perturbed(
-            d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_mean=PRIOR_MEAN
+            d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         calls = []
         inv = np.linalg.inv
@@ -864,7 +868,7 @@ class TestPerturbedLinUCBEngine:
         cfg = _one_group_catalog()
         horizon = 3000
         params = LinUCBParams.for_perturbed(
-            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
+            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         cached = _linucb_one(cfg, params, THETA, horizon, 2)
         exact = _linucb_one(cfg, params, THETA, horizon, 2, refresh_every=1)
@@ -876,7 +880,7 @@ class TestPerturbedLinUCBEngine:
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         horizon = 300
         params = LinUCBParams.for_perturbed(
-            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
+            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         res = _linucb_one(cfg, params, THETA, horizon, 6, sums=_curve_sums((6,), horizon))
         assert res.final_stats.n == horizon
@@ -891,7 +895,7 @@ class TestPerturbedLinUCBEngine:
         cfg = _one_group_catalog()
         horizon = 200
         params = LinUCBParams.for_perturbed(
-            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
+            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         thetas = _lockstep_thetas()[[4, 1]]
         pair = run_perturbed_linucb(cfg, params, thetas, horizon, MASTER, (4, 1))
@@ -910,7 +914,7 @@ class TestPerturbedLinUCBEngine:
         cfg = _two_group_catalog()
         horizon = 500
         params = LinUCBParams.for_perturbed(
-            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=PRIOR_MEAN
+            d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         base = _linucb_one(cfg, params, THETA, horizon, 3, sums=_curve_sums((3,), horizon))
         coin = _linucb_one(
@@ -995,7 +999,7 @@ class TestEngineInvariants:
     def test_perturbed_linucb(self, horizon, two_group, seed, first, block, restriction, curve):
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         # Widths for a longer horizon: the parameters need one beyond their norm bound.
-        params = LinUCBParams.for_perturbed(d=2, n_actions=2, horizon=200, rho=cfg.rho, prior_mean=PRIOR_MEAN)
+        params = LinUCBParams.for_perturbed(d=2, n_actions=2, horizon=200, rho=cfg.rho, prior_norm=PRIOR_NORM)
         reps = tuple(range(first, first + block))
         thetas = np.array([THETA + 0.2 * stream(seed, rep, Purpose.THETA).standard_normal(2) for rep in reps])
         sums = RegretSums(seed, reps, horizon, restriction, 0.5, curve)

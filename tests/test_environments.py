@@ -229,7 +229,7 @@ class TestPerturbedSampling:
         horizon = 400
         if policy == "linucb":
             params = LinUCBParams.for_perturbed(
-                d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_mean=np.zeros(2)
+                d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=0.0
             )
             [res] = run_perturbed_linucb(cfg, params, [theta], horizon, 20260814, (0,))
         else:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 import banditsim.experiments as experiments
 from banditsim.config import parse_config
@@ -16,6 +17,7 @@ from banditsim.experiments import (
     WORKERS_ENV_VAR,
     build_instance,
     draw_theta_for_replicate,
+    ks_2samp_equal,
     linucb_comparator_horizon,
     minority_only_instance,
     resolve_workers,
@@ -346,3 +348,45 @@ class TestExperimentCurves:
     def test_simulation_verify_has_no_curves(self):
         cfg = _cfg("experiment = SimulationVerify\nsim_draws = 1000\nn_targets = 2\n")
         assert run_experiment(cfg).curves == {}
+
+
+class TestKsTwoSampleEqual:
+    """The audit's KS test against SciPy's ``ks_2samp`` on samples of equal size."""
+
+    @staticmethod
+    def _samples(m: int, shift: float, seed: int):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(m), rng.standard_normal(m) + shift / math.sqrt(m)
+
+    @pytest.mark.parametrize("m", [10, 200, 2000, 10_000])
+    def test_exact_p_value_matches_scipy(self, m):
+        # Up to 10 000 SciPy evaluates the same exact sum, and reports the
+        # statistic as h/m; the unrounded CDF gap i/m - j/m is off by ulps of 1.
+        for seed, shift in enumerate((0.0, 1.0, 2.0, 4.0, 6.0)):
+            x, y = self._samples(m, shift, seed)
+            ref = sps.ks_2samp(x, y)
+            statistic, p_value = ks_2samp_equal(x, y)
+            assert round(statistic * m) == round(ref.statistic * m)
+            assert statistic == pytest.approx(ref.statistic, rel=0, abs=4 * np.finfo(float).eps)
+            assert p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [25_000, 100_000])
+    def test_large_samples_keep_scipy_statistic_and_decision(self, m):
+        # Above 10 000 SciPy approximates the p-value by the one-sample law
+        # at n = m/2; the statistic is the same unrounded CDF gap.
+        decisions = set()
+        for seed, shift in enumerate((0.0, 2.0, 6.0, 8.0)):
+            x, y = self._samples(m, shift, seed)
+            ref = sps.ks_2samp(x, y)
+            statistic, p_value = ks_2samp_equal(x, y)
+            assert statistic == ref.statistic
+            assert p_value == pytest.approx(ref.pvalue, rel=0.02, abs=0)
+            assert (p_value < 0.01) == (ref.pvalue < 0.01)
+            decisions.add(p_value < 0.01)
+        assert decisions == {True, False}
+
+    def test_identical_and_unequal_samples(self):
+        x = np.random.default_rng(5).standard_normal(50)
+        assert ks_2samp_equal(x, x.copy()) == (0.0, 1.0)
+        with pytest.raises(ValueError, match="equal size"):
+            ks_2samp_equal(x, x[:-1])

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from banditsim.core import ContextRound, Group
+from banditsim.core import Group
 from banditsim.engines import CatalogArrays
-from banditsim.environments import BOTTOM, TOP, CatalogEntry, PerturbedConfig, TwoBridgeConfig
-from banditsim.metrics import (
-    bayesian_regret,
-    instantaneous_regret,
-    scaling_exponent,
-    scaling_exponent_bootstrap,
-)
+from banditsim.environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig
+from banditsim.metrics import bayesian_regret, scaling_exponent, scaling_exponent_bootstrap
 from banditsim.rng import Purpose, stream
+from oracles import BOTTOM, TOP, ContextRound, instantaneous_regret
 
 
 class TestInstantaneousRegret:

@@ -5,20 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from banditsim.core import ContextRound, Group
+from banditsim.core import Group
 from banditsim.engines import _B, _kind_codes, closed_form_ucb, run_two_bridge_policy
 from banditsim.metrics import RegretSums
-from banditsim.environments import BOTTOM, TOP, TwoBridgeConfig
+from banditsim.environments import TwoBridgeConfig
 from banditsim.estimators import SufficientStats, ols_estimate
-from banditsim.policies import (
-    LinUCBParams,
-    context_norm_bound,
-    greedy_select,
-    interval_width,
-    linucb_scores,
-    suggested_batch_size,
-)
+from banditsim.policies import LinUCBParams, context_norm_bound, interval_width, suggested_batch_size
 from banditsim.rng import Purpose, stream
+from oracles import BOTTOM, TOP, ContextRound, empty_stats, greedy_select, linucb_scores
 
 B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
 
@@ -31,14 +25,14 @@ def _linucb_pick(round_: ContextRound, stats: SufficientStats, params: LinUCBPar
 
 class TestIntervalWidth:
     def test_frozen_value(self):
-        params = LinUCBParams(L=1.0, S=1.0, horizon=10, c0=1.0)
+        params = LinUCBParams(L=1.0, S=1.0, horizon=10)
         assert interval_width(9, params, d=4) == pytest.approx(
             5.291932052578694, abs=1e-12
         )
 
     def test_formula_at_zero_observations(self):
-        params = LinUCBParams(L=2.0, S=0.5, horizon=50, c0=1.5)
-        expected = 0.5 + math.sqrt(3 * 1.5 * math.log(50))
+        params = LinUCBParams(L=2.0, S=0.5, horizon=50)
+        expected = 0.5 + math.sqrt(3 * math.log(50))
         assert interval_width(0, params, d=3) == pytest.approx(expected)
 
     def test_monotone_in_observations(self):
@@ -69,8 +63,6 @@ class TestLinUCBParams:
         with pytest.raises(ValueError):
             LinUCBParams(L=1.0, S=1.0, horizon=1)
         with pytest.raises(ValueError):
-            LinUCBParams(L=1.0, S=1.0, horizon=10, c0=0.5)
-        with pytest.raises(ValueError):
             LinUCBParams(L=1.0, S=1.0, horizon=10, ridge=-1.0)
 
     def test_negative_width_floor_rejected(self):
@@ -87,7 +79,7 @@ class TestLinUCBParams:
 
     def test_perturbed_recipe(self):
         p = LinUCBParams.for_perturbed(
-            d=2, n_actions=5, horizon=1000, rho=0.3, prior_mean=np.array([0.6, 0.0])
+            d=2, n_actions=5, horizon=1000, rho=0.3, prior_norm=0.6
         )
         assert p.L == pytest.approx(
             1 + 0.3 * math.sqrt(2 * 2 * math.log(2 * 1000**3 * 5 * 2))
@@ -137,12 +129,12 @@ class TestLinUCBScores:
 
     def test_select_breaks_ties_toward_lower_index(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
-        assert _linucb_pick(B_ROUND, SufficientStats.empty(2), params) == 0
+        assert _linucb_pick(B_ROUND, empty_stats(2), params) == 0
 
     def test_single_available_action(self):
         round_ = ContextRound((BOTTOM, None), Group.MINORITY, 1)
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
-        assert _linucb_pick(round_, SufficientStats.empty(2), params) == 0
+        assert _linucb_pick(round_, empty_stats(2), params) == 0
 
     def test_zero_width_invertible_design_matches_greedy(self):
         rng = np.random.default_rng(3)
