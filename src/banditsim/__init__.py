@@ -16,18 +16,11 @@ from .config import (
 )
 from .core import (
     ConfigurationError,
-    Group,
     NoiseKind,
-    as_context,
     last_batch_end,
 )
 from .csvio import ResultRow, emit_csv, parse_csv
-from .environments import (
-    CatalogEntry,
-    PerturbedConfig,
-    TwoBridgeConfig,
-    draw_theta,
-)
+from .environments import Catalog, TwoBridgeConfig, draw_theta
 from .estimators import SufficientStats, min_eigenvalue, ols_estimate
 from .metrics import bayesian_regret, scaling_exponent
 from .policies import LinUCBParams, interval_width, suggested_batch_size

@@ -2,8 +2,9 @@
 
 Errors print one JSON line to stderr (``{"error": ..., "message": ...}``) and
 exit nonzero: 2 for configuration and usage problems, 3 for a failed
-replicate, 4 for a failed simulation verification (too many KS rejections,
-or an audited batch too little diverse to simulate from).
+replicate or a worker process that died, 4 for a failed simulation
+verification (too many KS rejections, or an audited batch too little diverse
+to simulate from).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -205,6 +207,8 @@ def main(argv: list | None = None) -> int:
         return _fail(type(exc).__name__, str(exc), 2)
     except ReplicateError as exc:
         return _fail(type(exc).__name__, str(exc), 3)
+    except BrokenProcessPool as exc:
+        return _fail(type(exc).__name__, f"a worker process died before its jobs finished: {exc}", 3)
     except InsufficientDiversityError as exc:
         return _fail(type(exc).__name__, str(exc), 4)
     except OSError as exc:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Group, NoiseKind, last_batch_end
-from .environments import PerturbedConfig, TwoBridgeConfig
-from .estimators import gaussian_prior, ols_estimate, posterior_mean, SufficientStats
+from .core import NoiseKind, last_batch_end
+from .environments import Catalog, TwoBridgeConfig
+from .estimators import GaussianPrior, ols_estimate, posterior_mean, SufficientStats
 from .metrics import RegretSums, running_sum
 from .policies import LinUCBParams, interval_width
 from .rng import Purpose, stream
@@ -245,39 +245,12 @@ def run_two_bridge_batch_freq(
     )
 
 
-@dataclass(frozen=True)
-class CatalogArrays:
-    """Dense catalog representation for the vectorized perturbed engines."""
-
-    means: np.ndarray      # (n_entries, K, d), unavailable slots zeroed
-    avail: np.ndarray      # (n_entries, K) bool
-    weights: np.ndarray    # (n_entries,) normalized per group pool
-    minority: np.ndarray   # (n_entries,) bool
-
-    @classmethod
-    def from_config(cls, cfg: PerturbedConfig) -> "CatalogArrays":
-        k, d = cfg.n_actions, cfg.dim
-        n = len(cfg.entries)
-        means = np.zeros((n, k, d))
-        avail = np.zeros((n, k), dtype=bool)
-        weights = np.empty(n)
-        minority = np.zeros(n, dtype=bool)
-        for i, e in enumerate(cfg.entries):
-            weights[i] = e.weight
-            minority[i] = e.group is Group.MINORITY
-            for a, m in enumerate(e.means):
-                if m is not None:
-                    means[i, a] = m
-                    avail[i, a] = True
-        return cls(means, avail, weights, minority)
-
-
-def _draw_entry_indices(cat: CatalogArrays, minority_prob: float, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_entry_indices(cat: Catalog, n: int, rng: np.random.Generator) -> np.ndarray:
     """Group-first weighted entry draw, one or two uniforms per round."""
-    if minority_prob <= 0.0:
+    if cat.minority_prob <= 0.0:
         cum = np.cumsum(cat.weights / cat.weights.sum())
         return np.searchsorted(cum, rng.random(n), side="right")
-    is_min = rng.random(n) < minority_prob
+    is_min = rng.random(n) < cat.minority_prob
     u = rng.random(n)
     idx = np.empty(n, dtype=np.int64)
     for flag in (False, True):
@@ -303,9 +276,8 @@ class PerturbedRunResult:
 
 
 def run_perturbed_batch_greedy(
-    cfg: PerturbedConfig,
-    prior_mean: np.ndarray,
-    prior_cov: np.ndarray,
+    cat: Catalog,
+    prior: GaussianPrior,
     theta: np.ndarray,
     horizon: int,
     batch_size: int,
@@ -328,9 +300,7 @@ def run_perturbed_batch_greedy(
     default it restricts to minority rounds and keeps no curve.  The
     prediction regret is summed in the same round order.
     """
-    cat = CatalogArrays.from_config(cfg)
-    d, k = cfg.dim, cfg.n_actions
-    prior = gaussian_prior(prior_mean, prior_cov)
+    d, k = cat.dim, cat.n_actions
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
     pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
     rew = stream(master_seed, replicate, Purpose.REWARDS)
@@ -340,7 +310,7 @@ def run_perturbed_batch_greedy(
     xr = np.zeros(d)
     n_obs = 0
     theta_freq = np.zeros(d)
-    theta_bay = np.asarray(prior_mean, dtype=float).copy()
+    theta_bay = prior.mean.copy()
     cold = True
 
     if sums is None:
@@ -353,8 +323,8 @@ def run_perturbed_batch_greedy(
     done = 0
     while done < horizon:
         y = min(batch_size, horizon - done)
-        idx = _draw_entry_indices(cat, cfg.minority_prob, y, ctx)
-        noise = pert.normal(0.0, cfg.rho, size=(y, k, d))
+        idx = _draw_entry_indices(cat, y, ctx)
+        noise = pert.normal(0.0, cat.rho, size=(y, k, d))
         x = cat.means[idx] + noise
         avail = cat.avail[idx]
 
@@ -428,7 +398,7 @@ NOISE_CHUNK = 1024
 
 
 def run_perturbed_linucb(
-    cfg: PerturbedConfig,
+    cat: Catalog,
     params: LinUCBParams,
     thetas: np.ndarray,
     horizon: int,
@@ -452,14 +422,13 @@ def run_perturbed_linucb(
     """
     if params.ridge <= 0.0:
         raise ValueError("the perturbed LinUCB engine needs a positive ridge")
-    cat = CatalogArrays.from_config(cfg)
-    d, k = cfg.dim, cfg.n_actions
+    d, k = cat.dim, cat.n_actions
     n = len(replicates)
     thetas = np.asarray(thetas, dtype=float).reshape(n, d)
     theta_col = thetas[:, :, None]
 
     idx = np.stack([
-        _draw_entry_indices(cat, cfg.minority_prob, horizon, stream(master_seed, rep, Purpose.CONTEXTS))
+        _draw_entry_indices(cat, horizon, stream(master_seed, rep, Purpose.CONTEXTS))
         for rep in replicates
     ])
     pert = [stream(master_seed, rep, Purpose.PERTURBATIONS) for rep in replicates]
@@ -481,7 +450,7 @@ def run_perturbed_linucb(
         # every replicate in the block.
         entries = idx[:, start:stop].T
         x_chunk = cat.means[entries] + np.stack(
-            [g.normal(0.0, cfg.rho, size=(stop - start, k, d)) for g in pert], axis=1
+            [g.normal(0.0, cat.rho, size=(stop - start, k, d)) for g in pert], axis=1
         )
         avail = cat.avail[entries]
         # r * x for every action: r is the row's true value, taken as the dot

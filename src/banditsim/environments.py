@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, Group, NoiseKind, as_context
+from .core import ConfigurationError, NoiseKind
+from .estimators import GaussianPrior
 
 THETA_VARIANTS = ("theta0", "theta1")
 
@@ -65,97 +66,70 @@ class TwoBridgeConfig:
         )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One weighted mean tuple of a perturbed-context catalog.
-
-    ``means`` holds one optional mean vector per action slot; every present
-    mean must have Euclidean norm at most 1.
-    """
-
-    weight: float
-    means: tuple
-    group: Group = Group.MAJORITY
-
-    def __post_init__(self):
-        if not isinstance(self.means, tuple):
-            object.__setattr__(self, "means", tuple(self.means))
-        if self.weight <= 0:
-            raise ConfigurationError("catalog entry weight must be positive")
-        avail = [m for m in self.means if m is not None]
-        if not avail:
-            raise ConfigurationError("catalog entry needs at least one available action")
-        first = as_context(avail[0])
-        for m in avail:
-            m = as_context(m, first.shape[0])
-            if np.linalg.norm(m) > 1.0 + 1e-12:
-                raise ConfigurationError("mean vectors must have norm at most 1")
-
-    @property
-    def dim(self) -> int:
-        for m in self.means:
-            if m is not None:
-                return np.asarray(m).shape[0]
-        raise ConfigurationError("no available mean")
-
-
-@dataclass(frozen=True)
-class PerturbedConfig:
+@dataclass(frozen=True, eq=False)
+class Catalog:
     """Finite weighted catalog of mean tuples with Gaussian context perturbations.
 
-    Each round draws one catalog entry (group first when the catalog is
-    two-group), then adds independent N(0, rho^2) noise to every coordinate of
-    every available mean.  ``minority_prob`` > 0 requires entries tagged with
-    both groups.
+    Entry ``i`` offers action slot ``a`` when ``avail[i, a]``, with mean
+    ``means[i, a]`` of norm at most 1; unavailable slots are zeroed.  Each
+    round draws one entry by weight (group first, minority with probability
+    ``minority_prob``, when that is positive), then adds independent
+    N(0, rho^2) noise to every coordinate of every slot.
     """
 
-    entries: tuple
+    means: np.ndarray     # (n, K, d)
+    avail: np.ndarray     # (n, K) bool
+    weights: np.ndarray   # (n,) positive; the draw normalizes them per group
+    minority: np.ndarray  # (n,) bool
     rho: float
     minority_prob: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+        try:
+            means = np.asarray(self.means, dtype=float)
+            avail = np.asarray(self.avail, dtype=bool)
+        except ValueError:
+            raise ConfigurationError("catalog entries must agree on d and K") from None
+        weights = np.asarray(self.weights, dtype=float)
+        minority = np.asarray(self.minority, dtype=bool)
+        n = weights.shape[0] if weights.ndim == 1 else -1
+        if n == 0:
             raise ConfigurationError("catalog must contain at least one entry")
-        d = self.entries[0].dim
-        k = len(self.entries[0].means)
-        for e in self.entries:
-            if e.dim != d or len(e.means) != k:
-                raise ConfigurationError("catalog entries must agree on d and K")
-        if self.rho < 0:
-            raise ConfigurationError("rho must be nonnegative")
-        if self.rho > 1.0 / math.sqrt(d) + 1e-12:
-            raise ConfigurationError("rho must not exceed 1/sqrt(d)")
+        if (means.ndim != 3 or means.shape[0] != n or means.shape[2] < 1
+                or avail.shape != means.shape[:2] or minority.shape != (n,)):
+            raise ConfigurationError("catalog entries must agree on d and K")
+        means = np.where(avail[:, :, None], means, 0.0)
+        if not np.all(weights > 0):
+            raise ConfigurationError("catalog entry weight must be positive")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(weights))):
+            raise ConfigurationError("catalog means and weights must be finite")
+        if not np.all(avail.any(axis=1)):
+            raise ConfigurationError("catalog entry needs at least one available action")
+        if np.any(np.linalg.norm(means, axis=2) > 1.0 + 1e-12):
+            raise ConfigurationError("mean vectors must have norm at most 1")
+        if not 0.0 <= self.rho <= 1.0 / math.sqrt(means.shape[2]) + 1e-12:
+            raise ConfigurationError("rho must lie in [0, 1/sqrt(d)]")
         if not 0.0 <= self.minority_prob < 1.0:
             raise ConfigurationError("minority_prob must lie in [0, 1)")
-        if self.minority_prob > 0:
-            groups = {e.group for e in self.entries}
-            if groups != {Group.MAJORITY, Group.MINORITY}:
-                raise ConfigurationError("two-group catalogs need entries for both groups")
+        if self.minority_prob > 0 and (minority.all() or not minority.any()):
+            raise ConfigurationError("two-group catalogs need entries for both groups")
+        for name, value in (("means", means), ("avail", avail), ("weights", weights), ("minority", minority)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.entries[0].dim
+        return self.means.shape[2]
 
     @property
     def n_actions(self) -> int:
-        return len(self.entries[0].means)
+        return self.means.shape[1]
 
-    def group_entries(self, group: Group) -> tuple:
-        return tuple(e for e in self.entries if e.group is group)
+    def minority_only(self) -> Catalog:
+        """The minority entries alone, in their order: every round is a minority round."""
+        keep = self.minority
+        return Catalog(self.means[keep], self.avail[keep], self.weights[keep], self.minority[keep], self.rho)
 
 
-def draw_theta(prior_mean: np.ndarray, prior_cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample latent weights from N(prior_mean, prior_cov) via a Cholesky factor."""
-    mean = as_context(prior_mean)
-    cov = np.asarray(prior_cov, dtype=float)
-    if cov.shape != (mean.shape[0], mean.shape[0]):
-        raise ConfigurationError("prior covariance shape does not match prior mean")
-    if not np.allclose(cov, cov.T, atol=1e-9):
-        raise ConfigurationError("prior covariance must be symmetric")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ConfigurationError("prior covariance must be positive definite") from None
-    return mean + chol @ rng.standard_normal(mean.shape[0])
+def draw_theta(prior: GaussianPrior, rng: np.random.Generator) -> np.ndarray:
+    """Sample latent weights from the prior through its Cholesky factor."""
+    return prior.mean + prior.chol @ rng.standard_normal(prior.mean.shape[0])

@@ -68,34 +68,36 @@ def ols_estimate(stats: SufficientStats) -> np.ndarray:
     return np.linalg.solve(c.T, y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPrior:
-    """A validated Gaussian prior in the form the posterior mean uses.
+    """A validated Gaussian prior N(theta_bar, Sigma) in the forms its users need.
 
-    ``precision`` is Sigma^-1 and ``shift`` is Sigma^-1 theta_bar.
+    ``precision`` is Sigma^-1 and ``shift`` is Sigma^-1 theta_bar, for the
+    posterior mean; ``chol`` is the lower Cholesky factor of Sigma, for draws.
     """
 
     mean: np.ndarray
     precision: np.ndarray
     shift: np.ndarray
+    chol: np.ndarray
 
 
 def gaussian_prior(prior_mean: np.ndarray, prior_cov: np.ndarray) -> GaussianPrior:
-    """Validate a prior and invert its covariance, once per run."""
+    """Validate a prior, then factor and invert its covariance, once per run."""
     prior_mean = np.asarray(prior_mean, dtype=float)
     prior_cov = np.asarray(prior_cov, dtype=float)
     d = prior_mean.shape[0] if prior_mean.ndim == 1 else -1
-    if d < 0 or prior_cov.shape != (d, d):
-        raise ValueError("prior mean and covariance dimensions must agree")
+    if d < 1 or prior_cov.shape != (d, d) or not np.all(np.isfinite(prior_mean)):
+        raise ConfigurationError("prior mean must be finite, with dimensions that match the covariance")
     if not np.allclose(prior_cov, prior_cov.T, atol=SYMMETRY_TOL):
         raise ConfigurationError("prior covariance must be symmetric")
     try:
-        np.linalg.cholesky(prior_cov)
+        chol = np.linalg.cholesky(prior_cov)
     except np.linalg.LinAlgError:
         raise ConfigurationError("prior covariance must be positive definite") from None
     precision = _solve_spd(prior_cov, np.eye(d))
     precision = 0.5 * (precision + precision.T)
-    return GaussianPrior(prior_mean, precision, precision @ prior_mean)
+    return GaussianPrior(prior_mean, precision, precision @ prior_mean, chol)
 
 
 def posterior_mean(stats: SufficientStats, prior: GaussianPrior) -> np.ndarray:

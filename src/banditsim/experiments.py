@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import Group, NoiseKind
+from .core import NoiseKind
 from .csvio import ResultRow
 from .engines import (
     run_perturbed_batch_greedy,
@@ -26,8 +26,8 @@ from .engines import (
     run_two_bridge_batch_freq,
     run_two_bridge_policy,
 )
-from .environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig, draw_theta
-from .estimators import min_eigenvalue
+from .environments import Catalog, TwoBridgeConfig, draw_theta
+from .estimators import gaussian_prior, min_eigenvalue
 from .metrics import RegretSums, bayesian_regret, scaling_exponent, scaling_exponent_bootstrap
 from .policies import (
     LinUCBParams,
@@ -88,38 +88,41 @@ def resolve_workers(workers: int | None) -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def build_instance(cfg: ExperimentConfig):
-    """Deterministic perturbed instance for a config: catalog, prior mean, prior cov.
+def build_instance(cfg: ExperimentConfig) -> tuple:
+    """Deterministic perturbed instance for a config: its catalog and prior.
 
     The catalog and prior mean are keyed by ``catalog_seed`` (not the master
     seed), so reseeding an experiment varies the noise but not the instance.
-    The prior mean is scaled to norm ``prior_mean_norm(cfg)``.
+    Two-group catalogs alternate majority and minority entries, each biased
+    towards its group's axis; every third entry of a catalog with more than
+    two actions lacks one slot.  The prior mean is scaled to norm
+    ``prior_mean_norm(cfg)`` and the prior covariance is prior_scale^2 I.
     """
     rng = stream(cfg.catalog_seed, 0, Purpose.CATALOG)
-    two_group = cfg.minority_prob > 0
-    entries = []
-    for j in range(cfg.catalog_size):
-        group = Group.MINORITY if (two_group and j % 2 == 1) else Group.MAJORITY
-        means = []
-        for a in range(cfg.n_actions):
-            v = rng.standard_normal(cfg.d)
+    n, k, d = cfg.catalog_size, cfg.n_actions, cfg.d
+    minority = np.zeros(n, dtype=bool)
+    if cfg.minority_prob > 0:
+        minority[1::2] = True
+    means = np.empty((n, k, d))
+    weights = np.empty(n)
+    for j in range(n):
+        for a in range(k):
+            v = rng.standard_normal(d)
             u = v / max(float(np.linalg.norm(v)), 1e-12)
-            if two_group:
-                bias = np.zeros(cfg.d)
-                bias[0 if group is Group.MAJORITY else 1] = 1.0
-                u = u + bias
+            if cfg.minority_prob > 0:
+                u[int(minority[j])] += 1.0
                 u = u / float(np.linalg.norm(u))
-            radius = 0.35 + 0.6 * rng.random()
-            means.append(radius * u)
-        if j % 3 == 2 and cfg.n_actions > 2:
-            means[j % cfg.n_actions] = None
-        entries.append(CatalogEntry(weight=0.5 + rng.random(), means=tuple(means), group=group))
-    instance = PerturbedConfig(tuple(entries), rho=cfg.rho, minority_prob=cfg.minority_prob)
+            means[j, a] = (0.35 + 0.6 * rng.random()) * u
+        weights[j] = 0.5 + rng.random()
+    avail = np.ones((n, k), dtype=bool)
+    if k > 2:
+        lacking = np.arange(2, n, 3)
+        avail[lacking, lacking % k] = False
+    catalog = Catalog(means, avail, weights, minority, cfg.rho, cfg.minority_prob)
 
-    raw = rng.standard_normal(cfg.d)
+    raw = rng.standard_normal(d)
     prior_mean = raw * (prior_mean_norm(cfg) / max(float(np.linalg.norm(raw)), 1e-12))
-    prior_cov = cfg.prior_scale**2 * np.eye(cfg.d)
-    return instance, prior_mean, prior_cov
+    return catalog, gaussian_prior(prior_mean, cfg.prior_scale**2 * np.eye(d))
 
 
 def prior_mean_norm(cfg: ExperimentConfig) -> float:
@@ -129,19 +132,11 @@ def prior_mean_norm(cfg: ExperimentConfig) -> float:
 
 
 def _two_bridge_params(cfg: ExperimentConfig, horizon: int) -> LinUCBParams:
-    return LinUCBParams.for_two_bridge(horizon, ridge=cfg.ridge, enforce_floor=cfg.enforce_width_floor)
+    return LinUCBParams.for_two_bridge(horizon, enforce_floor=cfg.enforce_width_floor)
 
 
 def _perturbed_params(cfg: ExperimentConfig, horizon: int, prior_norm: float) -> LinUCBParams:
     return LinUCBParams.for_perturbed(cfg.d, cfg.n_actions, horizon, cfg.rho, prior_norm, ridge=cfg.ridge)
-
-
-def minority_only_instance(instance: PerturbedConfig) -> PerturbedConfig:
-    """Restrict a two-group catalog to its minority entries (all rounds minority)."""
-    entries = instance.group_entries(Group.MINORITY)
-    if not entries:
-        raise ValueError("instance has no minority entries")
-    return PerturbedConfig(entries, rho=instance.rho, minority_prob=0.0)
 
 
 def linucb_comparator_horizon(horizon: int, batch: int) -> int:
@@ -223,8 +218,8 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
 
 
 def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, reps: tuple, track_curve: bool) -> list:
-    catalog, prior_mean, prior_cov = instance
-    thetas = [draw_theta_for_replicate(cfg, prior_mean, prior_cov, rep) for rep in reps]
+    catalog, prior = instance
+    thetas = [draw_theta_for_replicate(cfg, prior, rep) for rep in reps]
 
     if policy in ("batch_bayes_greedy", "batch_freq_greedy"):
         acting = "bayes" if policy == "batch_bayes_greedy" else "freq"
@@ -233,8 +228,7 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
         for rep, theta in zip(reps, thetas):
             res = run_perturbed_batch_greedy(
                 catalog,
-                prior_mean,
-                prior_cov,
+                prior,
                 theta,
                 horizon,
                 cfg.batch,
@@ -253,10 +247,8 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
                 extras.update(_lambda_checks(res.lambda_curve, cfg.rho, horizon))
             runs.append((res, extras))
     elif policy in ("linucb", "linucb_full", "linucb_minority"):
-        run_catalog = catalog
-        if policy == "linucb_minority":
-            run_catalog = minority_only_instance(catalog)
-        params = _perturbed_params(cfg, horizon, float(np.linalg.norm(prior_mean)))
+        run_catalog = catalog.minority_only() if policy == "linucb_minority" else catalog
+        params = _perturbed_params(cfg, horizon, float(np.linalg.norm(prior.mean)))
         results = run_perturbed_linucb(
             run_catalog, params, np.array(thetas), horizon, cfg.master_seed, reps,
             sums=RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, track_curve),
@@ -271,8 +263,8 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
     ]
 
 
-def draw_theta_for_replicate(cfg: ExperimentConfig, prior_mean, prior_cov, rep: int) -> np.ndarray:
-    return draw_theta(prior_mean, prior_cov, stream(cfg.master_seed, rep, Purpose.THETA))
+def draw_theta_for_replicate(cfg: ExperimentConfig, prior, rep: int) -> np.ndarray:
+    return draw_theta(prior, stream(cfg.master_seed, rep, Purpose.THETA))
 
 
 def _lambda_checks(curve: np.ndarray, rho: float, horizon: int, floor_round: int = 2000) -> dict:
@@ -335,9 +327,12 @@ def check_linucb(cfg: ExperimentConfig) -> str | None:
 
     Builds the parameters the jobs build, at the horizons they run: every
     two-bridge job builds them, whatever its policy; on perturbed instances
-    only LinUCB does, and its engine needs a positive ridge.
+    only LinUCB does, and its engine needs a positive ridge.  Two-bridge
+    LinUCB has no ridge: its closed-form bound is the ridge-free one.
     """
     family = EXPERIMENT_SPECS[cfg.experiment].family
+    if family == "two_bridge" and cfg.ridge != 0:
+        return f"ridge must be 0 on {cfg.experiment}: its LinUCB uses the ridge-free closed-form bound"
     for policy, horizon in _cells(cfg):
         try:
             if family == "two_bridge":
@@ -497,7 +492,7 @@ def _aggregate_scaling(cfg, rows, extras, aggregates) -> None:
     boot_rng = stream(cfg.master_seed, 0, Purpose.SIMULATION)
     for policy in cfg.policies:
         per_t = _per_horizon(rows, policy, "regret_total")
-        if len(per_t) < 3:
+        if len(per_t) < 3 or not all(v.mean() > 0 for v in per_t.values()):
             continue
         exponent, lo, hi = scaling_exponent_bootstrap(per_t, boot_rng, n_boot=200)
         fits[policy] = {"exponent": exponent, "ci_lo": lo, "ci_hi": hi}
@@ -689,11 +684,11 @@ def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draw
     simulated reward law against direct draws with a two-sample KS test per
     target at level 0.01 (``ks_2samp_equal``).
     """
-    instance, prior_mean, prior_cov = build_instance(cfg)
-    theta = draw_theta_for_replicate(cfg, prior_mean, prior_cov, 0)
+    catalog, prior = build_instance(cfg)
+    theta = draw_theta_for_replicate(cfg, prior, 0)
     horizon = cfg.horizons[0]
     res = run_perturbed_batch_greedy(
-        instance, prior_mean, prior_cov, theta, horizon, cfg.batch,
+        catalog, prior, theta, horizon, cfg.batch,
         cfg.master_seed, 0, acting="freq", track_rows=True,
     )
     n_batches = horizon // cfg.batch

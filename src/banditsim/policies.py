@@ -34,7 +34,7 @@ class LinUCBParams:
             raise ValueError("width_floor must be nonnegative")
 
     @classmethod
-    def for_two_bridge(cls, horizon: int, ridge: float = 0.0, enforce_floor: bool = True) -> "LinUCBParams":
+    def for_two_bridge(cls, horizon: int, enforce_floor: bool = True) -> "LinUCBParams":
         """Bounds for the two-bridge instance: unit basis contexts, d = 2.
 
         S follows the usual norm-bound recipe ||theta|| + sqrt(3 d ln T) with
@@ -44,7 +44,7 @@ class LinUCBParams:
         """
         floor = 2.0 * math.sqrt(math.log(horizon)) if enforce_floor else 0.0
         big_s = 1.0 / math.sqrt(2.0) + math.sqrt(6.0 * math.log(horizon))
-        return cls(L=1.0, S=big_s, horizon=horizon, ridge=ridge, width_floor=floor)
+        return cls(L=1.0, S=big_s, horizon=horizon, width_floor=floor)
 
     @classmethod
     def for_perturbed(

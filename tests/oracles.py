@@ -1,6 +1,7 @@
 """Per-round references that the vectorized engines are checked against.
 
-One ``ContextRound`` holds one round's available actions.  ``linucb_scores``,
+One ``ContextRound`` holds one round's available actions, each a vector that
+``as_context`` validates, and the ``Group`` of the round.  ``linucb_scores``,
 ``greedy_select`` and ``instantaneous_regret`` decide and score that round
 alone, and ``bayes_posterior_mean`` validates and inverts the prior on every
 call.  The engines in ``banditsim.engines`` make the same decisions over whole
@@ -11,15 +12,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from banditsim.core import Group, as_context
 from banditsim.estimators import SINGULAR_CUTOFF, SufficientStats, gaussian_prior, posterior_mean
 
 # The two-bridge instance's contexts: the top and the bottom bridge.
 TOP = np.array([1.0, 0.0])
 BOTTOM = np.array([0.0, 1.0])
+
+
+class Group(Enum):
+    MAJORITY = "majority"
+    MINORITY = "minority"
+
+
+def as_context(coords, d: int | None = None) -> np.ndarray:
+    """Validate coordinates and return them as a 1-d float64 vector.
+
+    Parameters
+    ----------
+    coords : array-like
+        Candidate context coordinates.
+    d : int, optional
+        Required dimension; mismatches raise ``ValueError``.
+    """
+    x = np.asarray(coords, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError("context vector must be one-dimensional and non-empty")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("context vector coordinates must be finite")
+    if d is not None and x.shape[0] != d:
+        raise ValueError(f"context vector has dimension {x.shape[0]}, expected {d}")
+    return x
 
 
 @dataclass(frozen=True)

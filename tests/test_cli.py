@@ -24,6 +24,11 @@ policies = uniform_random
 """
 
 
+def _worker_dies(job):
+    """A job that kills its worker process, as the OOM killer would."""
+    os._exit(9)
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -179,6 +184,14 @@ class TestRun:
         assert err["error"] == "ReplicateError"
         assert str(replicate_seed_id(parse_config(cfg.read_text()).master_seed, 0)) in err["message"]
 
+    def test_dead_worker_exit_3(self, config_path, capsys, monkeypatch):
+        # Forked workers inherit the patched job function and die on their first job.
+        monkeypatch.setattr(experiments, "_run_job", _worker_dies)
+        assert main(["run", config_path, "--out", "-", "--workers", "2"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "BrokenProcessPool"
+        assert "worker process died" in err["message"]
+
     def test_one_entry_two_group_catalog_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "catalog.cfg"
         bad.write_text(
@@ -244,6 +257,30 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert "ridge must be positive for linucb on ScalingFit" in err["message"]
+
+    @pytest.mark.parametrize("experiment", ["TwoBridgeLinUCB", "TwoBridgeImpossibility"])
+    def test_nonzero_ridge_on_two_bridge_exit_2(self, experiment, capsys):
+        # Two-bridge LinUCB has no ridge to set: a nonzero one would change nothing.
+        argv = ["run", "--experiment", experiment, "--set", "ridge=5", "--set", "horizons=500,1000",
+                "--replicates", "1", "--out", "-", "--workers", "1"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert f"ridge must be 0 on {experiment}" in err["message"]
+
+    def test_scaling_fit_skips_policy_without_positive_regret(self, tmp_path, capsys):
+        # Greedy at T = 2, 3, 4 can have zero mean regret at some horizon:
+        # no power law fits it, and the run still succeeds.
+        aggregates = tmp_path / "aggregates.json"
+        argv = ["run", "--experiment", "ScalingFit", "--set", "horizons=2,3,4",
+                "--set", "policies=batch_bayes_greedy", "--replicates", "2", "--workers", "1",
+                "--out", "-", "--aggregates", str(aggregates)]
+        assert main(argv) == 0
+        totals = {}
+        for row in parse_csv(capsys.readouterr().out):
+            totals[row.horizon] = totals.get(row.horizon, 0.0) + row.regret_total
+        assert min(totals.values()) == 0.0
+        assert json.loads(aggregates.read_text())["scaling_fits"] == {}
 
     def test_unwritable_output_exit_2(self, config_path, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -38,6 +38,12 @@ class TestParseConfig:
         assert cfg.policies == ("linucb",)
         assert parse_config("experiment = TwoBridgeImpossibility").noise == "bernoulli"
 
+    @pytest.mark.parametrize("experiment", ["TwoBridgeLinUCB", "TwoBridgeImpossibility"])
+    def test_two_bridge_rejects_nonzero_ridge(self, experiment):
+        with pytest.raises(ConfigError, match=f"ridge must be 0 on {experiment}"):
+            parse_config(f"experiment = {experiment}\nridge = 5")
+        assert parse_config(f"experiment = {experiment}\nridge = 0").ridge == 0.0
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config(
             """

@@ -1,12 +1,12 @@
-"""Domain types: context vectors, context rounds, batch boundaries."""
+"""Domain types: batch boundaries, and the context vectors and rounds of the per-round references."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from banditsim.core import Group, as_context, last_batch_end
-from oracles import BOTTOM, TOP, ContextRound
+from banditsim.core import last_batch_end
+from oracles import BOTTOM, TOP, ContextRound, Group, as_context
 
 
 class TestAsContext:

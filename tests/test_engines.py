@@ -16,13 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsim.core import Group, NoiseKind, last_batch_end
+from banditsim.core import NoiseKind, last_batch_end
 from banditsim.engines import (
     _A,
     _B,
     _C,
     NOISE_CHUNK,
-    CatalogArrays,
     _draw_entry_indices,
     _kind_codes,
     _lambda_min_curve,
@@ -33,8 +32,8 @@ from banditsim.engines import (
     run_two_bridge_batch_freq,
     run_two_bridge_policy,
 )
-from banditsim.environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig
-from banditsim.estimators import SufficientStats, ols_estimate
+from banditsim.environments import Catalog, TwoBridgeConfig
+from banditsim.estimators import SufficientStats, gaussian_prior, ols_estimate
 from banditsim.metrics import RegretSums
 from banditsim.policies import LinUCBParams, interval_width
 from banditsim.rng import Purpose, stream
@@ -42,6 +41,7 @@ from oracles import (
     BOTTOM,
     TOP,
     ContextRound,
+    Group,
     bayes_posterior_mean,
     greedy_select,
     instantaneous_regret,
@@ -180,13 +180,13 @@ def _round_from_row(cat, entry_idx, x_block, t):
 
 
 def reference_perturbed_greedy(
-    cfg, prior_mean, prior_cov, theta, horizon, batch_size, master_seed, replicate,
+    cat, prior_mean, prior_cov, theta, horizon, batch_size, master_seed, replicate,
     acting, context_bound, probe_rounds,
 ):
-    """Per-round loop: greedy selection + regret via the metrics module."""
-    cat = CatalogArrays.from_config(cfg)
-    k = cfg.n_actions
-    d = cfg.dim
+    """Per-round loop: greedy selection and regret round by round, with the
+    prior validated and inverted at every posterior mean."""
+    k = cat.n_actions
+    d = cat.dim
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
     pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
     rew = stream(master_seed, replicate, Purpose.REWARDS)
@@ -204,8 +204,8 @@ def reference_perturbed_greedy(
     done = 0
     while done < horizon:
         y = min(batch_size, horizon - done)
-        idx = _draw_entry_indices(cat, cfg.minority_prob, y, ctx)
-        noise = pert.normal(0.0, cfg.rho, size=(y, k, d))
+        idx = _draw_entry_indices(cat, y, ctx)
+        noise = pert.normal(0.0, cat.rho, size=(y, k, d))
         cold_scores = pol.random((y, k)) if cold and acting == "freq" else None
         acting_est = theta_bay if acting == "bayes" else theta_freq
 
@@ -245,16 +245,15 @@ def reference_perturbed_greedy(
     return total, minority_total, pred_total, allowance, probes
 
 
-def reference_perturbed_linucb(cfg, params, theta, horizon, master_seed, replicate):
+def reference_perturbed_linucb(cat, params, theta, horizon, master_seed, replicate):
     """Per-round UCB loop with a freshly inverted Gram matrix every round."""
-    cat = CatalogArrays.from_config(cfg)
-    k, d = cfg.n_actions, cfg.dim
+    k, d = cat.n_actions, cat.dim
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
     pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
     rew = stream(master_seed, replicate, Purpose.REWARDS)
 
-    idx = _draw_entry_indices(cat, cfg.minority_prob, horizon, ctx)
-    noise = pert.normal(0.0, cfg.rho, size=(horizon, k, d))
+    idx = _draw_entry_indices(cat, horizon, ctx)
+    noise = pert.normal(0.0, cat.rho, size=(horizon, k, d))
     reward_noise = rew.standard_normal(horizon)
 
     Z = np.zeros((d, d))
@@ -284,7 +283,7 @@ def reference_perturbed_linucb(cfg, params, theta, horizon, master_seed, replica
 
 
 def single_replicate_linucb(
-    cfg, params, theta, horizon, master_seed, replicate,
+    cat, params, theta, horizon, master_seed, replicate,
     refresh_every=10_000, restriction="minority", restriction_p=0.5,
 ):
     """Per-round LinUCB on one replicate with a rank-one-updated cached inverse.
@@ -292,14 +291,13 @@ def single_replicate_linucb(
     The same arithmetic, call for call, as the lockstep engine's per-replicate
     slice; returns (regret_total, regret_minority, curve, Z, xr).
     """
-    cat = CatalogArrays.from_config(cfg)
-    d, k = cfg.dim, cfg.n_actions
+    d, k = cat.dim, cat.n_actions
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
     pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
     rew = stream(master_seed, replicate, Purpose.REWARDS)
 
-    idx = _draw_entry_indices(cat, cfg.minority_prob, horizon, ctx)
-    noise = pert.normal(0.0, cfg.rho, size=(horizon, k, d))
+    idx = _draw_entry_indices(cat, horizon, ctx)
+    noise = pert.normal(0.0, cat.rho, size=(horizon, k, d))
     reward_noise = rew.standard_normal(horizon)
 
     f_table = np.array([interval_width(t, params, d) for t in range(horizon)])
@@ -540,57 +538,29 @@ class TestTwoBridgeBatchFreqEngine:
         assert coin.regret_minority == pytest.approx(float(increments[coins].sum()))
 
 
-def _one_group_catalog() -> PerturbedConfig:
-    entries = (
-        CatalogEntry(
-            weight=0.5,
-            means=(np.array([0.5, 0.1]), np.array([0.1, 0.5])),
-            group=Group.MAJORITY,
-        ),
-        CatalogEntry(
-            weight=0.3,
-            means=(np.array([0.3, 0.3]), None),
-            group=Group.MAJORITY,
-        ),
-        CatalogEntry(
-            weight=0.2,
-            means=(np.array([0.0, 0.6]), np.array([0.6, 0.0])),
-            group=Group.MAJORITY,
-        ),
-    )
-    return PerturbedConfig(entries=entries, rho=0.3, minority_prob=0.0)
+def _one_group_catalog() -> Catalog:
+    """Three entries, the second offering only its first slot."""
+    means = [[[0.5, 0.1], [0.1, 0.5]], [[0.3, 0.3], [0.0, 0.0]], [[0.0, 0.6], [0.6, 0.0]]]
+    avail = [[True, True], [True, False], [True, True]]
+    return Catalog(means, avail, [0.5, 0.3, 0.2], [False, False, False], rho=0.3)
 
 
-def _two_group_catalog() -> PerturbedConfig:
-    entries = (
-        CatalogEntry(
-            weight=0.6,
-            means=(np.array([0.5, 0.1]), np.array([0.1, 0.5])),
-            group=Group.MAJORITY,
-        ),
-        CatalogEntry(
-            weight=0.4,
-            means=(np.array([0.2, 0.4]), np.array([0.4, 0.2])),
-            group=Group.MAJORITY,
-        ),
-        CatalogEntry(
-            weight=1.0,
-            means=(np.array([0.1, 0.6]), np.array([0.6, 0.1])),
-            group=Group.MINORITY,
-        ),
-    )
-    return PerturbedConfig(entries=entries, rho=0.3, minority_prob=0.3)
+def _two_group_catalog() -> Catalog:
+    """Two majority entries and one minority entry, minority rounds at rate 0.3."""
+    means = [[[0.5, 0.1], [0.1, 0.5]], [[0.2, 0.4], [0.4, 0.2]], [[0.1, 0.6], [0.6, 0.1]]]
+    return Catalog(means, np.ones((3, 2), dtype=bool), [0.6, 0.4, 1.0], [False, False, True],
+                   rho=0.3, minority_prob=0.3)
 
 
-def _fixed_pair_catalog() -> PerturbedConfig:
+def _fixed_pair_catalog() -> Catalog:
     """One entry offering both bridge contexts unperturbed in every round."""
-    entries = (CatalogEntry(weight=1.0, means=(TOP, BOTTOM), group=Group.MAJORITY),)
-    return PerturbedConfig(entries=entries, rho=0.0, minority_prob=0.0)
+    return Catalog([[TOP, BOTTOM]], [[True, True]], [1.0], [False], rho=0.0)
 
 
 PRIOR_MEAN = np.array([0.4, 0.2])
 PRIOR_NORM = float(np.linalg.norm(PRIOR_MEAN))
 PRIOR_COV = np.eye(2)
+PRIOR = gaussian_prior(PRIOR_MEAN, PRIOR_COV)
 THETA = np.array([0.7, -0.3])
 
 
@@ -600,12 +570,13 @@ class TestPerturbedGreedyEngine:
     def test_matches_per_round_reference(self, acting, two_group):
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         kwargs = dict(
-            prior_mean=PRIOR_MEAN, prior_cov=PRIOR_COV, theta=THETA,
-            horizon=900, batch_size=150, master_seed=MASTER, replicate=1,
+            theta=THETA, horizon=900, batch_size=150, master_seed=MASTER, replicate=1,
             acting=acting, context_bound=2.0, probe_rounds=(100, 800),
         )
-        res = run_perturbed_batch_greedy(cfg, **kwargs)
-        total, minority, pred, allowance, probes = reference_perturbed_greedy(cfg, **kwargs)
+        res = run_perturbed_batch_greedy(cfg, PRIOR, **kwargs)
+        total, minority, pred, allowance, probes = reference_perturbed_greedy(
+            cfg, PRIOR_MEAN, PRIOR_COV, **kwargs
+        )
         assert res.regret_total == total
         assert res.regret_minority == minority
         assert res.regret_prediction == pred
@@ -620,7 +591,7 @@ class TestPerturbedGreedyEngine:
         # acting estimate of the Bayesian policy.
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         res = run_perturbed_batch_greedy(
-            cfg, PRIOR_MEAN, PRIOR_COV, THETA,
+            cfg, PRIOR, THETA,
             horizon=600, batch_size=100, master_seed=MASTER, replicate=5, acting="bayes",
         )
         assert res.regret_prediction == res.regret_total
@@ -631,7 +602,7 @@ class TestPerturbedGreedyEngine:
         # slot, and the first batch acts on the prior whatever its data.
         cfg = _fixed_pair_catalog()
         res = run_perturbed_batch_greedy(
-            cfg, np.array([0.2, 0.9]), np.eye(2), np.array([0.5, 0.4]),
+            cfg, gaussian_prior(np.array([0.2, 0.9]), np.eye(2)), np.array([0.5, 0.4]),
             horizon=200, batch_size=200, master_seed=MASTER, replicate=0,
             acting="bayes", track_rows=True,
         )
@@ -643,7 +614,7 @@ class TestPerturbedGreedyEngine:
         # prediction is greedy on the prior mean, here always the worse slot.
         cfg = _fixed_pair_catalog()
         res = run_perturbed_batch_greedy(
-            cfg, np.array([0.0, 5.0]), 0.01 * np.eye(2), np.array([0.5, 0.4]),
+            cfg, gaussian_prior(np.array([0.0, 5.0]), 0.01 * np.eye(2)), np.array([0.5, 0.4]),
             horizon=300, batch_size=300, master_seed=MASTER, replicate=1, acting="freq",
         )
         assert res.regret_prediction == pytest.approx(300 * 0.1)
@@ -653,7 +624,7 @@ class TestPerturbedGreedyEngine:
         cfg = _fixed_pair_catalog()
         n = 4000
         res = run_perturbed_batch_greedy(
-            cfg, PRIOR_MEAN, PRIOR_COV, np.array([0.5, 0.4]),
+            cfg, PRIOR, np.array([0.5, 0.4]),
             horizon=n, batch_size=n, master_seed=MASTER, replicate=2, track_rows=True,
         )
         top_rate = float(np.mean(res.chosen_rows[:, 0] == 1.0))
@@ -662,7 +633,7 @@ class TestPerturbedGreedyEngine:
     def test_freq_warm_acts_greedily(self):
         cfg = _fixed_pair_catalog()
         res = run_perturbed_batch_greedy(
-            cfg, PRIOR_MEAN, PRIOR_COV, np.array([1.0, -1.0]),
+            cfg, PRIOR, np.array([1.0, -1.0]),
             horizon=400, batch_size=200, master_seed=MASTER, replicate=3, track_rows=True,
         )
         np.testing.assert_array_equal(res.chosen_rows[200:], np.tile(TOP, (200, 1)))
@@ -674,7 +645,7 @@ class TestPerturbedGreedyEngine:
         cfg = _fixed_pair_catalog()
         batch_size = 25
         res = run_perturbed_batch_greedy(
-            cfg, PRIOR_MEAN, PRIOR_COV, np.array([0.5, 0.45]),
+            cfg, PRIOR, np.array([0.5, 0.45]),
             horizon=1000, batch_size=batch_size, master_seed=MASTER, replicate=4,
             acting=acting, track_rows=True,
         )
@@ -686,12 +657,12 @@ class TestPerturbedGreedyEngine:
         # Before any data the frequentist estimate is zero and the Bayesian
         # one is the prior mean, for every round of the first batch.
         res = run_perturbed_batch_greedy(
-            _one_group_catalog(), PRIOR_MEAN, PRIOR_COV, THETA,
+            _one_group_catalog(), PRIOR, THETA,
             horizon=150, batch_size=150, master_seed=MASTER, replicate=0, context_bound=1.7,
         )
         assert res.gap_allowance == pytest.approx(2 * 1.7 * np.linalg.norm(PRIOR_MEAN) * 150)
         none = run_perturbed_batch_greedy(
-            _one_group_catalog(), PRIOR_MEAN, PRIOR_COV, THETA,
+            _one_group_catalog(), PRIOR, THETA,
             horizon=150, batch_size=150, master_seed=MASTER, replicate=0,
         )
         assert none.gap_allowance == 0.0
@@ -699,7 +670,7 @@ class TestPerturbedGreedyEngine:
 
     def test_one_group_minority_regret_is_zero(self):
         res = run_perturbed_batch_greedy(
-            _one_group_catalog(), PRIOR_MEAN, PRIOR_COV, THETA,
+            _one_group_catalog(), PRIOR, THETA,
             horizon=600, batch_size=200, master_seed=MASTER, replicate=0,
         )
         assert res.regret_minority == 0.0
@@ -707,7 +678,7 @@ class TestPerturbedGreedyEngine:
 
     def test_probe_uses_frozen_batch_boundary(self):
         res = run_perturbed_batch_greedy(
-            _one_group_catalog(), PRIOR_MEAN, PRIOR_COV, THETA,
+            _one_group_catalog(), PRIOR, THETA,
             horizon=600, batch_size=200, master_seed=MASTER, replicate=0,
             probe_rounds=(150,),
         )
@@ -717,7 +688,7 @@ class TestPerturbedGreedyEngine:
 
     def test_lambda_curve_matches_eigendecomposition(self):
         res = run_perturbed_batch_greedy(
-            _one_group_catalog(), PRIOR_MEAN, PRIOR_COV, THETA,
+            _one_group_catalog(), PRIOR, THETA,
             horizon=300, batch_size=100, master_seed=MASTER, replicate=2,
             track_lambda=True, track_rows=True,
         )
@@ -729,7 +700,7 @@ class TestPerturbedGreedyEngine:
 
     def test_final_stats_match_rows(self):
         res = run_perturbed_batch_greedy(
-            _two_group_catalog(), PRIOR_MEAN, PRIOR_COV, THETA,
+            _two_group_catalog(), PRIOR, THETA,
             horizon=400, batch_size=100, master_seed=MASTER, replicate=3,
             track_rows=True,
         )
@@ -741,8 +712,7 @@ class TestPerturbedGreedyEngine:
     def test_coin_restriction_identity(self):
         cfg = _two_group_catalog()
         kwargs = dict(
-            prior_mean=PRIOR_MEAN, prior_cov=PRIOR_COV, theta=THETA,
-            horizon=600, batch_size=150, master_seed=MASTER, replicate=4,
+            prior=PRIOR, theta=THETA, horizon=600, batch_size=150, master_seed=MASTER, replicate=4,
         )
         base = run_perturbed_batch_greedy(cfg, sums=_curve_sums((4,), 600), **kwargs)
         coin = run_perturbed_batch_greedy(
@@ -985,7 +955,7 @@ class TestEngineInvariants:
         batch = 1 + int(batch_frac * (horizon - 1))
         sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
         res = run_perturbed_batch_greedy(
-            cfg, PRIOR_MEAN, PRIOR_COV, THETA, horizon, batch, seed, replicate, acting=acting, sums=sums,
+            cfg, PRIOR, THETA, horizon, batch, seed, replicate, acting=acting, sums=sums,
         )
         _check_invariants([res], horizon, curve)
         assert res.regret_prediction >= 0.0
@@ -1008,31 +978,21 @@ class TestEngineInvariants:
         _check_invariants(results, horizon, curve)
 
 
-class TestCatalogArrays:
-    def test_dense_layout(self):
-        cfg = _two_group_catalog()
-        cat = CatalogArrays.from_config(cfg)
-        assert cat.means.shape == (3, 2, 2)
-        np.testing.assert_array_equal(cat.minority, [False, False, True])
-        assert cat.avail.all()
-        one_missing = CatalogArrays.from_config(_one_group_catalog())
-        assert not one_missing.avail[1, 1]
-        np.testing.assert_array_equal(one_missing.means[1, 1], [0.0, 0.0])
-
+class TestEntryDraws:
     def test_entry_draw_frequencies(self):
-        cat = CatalogArrays.from_config(_one_group_catalog())
+        cat = _one_group_catalog()
         rng = np.random.default_rng(0)
         n = 100_000
-        idx = _draw_entry_indices(cat, 0.0, n, rng)
+        idx = _draw_entry_indices(cat, n, rng)
         freq = np.bincount(idx, minlength=3) / n
         for f, w in zip(freq, (0.5, 0.3, 0.2)):
             assert f == pytest.approx(w, abs=3 * math.sqrt(w * (1 - w) / n))
 
     def test_two_group_draw_respects_minority_rate(self):
-        cat = CatalogArrays.from_config(_two_group_catalog())
+        cat = _two_group_catalog()
         rng = np.random.default_rng(1)
         n = 100_000
-        idx = _draw_entry_indices(cat, 0.3, n, rng)
+        idx = _draw_entry_indices(cat, n, rng)
         minority_freq = cat.minority[idx].mean()
         assert minority_freq == pytest.approx(0.3, abs=3 * math.sqrt(0.3 * 0.7 / n))
         majority = idx[~cat.minority[idx]]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from banditsim.core import ConfigurationError, Group, NoiseKind
+from banditsim.core import ConfigurationError, NoiseKind
 from banditsim.engines import (
     _A,
     _B,
@@ -14,7 +14,8 @@ from banditsim.engines import (
     run_perturbed_batch_greedy,
     run_perturbed_linucb,
 )
-from banditsim.environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig, draw_theta
+from banditsim.environments import Catalog, TwoBridgeConfig, draw_theta
+from banditsim.estimators import gaussian_prior
 from banditsim.policies import LinUCBParams, context_norm_bound
 from banditsim.rng import Purpose, stream
 
@@ -104,45 +105,66 @@ class TestTwoBridgeSampling:
         assert failures == 0
 
 
-def _two_entry_config(rho: float, minority_prob: float = 0.0) -> PerturbedConfig:
-    entries = (
-        CatalogEntry(weight=0.6, means=(np.array([0.5, 0.1]), np.array([0.2, 0.3])), group=Group.MAJORITY),
-        CatalogEntry(
-            weight=0.4,
-            means=(np.array([0.1, 0.4]), np.array([0.3, 0.2])),
-            group=Group.MINORITY if minority_prob > 0 else Group.MAJORITY,
-        ),
-    )
-    return PerturbedConfig(entries=entries, rho=rho, minority_prob=minority_prob)
+def _two_entry_config(rho: float, minority_prob: float = 0.0) -> Catalog:
+    means = [[[0.5, 0.1], [0.2, 0.3]], [[0.1, 0.4], [0.3, 0.2]]]
+    return Catalog(means, np.ones((2, 2), dtype=bool), [0.6, 0.4], [False, minority_prob > 0],
+                   rho=rho, minority_prob=minority_prob)
+
+
+def _catalog(means, avail=None, weights=None, minority=None, rho=0.1, minority_prob=0.0) -> Catalog:
+    """A catalog of the given means; every slot available, unit weights, one group by default."""
+    n = len(means)
+    avail = [[True] * len(means[0])] * n if avail is None else avail
+    weights = [1.0] * n if weights is None else weights
+    minority = [False] * n if minority is None else minority
+    return Catalog(means, avail, weights, minority, rho, minority_prob)
 
 
 class TestCatalog:
-    def test_entry_validation(self):
-        with pytest.raises(ConfigurationError):
-            CatalogEntry(weight=0.0, means=(np.array([0.1, 0.2]),), group=Group.MAJORITY)
-        with pytest.raises(ConfigurationError):
-            CatalogEntry(weight=1.0, means=(np.array([1.5, 1.5]),), group=Group.MAJORITY)
-        with pytest.raises(ConfigurationError):
-            CatalogEntry(weight=1.0, means=(None, None), group=Group.MAJORITY)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
+    def test_rejections(self):
+        mean = [[0.1, 0.2]]
+        with pytest.raises(ConfigurationError, match="at least one entry"):
+            Catalog(np.zeros((0, 1, 2)), np.zeros((0, 1), dtype=bool), [], [], rho=0.1)
+        with pytest.raises(ConfigurationError, match="weight must be positive"):
+            _catalog([mean], weights=[0.0])
+        with pytest.raises(ConfigurationError, match="at least one available action"):
+            _catalog([mean * 2], avail=[[False, False]])
+        with pytest.raises(ConfigurationError, match="norm at most 1"):
+            _catalog([[[1.5, 1.5]]])
+        with pytest.raises(ConfigurationError, match="agree on d and K"):
+            _catalog([mean, [[0.1, 0.2, 0.3]]], avail=[[True], [True]])  # d differs
+        with pytest.raises(ConfigurationError, match="agree on d and K"):
+            _catalog([mean, mean * 2], avail=[[True], [True, True]])  # K differs
+        with pytest.raises(ConfigurationError, match="rho"):
             _two_entry_config(rho=0.8)  # above 1/sqrt(2)
-        with pytest.raises(ConfigurationError):
-            PerturbedConfig(entries=(), rho=0.1, minority_prob=0.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="rho"):
+            _two_entry_config(rho=-0.1)
+        with pytest.raises(ConfigurationError, match="minority_prob"):
+            _two_entry_config(rho=0.1, minority_prob=1.0)
+        with pytest.raises(ConfigurationError, match="both groups"):
             # Two-group mode requires entries from both groups.
-            entries = (
-                CatalogEntry(weight=1.0, means=(np.array([0.1, 0.2]),), group=Group.MAJORITY),
-            )
-            PerturbedConfig(entries=entries, rho=0.1, minority_prob=0.3)
+            _catalog([mean], minority_prob=0.3)
 
-    def test_group_entries(self):
+    def test_dense_layout(self):
+        cat = _catalog([[[0.3, 0.3], [0.9, 0.9]]], avail=[[True, False]])
+        assert cat.means.shape == (1, 2, 2)
+        np.testing.assert_array_equal(cat.means[0, 1], [0.0, 0.0])  # unavailable slots are zeroed
         cfg = _two_entry_config(rho=0.1, minority_prob=0.3)
-        assert len(cfg.group_entries(Group.MAJORITY)) == 1
-        assert len(cfg.group_entries(Group.MINORITY)) == 1
+        np.testing.assert_array_equal(cfg.minority, [False, True])
+        assert cfg.avail.all()
         assert cfg.dim == 2
         assert cfg.n_actions == 2
+
+    def test_minority_only_keeps_minority_rows_in_order(self):
+        means = [[[0.1 * j, 0.0]] for j in range(5)]
+        cat = _catalog(means, weights=[1.0, 2.0, 3.0, 4.0, 5.0],
+                       minority=[False, True, False, True, True], minority_prob=0.4)
+        restricted = cat.minority_only()
+        np.testing.assert_array_equal(restricted.means, cat.means[[1, 3, 4]])
+        np.testing.assert_array_equal(restricted.weights, [2.0, 4.0, 5.0])
+        assert restricted.minority.all()
+        assert restricted.minority_prob == 0.0
+        assert restricted.rho == cat.rho
 
 
 class TestTwoBridgeRewards:
@@ -185,9 +207,9 @@ class TestTwoBridgeRewards:
         assert sums.mean() == pytest.approx(c * p, abs=3 * np.sqrt(c * p * (1 - p) / n))
 
 
-def _single_entry_config(means, rho: float) -> PerturbedConfig:
-    entries = (CatalogEntry(weight=1.0, means=tuple(means), group=Group.MAJORITY),)
-    return PerturbedConfig(entries=entries, rho=rho, minority_prob=0.0)
+def _single_entry_config(means, rho: float) -> Catalog:
+    """One entry; a ``None`` mean marks an unavailable slot."""
+    return _catalog([[np.zeros(2) if m is None else m for m in means]], avail=[[m is not None for m in means]], rho=rho)
 
 
 def _greedy_rows(cfg, theta, horizon, batch_size, replicate=0, acting="freq", prior_mean=None):
@@ -195,7 +217,7 @@ def _greedy_rows(cfg, theta, horizon, batch_size, replicate=0, acting="freq", pr
     d = cfg.dim
     prior_mean = np.zeros(d) if prior_mean is None else prior_mean
     res = run_perturbed_batch_greedy(
-        cfg, prior_mean, np.eye(d), np.asarray(theta, dtype=float), horizon, batch_size,
+        cfg, gaussian_prior(prior_mean, np.eye(d)), np.asarray(theta, dtype=float), horizon, batch_size,
         20260814, replicate, acting=acting, track_rows=True,
     )
     return res.chosen_rows
@@ -205,7 +227,7 @@ class TestPerturbedSampling:
     def test_zero_rho_reproduces_catalog_means(self):
         cfg = _two_entry_config(rho=0.0)
         rows = _greedy_rows(cfg, np.array([0.6, -0.2]), 300, 50)
-        means = np.array([m for e in cfg.entries for m in e.means])
+        means = cfg.means.reshape(-1, 2)
         for row in rows:
             assert np.any(np.all(row == means, axis=1))
 
@@ -234,7 +256,7 @@ class TestPerturbedSampling:
             [res] = run_perturbed_linucb(cfg, params, [theta], horizon, 20260814, (0,))
         else:
             res = run_perturbed_batch_greedy(
-                cfg, np.zeros(2), np.eye(2), theta, horizon, 50, 20260814, 0,
+                cfg, gaussian_prior(np.zeros(2), np.eye(2)), theta, horizon, 50, 20260814, 0,
                 acting=policy.removeprefix("batch_"),
             )
         assert res.regret_total == 0.0
@@ -272,7 +294,8 @@ class TestLatentDraws:
         mean = np.array([0.3, -0.2])
         cov = np.array([[0.5, 0.2], [0.2, 0.4]])
         rng = np.random.default_rng(17)
-        draws = np.array([draw_theta(mean, cov, rng) for _ in range(100_000)])
+        prior = gaussian_prior(mean, cov)
+        draws = np.array([draw_theta(prior, rng) for _ in range(100_000)])
         kappa = np.sqrt(np.diag(cov))
         np.testing.assert_allclose(
             draws.mean(axis=0), mean, atol=(3 * kappa / np.sqrt(len(draws))).max()
@@ -281,20 +304,21 @@ class TestLatentDraws:
 
     def test_zero_covariance_degenerate(self):
         with pytest.raises(ConfigurationError):
-            draw_theta(np.zeros(2), np.zeros((2, 2)), np.random.default_rng(0))
+            gaussian_prior(np.zeros(2), np.zeros((2, 2)))
 
     def test_invalid_covariance_rejected(self):
-        rng = np.random.default_rng(0)
+        # The prior is validated once, where it is built; draws trust it.
         with pytest.raises(ConfigurationError):
-            draw_theta(np.zeros(2), np.diag([1.0, 0.0]), rng)
+            gaussian_prior(np.zeros(2), np.diag([1.0, 0.0]))
         with pytest.raises(ConfigurationError):
-            draw_theta(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), rng)
+            gaussian_prior(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ConfigurationError):
-            draw_theta(np.zeros(3), np.eye(2), rng)
+            gaussian_prior(np.zeros(3), np.eye(2))
 
     def test_deterministic_under_seed(self):
-        a = draw_theta(np.zeros(2), np.eye(2), np.random.default_rng(4))
-        b = draw_theta(np.zeros(2), np.eye(2), np.random.default_rng(4))
+        prior = gaussian_prior(np.zeros(2), np.eye(2))
+        a = draw_theta(prior, np.random.default_rng(4))
+        b = draw_theta(prior, np.random.default_rng(4))
         np.testing.assert_array_equal(a, b)
 
     def test_matches_cholesky_transform_bitwise(self):
@@ -302,4 +326,4 @@ class TestLatentDraws:
         cov = np.array([[0.5, 0.2], [0.2, 0.4]])
         z = np.random.default_rng(9).standard_normal(2)
         expected = mean + np.linalg.cholesky(cov) @ z
-        np.testing.assert_array_equal(draw_theta(mean, cov, np.random.default_rng(9)), expected)
+        np.testing.assert_array_equal(draw_theta(gaussian_prior(mean, cov), np.random.default_rng(9)), expected)

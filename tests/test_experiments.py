@@ -9,7 +9,6 @@ from scipy import stats as sps
 
 import banditsim.experiments as experiments
 from banditsim.config import parse_config
-from banditsim.core import Group
 from banditsim.csvio import emit_csv
 from banditsim.experiments import (
     ExperimentResult,
@@ -19,7 +18,6 @@ from banditsim.experiments import (
     draw_theta_for_replicate,
     ks_2samp_equal,
     linucb_comparator_horizon,
-    minority_only_instance,
     resolve_workers,
     run_experiment,
 )
@@ -47,58 +45,89 @@ replicates = 3
 class TestBuildInstance:
     def test_deterministic_and_seed_keyed(self):
         cfg = _cfg(SMALL_GREEDY)
-        inst_a, mean_a, cov_a = build_instance(cfg)
-        inst_b, mean_b, cov_b = build_instance(cfg)
-        np.testing.assert_array_equal(mean_a, mean_b)
-        np.testing.assert_array_equal(cov_a, cov_b)
-        for ea, eb in zip(inst_a.entries, inst_b.entries):
-            assert ea.weight == eb.weight
-            for ma, mb in zip(ea.means, eb.means):
-                if ma is None:
-                    assert mb is None
-                else:
-                    np.testing.assert_array_equal(ma, mb)
+        cat_a, prior_a = build_instance(cfg)
+        cat_b, prior_b = build_instance(cfg)
+        for name in ("means", "avail", "weights", "minority"):
+            np.testing.assert_array_equal(getattr(cat_a, name), getattr(cat_b, name))
+        np.testing.assert_array_equal(prior_a.mean, prior_b.mean)
+        np.testing.assert_array_equal(prior_a.chol, prior_b.chol)
         other = _cfg(SMALL_GREEDY + "catalog_seed = 11\n")
-        inst_c, mean_c, _ = build_instance(other)
-        assert not np.array_equal(mean_a, mean_c)
+        _, prior_c = build_instance(other)
+        assert not np.array_equal(prior_a.mean, prior_c.mean)
 
     def test_master_seed_leaves_instance_unchanged(self):
         cfg = _cfg(SMALL_GREEDY)
         reseeded = _cfg(SMALL_GREEDY + "master_seed = 99\n")
-        _, mean_a, _ = build_instance(cfg)
-        _, mean_b, _ = build_instance(reseeded)
-        np.testing.assert_array_equal(mean_a, mean_b)
+        _, prior_a = build_instance(cfg)
+        _, prior_b = build_instance(reseeded)
+        np.testing.assert_array_equal(prior_a.mean, prior_b.mean)
 
     def test_prior_mean_norm_matches_width_regime(self):
         cfg = _cfg(SMALL_GREEDY)
-        _, prior_mean, prior_cov = build_instance(cfg)
+        _, prior = build_instance(cfg)
         expected = 1.0 + math.sqrt(3.0 * math.log(max(cfg.horizons)))
-        assert np.linalg.norm(prior_mean) == pytest.approx(expected)
-        np.testing.assert_array_equal(prior_cov, cfg.prior_scale**2 * np.eye(cfg.d))
+        assert np.linalg.norm(prior.mean) == pytest.approx(expected)
+        np.testing.assert_array_equal(prior.chol, cfg.prior_scale * np.eye(cfg.d))
+
+    def test_catalog_layout(self):
+        cfg = _cfg(SMALL_GREEDY + "n_actions = 3\ncatalog_size = 7\n")
+        catalog, _ = build_instance(cfg)
+        assert catalog.means.shape == (7, 3, cfg.d)
+        # Every third entry lacks one slot, and that slot's mean is zeroed.
+        lacking = np.argwhere(~catalog.avail)
+        np.testing.assert_array_equal(lacking, [[2, 2], [5, 2]])
+        assert not catalog.means[~catalog.avail].any()
+        assert catalog.rho == cfg.rho and catalog.minority_prob == 0.0
+        assert not catalog.minority.any()
 
     def test_two_group_catalog_and_minority_restriction(self):
         cfg = _cfg("experiment = ExternalityVanishing\nreplicates = 1\n")
-        instance, _, _ = build_instance(cfg)
-        groups = {e.group for e in instance.entries}
-        assert groups == {Group.MAJORITY, Group.MINORITY}
-        restricted = minority_only_instance(instance)
-        assert all(e.group is Group.MINORITY for e in restricted.entries)
+        catalog, _ = build_instance(cfg)
+        np.testing.assert_array_equal(catalog.minority, np.arange(cfg.catalog_size) % 2 == 1)
+        assert catalog.minority_prob == cfg.minority_prob
+        restricted = catalog.minority_only()
+        assert restricted.minority.all()
+        np.testing.assert_array_equal(restricted.means, catalog.means[1::2])
         assert restricted.minority_prob == 0.0
 
     def test_minority_only_requires_minority_entries(self):
         cfg = _cfg(SMALL_GREEDY)
-        instance, _, _ = build_instance(cfg)
+        catalog, _ = build_instance(cfg)
         with pytest.raises(ValueError):
-            minority_only_instance(instance)
+            catalog.minority_only()
+
+    def test_one_instance_and_one_prior_per_run(self, monkeypatch):
+        # Every job shares the run's instance, and its prior is validated and
+        # factored once, not once per replicate.
+        import banditsim.engines as engines
+        import banditsim.estimators as estimators
+
+        calls = {"build_instance": 0, "gaussian_prior": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(experiments, "build_instance", counted("build_instance", experiments.build_instance))
+        prior_fn = counted("gaussian_prior", estimators.gaussian_prior)
+        for module in (estimators, engines, experiments):
+            if hasattr(module, "gaussian_prior"):
+                monkeypatch.setattr(module, "gaussian_prior", prior_fn)
+        cfg = _cfg("experiment = GreedyVsLinUCB\nhorizons = 400\nbatch = 100\nreplicates = 3\n"
+                   "policies = batch_bayes_greedy, batch_freq_greedy\n")
+        run_experiment(cfg, workers=1)
+        assert calls == {"build_instance": 1, "gaussian_prior": 1}
 
 
 class TestThetaDraws:
     def test_replicates_get_distinct_draws(self):
         cfg = _cfg(SMALL_GREEDY)
-        _, prior_mean, prior_cov = build_instance(cfg)
-        a = draw_theta_for_replicate(cfg, prior_mean, prior_cov, 0)
-        b = draw_theta_for_replicate(cfg, prior_mean, prior_cov, 0)
-        c = draw_theta_for_replicate(cfg, prior_mean, prior_cov, 1)
+        _, prior = build_instance(cfg)
+        a = draw_theta_for_replicate(cfg, prior, 0)
+        b = draw_theta_for_replicate(cfg, prior, 0)
+        c = draw_theta_for_replicate(cfg, prior, 1)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -212,10 +241,10 @@ class TestRunExperiment:
         )
         engine = experiments.run_perturbed_batch_greedy
 
-        def fail_on_replicate_1(catalog, prior_mean, prior_cov, theta, horizon, batch, master_seed, replicate, **kwargs):
+        def fail_on_replicate_1(catalog, prior, theta, horizon, batch, master_seed, replicate, **kwargs):
             if replicate == 1:
                 raise FloatingPointError("injected")
-            return engine(catalog, prior_mean, prior_cov, theta, horizon, batch, master_seed, replicate, **kwargs)
+            return engine(catalog, prior, theta, horizon, batch, master_seed, replicate, **kwargs)
 
         monkeypatch.setattr(experiments, "run_perturbed_batch_greedy", fail_on_replicate_1)
         with pytest.raises(ReplicateError) as err:

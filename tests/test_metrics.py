@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from banditsim.core import Group
-from banditsim.engines import CatalogArrays
-from banditsim.environments import CatalogEntry, PerturbedConfig, TwoBridgeConfig
+from banditsim.environments import Catalog, TwoBridgeConfig
 from banditsim.metrics import bayesian_regret, scaling_exponent, scaling_exponent_bootstrap
 from banditsim.rng import Purpose, stream
-from oracles import BOTTOM, TOP, ContextRound, instantaneous_regret
+from oracles import BOTTOM, TOP, ContextRound, Group, instantaneous_regret
 
 
 class TestInstantaneousRegret:
@@ -62,14 +60,7 @@ class TestInstantaneousRegret:
         # the engines' draw: catalog means plus the perturbation stream.
         rho, g = 0.3, 0.05
         theta = np.array([1.0, 0.0])
-        entries = (
-            CatalogEntry(
-                weight=1.0,
-                means=(np.array([0.3, 0.4]), np.array([0.3, -0.4])),
-                group=Group.MAJORITY,
-            ),
-        )
-        cat = CatalogArrays.from_config(PerturbedConfig(entries=entries, rho=rho, minority_prob=0.0))
+        cat = Catalog([[[0.3, 0.4], [0.3, -0.4]]], [[True, True]], [1.0], [False], rho)
         n = 20_000
         x = cat.means[0] + stream(1, 0, Purpose.PERTURBATIONS).normal(0.0, rho, (n, 2, 2))
         values = x @ theta

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from banditsim.core import Group
 from banditsim.engines import _B, _kind_codes, closed_form_ucb, run_two_bridge_policy
 from banditsim.metrics import RegretSums
 from banditsim.environments import TwoBridgeConfig
 from banditsim.estimators import SufficientStats, ols_estimate
 from banditsim.policies import LinUCBParams, context_norm_bound, interval_width, suggested_batch_size
 from banditsim.rng import Purpose, stream
-from oracles import BOTTOM, TOP, ContextRound, empty_stats, greedy_select, linucb_scores
+from oracles import BOTTOM, TOP, ContextRound, Group, empty_stats, greedy_select, linucb_scores
 
 B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
 
