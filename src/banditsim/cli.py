@@ -2,7 +2,7 @@
 
 Errors print one JSON line to stderr (``{"error": ..., "message": ...}``) and
 exit nonzero: 2 for configuration and usage problems, 3 for a failed
-replicate or a worker process that died, 4 for a failed simulation
+replicate, a worker process that died or a run out of memory, 4 for a failed simulation
 verification (too many KS rejections, or an audited batch too little diverse
 to simulate from).
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -28,6 +29,7 @@ from .csvio import emit_csv
 from .experiments import (
     EXPERIMENT_SPECS,
     ReplicateError,
+    keys_read,
     run_experiment,
 )
 from .simulation import InsufficientDiversityError
@@ -123,8 +125,16 @@ def _write_text(path: str, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # Write a sibling file and rename it over the target, so that a failed
+    # write leaves the old content in place.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _curves_csv(experiment: str, curves: dict) -> str:
@@ -179,9 +189,10 @@ def _cmd_defaults(args) -> int:
         print(dumps_defaults())
         return 0
     cfg = parse_config(f"experiment = {args.experiment}\n")
-    lines = [f"experiment = {cfg.experiment}"]
+    read = keys_read(cfg)
+    lines = []
     for key, value in cfg.to_dict().items():
-        if key == "experiment":
+        if key not in read:
             continue
         if isinstance(value, tuple):
             value = ", ".join(str(v) for v in value)
@@ -209,6 +220,8 @@ def main(argv: list | None = None) -> int:
         return _fail(type(exc).__name__, str(exc), 3)
     except BrokenProcessPool as exc:
         return _fail(type(exc).__name__, f"a worker process died before its jobs finished: {exc}", 3)
+    except MemoryError as exc:
+        return _fail(type(exc).__name__, f"the run ran out of memory: {exc}", 3)
     except InsufficientDiversityError as exc:
         return _fail(type(exc).__name__, str(exc), 4)
     except OSError as exc:

@@ -3,17 +3,17 @@
 Grammar: one ``key = value`` pair per line; blank lines and ``#`` comments are
 ignored.  Keys are flat (no sections); unknown keys are rejected by name.
 Lists (``horizons``, ``policies``) are comma-separated.  Experiment-specific
-defaults fill every omitted key; ``print-defaults`` shows the full table.
+defaults fill every omitted key; ``print-defaults`` shows the full table.  A
+config may name only the keys its run reads (``keys_read``): setting any other
+would change nothing, so it is rejected by name.
 """
-
-from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .core import ConfigurationError
-from .experiments import EXPERIMENT_SPECS, check_linucb
+from .experiments import EXPERIMENT_SPECS, check_linucb, keys_read
 
 
 class ConfigError(ConfigurationError):
@@ -25,92 +25,53 @@ EXPERIMENTS = tuple(EXPERIMENT_SPECS)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings; the field defaults are the global defaults, and a
+    field's annotation is the type its config value converts to."""
+
     experiment: str
-    horizons: tuple
-    replicates: int
-    master_seed: int
-    batch: int
-    d: int
-    n_actions: int
-    rho: float
-    catalog_size: int
-    catalog_seed: int
-    prior_scale: float
-    minority_prob: float
-    noise: str
-    theta_variant: str
-    population: str
-    ridge: float
-    enforce_width_floor: bool
-    policies: tuple
-    n_targets: int
-    sim_draws: int
-    restriction: str
-    restriction_p: float
+    horizons: tuple[int, ...] = (20000,)
+    replicates: int = 200
+    master_seed: int = 20260814
+    batch: int = 200
+    d: int = 2
+    n_actions: int = 5
+    rho: float = 0.3
+    catalog_size: int = 8
+    catalog_seed: int = 7
+    prior_scale: float = 1.0
+    minority_prob: float = 0.0
+    noise: str = "gaussian"
+    theta_variant: str = "theta0"
+    population: str = "full"
+    ridge: float = 1.0
+    policies: tuple[str, ...] = ()
+    n_targets: int = 20
+    sim_draws: int = 100000
+    restriction: str = "minority"
+    restriction_p: float = 0.5
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-_GLOBAL_DEFAULTS = {
-    "horizons": (20000,),
-    "replicates": 200,
-    "master_seed": 20260814,
-    "batch": 200,
-    "d": 2,
-    "n_actions": 5,
-    "rho": 0.3,
-    "catalog_size": 8,
-    "catalog_seed": 7,
-    "prior_scale": 1.0,
-    "minority_prob": 0.0,
-    "noise": "gaussian",
-    "theta_variant": "theta0",
-    "population": "full",
-    "ridge": 1.0,
-    "enforce_width_floor": True,
-    "policies": (),
-    "n_targets": 20,
-    "sim_draws": 100000,
-    "restriction": "minority",
-    "restriction_p": 0.5,
-}
-
-_INT_KEYS = {"replicates", "master_seed", "batch", "d", "n_actions", "catalog_size",
-             "catalog_seed", "n_targets", "sim_draws"}
-_FLOAT_KEYS = {"rho", "prior_scale", "minority_prob", "ridge", "restriction_p"}
-_BOOL_KEYS = {"enforce_width_floor"}
-_LIST_INT_KEYS = {"horizons"}
-_LIST_STR_KEYS = {"policies"}
-_STR_KEYS = {"experiment", "noise", "theta_variant", "population", "restriction"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _LIST_INT_KEYS | _LIST_STR_KEYS | _STR_KEYS
+_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _convert(key: str, raw: str):
     raw = raw.strip()
+    kind = _TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if key in _LIST_INT_KEYS:
-            return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-        if key in _LIST_STR_KEYS:
-            return tuple(p.strip() for p in raw.split(",") if p.strip())
-        return raw
+        if kind in (int, float, str):
+            return kind(raw)
+        item = kind.__args__[0]  # tuple[int, ...] or tuple[str, ...]: comma-separated
+        return tuple(item(p.strip()) for p in raw.split(",") if p.strip())
     except ValueError:
         raise ConfigError(f"key '{key}' has malformed value '{raw}'") from None
 
 
 def convert_value(key: str, raw: str):
     """Convert one raw string to the typed value the key expects."""
-    if key not in _ALL_KEYS:
+    if key not in _TYPES:
         raise ConfigError(f"unknown key '{key}'")
     return _convert(key, raw)
 
@@ -135,7 +96,7 @@ def parse_config(
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{stripped}'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown key '{key}' on line {lineno}")
         if key in raw:
             raise ConfigError(f"duplicate key '{key}' on line {lineno}")
@@ -144,7 +105,7 @@ def parse_config(
         for key, value in overrides.items():
             if value is None:
                 continue
-            if key not in _ALL_KEYS:
+            if key not in _TYPES:
                 raise ConfigError(f"unknown override key '{key}'")
             raw[key] = value
 
@@ -158,10 +119,13 @@ def parse_config(
             f"experiment '{experiment}' unknown; choose one of {', '.join(EXPERIMENTS)}"
         )
 
-    merged = dict(_GLOBAL_DEFAULTS)
-    merged.update(EXPERIMENT_SPECS[experiment].defaults)
-    merged.update({k: v for k, v in raw.items() if k != "experiment"})
-    cfg = ExperimentConfig(experiment=experiment, **merged)
+    cfg = ExperimentConfig(**{**EXPERIMENT_SPECS[experiment].defaults, **raw})
+    unread = [key for key in raw if key not in keys_read(cfg)]
+    if unread:
+        raise ConfigError(
+            f"{experiment} does not read key '{unread[0]}': setting it would change nothing "
+            f"(print-defaults --experiment {experiment} lists the keys it reads)"
+        )
     _validate(cfg)
     return cfg
 
@@ -193,6 +157,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("minority_prob must lie in [0, 1)")
     if cfg.minority_prob > 0 and cfg.catalog_size < 2:
         raise ConfigError("minority_prob > 0 needs catalog_size of at least 2, one entry per group")
+    if cfg.minority_prob > 0 and cfg.d < 2:
+        raise ConfigError("minority_prob > 0 needs d of at least 2, one axis per group")
     if cfg.noise not in ("gaussian", "bernoulli"):
         raise ConfigError("noise must be 'gaussian' or 'bernoulli'")
     if cfg.theta_variant not in ("theta0", "theta1"):
@@ -210,11 +176,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not 0.0 < cfg.restriction_p < 1.0:
         raise ConfigError("restriction_p must lie in (0, 1)")
     spec = EXPERIMENT_SPECS[cfg.experiment]
-    if spec.comparator and len(cfg.horizons) > 1:
-        raise ConfigError(
-            f"{cfg.experiment} takes one horizon: its checks read one, and horizons "
-            "that share T // batch would run the LinUCB comparator twice"
-        )
+    if (spec.comparator or spec.family == "audit") and len(cfg.horizons) > 1:
+        raise ConfigError(f"{cfg.experiment} takes one horizon: its checks read one")
     if not cfg.policies:
         raise ConfigError("policies must not be empty")
     for p in cfg.policies:
@@ -230,7 +193,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 def defaults_table() -> dict:
     """Full defaults: global values plus per-experiment overrides."""
     return {
-        "global": dict(_GLOBAL_DEFAULTS),
+        "global": {f.name: f.default for f in fields(ExperimentConfig) if f.name != "experiment"},
         "experiments": {name: dict(spec.defaults) for name, spec in EXPERIMENT_SPECS.items()},
     }
 

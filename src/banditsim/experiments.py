@@ -131,10 +131,6 @@ def prior_mean_norm(cfg: ExperimentConfig) -> float:
     return 1.0 + math.sqrt(3.0 * math.log(max(cfg.horizons)))
 
 
-def _two_bridge_params(cfg: ExperimentConfig, horizon: int) -> LinUCBParams:
-    return LinUCBParams.for_two_bridge(horizon, enforce_floor=cfg.enforce_width_floor)
-
-
 def _perturbed_params(cfg: ExperimentConfig, horizon: int, prior_norm: float) -> LinUCBParams:
     return LinUCBParams.for_perturbed(cfg.d, cfg.n_actions, horizon, cfg.rho, prior_norm, ridge=cfg.ridge)
 
@@ -197,11 +193,11 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
     base = TwoBridgeConfig(
         horizon=horizon,
         theta_variant=variant,
-        noise=NoiseKind.GAUSSIAN_UNIT if cfg.noise == "gaussian" else NoiseKind.BERNOULLI,
+        noise=NoiseKind(cfg.noise),
         p_majority=p_majority,
     )
 
-    params = _two_bridge_params(cfg, horizon)
+    params = LinUCBParams.for_two_bridge(horizon)
     sums = RegretSums(cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, track_curve)
     if policy == "batch_freq_greedy":
         res = run_two_bridge_batch_freq(base, cfg.master_seed, rep, cfg.batch, sums=sums)
@@ -327,16 +323,13 @@ def check_linucb(cfg: ExperimentConfig) -> str | None:
 
     Builds the parameters the jobs build, at the horizons they run: every
     two-bridge job builds them, whatever its policy; on perturbed instances
-    only LinUCB does, and its engine needs a positive ridge.  Two-bridge
-    LinUCB has no ridge: its closed-form bound is the ridge-free one.
+    only LinUCB does, and its engine needs a positive ridge.
     """
     family = EXPERIMENT_SPECS[cfg.experiment].family
-    if family == "two_bridge" and cfg.ridge != 0:
-        return f"ridge must be 0 on {cfg.experiment}: its LinUCB uses the ridge-free closed-form bound"
     for policy, horizon in _cells(cfg):
         try:
             if family == "two_bridge":
-                _two_bridge_params(cfg, horizon)
+                LinUCBParams.for_two_bridge(horizon)
             elif family == "perturbed" and policy.startswith("linucb"):
                 if cfg.ridge <= 0:
                     return (f"ridge must be positive for {policy} on {cfg.experiment}: "
@@ -593,15 +586,14 @@ class ExperimentSpec:
 EXPERIMENT_SPECS = {
     "TwoBridgeLinUCB": ExperimentSpec(
         blurb="optimism on the two-bridge instance across horizons",
-        defaults={"horizons": (10000, 40000, 160000), "ridge": 0.0, "noise": "gaussian",
-                  "policies": ("linucb",)},
+        defaults={"horizons": (10000, 40000, 160000), "noise": "gaussian", "policies": ("linucb",)},
         policies=("linucb", "linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy", "oracle"),
         family="two_bridge",
         aggregate=_aggregate_two_bridge_linucb,
     ),
     "TwoBridgeImpossibility": ExperimentSpec(
         blurb="minority-time regret floor for four policies",
-        defaults={"horizons": (10000, 40000), "ridge": 0.0, "noise": "bernoulli",
+        defaults={"horizons": (10000, 40000), "noise": "bernoulli",
                   "policies": ("linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy")},
         policies=("linucb", "linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy", "oracle"),
         family="two_bridge",
@@ -636,8 +628,8 @@ EXPERIMENT_SPECS = {
     ),
     "SimulationVerify": ExperimentSpec(
         blurb="distributional audit of the within-batch reward simulator",
-        defaults={"horizons": (1200,), "batch": 300, "replicates": 1, "policies": ("batch_freq_greedy",)},
-        policies=("linucb", "batch_bayes_greedy", "batch_freq_greedy"),
+        defaults={"horizons": (1200,), "batch": 300, "policies": ("batch_freq_greedy",)},
+        policies=("batch_freq_greedy",),  # the audit runs frequentist greedy
         family="audit",
         check=_check_audit,
     ),
@@ -651,6 +643,31 @@ EXPERIMENT_SPECS = {
         check=_check_eig_growth,
     ),
 }
+
+
+INSTANCE_KEYS = ("d", "n_actions", "rho", "catalog_size", "catalog_seed", "prior_scale", "minority_prob")
+
+
+def keys_read(cfg: ExperimentConfig) -> set:
+    """The config keys a run of ``cfg`` reads; the parser rejects any other
+    key a config names, because setting it would change nothing."""
+    spec = EXPERIMENT_SPECS[cfg.experiment]
+    keys = {"experiment", "master_seed", "horizons", "policies"}
+    if spec.family == "audit":
+        return keys | {"batch", "n_targets", "sim_draws", *INSTANCE_KEYS}
+    keys |= {"replicates", "restriction"}
+    if spec.family == "two_bridge":
+        # The minority-time coin picks theta and the population itself.
+        keys |= {"noise"} if spec.theta_coin else {"noise", "theta_variant", "population"}
+    else:
+        keys.update(INSTANCE_KEYS)
+    if spec.comparator or any(p.startswith("batch_") for p in cfg.policies):
+        keys.add("batch")
+    if spec.family == "perturbed" and any(p.startswith("linucb") for p in cfg.policies):
+        keys.add("ridge")
+    if cfg.restriction == "coin":
+        keys.add("restriction_p")
+    return keys
 
 
 def ks_2samp_equal(x: np.ndarray, y: np.ndarray) -> tuple:

@@ -11,8 +11,10 @@ import pytest
 import banditsim
 
 import banditsim.experiments as experiments
+import banditsim.cli as cli
 from banditsim.cli import main
 from banditsim.config import EXPERIMENTS, parse_config
+from banditsim.experiments import keys_read
 from banditsim.csvio import parse_csv
 from banditsim.rng import replicate_seed_id
 
@@ -266,7 +268,38 @@ class TestRun:
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
-        assert f"ridge must be 0 on {experiment}" in err["message"]
+        assert f"{experiment} does not read key 'ridge'" in err["message"]
+
+    def test_one_dimensional_two_group_catalog_exit_2(self, capsys):
+        argv = ["run", "--experiment", "ExternalityVanishing", "--set", "d=1", "--set", "rho=0.5",
+                "--set", "horizons=4000", "--replicates", "1", "--out", "-", "--workers", "1"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "d of at least 2" in err["message"]
+
+    def test_memory_error_exit_3(self, config_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("injected")
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        assert main(["run", config_path, "--out", "-", "--workers", "1"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "MemoryError"
+        assert "out of memory" in err["message"]
+
+    def test_failed_write_keeps_old_output(self, config_path, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "results.csv"
+        out.write_text("old table\n")
+
+        def refuse(src, dst):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["run", config_path, "--out", str(out), "--workers", "1"]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
+        assert out.read_text() == "old table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "results.csv"]
 
     def test_scaling_fit_skips_policy_without_positive_regret(self, tmp_path, capsys):
         # Greedy at T = 2, 3, 4 can have zero mean regret at some horizon:
@@ -353,3 +386,94 @@ class TestVerifySimulation:
         assert main(["verify-simulation", str(cfg), "--out", "-"]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert "SimulationVerify" in err["message"]
+
+
+# Keys that change nothing for an experiment, each probed at a value other than its default.
+UNREAD_PROBES = [
+    ("TwoBridgeLinUCB", "rho = 0.1", "'rho'"),
+    ("TwoBridgeLinUCB", "prior_scale = 3", "'prior_scale'"),
+    ("TwoBridgeLinUCB", "catalog_seed = 99", "'catalog_seed'"),
+    ("TwoBridgeLinUCB", "n_targets = 5", "'n_targets'"),
+    ("TwoBridgeLinUCB", "ridge = 0", "'ridge'"),
+    ("TwoBridgeImpossibility", "theta_variant = theta1", "'theta_variant'"),
+    ("TwoBridgeImpossibility", "population = minority", "'population'"),
+    ("TwoBridgeLinUCB", "batch = 50", "'batch'"),
+    ("GreedyVsLinUCB", "noise = bernoulli", "'noise'"),
+    ("GreedyVsLinUCB", "policies = batch_freq_greedy\nridge = 2", "'ridge'"),
+    ("ScalingFit", "noise = bernoulli", "'noise'"),
+    ("ScalingFit", "theta_variant = theta1", "'theta_variant'"),
+    ("ScalingFit", "population = minority", "'population'"),
+    ("ScalingFit", "sim_draws = 77", "'sim_draws'"),
+    ("ScalingFit", "policies = linucb\nbatch = 50", "'batch'"),
+    ("ExternalityVanishing", "restriction_p = 0.25", "'restriction_p'"),
+    ("SimulationVerify", "replicates = 5", "'replicates'"),
+    ("SimulationVerify", "ridge = 3", "'ridge'"),
+    ("SimulationVerify", "restriction = coin", "'restriction'"),
+    ("SimulationVerify", "noise = bernoulli", "'noise'"),
+    ("SimulationVerify", "policies = linucb", "'linucb'"),
+    ("EigGrowth", "ridge = 2", "'ridge'"),
+]
+
+# Each experiment at a tiny scale, and the policies it switches to when the
+# sync guard varies them.
+TINY = {
+    # Two-bridge LinUCB's picks follow its pull counts here, so only greedy shows the noise.
+    "TwoBridgeLinUCB": ("horizons = 300, 600\nreplicates = 2\npolicies = linucb, batch_freq_greedy", "linucb_full"),
+    "TwoBridgeImpossibility": ("horizons = 300, 600\nreplicates = 2", "linucb_full, batch_freq_greedy"),
+    "GreedyVsLinUCB": ("horizons = 400\nreplicates = 2\nbatch = 20", "batch_freq_greedy, linucb"),
+    "ScalingFit": ("horizons = 200, 300, 400\nreplicates = 2", "linucb, batch_freq_greedy"),
+    "ExternalityVanishing": ("horizons = 400\nreplicates = 2\nbatch = 20", "batch_freq_greedy, linucb_full"),
+    "SimulationVerify": ("horizons = 600\nbatch = 200\nn_targets = 2\nsim_draws = 200", "linucb"),
+    "EigGrowth": ("horizons = 400\nreplicates = 2\nbatch = 20", "batch_bayes_greedy"),
+}
+# Second values; the first that differs from the tiny config's value is used.
+ALTERNATES = {
+    "master_seed": ["1"], "replicates": ["3"], "batch": ["25"], "restriction": ["coin"],
+    "noise": ["bernoulli", "gaussian"], "theta_variant": ["theta1"], "population": ["minority"],
+    "d": ["3"], "n_actions": ["3"], "rho": ["0.2"], "catalog_size": ["5"], "catalog_seed": ["8"],
+    "prior_scale": ["0.2"], "minority_prob": ["0.2", "0.4"], "ridge": ["50.0"], "n_targets": ["3"],
+    "sim_draws": ["300"],
+}
+# Keys whose one valid value is the default: any other is rejected.
+ONLY_VALUE = {("EigGrowth", "d"), ("SimulationVerify", "policies")}
+
+
+class TestKeysRead:
+    @pytest.mark.parametrize("experiment, lines, named", UNREAD_PROBES)
+    def test_unread_key_exit_2(self, experiment, lines, named, tmp_path, capsys):
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{lines}\n")
+        command = "verify-simulation" if experiment == "SimulationVerify" else "run"
+        assert main([command, str(cfg), "--out", "-"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert named in err["message"] and experiment in err["message"]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_read_key_changes_the_output(self, experiment, tmp_path, capsys):
+        base_text, other_policies = TINY[experiment]
+        base = dict(line.split(" = ") for line in base_text.splitlines())
+
+        def outputs(values: dict):
+            cfg = tmp_path / "sync.cfg"
+            cfg.write_text(f"experiment = {experiment}\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+            files = [tmp_path / name for name in ("r.csv", "a.json", "c.csv")]
+            code = main(["run", str(cfg), "--out", str(files[0]), "--aggregates", str(files[1]),
+                         "--curves", str(files[2]), "--workers", "1"])
+            capsys.readouterr()
+            return code, [f.read_bytes() for f in files] if code == 0 else None
+
+        _, reference = outputs(base)
+        current = parse_config(f"experiment = {experiment}\n{base_text}").to_dict()
+        for key in sorted(keys_read(parse_config(f"experiment = {experiment}")) - {"experiment"}):
+            if key == "horizons":
+                second = ", ".join(str(t + 100) for t in current["horizons"])
+            elif key == "policies":
+                second = other_policies
+            else:
+                second = next(v for v in ALTERNATES[key] if v != str(current[key]))
+            code, changed = outputs({**base, key: second})
+            if (experiment, key) in ONLY_VALUE:
+                assert code == 2, key
+            else:
+                assert code == 0 and changed != reference, key

@@ -17,6 +17,7 @@ from banditsim.config import (
     parse_config,
 )
 from banditsim.csvio import HEADER, ResultRow, emit_csv, parse_csv
+from banditsim.experiments import EXPERIMENT_SPECS, keys_read
 
 
 class TestParseConfig:
@@ -33,16 +34,17 @@ class TestParseConfig:
 
     def test_two_bridge_defaults_disable_ridge(self):
         cfg = parse_config("experiment = TwoBridgeLinUCB")
-        assert cfg.ridge == 0.0
+        assert "ridge" not in keys_read(cfg)
         assert cfg.horizons == (10000, 40000, 160000)
         assert cfg.policies == ("linucb",)
         assert parse_config("experiment = TwoBridgeImpossibility").noise == "bernoulli"
 
     @pytest.mark.parametrize("experiment", ["TwoBridgeLinUCB", "TwoBridgeImpossibility"])
     def test_two_bridge_rejects_nonzero_ridge(self, experiment):
-        with pytest.raises(ConfigError, match=f"ridge must be 0 on {experiment}"):
-            parse_config(f"experiment = {experiment}\nridge = 5")
-        assert parse_config(f"experiment = {experiment}\nridge = 0").ridge == 0.0
+        # Two-bridge LinUCB uses the ridge-free closed-form bound: no ridge is read.
+        for ridge in ("5", "0"):
+            with pytest.raises(ConfigError, match=f"{experiment} does not read key 'ridge'"):
+                parse_config(f"experiment = {experiment}\nridge = {ridge}")
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config(
@@ -111,6 +113,14 @@ class TestParseConfig:
         assert parse_config("experiment = ExternalityVanishing\ncatalog_size = 2").catalog_size == 2
         assert parse_config("experiment = ScalingFit\ncatalog_size = 1").catalog_size == 1
 
+    def test_two_group_catalog_needs_two_dimensions(self):
+        # Each group's entries lean towards their own axis: axes 0 and 1.
+        with pytest.raises(ConfigError, match="d of at least 2"):
+            parse_config("experiment = ExternalityVanishing\nd = 1\nrho = 0.5")
+        with pytest.raises(ConfigError, match="d of at least 2"):
+            parse_config("experiment = ScalingFit\nd = 1\nrho = 0.5\nminority_prob = 0.2")
+        assert parse_config("experiment = ScalingFit\nd = 1\nrho = 0.5").d == 1
+
     def test_unused_c0_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'c0'"):
             parse_config("experiment = ScalingFit\nc0 = 2")
@@ -139,6 +149,11 @@ class TestParseConfig:
         assert parse_config(f"experiment = {experiment}\nhorizons = 400\nbatch = 20").horizons == (400,)
         assert parse_config("experiment = ScalingFit\nhorizons = 400, 410, 420").horizons == (400, 410, 420)
 
+    def test_audit_takes_one_horizon(self):
+        with pytest.raises(ConfigError, match="SimulationVerify takes one horizon"):
+            parse_config("experiment = SimulationVerify\nhorizons = 1200, 2400")
+        assert parse_config("experiment = SimulationVerify\nhorizons = 2400").horizons == (2400,)
+
     def test_duplicate_horizons_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             parse_config("experiment = ScalingFit\nhorizons = 100, 100, 200")
@@ -154,14 +169,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="restriction_p"):
             parse_config("experiment = ScalingFit\nrestriction = coin\nrestriction_p = 1.0")
 
-    def test_boolean_forms(self):
-        for raw, value in (("true", True), ("off", False), ("1", True), ("No", False)):
-            cfg = parse_config(
-                f"experiment = TwoBridgeLinUCB\nenforce_width_floor = {raw}"
-            )
-            assert cfg.enforce_width_floor is value
-        with pytest.raises(ConfigError, match="enforce_width_floor"):
-            parse_config("experiment = TwoBridgeLinUCB\nenforce_width_floor = maybe")
+    def test_width_floor_key_removed(self):
+        # The two-bridge width floor 2 sqrt(ln T) never exceeded S, so the key changed nothing.
+        with pytest.raises(ConfigError, match="unknown key 'enforce_width_floor'"):
+            parse_config("experiment = TwoBridgeLinUCB\nenforce_width_floor = false")
 
     def test_overrides_take_precedence(self):
         cfg = parse_config(
@@ -177,12 +188,93 @@ class TestParseConfig:
             parse_config("experiment = ScalingFit", overrides={"horizon": 100})
 
     def test_default_experiment_only_fills_gaps(self):
-        cfg = parse_config("replicates = 3", default_experiment="SimulationVerify")
+        cfg = parse_config("batch = 300", default_experiment="SimulationVerify")
         assert cfg.experiment == "SimulationVerify"
         named = parse_config(
             "experiment = ScalingFit", default_experiment="SimulationVerify"
         )
         assert named.experiment == "ScalingFit"
+
+
+class TestKeysRead:
+    def test_keys_read_follow_the_policies(self):
+        assert parse_config("experiment = ScalingFit\npolicies = batch_freq_greedy\nbatch = 50").batch == 50
+        assert parse_config("experiment = GreedyVsLinUCB\npolicies = linucb\nbatch = 50").batch == 50
+        assert parse_config("experiment = TwoBridgeLinUCB\npolicies = batch_freq_greedy\nbatch = 50").batch == 50
+        cfg = parse_config("experiment = ExternalityVanishing\nrestriction = coin\nrestriction_p = 0.25")
+        assert cfg.restriction_p == 0.25
+
+    def test_settable_pairs(self):
+        # Every allowed policy and restriction = coin: the most keys each experiment reads.
+        counts = {
+            name: len(keys_read(ExperimentConfig(name, policies=spec.policies, restriction="coin"))) - 1
+            for name, spec in EXPERIMENT_SPECS.items()
+        }
+        assert counts == {
+            "TwoBridgeLinUCB": 10, "TwoBridgeImpossibility": 8, "GreedyVsLinUCB": 15, "ScalingFit": 15,
+            "ExternalityVanishing": 15, "SimulationVerify": 13, "EigGrowth": 15,
+        }
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+# Values each key may take whatever the others hold, within the spec defaults.
+READ_VALUES = {
+    "master_seed": st.integers(0, 2**64 - 1),
+    "replicates": st.integers(1, 10**6),
+    "batch": st.integers(4, 50),
+    "n_actions": st.integers(2, 64),
+    "rho": st.floats(1e-3, 0.5),
+    "catalog_size": st.integers(2, 10**4),
+    "catalog_seed": st.integers(0, 2**64 - 1),
+    "prior_scale": POSITIVE,
+    "minority_prob": st.floats(1e-9, 1.0, exclude_max=True),
+    "noise": st.sampled_from(["gaussian", "bernoulli"]),
+    "theta_variant": st.sampled_from(["theta0", "theta1"]),
+    "population": st.sampled_from(["full", "minority"]),
+    "ridge": POSITIVE,
+    "n_targets": st.integers(1, 10**6),
+    "sim_draws": st.integers(10, 10**9),
+    "restriction_p": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+}
+
+
+@st.composite
+def named_values(draw):
+    """An experiment and values for a subset of the keys it reads."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    spec = EXPERIMENT_SPECS[experiment]
+    values = {"experiment": experiment}
+    if draw(st.booleans()):
+        values["policies"] = tuple(draw(st.lists(st.sampled_from(spec.policies), min_size=1, unique=True)))
+    if draw(st.booleans()):
+        values["restriction"] = draw(st.sampled_from(["minority", "coin"]))
+    if draw(st.booleans()):
+        one = spec.comparator or spec.family == "audit"
+        values["horizons"] = tuple(draw(st.lists(st.integers(10**4, 10**6), min_size=1,
+                                                 max_size=1 if one else 4, unique=True)))
+    if draw(st.booleans()) and experiment != "EigGrowth":
+        values["d"] = draw(st.integers(2, 4))
+    read = keys_read(ExperimentConfig(**{**spec.defaults, **values}))
+    values = {k: v for k, v in values.items() if k in read}
+    for key in sorted(read & READ_VALUES.keys()):
+        if draw(st.booleans()):
+            values[key] = draw(READ_VALUES[key])
+    return values
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(values=named_values())
+    def test_round_trip_property(self, values):
+        text = "".join(f"{key} = {_render(value)}\n" for key, value in values.items())
+        spec = EXPERIMENT_SPECS[values["experiment"]]
+        assert parse_config(text) == ExperimentConfig(**{**spec.defaults, **values})
 
 
 class TestConvertValue:
@@ -191,7 +283,6 @@ class TestConvertValue:
         assert convert_value("rho", "0.25") == 0.25
         assert convert_value("horizons", "100, 200") == (100, 200)
         assert convert_value("policies", "linucb, oracle") == ("linucb", "oracle")
-        assert convert_value("enforce_width_floor", "true") is True
         assert convert_value("noise", "gaussian") == "gaussian"
 
     def test_unknown_key(self):
