@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -91,12 +92,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None, overrides: dict, default_experiment: str | None = None):
-    text = ""
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_config(text, overrides, default_experiment=default_experiment)
+def _read_config(path: str | None) -> str:
+    if not path:
+        return ""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+# Command-line flags that override config keys.
+_FLAG_KEYS = {"experiment": "experiment", "seed": "master_seed", "replicates": "replicates",
+              "targets": "n_targets", "draws": "sim_draws"}
 
 
 def _overrides_from(args) -> dict:
@@ -106,16 +111,9 @@ def _overrides_from(args) -> dict:
             raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
         key, _, value = item.partition("=")
         overrides[key.strip()] = convert_value(key.strip(), value)
-    if getattr(args, "experiment", None):
-        overrides["experiment"] = args.experiment
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "replicates", None) is not None:
-        overrides["replicates"] = args.replicates
-    if getattr(args, "targets", None) is not None:
-        overrides["n_targets"] = args.targets
-    if getattr(args, "draws", None) is not None:
-        overrides["sim_draws"] = args.draws
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            overrides[key] = getattr(args, flag)
     return overrides
 
 
@@ -125,13 +123,21 @@ def _write_text(path: str, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    # Write a sibling file and rename it over the target, so that a failed
-    # write leaves the old content in place.
-    tmp = f"{path}.{os.getpid()}.tmp"
+    if os.path.exists(path) and not os.path.isfile(path):
+        # A device or a pipe, such as /dev/null, is written in place.
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    # Write a sibling of the file behind any symlink and rename it over that
+    # file, with its mode, so that a failed write leaves the old content in place.
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -146,7 +152,7 @@ def _curves_csv(experiment: str, curves: dict) -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config, _overrides_from(args))
+    cfg = parse_config(_read_config(args.config), _overrides_from(args))
     result = run_experiment(cfg, workers=args.workers)
     _write_text(args.out, emit_csv(list(result.rows)))
     payload = json.dumps(result.aggregates, indent=2, default=_json_default)
@@ -160,11 +166,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = _overrides_from(args)
+    text, overrides = _read_config(args.config), _overrides_from(args)
     audit = "SimulationVerify"
-    cfg = _load_config(args.config, overrides, default_experiment=audit)
-    if EXPERIMENT_SPECS[cfg.experiment].family != "audit":
+    # Check the experiment before --targets and --draws, which only the audit reads.
+    shared = {k: v for k, v in overrides.items() if k not in ("n_targets", "sim_draws")}
+    if EXPERIMENT_SPECS[parse_config(text, shared, default_experiment=audit).experiment].family != "audit":
         raise ConfigError(f"verify-simulation requires the {audit} experiment")
+    cfg = parse_config(text, overrides, default_experiment=audit)
     result = run_experiment(cfg, workers=1)
     report = result.aggregates["simulation_verify"]
     _write_text(args.out, json.dumps(report, indent=2, default=_json_default) + "\n")

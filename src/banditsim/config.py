@@ -120,7 +120,8 @@ def parse_config(
         )
 
     cfg = ExperimentConfig(**{**EXPERIMENT_SPECS[experiment].defaults, **raw})
-    unread = [key for key in raw if key not in keys_read(cfg)]
+    read = keys_read(cfg)
+    unread = [key for key in raw if key not in read]
     if unread:
         raise ConfigError(
             f"{experiment} does not read key '{unread[0]}': setting it would change nothing "
@@ -177,7 +178,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("restriction_p must lie in (0, 1)")
     spec = EXPERIMENT_SPECS[cfg.experiment]
     if (spec.comparator or spec.family == "audit") and len(cfg.horizons) > 1:
-        raise ConfigError(f"{cfg.experiment} takes one horizon: its checks read one")
+        twice = ", and horizons that share T // batch would run the LinUCB comparator twice"
+        raise ConfigError(
+            f"{cfg.experiment} takes one horizon: its checks read one{twice if spec.comparator else ''}"
+        )
     if not cfg.policies:
         raise ConfigError("policies must not be empty")
     for p in cfg.policies:

@@ -658,7 +658,10 @@ def keys_read(cfg: ExperimentConfig) -> set:
     keys |= {"replicates", "restriction"}
     if spec.family == "two_bridge":
         # The minority-time coin picks theta and the population itself.
-        keys |= {"noise"} if spec.theta_coin else {"noise", "theta_variant", "population"}
+        keys |= set() if spec.theta_coin else {"theta_variant", "population"}
+        # Oracle and uniform-random picks never look at a reward.
+        if any(p not in ("oracle", "uniform_random") for p in cfg.policies):
+            keys.add("noise")
     else:
         keys.update(INSTANCE_KEYS)
     if spec.comparator or any(p.startswith("batch_") for p in cfg.policies):

@@ -9,17 +9,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LinUCBParams:
-    """Confidence-interval parameters for LinUCB.
-
-    ``width_floor`` lower-bounds the interval multiplier f(t); the default 0
-    leaves the standard self-normalized width untouched.
-    """
+    """Confidence-interval parameters for LinUCB."""
 
     L: float
     S: float
     horizon: int
     ridge: float = 0.0
-    width_floor: float = 0.0
 
     def __post_init__(self):
         if self.horizon < 2:
@@ -30,21 +25,18 @@ class LinUCBParams:
             raise ValueError("S must be positive and smaller than the horizon")
         if self.ridge < 0.0:
             raise ValueError("ridge must be nonnegative")
-        if self.width_floor < 0.0:
-            raise ValueError("width_floor must be nonnegative")
 
     @classmethod
-    def for_two_bridge(cls, horizon: int, enforce_floor: bool = True) -> "LinUCBParams":
+    def for_two_bridge(cls, horizon: int) -> "LinUCBParams":
         """Bounds for the two-bridge instance: unit basis contexts, d = 2.
 
         S follows the usual norm-bound recipe ||theta|| + sqrt(3 d ln T) with
-        ||theta|| <= 1/sqrt(2) on this instance.  ``enforce_floor`` keeps
-        f(t) >= 2 sqrt(ln horizon), the regime in which the top bridge is
-        provably preferred once minority data accumulates.
+        ||theta|| <= 1/sqrt(2) on this instance.  Since f(t) >= S > 2 sqrt(ln
+        horizon), f stays in the regime in which the top bridge is provably
+        preferred once minority data accumulates.
         """
-        floor = 2.0 * math.sqrt(math.log(horizon)) if enforce_floor else 0.0
         big_s = 1.0 / math.sqrt(2.0) + math.sqrt(6.0 * math.log(horizon))
-        return cls(L=1.0, S=big_s, horizon=horizon, width_floor=floor)
+        return cls(L=1.0, S=big_s, horizon=horizon)
 
     @classmethod
     def for_perturbed(
@@ -74,8 +66,7 @@ def interval_width(t_obs: int, params: LinUCBParams, d: int) -> float:
     if d < 1:
         raise ValueError("dimension must be at least 1")
     t_total = params.horizon
-    val = params.S + math.sqrt(d * math.log(t_total + t_obs * t_total * params.L**2))
-    return max(params.width_floor, val)
+    return params.S + math.sqrt(d * math.log(t_total + t_obs * t_total * params.L**2))
 
 
 def suggested_batch_size(

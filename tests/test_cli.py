@@ -301,6 +301,18 @@ class TestRun:
         assert out.read_text() == "old table\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "results.csv"]
 
+    def test_symlinked_output_written_through(self, config_path, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("old table\n")
+        table.chmod(0o640)
+        link = tmp_path / "results.csv"
+        link.symlink_to(table)
+        assert main(["run", config_path, "--out", str(link), "--workers", "1"]) == 0
+        assert link.is_symlink() and link.resolve() == table.resolve()
+        assert table.read_text().startswith("experiment,policy,")
+        assert table.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "results.csv", "table.csv"]
+
     def test_scaling_fit_skips_policy_without_positive_regret(self, tmp_path, capsys):
         # Greedy at T = 2, 3, 4 can have zero mean regret at some horizon:
         # no power law fits it, and the run still succeeds.
@@ -383,9 +395,10 @@ class TestVerifySimulation:
     def test_wrong_experiment_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "wrong.cfg"
         cfg.write_text("experiment = ScalingFit\n")
-        assert main(["verify-simulation", str(cfg), "--out", "-"]) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert "SimulationVerify" in err["message"]
+        for flags in ([], ["--targets", "3"], ["--draws", "500"]):
+            assert main(["verify-simulation", str(cfg), "--out", "-", *flags]) == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert "verify-simulation requires the SimulationVerify experiment" in err["message"]
 
 
 # Keys that change nothing for an experiment, each probed at a value other than its default.
@@ -398,6 +411,7 @@ UNREAD_PROBES = [
     ("TwoBridgeImpossibility", "theta_variant = theta1", "'theta_variant'"),
     ("TwoBridgeImpossibility", "population = minority", "'population'"),
     ("TwoBridgeLinUCB", "batch = 50", "'batch'"),
+    ("TwoBridgeLinUCB", "policies = oracle, uniform_random\nnoise = bernoulli", "'noise'"),
     ("GreedyVsLinUCB", "noise = bernoulli", "'noise'"),
     ("GreedyVsLinUCB", "policies = batch_freq_greedy\nridge = 2", "'ridge'"),
     ("ScalingFit", "noise = bernoulli", "'noise'"),
@@ -417,8 +431,10 @@ UNREAD_PROBES = [
 # Each experiment at a tiny scale, and the policies it switches to when the
 # sync guard varies them.
 TINY = {
-    # Two-bridge LinUCB's picks follow its pull counts here, so only greedy shows the noise.
-    "TwoBridgeLinUCB": ("horizons = 300, 600\nreplicates = 2\npolicies = linucb, batch_freq_greedy", "linucb_full"),
+    # LinUCB's picks rarely depend on the noise law; at this seed they do in
+    # replicate 1 at T = 30.
+    "TwoBridgeLinUCB": ("horizons = 30, 60\nreplicates = 2\nmaster_seed = 32\npopulation = minority",
+                        "linucb_full"),
     "TwoBridgeImpossibility": ("horizons = 300, 600\nreplicates = 2", "linucb_full, batch_freq_greedy"),
     "GreedyVsLinUCB": ("horizons = 400\nreplicates = 2\nbatch = 20", "batch_freq_greedy, linucb"),
     "ScalingFit": ("horizons = 200, 300, 400\nreplicates = 2", "linucb, batch_freq_greedy"),
@@ -429,7 +445,7 @@ TINY = {
 # Second values; the first that differs from the tiny config's value is used.
 ALTERNATES = {
     "master_seed": ["1"], "replicates": ["3"], "batch": ["25"], "restriction": ["coin"],
-    "noise": ["bernoulli", "gaussian"], "theta_variant": ["theta1"], "population": ["minority"],
+    "noise": ["bernoulli", "gaussian"], "theta_variant": ["theta1"], "population": ["minority", "full"],
     "d": ["3"], "n_actions": ["3"], "rho": ["0.2"], "catalog_size": ["5"], "catalog_seed": ["8"],
     "prior_scale": ["0.2"], "minority_prob": ["0.2", "0.4"], "ridge": ["50.0"], "n_targets": ["3"],
     "sim_draws": ["300"],

@@ -39,10 +39,6 @@ class TestIntervalWidth:
         widths = [interval_width(t, params, d=2) for t in range(0, 200, 10)]
         assert all(b >= a for a, b in zip(widths, widths[1:]))
 
-    def test_floor_binds(self):
-        params = LinUCBParams(L=1.0, S=0.1, horizon=10, width_floor=50.0)
-        assert interval_width(0, params, d=1) == 50.0
-
     def test_negative_inputs_rejected(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
         with pytest.raises(ValueError):
@@ -64,17 +60,12 @@ class TestLinUCBParams:
         with pytest.raises(ValueError):
             LinUCBParams(L=1.0, S=1.0, horizon=10, ridge=-1.0)
 
-    def test_negative_width_floor_rejected(self):
-        with pytest.raises(ValueError):
-            LinUCBParams(L=1.0, S=1.0, horizon=10, width_floor=-0.1)
-
     def test_two_bridge_recipe(self):
         horizon = 10_000
         p = LinUCBParams.for_two_bridge(horizon)
         assert p.L == 1.0
         assert p.S == pytest.approx(1 / math.sqrt(2) + math.sqrt(6 * math.log(horizon)))
-        assert p.width_floor == pytest.approx(2 * math.sqrt(math.log(horizon)))
-        assert LinUCBParams.for_two_bridge(horizon, enforce_floor=False).width_floor == 0.0
+        assert interval_width(0, p, d=2) > p.S > 2 * math.sqrt(math.log(horizon))
 
     def test_perturbed_recipe(self):
         p = LinUCBParams.for_perturbed(
