@@ -19,7 +19,7 @@ from .core import (
     NoiseKind,
     last_batch_end,
 )
-from .csvio import ResultRow, emit_csv, parse_csv
+from .csvio import ResultRow, emit_csv
 from .environments import Catalog, TwoBridgeConfig, draw_theta
 from .estimators import SufficientStats, min_eigenvalue, ols_estimate
 from .metrics import bayesian_regret, scaling_exponent

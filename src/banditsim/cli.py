@@ -16,8 +16,6 @@ import shutil
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
-
 from .config import (
     EXPERIMENTS,
     ConfigError,
@@ -34,18 +32,6 @@ from .experiments import (
     run_experiment,
 )
 from .simulation import InsufficientDiversityError
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -155,7 +141,7 @@ def _cmd_run(args) -> int:
     cfg = parse_config(_read_config(args.config), _overrides_from(args))
     result = run_experiment(cfg, workers=args.workers)
     _write_text(args.out, emit_csv(list(result.rows)))
-    payload = json.dumps(result.aggregates, indent=2, default=_json_default)
+    payload = json.dumps(result.aggregates, indent=2)
     if args.aggregates:
         _write_text(args.aggregates, payload + "\n")
     if args.out != "-":
@@ -175,7 +161,7 @@ def _cmd_verify(args) -> int:
     cfg = parse_config(text, overrides, default_experiment=audit)
     result = run_experiment(cfg, workers=1)
     report = result.aggregates["simulation_verify"]
-    _write_text(args.out, json.dumps(report, indent=2, default=_json_default) + "\n")
+    _write_text(args.out, json.dumps(report, indent=2) + "\n")
     if report["rejections"] > args.max_rejections:
         return _fail(
             "SimulationMismatch",

@@ -61,30 +61,3 @@ def emit_csv(rows) -> str:
         )
     return buf.getvalue()
 
-
-def parse_csv(text: str) -> list:
-    """Parse ``emit_csv`` output back into rows; exact float round-trip."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != HEADER:
-        raise ValueError(f"unexpected header: {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        if len(rec) != len(HEADER):
-            raise ValueError(f"malformed row: {rec}")
-        rows.append(
-            ResultRow(
-                experiment=rec[0],
-                policy=rec[1],
-                horizon=int(rec[2]),
-                replicate=int(rec[3]),
-                seed=int(rec[4]),
-                regret_total=float(rec[5]),
-                regret_minority=float(rec[6]),
-                regret_prediction=float(rec[7]),
-                theta_draw_id=int(rec[8]),
-            )
-        )
-    return rows

@@ -24,14 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseKind, last_batch_end
-from .environments import Catalog, TwoBridgeConfig
+from .environments import MAJORITY_RATE, Catalog, TwoBridgeConfig
 from .estimators import GaussianPrior, ols_estimate, posterior_mean, SufficientStats
 from .metrics import RegretSums, running_sum
-from .policies import LinUCBParams, interval_width
+from .policies import LinUCBParams, context_norm_bound, interval_width
 from .rng import Purpose, stream
 
 # Codes for two-bridge round kinds inside the engines.
 _A, _C, _B = 0, 1, 2
+
+# Rounds at which batched greedy probes the posterior/least-squares gap.
+GAP_PROBE_ROUNDS = (1000, 8000)
 
 
 @dataclass(frozen=True)
@@ -82,23 +85,23 @@ def run_two_bridge_policy(
     policy_name: str,
     master_seed: int,
     replicate: int,
-    theta: np.ndarray | None = None,
-    params: LinUCBParams | None = None,
-    inject_majority_rate: float = 0.0,
     sums: RegretSums | None = None,
 ) -> TwoBridgeRunResult:
-    """One two-bridge replicate for linucb / uniform_random / oracle.
+    """One two-bridge replicate for linucb, linucb_full, linucb_minority,
+    uniform_random or oracle.
 
-    ``inject_majority_rate`` > 0 feeds the policy the top-bridge data a full
-    population would generate between the simulated rounds: before each round,
-    a geometric number of majority rounds (minority rate = 1 - rate) is pulled
-    on the top bridge and folded into the statistics.
+    The LinUCB policies run with ``LinUCBParams.for_two_bridge(horizon)``.
+    ``linucb_full`` also learns from the top-bridge data a full population
+    would generate between the simulated rounds: before each round, a
+    geometric number of majority rounds (at MAJORITY_RATE) is pulled on the
+    top bridge and folded into the statistics.  ``linucb`` and
+    ``linucb_minority`` learn from the simulated rounds alone.
 
     ``sums`` receives the gap for every wrong B round, a minority round; by
     default it restricts to minority rounds and keeps no curve.
     """
     horizon = int(cfg.horizon)
-    theta = cfg.theta if theta is None else np.asarray(theta, dtype=float)
+    theta = cfg.theta
     top_best = theta[0] > theta[1]
     gap_size = abs(float(theta[0] - theta[1]))
 
@@ -107,8 +110,8 @@ def run_two_bridge_policy(
     pol = stream(master_seed, replicate, Purpose.POLICY)
 
     kinds = _kind_codes(cfg, ctx, horizon)
-    if inject_majority_rate > 0.0:
-        injected = ctx.geometric(1.0 - inject_majority_rate, size=horizon) - 1
+    if policy_name == "linucb_full":
+        injected = ctx.geometric(1.0 - MAJORITY_RATE, size=horizon) - 1
     else:
         injected = np.zeros(horizon, dtype=np.int64)
 
@@ -137,9 +140,8 @@ def run_two_bridge_policy(
         wrong_mask = ~picks_top if top_best else picks_top
     elif policy_name == "oracle":
         pass
-    elif policy_name == "linucb":
-        if params is None:
-            params = LinUCBParams.for_two_bridge(horizon)
+    elif policy_name in ("linucb", "linucb_full", "linucb_minority"):
+        params = LinUCBParams.for_two_bridge(horizon)
         n1 = n2 = 0
         s1 = s2 = 0.0
         for k in range(n_b):
@@ -176,7 +178,6 @@ def run_two_bridge_batch_freq(
     master_seed: int,
     replicate: int,
     batch_size: int,
-    theta: np.ndarray | None = None,
     sums: RegretSums | None = None,
 ) -> TwoBridgeRunResult:
     """Batched frequentist greedy on the two-bridge instance.
@@ -186,7 +187,7 @@ def run_two_bridge_batch_freq(
     per B round.  ``sums`` is fed as in ``run_two_bridge_policy``.
     """
     horizon = int(cfg.horizon)
-    theta = cfg.theta if theta is None else np.asarray(theta, dtype=float)
+    theta = cfg.theta
     top_best = theta[0] > theta[1]
     gap_size = abs(float(theta[0] - theta[1]))
 
@@ -268,9 +269,7 @@ class PerturbedRunResult:
     regret_prediction: float
     gap_allowance: float
     probe_values: dict
-    lambda_curve: np.ndarray | None
     final_stats: SufficientStats
-    theta: np.ndarray
     curve: np.ndarray | None = None
     chosen_rows: np.ndarray | None = None
 
@@ -284,10 +283,7 @@ def run_perturbed_batch_greedy(
     master_seed: int,
     replicate: int,
     acting: str = "freq",
-    context_bound: float | None = None,
-    probe_rounds: tuple = (),
-    track_lambda: bool = False,
-    track_rows: bool = False,
+    keep_rows: bool = False,
     sums: RegretSums | None = None,
 ) -> PerturbedRunResult:
     """Batched greedy replicate with whole batches vectorized.
@@ -295,10 +291,13 @@ def run_perturbed_batch_greedy(
     ``acting`` picks the frozen acting estimate: "freq" for least squares,
     "bayes" for the posterior mean.  ``gap_allowance`` accumulates
     ``2 R ||theta_bay - theta_freq||`` per round with the batch-frozen
-    estimates, the per-round bound on how far the two greedy rules' reward
-    predictions can disagree.  ``sums`` receives each batch's regret; by
-    default it restricts to minority rounds and keeps no curve.  The
-    prediction regret is summed in the same round order.
+    estimates and R = ``context_norm_bound`` of the instance, the per-round
+    bound on how far the two greedy rules' reward predictions can disagree.
+    ``probe_values`` maps each of GAP_PROBE_ROUNDS within the horizon to
+    ``t0 ||theta_bay - theta_freq||``, t0 the last batch end before it.
+    ``sums`` receives each batch's regret; by default it restricts to minority
+    rounds and keeps no curve.  The prediction regret is summed in the same
+    round order.  ``keep_rows`` keeps the chosen context of every round.
     """
     d, k = cat.dim, cat.n_actions
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
@@ -316,8 +315,8 @@ def run_perturbed_batch_greedy(
     if sums is None:
         sums = RegretSums(master_seed, (replicate,), horizon)
     pred_total = allowance = 0.0
+    context_bound = context_norm_bound(cat.rho, d, horizon, k)
     probes = {}
-    keep_rows = track_lambda or track_rows
     chosen_rows = np.empty((horizon, d)) if keep_rows else None
 
     done = 0
@@ -353,9 +352,8 @@ def run_perturbed_batch_greedy(
         if keep_rows:
             chosen_rows[done:done + y] = chosen
 
-        if context_bound is not None:
-            allowance += 2.0 * context_bound * float(np.linalg.norm(theta_bay - theta_freq)) * y
-        for p in probe_rounds:
+        allowance += 2.0 * context_bound * float(np.linalg.norm(theta_bay - theta_freq)) * y
+        for p in GAP_PROBE_ROUNDS:
             if done < p <= done + y:
                 t0 = last_batch_end(p, batch_size)
                 probes[p] = t0 * float(np.linalg.norm(theta_bay - theta_freq))
@@ -369,26 +367,11 @@ def run_perturbed_batch_greedy(
         theta_bay = posterior_mean(stats, prior)
         cold = False
 
-    lam = None
-    if track_lambda:
-        lam = _lambda_min_curve(chosen_rows)
     final = SufficientStats(0.5 * (Z + Z.T), xr, n_obs)
     return PerturbedRunResult(
-        float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes, lam,
-        final, theta, curve=sums.curve(), chosen_rows=chosen_rows if track_rows else None,
+        float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes,
+        final, curve=sums.curve(), chosen_rows=chosen_rows,
     )
-
-
-def _lambda_min_curve(rows: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of the running Gram matrix after every round (d = 2)."""
-    if rows.shape[1] != 2:
-        raise ValueError("lambda curve tracking is implemented for d = 2")
-    a = np.cumsum(rows[:, 0] * rows[:, 0])
-    b = np.cumsum(rows[:, 0] * rows[:, 1])
-    c = np.cumsum(rows[:, 1] * rows[:, 1])
-    half_tr = 0.5 * (a + c)
-    disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-    return half_tr - disc
 
 
 # Rounds of perturbation noise the LinUCB engine draws and scores at once.
@@ -485,7 +468,7 @@ def run_perturbed_linucb(
     for i in range(n):
         final = SufficientStats(0.5 * (Z[i] + Z[i].T), xr[i, :, 0], horizon)
         results.append(PerturbedRunResult(
-            float(sums.total[i]), float(sums.restricted[i]), float(sums.total[i]), 0.0, {}, None, final,
-            thetas[i], curve=sums.curve() if i == 0 else None,
+            float(sums.total[i]), float(sums.restricted[i]), float(sums.total[i]), 0.0, {}, final,
+            curve=sums.curve() if i == 0 else None,
         ))
     return results

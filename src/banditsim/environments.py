@@ -13,24 +13,27 @@ from .estimators import GaussianPrior
 
 THETA_VARIANTS = ("theta0", "theta1")
 
+# Share of majority rounds in a full two-bridge population, and the share of
+# minority rounds that expose both bridges (the rest expose only the bottom).
+MAJORITY_RATE = 0.95
+MINORITY_B_RATE = 0.05
+
 
 @dataclass(frozen=True)
 class TwoBridgeConfig:
     """Two-route population with a majority that only ever sees the top route.
 
     A round is majority with probability ``p_majority`` (both slots carry the
-    top context); otherwise it is a minority round, which exposes only the
-    bottom context with conditional probability ``p_minority_c`` and both
-    contexts with probability ``p_minority_b``.  The reward gap ``epsilon`` is
-    always recomputed as ``1/sqrt(horizon)`` and never stored.
+    top context); otherwise it is a minority round, which exposes both
+    contexts with conditional probability MINORITY_B_RATE and only the bottom
+    context otherwise.  The reward gap ``epsilon`` is always recomputed as
+    ``1/sqrt(horizon)`` and never stored.
     """
 
     horizon: int
     theta_variant: str = "theta0"
     noise: NoiseKind = NoiseKind.GAUSSIAN_UNIT
-    p_majority: float = 0.95
-    p_minority_c: float = 0.95
-    p_minority_b: float = 0.05
+    p_majority: float = MAJORITY_RATE
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -39,11 +42,6 @@ class TwoBridgeConfig:
             raise ConfigurationError(f"theta_variant must be one of {THETA_VARIANTS}")
         if not 0.0 <= self.p_majority < 1.0:
             raise ConfigurationError("p_majority must lie in [0, 1)")
-        for name in ("p_minority_c", "p_minority_b"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1]")
-        if abs(self.p_minority_c + self.p_minority_b - 1.0) > 1e-12:
-            raise ConfigurationError("minority round probabilities must sum to 1")
 
     @property
     def epsilon(self) -> float:
@@ -59,11 +57,7 @@ class TwoBridgeConfig:
     def kind_probabilities(self) -> tuple:
         """Unconditional (A, C, B) probabilities."""
         p_min = 1.0 - self.p_majority
-        return (
-            self.p_majority,
-            p_min * self.p_minority_c,
-            p_min * self.p_minority_b,
-        )
+        return self.p_majority, p_min * (1.0 - MINORITY_B_RATE), p_min * MINORITY_B_RATE
 
 
 @dataclass(frozen=True, eq=False)

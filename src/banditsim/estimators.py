@@ -59,13 +59,7 @@ def _solve_spd(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def ols_estimate(stats: SufficientStats) -> np.ndarray:
     """Least-squares estimate Z^-1 xr; minimum-norm solution when Z is singular."""
-    Z, xr = stats.Z, stats.xr
-    try:
-        c = np.linalg.cholesky(Z)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(Z, rcond=SINGULAR_CUTOFF, hermitian=True) @ xr
-    y = np.linalg.solve(c, xr)
-    return np.linalg.solve(c.T, y)
+    return _solve_spd(stats.Z, stats.xr)
 
 
 @dataclass(frozen=True, eq=False)

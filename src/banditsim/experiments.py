@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import NoiseKind
+from .core import ConfigurationError, NoiseKind
 from .csvio import ResultRow
 from .engines import (
     run_perturbed_batch_greedy,
@@ -26,14 +26,10 @@ from .engines import (
     run_two_bridge_batch_freq,
     run_two_bridge_policy,
 )
-from .environments import Catalog, TwoBridgeConfig, draw_theta
+from .environments import MAJORITY_RATE, Catalog, TwoBridgeConfig, draw_theta
 from .estimators import gaussian_prior, min_eigenvalue
 from .metrics import RegretSums, bayesian_regret, scaling_exponent, scaling_exponent_bootstrap
-from .policies import (
-    LinUCBParams,
-    context_norm_bound,
-    suggested_batch_size,
-)
+from .policies import LinUCBParams, context_norm_bound, suggested_batch_size
 from .rng import Purpose, replicate_seed_id, stream
 from .simulation import simulate_reward_many, simulation_weights
 
@@ -42,9 +38,6 @@ if TYPE_CHECKING:
 
 WORKERS_ENV_VAR = "BANDITSIM_WORKERS"
 
-# Rounds at which the batched engines probe the posterior/least-squares gap.
-GAP_PROBE_ROUNDS = (1000, 8000)
-
 # Replicates of one perturbed LinUCB cell that one job advances in lockstep.
 # A constant, not derived from the worker count: a replicate's result does not
 # depend on its block, and the blocks do not depend on the scheduling.
@@ -52,6 +45,9 @@ LINUCB_BLOCK = 32
 
 # Points of replicate 0's cumulative-regret curve kept per (policy, T) cell.
 CURVE_POINTS = 200
+
+# First round from which the minimum eigenvalue must clear its bound.
+LAMBDA_FLOOR_ROUND = 2000
 
 
 class ReplicateError(RuntimeError):
@@ -74,16 +70,16 @@ class ExperimentResult:
 def resolve_workers(workers: int | None) -> int:
     if workers is not None:
         if workers < 1:
-            raise ValueError("workers must be at least 1")
+            raise ConfigurationError("workers must be at least 1")
         return workers
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         try:
             value = int(env)
         except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got '{env}'") from None
+            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer, got '{env}'") from None
         if value < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be at least 1")
+            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be at least 1")
         return value
     return min(os.cpu_count() or 1, 8)
 
@@ -183,7 +179,7 @@ def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, res, th
 
 def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, track_curve: bool = False) -> tuple:
     variant = cfg.theta_variant
-    p_majority = 0.95 if cfg.population == "full" else 0.0
+    p_majority = MAJORITY_RATE if cfg.population == "full" else 0.0
     if EXPERIMENT_SPECS[cfg.experiment].theta_coin:
         # Minority-time design: every simulated round is a minority round and
         # the latent weights are a fresh uniform draw over the two variants.
@@ -196,18 +192,11 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
         noise=NoiseKind(cfg.noise),
         p_majority=p_majority,
     )
-
-    params = LinUCBParams.for_two_bridge(horizon)
     sums = RegretSums(cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, track_curve)
     if policy == "batch_freq_greedy":
         res = run_two_bridge_batch_freq(base, cfg.master_seed, rep, cfg.batch, sums=sums)
-    elif policy in ("linucb", "linucb_full", "linucb_minority", "uniform_random", "oracle"):
-        res = run_two_bridge_policy(
-            base, "linucb" if policy.startswith("linucb") else policy, cfg.master_seed, rep, params=params,
-            inject_majority_rate=0.95 if policy == "linucb_full" else 0.0, sums=sums,
-        )
     else:
-        raise ValueError(f"policy '{policy}' is not valid on two-bridge instances")
+        res = run_two_bridge_policy(base, policy, cfg.master_seed, rep, sums=sums)
 
     extras = {"wrong_b_rounds": res.wrong_b_rounds, "b_rounds": res.b_rounds}
     return _outcome(cfg, policy, horizon, rep, res, int(variant == "theta1"), extras)
@@ -219,7 +208,7 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
 
     if policy in ("batch_bayes_greedy", "batch_freq_greedy"):
         acting = "bayes" if policy == "batch_bayes_greedy" else "freq"
-        bound = context_norm_bound(cfg.rho, cfg.d, horizon, cfg.n_actions)
+        lambda_checks = EXPERIMENT_SPECS[cfg.experiment].lambda_checks
         runs = []
         for rep, theta in zip(reps, thetas):
             res = run_perturbed_batch_greedy(
@@ -231,16 +220,14 @@ def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, r
                 cfg.master_seed,
                 rep,
                 acting=acting,
-                context_bound=bound if acting == "freq" else None,
-                probe_rounds=tuple(p for p in GAP_PROBE_ROUNDS if p <= horizon),
-                track_lambda=EXPERIMENT_SPECS[cfg.experiment].track_lambda,
+                keep_rows=lambda_checks,
                 sums=RegretSums(
                     cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, track_curve
                 ),
             )
             extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
-            if res.lambda_curve is not None:
-                extras.update(_lambda_checks(res.lambda_curve, cfg.rho, horizon))
+            if lambda_checks:
+                extras.update(_lambda_checks(_lambda_min_curve(res.chosen_rows), cfg.rho, horizon))
             runs.append((res, extras))
     elif policy in ("linucb", "linucb_full", "linucb_minority"):
         run_catalog = catalog.minority_only() if policy == "linucb_minority" else catalog
@@ -263,11 +250,24 @@ def draw_theta_for_replicate(cfg: ExperimentConfig, prior, rep: int) -> np.ndarr
     return draw_theta(prior, stream(cfg.master_seed, rep, Purpose.THETA))
 
 
-def _lambda_checks(curve: np.ndarray, rho: float, horizon: int, floor_round: int = 2000) -> dict:
-    """Compare a minimum-eigenvalue trajectory against rho^2 t / (32 ln T)."""
+def _lambda_min_curve(rows: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of the running Gram matrix after every round (d = 2)."""
+    if rows.shape[1] != 2:
+        raise ValueError("lambda curve tracking is implemented for d = 2")
+    a = np.cumsum(rows[:, 0] * rows[:, 0])
+    b = np.cumsum(rows[:, 0] * rows[:, 1])
+    c = np.cumsum(rows[:, 1] * rows[:, 1])
+    half_tr = 0.5 * (a + c)
+    disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
+    return half_tr - disc
+
+
+def _lambda_checks(curve: np.ndarray, rho: float, horizon: int) -> dict:
+    """Compare a minimum-eigenvalue trajectory against rho^2 t / (32 ln T)
+    from round LAMBDA_FLOOR_ROUND on."""
     t = np.arange(1, curve.size + 1)
     bound = rho**2 * t / (32.0 * math.log(horizon))
-    tail = t >= floor_round
+    tail = t >= LAMBDA_FLOOR_ROUND
     slope = float(np.polyfit(t, curve, 1)[0])
     ratios = curve[tail] / bound[tail]
     return {
@@ -321,9 +321,10 @@ def _cells(cfg: ExperimentConfig) -> list:
 def check_linucb(cfg: ExperimentConfig) -> str | None:
     """Why a job of the run could not build its LinUCB parameters, or None.
 
-    Builds the parameters the jobs build, at the horizons they run: every
-    two-bridge job builds them, whatever its policy; on perturbed instances
-    only LinUCB does, and its engine needs a positive ridge.
+    Builds the parameters at the horizons the jobs run.  Two-bridge runs need
+    T >= 4 whatever their policies: below it the smaller mean 1/2 - 1/sqrt(T)
+    is negative, and LinUCB's norm bound S exceeds T.  On perturbed instances
+    only LinUCB builds them, and its engine needs a positive ridge.
     """
     family = EXPERIMENT_SPECS[cfg.experiment].family
     for policy, horizon in _cells(cfg):
@@ -542,7 +543,7 @@ def _aggregate_eig_growth(cfg, rows, extras, aggregates) -> None:
         "all_slopes_positive": bool(all(s > 0 for s in slopes)),
         "min_ratio": float(np.min(ratios)),
         "mean_final_lambda": float(np.mean(finals)),
-        "floor_round": 2000,
+        "floor_round": LAMBDA_FLOOR_ROUND,
     }
 
 
@@ -579,7 +580,7 @@ class ExperimentSpec:
     aggregate: Callable | None = None  # (cfg, rows, extras, aggregates): adds its checks
     comparator: bool = False  # LinUCB policies run at linucb_comparator_horizon(T, batch)
     theta_coin: bool = False  # minority-time design: a coin per replicate picks theta0 or theta1
-    track_lambda: bool = False  # record the greedy design's minimum-eigenvalue curve
+    lambda_checks: bool = False  # check the minimum-eigenvalue growth of the greedy design
     check: Callable = lambda cfg: None  # (cfg) -> why the experiment cannot run it, or None
 
 
@@ -639,7 +640,7 @@ EXPERIMENT_SPECS = {
         policies=("linucb", "batch_bayes_greedy", "batch_freq_greedy"),
         family="perturbed",
         aggregate=_aggregate_eig_growth,
-        track_lambda=True,
+        lambda_checks=True,
         check=_check_eig_growth,
     ),
 }
@@ -709,7 +710,7 @@ def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draw
     horizon = cfg.horizons[0]
     res = run_perturbed_batch_greedy(
         catalog, prior, theta, horizon, cfg.batch,
-        cfg.master_seed, 0, acting="freq", track_rows=True,
+        cfg.master_seed, 0, acting="freq", keep_rows=True,
     )
     n_batches = horizon // cfg.batch
     lo = (n_batches - 1) * cfg.batch
@@ -718,7 +719,7 @@ def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draw
     z_batch = x_batch.T @ x_batch
     lam = min_eigenvalue(0.5 * (z_batch + z_batch.T))
     bound = context_norm_bound(cfg.rho, cfg.d, horizon, cfg.n_actions)
-    y0 = suggested_batch_size(cfg.rho, cfg.d, horizon, 0.01, n_actions=cfg.n_actions)
+    y0 = suggested_batch_size(cfg.rho, cfg.d, horizon, 0.01, cfg.n_actions)
 
     rng = stream(cfg.master_seed, 0, Purpose.SIMULATION)
     batch_means = x_batch @ theta

@@ -69,23 +69,13 @@ def interval_width(t_obs: int, params: LinUCBParams, d: int) -> float:
     return params.S + math.sqrt(d * math.log(t_total + t_obs * t_total * params.L**2))
 
 
-def suggested_batch_size(
-    rho: float,
-    d: int,
-    horizon: int,
-    delta: float,
-    n_actions: int | None = None,
-    context_bound: float | None = None,
-) -> int:
+def suggested_batch_size(rho: float, d: int, horizon: int, delta: float, n_actions: int) -> int:
     """Batch length above which one batch is diverse enough to simulate rewards.
 
     Evaluates ceil of
     ``(R/rho)^2 * (8 e^2/(e-1)^2) * (1 + log(2d/delta)) * log T
-    + (4 e/(e-1)) * log(2/delta)``.
-    ``context_bound`` overrides the high-probability context-norm bound R;
-    otherwise R is computed from the instance as
-    ``1 + rho * sqrt(2 log(2 T K d / delta_R)) * sqrt(d)`` with
-    ``delta_R = T^-2``.
+    + (4 e/(e-1)) * log(2/delta)``
+    with R the context-norm bound ``context_norm_bound(rho, d, T, K)``.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -93,10 +83,7 @@ def suggested_batch_size(
         raise ValueError("delta must lie in (0, 1)")
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    if context_bound is None:
-        if n_actions is None:
-            raise ValueError("need n_actions to derive the context-norm bound")
-        context_bound = context_norm_bound(rho, d, horizon, n_actions)
+    context_bound = context_norm_bound(rho, d, horizon, n_actions)
     e = math.e
     log_t = math.log(horizon)
     term1 = (context_bound / rho) ** 2 * (8 * e**2 / (e - 1) ** 2)

@@ -5,17 +5,21 @@ One ``ContextRound`` holds one round's available actions, each a vector that
 ``greedy_select`` and ``instantaneous_regret`` decide and score that round
 alone, and ``bayes_posterior_mean`` validates and inverts the prior on every
 call.  The engines in ``banditsim.engines`` make the same decisions over whole
-stretches of rounds; the tests hold them to these definitions.
+stretches of rounds; the tests hold them to these definitions.  ``parse_csv``
+reads a result table back into rows.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from banditsim.csvio import HEADER, ResultRow
 from banditsim.estimators import SINGULAR_CUTOFF, SufficientStats, gaussian_prior, posterior_mean
 
 # The two-bridge instance's contexts: the top and the bottom bridge.
@@ -174,3 +178,31 @@ def bayes_posterior_mean(
 ) -> np.ndarray:
     """Posterior mean under the prior (prior_mean, prior_cov); see ``posterior_mean``."""
     return posterior_mean(stats, gaussian_prior(prior_mean, prior_cov))
+
+
+def parse_csv(text: str) -> list:
+    """Parse ``emit_csv`` output back into rows; exact float round-trip."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != HEADER:
+        raise ValueError(f"unexpected header: {header}")
+    rows = []
+    for rec in reader:
+        if not rec:
+            continue
+        if len(rec) != len(HEADER):
+            raise ValueError(f"malformed row: {rec}")
+        rows.append(
+            ResultRow(
+                experiment=rec[0],
+                policy=rec[1],
+                horizon=int(rec[2]),
+                replicate=int(rec[3]),
+                seed=int(rec[4]),
+                regret_total=float(rec[5]),
+                regret_minority=float(rec[6]),
+                regret_prediction=float(rec[7]),
+                theta_draw_id=int(rec[8]),
+            )
+        )
+    return rows

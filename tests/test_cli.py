@@ -15,8 +15,8 @@ import banditsim.cli as cli
 from banditsim.cli import main
 from banditsim.config import EXPERIMENTS, parse_config
 from banditsim.experiments import keys_read
-from banditsim.csvio import parse_csv
 from banditsim.rng import replicate_seed_id
+from oracles import parse_csv
 
 SMALL_CONFIG = """
 experiment = TwoBridgeLinUCB
@@ -168,6 +168,20 @@ class TestRun:
         assert main(["run", config_path, "--set", "replicates"]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert "KEY=VALUE" in err["message"]
+
+    @pytest.mark.parametrize("flags,env,message", [
+        (["--workers", "0"], None, "workers must be at least 1"),
+        ([], "0", "BANDITSIM_WORKERS must be at least 1"),
+        ([], "abc", "BANDITSIM_WORKERS must be an integer, got 'abc'"),
+    ])
+    def test_bad_worker_count_exit_2(self, config_path, flags, env, message, capsys, monkeypatch):
+        if env is None:
+            monkeypatch.delenv(experiments.WORKERS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(experiments.WORKERS_ENV_VAR, env)
+        assert main(["run", config_path, "--out", "-", *flags]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ConfigurationError", "message": message}
 
     def test_replicate_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

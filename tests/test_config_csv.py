@@ -16,8 +16,9 @@ from banditsim.config import (
     dumps_defaults,
     parse_config,
 )
-from banditsim.csvio import HEADER, ResultRow, emit_csv, parse_csv
+from banditsim.csvio import HEADER, ResultRow, emit_csv
 from banditsim.experiments import EXPERIMENT_SPECS, keys_read
+from oracles import parse_csv
 
 
 class TestParseConfig:

@@ -21,10 +21,10 @@ from banditsim.engines import (
     _A,
     _B,
     _C,
+    GAP_PROBE_ROUNDS,
     NOISE_CHUNK,
     _draw_entry_indices,
     _kind_codes,
-    _lambda_min_curve,
     _seg_sums,
     _single_rewards,
     run_perturbed_batch_greedy,
@@ -34,8 +34,9 @@ from banditsim.engines import (
 )
 from banditsim.environments import Catalog, TwoBridgeConfig
 from banditsim.estimators import SufficientStats, gaussian_prior, ols_estimate
+from banditsim.experiments import _lambda_min_curve
 from banditsim.metrics import RegretSums
-from banditsim.policies import LinUCBParams, interval_width
+from banditsim.policies import LinUCBParams, context_norm_bound, interval_width
 from banditsim.rng import Purpose, stream
 from oracles import (
     BOTTOM,
@@ -60,6 +61,15 @@ def _coins(master_seed, replicate, horizon, p):
 def _curve_sums(replicates, horizon, **kwargs):
     """An accumulator that keeps the first replicate's curve."""
     return RegretSums(MASTER, replicates, horizon, curve=True, **kwargs)
+
+
+def _replicate_without_b_rounds(cfg):
+    """The first replicate whose round kinds hold no B round."""
+    for rep in range(100):
+        kinds = _kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
+        if not np.any(kinds == _B):
+            return rep
+    raise AssertionError("every replicate has a B round")
 
 
 def _two_bridge_draws(cfg, master_seed, replicate, inject_rate):
@@ -345,18 +355,17 @@ class TestTwoBridgePolicyEngine:
     @pytest.mark.parametrize("variant", ["theta0", "theta1"])
     @pytest.mark.parametrize("noise", [NoiseKind.GAUSSIAN_UNIT, NoiseKind.BERNOULLI])
     @pytest.mark.parametrize(
-        "p_majority,inject", [(0.95, 0.0), (0.0, 0.0), (0.0, 0.95)]
+        "p_majority,policy", [(0.95, "linucb"), (0.0, "linucb_minority"), (0.0, "linucb_full")]
     )
-    def test_linucb_matches_generic_reference(self, variant, noise, p_majority, inject):
+    def test_linucb_matches_generic_reference(self, variant, noise, p_majority, policy):
         horizon = 4000
         cfg = TwoBridgeConfig(
             horizon=horizon, theta_variant=variant, noise=noise, p_majority=p_majority
         )
         params = LinUCBParams.for_two_bridge(horizon)
-        res = run_two_bridge_policy(
-            cfg, "linucb", MASTER, 3, params=params,
-            inject_majority_rate=inject, sums=_curve_sums((3,), horizon),
-        )
+        res = run_two_bridge_policy(cfg, policy, MASTER, 3, sums=_curve_sums((3,), horizon))
+        # linucb_full also learns from majority stretches at rate 0.95.
+        inject = 0.95 if policy == "linucb_full" else 0.0
         b_pos, wrong_mask = reference_two_bridge_linucb(cfg, MASTER, 3, params, inject)
         assert res.b_rounds == b_pos.size
         assert res.wrong_b_rounds == int(wrong_mask.sum())
@@ -394,27 +403,26 @@ class TestTwoBridgePolicyEngine:
         assert res.regret_total == res.regret_minority == res.regret_prediction == 0.0
         np.testing.assert_array_equal(res.curve, np.zeros(cfg.horizon))
 
-    @pytest.mark.parametrize("policy", ["linucb", "uniform_random", "oracle"])
+    @pytest.mark.parametrize("policy", ["linucb", "linucb_full", "uniform_random", "oracle"])
     def test_no_choice_rounds_means_no_regret(self, policy):
         # Without B rounds every round forces its action, so nothing is ever
         # decided and no policy can pay the gap.
-        cfg = TwoBridgeConfig(horizon=2000, p_minority_c=1.0, p_minority_b=0.0)
-        res = run_two_bridge_policy(cfg, policy, MASTER, 0)
+        cfg = TwoBridgeConfig(horizon=200)
+        res = run_two_bridge_policy(cfg, policy, MASTER, _replicate_without_b_rounds(cfg))
         assert res.b_rounds == 0
         assert res.wrong_b_rounds == 0
         assert res.regret_total == 0.0
 
     def test_theta_override_sets_the_gap(self):
-        cfg = TwoBridgeConfig(horizon=20_000, p_majority=0.0)
-        theta = np.array([0.2, 0.7])  # bottom bridge best, gap 0.5
-        res = run_two_bridge_policy(
-            cfg, "uniform_random", MASTER, 2, theta=theta, sums=_curve_sums((2,), cfg.horizon)
-        )
-        assert res.regret_total == pytest.approx(0.5 * res.wrong_b_rounds)
+        # Under theta1 the bottom bridge is best, by epsilon.
+        cfg = TwoBridgeConfig(horizon=20_000, theta_variant="theta1", p_majority=0.0)
+        res = run_two_bridge_policy(cfg, "uniform_random", MASTER, 2, sums=_curve_sums((2,), cfg.horizon))
+        assert res.wrong_b_rounds > 0
+        assert res.regret_total == pytest.approx(cfg.epsilon * res.wrong_b_rounds)
         assert res.curve[-1] == res.regret_total
         # The wrong picks are the top-bridge picks: the complement of the
         # wrong picks under the default theta0 on the same streams.
-        default = run_two_bridge_policy(cfg, "uniform_random", MASTER, 2)
+        default = run_two_bridge_policy(TwoBridgeConfig(horizon=20_000, p_majority=0.0), "uniform_random", MASTER, 2)
         assert res.b_rounds == default.b_rounds
         assert res.wrong_b_rounds == default.b_rounds - default.wrong_b_rounds
 
@@ -432,7 +440,7 @@ class TestTwoBridgePolicyEngine:
         # the same with and without it.
         cfg = TwoBridgeConfig(horizon=5000, p_majority=0.0)
         plain = run_two_bridge_policy(cfg, "linucb", MASTER, 4)
-        injected = run_two_bridge_policy(cfg, "linucb", MASTER, 4, inject_majority_rate=0.95)
+        injected = run_two_bridge_policy(cfg, "linucb_full", MASTER, 4)
         assert injected.b_rounds == plain.b_rounds
 
     def test_unknown_policy_rejected(self):
@@ -480,8 +488,8 @@ class TestTwoBridgeBatchFreqEngine:
         assert res.regret_minority == res.regret_total
 
     def test_no_choice_rounds_means_no_regret(self):
-        cfg = TwoBridgeConfig(horizon=2000, p_minority_c=1.0, p_minority_b=0.0)
-        res = run_two_bridge_batch_freq(cfg, MASTER, 0, 100)
+        cfg = TwoBridgeConfig(horizon=200)
+        res = run_two_bridge_batch_freq(cfg, MASTER, _replicate_without_b_rounds(cfg), 20)
         assert res.b_rounds == 0
         assert res.regret_total == 0.0
 
@@ -569,19 +577,23 @@ class TestPerturbedGreedyEngine:
     @pytest.mark.parametrize("two_group", [False, True])
     def test_matches_per_round_reference(self, acting, two_group):
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        # The horizon reaches the first probe round, inside a warm batch.
+        horizon = 1050
         kwargs = dict(
-            theta=THETA, horizon=900, batch_size=150, master_seed=MASTER, replicate=1,
-            acting=acting, context_bound=2.0, probe_rounds=(100, 800),
+            theta=THETA, horizon=horizon, batch_size=150, master_seed=MASTER, replicate=1, acting=acting,
         )
         res = run_perturbed_batch_greedy(cfg, PRIOR, **kwargs)
         total, minority, pred, allowance, probes = reference_perturbed_greedy(
-            cfg, PRIOR_MEAN, PRIOR_COV, **kwargs
+            cfg, PRIOR_MEAN, PRIOR_COV, **kwargs,
+            context_bound=context_norm_bound(cfg.rho, cfg.dim, horizon, cfg.n_actions),
+            probe_rounds=GAP_PROBE_ROUNDS,
         )
         assert res.regret_total == total
         assert res.regret_minority == minority
         assert res.regret_prediction == pred
         assert res.gap_allowance == pytest.approx(allowance, abs=1e-9)
-        assert set(res.probe_values) == {100, 800}
+        assert set(res.probe_values) == {1000}
+        assert res.probe_values[1000] > 0.0
         for p, v in probes.items():
             assert res.probe_values[p] == pytest.approx(v, abs=1e-9)
 
@@ -604,7 +616,7 @@ class TestPerturbedGreedyEngine:
         res = run_perturbed_batch_greedy(
             cfg, gaussian_prior(np.array([0.2, 0.9]), np.eye(2)), np.array([0.5, 0.4]),
             horizon=200, batch_size=200, master_seed=MASTER, replicate=0,
-            acting="bayes", track_rows=True,
+            acting="bayes", keep_rows=True,
         )
         np.testing.assert_array_equal(res.chosen_rows, np.tile(BOTTOM, (200, 1)))
         assert res.regret_total == pytest.approx(200 * 0.1)
@@ -625,7 +637,7 @@ class TestPerturbedGreedyEngine:
         n = 4000
         res = run_perturbed_batch_greedy(
             cfg, PRIOR, np.array([0.5, 0.4]),
-            horizon=n, batch_size=n, master_seed=MASTER, replicate=2, track_rows=True,
+            horizon=n, batch_size=n, master_seed=MASTER, replicate=2, keep_rows=True,
         )
         top_rate = float(np.mean(res.chosen_rows[:, 0] == 1.0))
         assert top_rate == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(n))
@@ -634,7 +646,7 @@ class TestPerturbedGreedyEngine:
         cfg = _fixed_pair_catalog()
         res = run_perturbed_batch_greedy(
             cfg, PRIOR, np.array([1.0, -1.0]),
-            horizon=400, batch_size=200, master_seed=MASTER, replicate=3, track_rows=True,
+            horizon=400, batch_size=200, master_seed=MASTER, replicate=3, keep_rows=True,
         )
         np.testing.assert_array_equal(res.chosen_rows[200:], np.tile(TOP, (200, 1)))
 
@@ -647,26 +659,24 @@ class TestPerturbedGreedyEngine:
         res = run_perturbed_batch_greedy(
             cfg, PRIOR, np.array([0.5, 0.45]),
             horizon=1000, batch_size=batch_size, master_seed=MASTER, replicate=4,
-            acting=acting, track_rows=True,
+            acting=acting, keep_rows=True,
         )
         first = 1 if acting == "freq" else 0  # the cold frequentist batch is random
         batches = res.chosen_rows.reshape(-1, batch_size, 2)[first:]
         assert np.all(batches == batches[:, :1])
 
-    def test_first_batch_gap_allowance(self):
+    @pytest.mark.parametrize("acting", ["freq", "bayes"])
+    def test_first_batch_gap_allowance(self, acting):
         # Before any data the frequentist estimate is zero and the Bayesian
-        # one is the prior mean, for every round of the first batch.
+        # one is the prior mean, for every round of the first batch, whichever
+        # estimate acts.
+        cat = _one_group_catalog()
         res = run_perturbed_batch_greedy(
-            _one_group_catalog(), PRIOR, THETA,
-            horizon=150, batch_size=150, master_seed=MASTER, replicate=0, context_bound=1.7,
+            cat, PRIOR, THETA,
+            horizon=150, batch_size=150, master_seed=MASTER, replicate=0, acting=acting,
         )
-        assert res.gap_allowance == pytest.approx(2 * 1.7 * np.linalg.norm(PRIOR_MEAN) * 150)
-        none = run_perturbed_batch_greedy(
-            _one_group_catalog(), PRIOR, THETA,
-            horizon=150, batch_size=150, master_seed=MASTER, replicate=0,
-        )
-        assert none.gap_allowance == 0.0
-        assert none.regret_total == res.regret_total
+        bound = context_norm_bound(cat.rho, 2, 150, 2)
+        assert res.gap_allowance == pytest.approx(2 * bound * np.linalg.norm(PRIOR_MEAN) * 150)
 
     def test_one_group_minority_regret_is_zero(self):
         res = run_perturbed_batch_greedy(
@@ -679,30 +689,38 @@ class TestPerturbedGreedyEngine:
     def test_probe_uses_frozen_batch_boundary(self):
         res = run_perturbed_batch_greedy(
             _one_group_catalog(), PRIOR, THETA,
-            horizon=600, batch_size=200, master_seed=MASTER, replicate=0,
-            probe_rounds=(150,),
+            horizon=8000, batch_size=8000, master_seed=MASTER, replicate=0,
         )
-        # Probe round falls in the cold batch: frozen data size is zero, so
-        # the probe value must vanish regardless of the estimate distance.
-        assert res.probe_values[150] == 0.0
+        # Both probe rounds fall in the cold batch: frozen data size is zero,
+        # so the probe values must vanish regardless of the estimate distance.
+        assert GAP_PROBE_ROUNDS == (1000, 8000)
+        assert res.probe_values == {1000: 0.0, 8000: 0.0}
+        assert res.gap_allowance > 0.0
+
+    def test_no_probe_beyond_the_horizon(self):
+        res = run_perturbed_batch_greedy(
+            _one_group_catalog(), PRIOR, THETA,
+            horizon=999, batch_size=100, master_seed=MASTER, replicate=0,
+        )
+        assert res.probe_values == {}
 
     def test_lambda_curve_matches_eigendecomposition(self):
         res = run_perturbed_batch_greedy(
             _one_group_catalog(), PRIOR, THETA,
-            horizon=300, batch_size=100, master_seed=MASTER, replicate=2,
-            track_lambda=True, track_rows=True,
+            horizon=300, batch_size=100, master_seed=MASTER, replicate=2, keep_rows=True,
         )
+        curve = _lambda_min_curve(res.chosen_rows)
         gram = np.zeros((2, 2))
         for t, row in enumerate(res.chosen_rows):
             gram += np.outer(row, row)
             lam = np.linalg.eigvalsh(gram)[0]
-            assert res.lambda_curve[t] == pytest.approx(lam, abs=1e-8)
+            assert curve[t] == pytest.approx(lam, abs=1e-8)
 
     def test_final_stats_match_rows(self):
         res = run_perturbed_batch_greedy(
             _two_group_catalog(), PRIOR, THETA,
             horizon=400, batch_size=100, master_seed=MASTER, replicate=3,
-            track_rows=True,
+            keep_rows=True,
         )
         np.testing.assert_allclose(
             res.final_stats.Z, res.chosen_rows.T @ res.chosen_rows, atol=1e-9
@@ -858,7 +876,10 @@ class TestPerturbedLinUCBEngine:
         assert 0.0 <= res.regret_minority <= res.regret_total
         assert (res.regret_minority > 0.0) == two_group
         assert res.gap_allowance == 0.0 and res.probe_values == {}
-        np.testing.assert_array_equal(res.theta, THETA)
+        # The statistics are this replicate's: ridge regression on them
+        # recovers its weights.
+        est = np.linalg.solve(res.final_stats.Z + np.eye(2), res.final_stats.xr)
+        assert np.linalg.norm(est - THETA) < 0.5
         assert np.all(np.diff(res.curve) >= 0.0)
 
     def test_results_follow_replicate_order(self):
@@ -872,7 +893,8 @@ class TestPerturbedLinUCBEngine:
         for res, rep, theta in zip(pair, (4, 1), thetas):
             alone = _linucb_one(cfg, params, theta, horizon, rep)
             assert res.regret_total == alone.regret_total
-            np.testing.assert_array_equal(res.theta, theta)
+            np.testing.assert_array_equal(res.final_stats.Z, alone.final_stats.Z)
+            np.testing.assert_array_equal(res.final_stats.xr, alone.final_stats.xr)
         assert pair[0].regret_total != pair[1].regret_total
 
     def test_requires_positive_ridge(self):
@@ -921,15 +943,16 @@ def _check_invariants(results, horizon, curve):
 
 class TestEngineInvariants:
     @PROPERTY
-    @given(horizon=st.integers(4, 2000), policy=st.sampled_from(["linucb", "uniform_random", "oracle"]),
-           p_majority=st.sampled_from([0.0, 0.95]), inject=st.sampled_from([0.0, 0.95]),
+    @given(horizon=st.integers(4, 2000),
+           policy=st.sampled_from(["linucb", "linucb_full", "linucb_minority", "uniform_random", "oracle"]),
+           p_majority=st.sampled_from([0.0, 0.95]),
            noise=st.sampled_from(list(NoiseKind)), variant=st.sampled_from(["theta0", "theta1"]),
            seed=SEEDS, replicate=st.integers(0, 50), restriction=RESTRICTIONS, curve=st.booleans())
-    def test_two_bridge_policy(self, horizon, policy, p_majority, inject, noise, variant, seed,
+    def test_two_bridge_policy(self, horizon, policy, p_majority, noise, variant, seed,
                                replicate, restriction, curve):
         cfg = TwoBridgeConfig(horizon=horizon, theta_variant=variant, noise=noise, p_majority=p_majority)
         sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
-        res = run_two_bridge_policy(cfg, policy, seed, replicate, inject_majority_rate=inject, sums=sums)
+        res = run_two_bridge_policy(cfg, policy, seed, replicate, sums=sums)
         _check_invariants([res], horizon, curve)
         assert res.regret_prediction == res.regret_total
 

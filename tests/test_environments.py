@@ -51,8 +51,6 @@ class TestTwoBridgeConfig:
             TwoBridgeConfig(horizon=100, theta_variant="theta2")
         with pytest.raises(ConfigurationError):
             TwoBridgeConfig(horizon=100, p_majority=1.0)
-        with pytest.raises(ConfigurationError):
-            TwoBridgeConfig(horizon=100, p_minority_c=0.9, p_minority_b=0.2)
 
 
 class TestTwoBridgeSampling:
@@ -82,11 +80,6 @@ class TestTwoBridgeSampling:
         twin = np.random.default_rng(4)
         twin.random(500)
         assert rng.random() == twin.random()
-
-    def test_choice_only_minority_rounds(self):
-        cfg = TwoBridgeConfig(horizon=200, p_majority=0.0, p_minority_c=0.0, p_minority_b=1.0)
-        codes = _kind_codes(cfg, np.random.default_rng(5), 200)
-        assert np.all(codes == _B)
 
     def test_minority_activity_grows_linearly(self):
         # After the warm-up round count the cumulative number of single-option
@@ -218,7 +211,7 @@ def _greedy_rows(cfg, theta, horizon, batch_size, replicate=0, acting="freq", pr
     prior_mean = np.zeros(d) if prior_mean is None else prior_mean
     res = run_perturbed_batch_greedy(
         cfg, gaussian_prior(prior_mean, np.eye(d)), np.asarray(theta, dtype=float), horizon, batch_size,
-        20260814, replicate, acting=acting, track_rows=True,
+        20260814, replicate, acting=acting, keep_rows=True,
     )
     return res.chosen_rows
 

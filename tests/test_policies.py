@@ -185,28 +185,32 @@ class TestClosedFormUCB:
 
 class TestSuggestedBatchSize:
     def test_frozen_value(self):
-        assert suggested_batch_size(0.1, 2, 1000, 0.01, context_bound=1.5) == 217_593
+        # rho = 0.1, d = 2, T = 1000, delta = 0.01, K = 5:
+        # R = 1 + rho sqrt(2 ln(2 T K d T^2)) sqrt(d), and the size is
+        # ceil((R/rho)^2 8e^2/(e-1)^2 (1 + ln(2d/delta)) ln T + 4e/(e-1) ln(2/delta)).
+        rho, d, horizon, delta, k = 0.1, 2, 1000, 0.01, 5
+        big_r = 1.0 + rho * math.sqrt(2.0 * math.log(2.0 * horizon**3 * k * d)) * math.sqrt(d)
+        e = math.e
+        size = ((big_r / rho) ** 2 * 8 * e**2 / (e - 1) ** 2 * (1 + math.log(2 * d / delta))
+                * math.log(horizon) + 4 * e / (e - 1) * math.log(2 / delta))
+        assert math.ceil(size) == 376_832
+        assert suggested_batch_size(rho, d, horizon, delta, k) == 376_832
 
     def test_monotone_in_rho(self):
-        a = suggested_batch_size(0.1, 2, 1000, 0.01, context_bound=1.5)
-        b = suggested_batch_size(0.2, 2, 1000, 0.01, context_bound=1.5)
+        a = suggested_batch_size(0.1, 2, 1000, 0.01, 5)
+        b = suggested_batch_size(0.2, 2, 1000, 0.01, 5)
         assert b < a
 
     def test_monotone_in_delta(self):
-        a = suggested_batch_size(0.1, 2, 1000, 0.01, context_bound=1.5)
-        b = suggested_batch_size(0.1, 2, 1000, 0.10, context_bound=1.5)
+        a = suggested_batch_size(0.1, 2, 1000, 0.01, 5)
+        b = suggested_batch_size(0.1, 2, 1000, 0.10, 5)
         assert b < a
-
-    def test_needs_bound_or_action_count(self):
-        with pytest.raises(ValueError):
-            suggested_batch_size(0.1, 2, 1000, 0.01)
-        assert suggested_batch_size(0.1, 2, 1000, 0.01, n_actions=5) > 0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            suggested_batch_size(0.0, 2, 1000, 0.01, context_bound=1.5)
+            suggested_batch_size(0.0, 2, 1000, 0.01, 5)
         with pytest.raises(ValueError):
-            suggested_batch_size(0.1, 2, 1000, 1.5, context_bound=1.5)
+            suggested_batch_size(0.1, 2, 1000, 1.5, 5)
 
 
 class TestContextNormBound:
@@ -233,7 +237,6 @@ class TestLinUCBWarmBehavior:
                 "linucb",
                 20260814,
                 rep,
-                params=LinUCBParams.for_two_bridge(horizon),
                 sums=RegretSums(20260814, (rep,), horizon, curve=True),
             )
             increments = np.diff(res.curve, prepend=0.0) > 0

@@ -1,0 +1,95 @@
+"""Byte-identity listing of the preset outputs at reduced scale.
+
+Usage, from anywhere:
+
+    python tools/preset_md5.py OUTDIR
+
+runs the CLI of the checkout this file sits in on the run list below, once
+with ``--workers 1`` and once with ``--workers 2``, plus the two simulation
+audits, ``list-experiments`` and ``print-defaults``.  Every output lands under
+OUTDIR, and one ``md5  file`` line per output goes to stdout, sorted by file.
+A refactor that must keep the output bytes passes when ``diff`` finds no
+difference between the listings of two checkouts.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, run arguments): each writes results.csv, aggregates.json and curves.csv.
+RUNS = (
+    ("two_bridge_linucb", ["--experiment", "TwoBridgeLinUCB", "--replicates", "8",
+                           "--set", "horizons=2000,4000,8000",
+                           "--set", "policies=linucb,linucb_full,linucb_minority,uniform_random,"
+                                    "batch_freq_greedy,oracle"]),
+    ("two_bridge_impossibility", ["--experiment", "TwoBridgeImpossibility", "--replicates", "8",
+                                  "--set", "horizons=2000,4000"]),
+    ("greedy_vs_linucb", ["--experiment", "GreedyVsLinUCB", "--replicates", "4",
+                          "--set", "horizons=4000"]),
+    ("scaling_fit", ["--experiment", "ScalingFit", "--replicates", "4",
+                     "--set", "horizons=1000,2000,4000"]),
+    ("externality", ["--experiment", "ExternalityVanishing", "--replicates", "4",
+                     "--set", "horizons=4000"]),
+    ("externality_coin", ["--experiment", "ExternalityVanishing", "--replicates", "4",
+                          "--set", "horizons=4000", "--set", "restriction=coin",
+                          "--set", "restriction_p=0.25"]),
+    ("eig_growth", ["--experiment", "EigGrowth", "--replicates", "4", "--set", "horizons=4000"]),
+    ("two_bridge_coin_minority_bernoulli",
+     ["--experiment", "TwoBridgeLinUCB", "--replicates", "8",
+      "--set", "horizons=2000,4000,8000",
+      "--set", "policies=linucb,linucb_full,linucb_minority,uniform_random,batch_freq_greedy,oracle",
+      "--set", "restriction=coin", "--set", "population=minority", "--set", "noise=bernoulli"]),
+)
+
+# (name, verify-simulation arguments)
+AUDITS = (
+    ("verify_seed7_20x25000", ["--seed", "7", "--targets", "20", "--draws", "25000"]),
+    ("verify_default_6x5000", ["--targets", "6", "--draws", "5000"]),
+)
+
+EXPERIMENTS = ("TwoBridgeLinUCB", "TwoBridgeImpossibility", "GreedyVsLinUCB", "ScalingFit",
+               "ExternalityVanishing", "SimulationVerify", "EigGrowth")
+
+
+def banditsim(args: list, stdout=subprocess.DEVNULL) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "banditsim.cli", *args], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+    # The audit exits 4 when too many KS tests reject; its report is still an output.
+    if proc.returncode not in (0, 4):
+        sys.exit(f"banditsim {' '.join(args)} exited {proc.returncode}: {proc.stderr.strip()}")
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    out = Path(argv[0]).resolve()
+    for workers in (1, 2):
+        for name, args in RUNS:
+            run_dir = out / f"{name}.w{workers}"
+            run_dir.mkdir(parents=True, exist_ok=True)
+            banditsim(["run", *args, "--workers", str(workers), "--out", str(run_dir / "results.csv"),
+                       "--aggregates", str(run_dir / "aggregates.json"),
+                       "--curves", str(run_dir / "curves.csv")])
+    for name, args in AUDITS:
+        banditsim(["verify-simulation", *args, "--out", str(out / f"{name}.json")])
+    with open(out / "list-experiments.txt", "w", encoding="utf-8") as fh:
+        banditsim(["list-experiments"], stdout=fh)
+    with open(out / "print-defaults.json", "w", encoding="utf-8") as fh:
+        banditsim(["print-defaults"], stdout=fh)
+    for name in EXPERIMENTS:
+        with open(out / f"print-defaults.{name}.txt", "w", encoding="utf-8") as fh:
+            banditsim(["print-defaults", "--experiment", name], stdout=fh)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(f"{hashlib.md5(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
