@@ -144,7 +144,7 @@ def _cmd_run(args) -> int:
     payload = json.dumps(result.aggregates, indent=2)
     if args.aggregates:
         _write_text(args.aggregates, payload + "\n")
-    if args.out != "-":
+    if args.out != "-" and args.aggregates != "-":
         print(payload)
     if args.curves:
         _write_text(args.curves, _curves_csv(cfg.experiment, result.curves))

@@ -189,6 +189,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"policy '{p}' is not valid for {cfg.experiment}; allowed: {', '.join(spec.policies)}"
             )
+        if cfg.policies.count(p) > 1:
+            raise ConfigError(f"policy '{p}' is listed more than once; policies must be distinct")
     problem = spec.check(cfg) or check_linucb(cfg)
     if problem:
         raise ConfigError(problem)

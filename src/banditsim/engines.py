@@ -3,10 +3,15 @@
 The two-bridge engines exploit the instance's structure: majority (A) and
 single-context (C) rounds force the choice, so only B rounds are decision
 points and the forced stretches between them collapse to bulk reward-sum
-draws.  The perturbed engines vectorize whole batches for the batched greedy
-policies and advance a block of LinUCB replicates in replicate lockstep: one
-stacked step per round over cached inverses, with each replicate's result bit
-for bit what it would be alone.  Every engine draws from the purpose-keyed
+draws.  Two-bridge LinUCB then decides its B rounds one stretch of equal picks
+at a time (``linucb_picks_top``), one replicate per call: a replicate takes
+one vector pass per switch of bridges plus one, not a Python step per B round,
+and none of 1,920 measured replicates switched.  Two-bridge replicates are not
+run in lockstep: a block of 32 raised a pool worker's peak RSS from 39 MB to
+52-54 MB, and blocks small enough to keep it barely ran faster.  The perturbed engines vectorize
+whole batches for the batched greedy policies and advance a block of LinUCB
+replicates in replicate lockstep: one stacked step per round over cached
+inverses, with each replicate's result bit for bit what it would be alone.  Every engine draws from the purpose-keyed
 replicate streams, so results are identical under any scheduling.
 
 Every engine feeds the instantaneous regret of its rounds, in round order, to
@@ -30,9 +35,6 @@ from .metrics import RegretSums, running_sum
 from .policies import LinUCBParams, context_norm_bound, interval_width
 from .rng import Purpose, stream
 
-# Codes for two-bridge round kinds inside the engines.
-_A, _C, _B = 0, 1, 2
-
 # Rounds at which batched greedy probes the posterior/least-squares gap.
 GAP_PROBE_ROUNDS = (1000, 8000)
 
@@ -47,37 +49,86 @@ class TwoBridgeRunResult:
     curve: np.ndarray | None = None
 
 
-def closed_form_ucb(n1: int, s1: float, n2: int, s2: float, f: float) -> tuple:
-    """Diagonal-design UCB pair for the two-bridge instance.
+def _round_positions(cfg: TwoBridgeConfig, rng: np.random.Generator, horizon: int) -> tuple:
+    """Draw one uniform per round; return the positions of the majority (A)
+    rounds and of the B rounds.
 
-    With only basis contexts observed, Z stays diagonal with the pull counts
-    on its diagonal, so each bridge's bound is its mean reward plus
-    ``f / sqrt(count)``; zero-count bridges get an infinite bound.
+    A round is A when its uniform falls below ``p_a``, B when it reaches
+    ``p_a + p_c`` and single-context (C) in between.
     """
-    u1 = math.inf if n1 == 0 else s1 / n1 + f / math.sqrt(n1)
-    u2 = math.inf if n2 == 0 else s2 / n2 + f / math.sqrt(n2)
-    return u1, u2
-
-
-def _kind_codes(cfg: TwoBridgeConfig, rng: np.random.Generator, horizon: int) -> np.ndarray:
-    """Draw the round-kind sequence with one uniform per round."""
     p_a, p_c, _ = cfg.kind_probabilities()
     u = rng.random(horizon)
-    return np.where(u < p_a, _A, np.where(u < p_a + p_c, _C, _B)).astype(np.int8)
+    return np.flatnonzero(u < p_a), np.flatnonzero(u >= p_a + p_c)
 
 
 def _seg_sums(counts: np.ndarray, mean: float, noise: NoiseKind, rng: np.random.Generator) -> np.ndarray:
-    """Reward sums for stretches of forced pulls on one bridge."""
+    """Reward sums for stretches of forced pulls on one bridge, one per count;
+    a scalar count gives one sum."""
     counts = np.asarray(counts)
     if noise is NoiseKind.GAUSSIAN_UNIT:
         return rng.normal(counts * mean, np.sqrt(counts))
-    return rng.binomial(counts, mean).astype(float)
+    return np.asarray(rng.binomial(counts, mean), dtype=float)
 
 
 def _single_rewards(n: int, mean: float, noise: NoiseKind, rng: np.random.Generator) -> np.ndarray:
     if noise is NoiseKind.GAUSSIAN_UNIT:
         return rng.normal(mean, 1.0, n)
     return rng.binomial(1, mean, n).astype(float)
+
+
+def linucb_picks_top(top_before, bot_before, seg_top, seg_bot, cand_top, cand_bot, params) -> np.ndarray:
+    """Whether two-bridge LinUCB picks the top bridge at each B round.
+
+    Before B round ``k`` the top bridge holds ``top_before[k]`` forced pulls
+    whose rewards sum to ``seg_top[:k + 1].sum()``, plus the B rounds that
+    picked it, each rewarded ``cand_top`` of its round; likewise the bottom
+    bridge.  With only basis contexts observed the design stays diagonal, so
+    each bridge's bound is its mean reward plus ``f / sqrt(count)``, infinite
+    at count 0, and ties go to the top.
+
+    The observation count before round ``k``, ``top_before[k] + bot_before[k]
+    + k``, does not depend on the picks, so every width comes from one
+    ``interval_width`` call.  A stretch of equal picks is decided at once: take
+    every pick from its first round on to repeat that round's pick, follow
+    both bridges' counts and running sums along that path (``np.add.accumulate``
+    adds in sequence, as the per-round loop does, so the sums are the same
+    floats), and end the stretch at the first round whose bounds disagree.
+    The next stretch starts there with the other pick, so a replicate that
+    switches bridges ``s`` times takes ``s + 1`` passes over its remaining B
+    rounds.
+    """
+    n_b = len(top_before)
+    f = interval_width(top_before + bot_before + np.arange(n_b), params, 2)
+    picks = np.empty(n_b, dtype=bool)
+    # Per bridge (top, bottom): forced-pull counts and rewards, pick rewards,
+    # and the picks and reward sum before the current stretch.
+    forced, segs, cands = (top_before, bot_before), (seg_top, seg_bot), (cand_top, cand_bot)
+    picked, totals = [0, 0], [0.0, 0.0]
+    k, side = 0, 0
+    while k < n_b:
+        m = n_b - k
+        acc, bounds = [], []
+        for b in (0, 1):
+            # The picking bridge adds each round's forced rewards, then its pick.
+            stride = 2 if b == side else 1
+            seq = np.empty(stride * m + 1)
+            seq[0] = totals[b]
+            seq[1::stride] = segs[b][k:]
+            if stride == 2:
+                seq[2::2] = cands[b][k:]
+            acc.append(np.add.accumulate(seq))
+            count = forced[b][k:] + picked[b] + (np.arange(m) if stride == 2 else 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = acc[b][1::stride] / count + f[k:] / np.sqrt(count)
+            bounds.append(np.where(count == 0, np.inf, bound))
+        switch = np.flatnonzero((bounds[0] >= bounds[1]) != (side == 0))
+        j = int(switch[0]) if switch.size else m
+        picks[k:k + j] = side == 0
+        picked[side] += j
+        totals = [float(acc[b][(2 if b == side else 1) * j]) for b in (0, 1)]
+        k += j
+        side = 1 - side
+    return picks
 
 
 def run_two_bridge_policy(
@@ -90,12 +141,14 @@ def run_two_bridge_policy(
     """One two-bridge replicate for linucb, linucb_full, linucb_minority,
     uniform_random or oracle.
 
-    The LinUCB policies run with ``LinUCBParams.for_two_bridge(horizon)``.
-    ``linucb_full`` also learns from the top-bridge data a full population
-    would generate between the simulated rounds: before each round, a
-    geometric number of majority rounds (at MAJORITY_RATE) is pulled on the
-    top bridge and folded into the statistics.  ``linucb`` and
-    ``linucb_minority`` learn from the simulated rounds alone.
+    The LinUCB policies run with ``LinUCBParams.for_two_bridge(horizon)`` and
+    decide their B rounds with ``linucb_picks_top``.  ``linucb_full`` also
+    learns from the top-bridge data a full population would generate between
+    the simulated rounds: before each round, a geometric number of majority
+    rounds (at MAJORITY_RATE) is pulled on the top bridge and folded into the
+    statistics.  ``linucb`` and ``linucb_minority`` learn from the simulated
+    rounds alone.  ``uniform_random`` and ``oracle`` read no reward, so they
+    draw none.
 
     ``sums`` receives the gap for every wrong B round, a minority round; by
     default it restricts to minority rounds and keeps no curve.
@@ -106,61 +159,39 @@ def run_two_bridge_policy(
     gap_size = abs(float(theta[0] - theta[1]))
 
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
-    rew = stream(master_seed, replicate, Purpose.REWARDS)
-    pol = stream(master_seed, replicate, Purpose.POLICY)
-
-    kinds = _kind_codes(cfg, ctx, horizon)
-    if policy_name == "linucb_full":
-        injected = ctx.geometric(1.0 - MAJORITY_RATE, size=horizon) - 1
-    else:
-        injected = np.zeros(horizon, dtype=np.int64)
-
-    b_pos = np.flatnonzero(kinds == _B)
+    a_pos, b_pos = _round_positions(cfg, ctx, horizon)
     n_b = b_pos.size
 
-    cum_a = np.concatenate([[0], np.cumsum(kinds == _A)])
-    cum_c = np.concatenate([[0], np.cumsum(kinds == _C)])
-    cum_g = np.concatenate([[0], np.cumsum(injected)])
-
-    # Forced top pulls before each decision include the B round's own injected
-    # majority stretch; everything after the last B round never affects play.
-    top_before = cum_a[b_pos] + cum_g[b_pos + 1]
-    bot_before = cum_c[b_pos]
-    top_inc = np.diff(np.concatenate([[0], top_before]))
-    bot_inc = np.diff(np.concatenate([[0], bot_before]))
-
-    seg_top = _seg_sums(top_inc, float(theta[0]), cfg.noise, rew)
-    seg_bot = _seg_sums(bot_inc, float(theta[1]), cfg.noise, rew)
-    cand_top = _single_rewards(n_b, float(theta[0]), cfg.noise, rew)
-    cand_bot = _single_rewards(n_b, float(theta[1]), cfg.noise, rew)
-
-    wrong_mask = np.zeros(n_b, dtype=bool)
     if policy_name == "uniform_random":
-        picks_top = pol.random(n_b) < 0.5
-        wrong_mask = ~picks_top if top_best else picks_top
+        picks_top = stream(master_seed, replicate, Purpose.POLICY).random(n_b) < 0.5
     elif policy_name == "oracle":
-        pass
+        picks_top = np.full(n_b, top_best)
     elif policy_name in ("linucb", "linucb_full", "linucb_minority"):
-        params = LinUCBParams.for_two_bridge(horizon)
-        n1 = n2 = 0
-        s1 = s2 = 0.0
-        for k in range(n_b):
-            n1 += int(top_inc[k])
-            s1 += float(seg_top[k])
-            n2 += int(bot_inc[k])
-            s2 += float(seg_bot[k])
-            f = interval_width(n1 + n2, params, 2)
-            u1, u2 = closed_form_ucb(n1, s1, n2, s2, f)
-            if u1 >= u2:
-                n1 += 1
-                s1 += float(cand_top[k])
-                wrong_mask[k] = not top_best
-            else:
-                n2 += 1
-                s2 += float(cand_bot[k])
-                wrong_mask[k] = top_best
+        # Forced pulls before each decision: the A and C rounds before it, and
+        # for linucb_full every injected majority stretch up to and including
+        # the B round's own.  Everything after the last B round never affects
+        # play.
+        a_before = np.searchsorted(a_pos, b_pos)
+        top_before = a_before
+        if policy_name == "linucb_full":
+            injected = ctx.geometric(1.0 - MAJORITY_RATE, size=horizon) - 1
+            top_before = a_before + np.cumsum(injected)[b_pos]
+        bot_before = b_pos - np.arange(n_b) - a_before
+        top_inc = np.diff(top_before, prepend=0)
+        bot_inc = np.diff(bot_before, prepend=0)
+
+        rew = stream(master_seed, replicate, Purpose.REWARDS)
+        seg_top = _seg_sums(top_inc, float(theta[0]), cfg.noise, rew)
+        seg_bot = _seg_sums(bot_inc, float(theta[1]), cfg.noise, rew)
+        cand_top = _single_rewards(n_b, float(theta[0]), cfg.noise, rew)
+        cand_bot = _single_rewards(n_b, float(theta[1]), cfg.noise, rew)
+        picks_top = linucb_picks_top(
+            top_before, bot_before, seg_top, seg_bot, cand_top, cand_bot,
+            LinUCBParams.for_two_bridge(horizon),
+        )
     else:
         raise ValueError(f"unsupported two-bridge policy: {policy_name}")
+    wrong_mask = ~picks_top if top_best else picks_top
     return _two_bridge_result(master_seed, replicate, horizon, gap_size, b_pos[wrong_mask], n_b, sums)
 
 
@@ -195,18 +226,16 @@ def run_two_bridge_batch_freq(
     rew = stream(master_seed, replicate, Purpose.REWARDS)
     pol = stream(master_seed, replicate, Purpose.POLICY)
 
-    kinds = _kind_codes(cfg, ctx, horizon)
+    a_pos, b_pos = _round_positions(cfg, ctx, horizon)
     n_batches = math.ceil(horizon / batch_size)
-    starts = np.arange(0, horizon, batch_size)
-    count_a = np.add.reduceat(kinds == _A, starts)
-    count_c = np.add.reduceat(kinds == _C, starts)
-    count_b = np.add.reduceat(kinds == _B, starts)
+    bounds = np.append(np.arange(0, horizon, batch_size), horizon)
+    count_a = np.diff(np.searchsorted(a_pos, bounds))
+    first_b = np.searchsorted(b_pos, bounds)
+    count_b = np.diff(first_b)
+    count_c = np.diff(bounds) - count_a - count_b
 
     seg_top = _seg_sums(count_a, float(theta[0]), cfg.noise, rew)
     seg_bot = _seg_sums(count_c, float(theta[1]), cfg.noise, rew)
-
-    b_pos = np.flatnonzero(kinds == _B)
-    first_b = np.concatenate([[0], np.cumsum(count_b)])
 
     n1 = n2 = 0
     s1 = s2 = 0.0
@@ -232,10 +261,10 @@ def run_two_bridge_batch_freq(
         wrong_runs.append(b_pos[first_b[b]:first_b[b] + batch_wrong])
         if picks_top:
             n1 += picks_top
-            s1 += float(_seg_sums(np.array([picks_top]), float(theta[0]), cfg.noise, rew)[0])
+            s1 += float(_seg_sums(picks_top, float(theta[0]), cfg.noise, rew))
         if picks_bot:
             n2 += picks_bot
-            s2 += float(_seg_sums(np.array([picks_bot]), float(theta[1]), cfg.noise, rew)[0])
+            s2 += float(_seg_sums(picks_bot, float(theta[1]), cfg.noise, rew))
         # Forced pulls of this batch enter the statistics after its decisions.
         n1 += int(count_a[b])
         s1 += float(seg_top[b])
@@ -419,7 +448,7 @@ def run_perturbed_linucb(
     if sums is None:
         sums = RegretSums(master_seed, replicates, horizon)
 
-    f_table = np.array([interval_width(t, params, d) for t in range(horizon)])
+    f_table = interval_width(np.arange(horizon), params, d)
 
     Z = np.zeros((n, d, d))
     xr = np.zeros((n, d, 1))

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LinUCBParams:
@@ -59,14 +61,23 @@ class LinUCBParams:
         return cls(L=max(1.0, big_l), S=big_s, horizon=horizon, ridge=ridge)
 
 
-def interval_width(t_obs: int, params: LinUCBParams, d: int) -> float:
-    """Confidence multiplier f after ``t_obs`` observations in dimension ``d``."""
-    if t_obs < 0:
-        raise ValueError("observation count must be nonnegative")
+def interval_width(t_obs, params: LinUCBParams, d: int) -> np.ndarray:
+    """Confidence multipliers f after each count in ``t_obs`` of observations,
+    in dimension ``d``; the result has the shape of ``t_obs``.
+
+    The log is ``math.log`` of each count's argument, so every width is the
+    float a scalar evaluation gives; the square root and the sums round
+    exactly either way.
+    """
+    t_obs = np.asarray(t_obs, dtype=np.int64)
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    if t_obs.size and t_obs.min() < 0:
+        raise ValueError("observation count must be nonnegative")
     t_total = params.horizon
-    return params.S + math.sqrt(d * math.log(t_total + t_obs * t_total * params.L**2))
+    args = t_total + t_obs * t_total * params.L**2
+    logs = np.fromiter(map(math.log, args.ravel().tolist()), dtype=float, count=args.size)
+    return params.S + np.sqrt(d * logs.reshape(t_obs.shape))
 
 
 def suggested_batch_size(rho: float, d: int, horizon: int, delta: float, n_actions: int) -> int:

@@ -7,6 +7,11 @@ alone, and ``bayes_posterior_mean`` validates and inverts the prior on every
 call.  The engines in ``banditsim.engines`` make the same decisions over whole
 stretches of rounds; the tests hold them to these definitions.  ``parse_csv``
 reads a result table back into rows.
+
+For the two-bridge instance, ``kind_codes`` draws the round kinds as codes,
+``scalar_interval_width`` evaluates one LinUCB width at a time,
+``closed_form_ucb`` gives the diagonal-design bounds of one B round, and
+``linucb_picks_per_round`` decides the B rounds one at a time with them.
 """
 
 from __future__ import annotations
@@ -21,10 +26,72 @@ import numpy as np
 
 from banditsim.csvio import HEADER, ResultRow
 from banditsim.estimators import SINGULAR_CUTOFF, SufficientStats, gaussian_prior, posterior_mean
+from banditsim.policies import LinUCBParams
 
 # The two-bridge instance's contexts: the top and the bottom bridge.
 TOP = np.array([1.0, 0.0])
 BOTTOM = np.array([0.0, 1.0])
+
+# Codes of the two-bridge round kinds: majority (A), single-context (C) and
+# both-bridges (B) rounds.
+KIND_A, KIND_C, KIND_B = 0, 1, 2
+
+
+def kind_codes(cfg, rng: np.random.Generator, horizon: int) -> np.ndarray:
+    """Draw the round-kind sequence with one uniform per round."""
+    p_a, p_c, _ = cfg.kind_probabilities()
+    u = rng.random(horizon)
+    return np.where(u < p_a, KIND_A, np.where(u < p_a + p_c, KIND_C, KIND_B)).astype(np.int8)
+
+
+def scalar_interval_width(t_obs: int, params: LinUCBParams, d: int) -> float:
+    """The LinUCB confidence multiplier f after ``t_obs`` observations."""
+    if t_obs < 0:
+        raise ValueError("observation count must be nonnegative")
+    t_total = params.horizon
+    return params.S + math.sqrt(d * math.log(t_total + t_obs * t_total * params.L**2))
+
+
+def closed_form_ucb(n1: int, s1: float, n2: int, s2: float, f: float) -> tuple:
+    """Diagonal-design UCB pair for the two-bridge instance.
+
+    With only basis contexts observed, Z stays diagonal with the pull counts
+    on its diagonal, so each bridge's bound is its mean reward plus
+    ``f / sqrt(count)``; zero-count bridges get an infinite bound.
+    """
+    u1 = math.inf if n1 == 0 else s1 / n1 + f / math.sqrt(n1)
+    u2 = math.inf if n2 == 0 else s2 / n2 + f / math.sqrt(n2)
+    return u1, u2
+
+
+def linucb_picks_per_round(top_before, bot_before, seg_top, seg_bot, cand_top, cand_bot, params) -> np.ndarray:
+    """Two-bridge LinUCB decided one B round at a time; True picks the top bridge.
+
+    Takes the arguments of ``banditsim.engines.linucb_picks_top``: before B
+    round ``k`` each bridge gains its forced pulls since the last B round and
+    their reward sum ``seg_*[k]``, and the picked bridge then gains the
+    round's ``cand_*[k]``.
+    """
+    top_inc = np.diff(top_before, prepend=0)
+    bot_inc = np.diff(bot_before, prepend=0)
+    picks = np.empty(len(top_inc), dtype=bool)
+    n1 = n2 = 0
+    s1 = s2 = 0.0
+    for k in range(len(top_inc)):
+        n1 += int(top_inc[k])
+        s1 += float(seg_top[k])
+        n2 += int(bot_inc[k])
+        s2 += float(seg_bot[k])
+        f = scalar_interval_width(n1 + n2, params, 2)
+        u1, u2 = closed_form_ucb(n1, s1, n2, s2, f)
+        picks[k] = u1 >= u2
+        if picks[k]:
+            n1 += 1
+            s1 += float(cand_top[k])
+        else:
+            n2 += 1
+            s2 += float(cand_bot[k])
+    return picks
 
 
 class Group(Enum):

@@ -88,6 +88,14 @@ class TestRun:
         # Aggregates echo on stdout when the table goes to a file.
         assert json.loads(capsys.readouterr().out)["experiment"] == "TwoBridgeLinUCB"
 
+    def test_aggregates_to_stdout_print_once(self, config_path, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        assert main(["run", config_path, "--out", str(out), "--aggregates", "-", "--workers", "1"]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count('"experiment"') == 1
+        assert json.loads(stdout)["experiment"] == "TwoBridgeLinUCB"
+        assert len(parse_csv(out.read_text())) == 8
+
     def test_stdout_table(self, config_path, capsys):
         assert main(["run", config_path, "--out", "-", "--workers", "1"]) == 0
         out = capsys.readouterr().out
@@ -248,6 +256,23 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert "GreedyVsLinUCB takes one horizon" in err["message"]
+
+    @pytest.mark.parametrize("experiment, policies, horizon", [
+        ("TwoBridgeLinUCB", "linucb,linucb", 2000),
+        ("GreedyVsLinUCB", "linucb,linucb,batch_freq_greedy", 4000),
+    ])
+    def test_repeated_policy_exit_2(self, experiment, policies, horizon, tmp_path, capsys):
+        # A repeated name would run its cell twice and count every replicate twice.
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--experiment", experiment, "--set", f"policies={policies}",
+            "--set", f"horizons={horizon}", "--replicates", "2", "--out", str(out), "--workers", "1",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "policy 'linucb' is listed more than once" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment, sets, message", [
         ("TwoBridgeLinUCB", ["horizons=2,3", "policies=oracle"], "oracle on TwoBridgeLinUCB cannot run at T = 2"),

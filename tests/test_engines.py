@@ -5,7 +5,8 @@ order but re-derives every decision through the generic building blocks
 (sufficient statistics, interval widths, and the per-round greedy/UCB
 selection, regret and posterior means of ``oracles``) instead of the engines'
 closed-form shortcuts.  The lockstep LinUCB engine is also held bit for bit
-to a single-replicate loop with the same arithmetic.
+to a single-replicate loop with the same arithmetic, and the two-bridge
+engines to the per-round loops of ``oracles``.
 """
 
 import functools
@@ -18,15 +19,12 @@ from hypothesis import strategies as st
 
 from banditsim.core import NoiseKind, last_batch_end
 from banditsim.engines import (
-    _A,
-    _B,
-    _C,
     GAP_PROBE_ROUNDS,
     NOISE_CHUNK,
     _draw_entry_indices,
-    _kind_codes,
     _seg_sums,
     _single_rewards,
+    linucb_picks_top,
     run_perturbed_batch_greedy,
     run_perturbed_linucb,
     run_two_bridge_batch_freq,
@@ -36,21 +34,33 @@ from banditsim.environments import Catalog, TwoBridgeConfig
 from banditsim.estimators import SufficientStats, gaussian_prior, ols_estimate
 from banditsim.experiments import _lambda_min_curve
 from banditsim.metrics import RegretSums
-from banditsim.policies import LinUCBParams, context_norm_bound, interval_width
+from banditsim.policies import LinUCBParams, context_norm_bound
 from banditsim.rng import Purpose, stream
 from oracles import (
     BOTTOM,
+    KIND_A,
+    KIND_B,
+    KIND_C,
     TOP,
     ContextRound,
     Group,
     bayes_posterior_mean,
     greedy_select,
     instantaneous_regret,
+    kind_codes,
+    linucb_picks_per_round,
     linucb_scores,
+    scalar_interval_width,
 )
 
 MASTER = 20260814
 B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
+
+# Few, fixed examples keep the property tests to a few seconds and the same on
+# every run.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+RESTRICTIONS = st.sampled_from(["minority", "coin"])
 
 
 def _coins(master_seed, replicate, horizon, p):
@@ -66,8 +76,8 @@ def _curve_sums(replicates, horizon, **kwargs):
 def _replicate_without_b_rounds(cfg):
     """The first replicate whose round kinds hold no B round."""
     for rep in range(100):
-        kinds = _kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
-        if not np.any(kinds == _B):
+        kinds = kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
+        if not np.any(kinds == KIND_B):
             return rep
     raise AssertionError("every replicate has a B round")
 
@@ -80,15 +90,15 @@ def _two_bridge_draws(cfg, master_seed, replicate, inject_rate):
     rew = stream(master_seed, replicate, Purpose.REWARDS)
     pol = stream(master_seed, replicate, Purpose.POLICY)
 
-    kinds = _kind_codes(cfg, ctx, horizon)
+    kinds = kind_codes(cfg, ctx, horizon)
     if inject_rate > 0.0:
         injected = ctx.geometric(1.0 - inject_rate, size=horizon) - 1
     else:
         injected = np.zeros(horizon, dtype=np.int64)
 
-    b_pos = np.flatnonzero(kinds == _B)
-    cum_a = np.concatenate([[0], np.cumsum(kinds == _A)])
-    cum_c = np.concatenate([[0], np.cumsum(kinds == _C)])
+    b_pos = np.flatnonzero(kinds == KIND_B)
+    cum_a = np.concatenate([[0], np.cumsum(kinds == KIND_A)])
+    cum_c = np.concatenate([[0], np.cumsum(kinds == KIND_C)])
     cum_g = np.concatenate([[0], np.cumsum(injected)])
     top_inc = np.diff(np.concatenate([[0], cum_a[b_pos] + cum_g[b_pos + 1]]))
     bot_inc = np.diff(np.concatenate([[0], cum_c[b_pos]]))
@@ -118,7 +128,7 @@ def reference_two_bridge_linucb(cfg, master_seed, replicate, params, inject_rate
         stats = SufficientStats(
             Z=np.diag([float(n1), float(n2)]), xr=np.array([s1, s2]), n=n1 + n2
         )
-        f = interval_width(n1 + n2, params, 2)
+        f = scalar_interval_width(n1 + n2, params, 2)
         scores = linucb_scores(B_ROUND, stats, f=f, ridge=params.ridge)
         pick = int(np.argmax(scores))
         if pick == 0:
@@ -133,7 +143,8 @@ def reference_two_bridge_linucb(cfg, master_seed, replicate, params, inject_rate
 
 
 def reference_two_bridge_batch_freq(cfg, master_seed, replicate, batch_size):
-    """Decide each batch by greedy selection on a generic least-squares estimate."""
+    """Decide each batch by greedy selection on a generic least-squares estimate;
+    return the positions of the wrong B rounds and the number of B rounds."""
     theta = cfg.theta
     horizon = cfg.horizon
     top_best = bool(theta[0] > theta[1])
@@ -142,17 +153,19 @@ def reference_two_bridge_batch_freq(cfg, master_seed, replicate, batch_size):
     rew = stream(master_seed, replicate, Purpose.REWARDS)
     pol = stream(master_seed, replicate, Purpose.POLICY)
 
-    kinds = _kind_codes(cfg, ctx, horizon)
+    kinds = kind_codes(cfg, ctx, horizon)
     starts = np.arange(0, horizon, batch_size)
-    count_a = np.add.reduceat(kinds == _A, starts)
-    count_c = np.add.reduceat(kinds == _C, starts)
-    count_b = np.add.reduceat(kinds == _B, starts)
+    count_a = np.add.reduceat(kinds == KIND_A, starts)
+    count_c = np.add.reduceat(kinds == KIND_C, starts)
+    count_b = np.add.reduceat(kinds == KIND_B, starts)
     seg_top = _seg_sums(count_a, float(theta[0]), cfg.noise, rew)
     seg_bot = _seg_sums(count_c, float(theta[1]), cfg.noise, rew)
 
+    b_pos = np.flatnonzero(kinds == KIND_B)
+    first_b = np.concatenate([[0], np.cumsum(count_b)])
     n1 = n2 = 0
     s1 = s2 = 0.0
-    wrong = 0
+    wrong_pos = []
     for b in range(len(starts)):
         nb = int(count_b[b])
         if n1 + n2 == 0:
@@ -167,7 +180,8 @@ def reference_two_bridge_batch_freq(cfg, master_seed, replicate, batch_size):
                 picks_top, picks_bot = nb, 0
             else:
                 picks_top, picks_bot = 0, nb
-        wrong += picks_bot if top_best else picks_top
+        # The cold batch's wrong picks are its earliest B rounds.
+        wrong_pos.append(b_pos[first_b[b]:first_b[b] + (picks_bot if top_best else picks_top)])
         if picks_top:
             n1 += picks_top
             s1 += float(_seg_sums(np.array([picks_top]), float(theta[0]), cfg.noise, rew)[0])
@@ -178,7 +192,7 @@ def reference_two_bridge_batch_freq(cfg, master_seed, replicate, batch_size):
         s1 += float(seg_top[b])
         n2 += int(count_c[b])
         s2 += float(seg_bot[b])
-    return wrong, int(count_b.sum())
+    return np.concatenate(wrong_pos), b_pos.size
 
 
 def _round_from_row(cat, entry_idx, x_block, t):
@@ -275,7 +289,7 @@ def reference_perturbed_linucb(cat, params, theta, horizon, master_seed, replica
         avail = cat.avail[idx[t]]
         W = np.linalg.inv(0.5 * (Z + Z.T) + params.ridge * np.eye(d))
         theta_hat = W @ xr
-        f = interval_width(t, params, d)
+        f = scalar_interval_width(t, params, d)
         widths = np.sqrt(np.maximum(np.einsum("ad,de,ae->a", x, W, x), 0.0))
         scores = np.where(avail, x @ theta_hat + f * widths, -np.inf)
         a = int(np.argmax(scores))
@@ -310,7 +324,7 @@ def single_replicate_linucb(
     noise = pert.normal(0.0, cat.rho, size=(horizon, k, d))
     reward_noise = rew.standard_normal(horizon)
 
-    f_table = np.array([interval_width(t, params, d) for t in range(horizon)])
+    f_table = np.array([scalar_interval_width(t, params, d) for t in range(horizon)])
 
     Z = np.zeros((d, d))
     xr = np.zeros(d)
@@ -403,15 +417,18 @@ class TestTwoBridgePolicyEngine:
         assert res.regret_total == res.regret_minority == res.regret_prediction == 0.0
         np.testing.assert_array_equal(res.curve, np.zeros(cfg.horizon))
 
-    @pytest.mark.parametrize("policy", ["linucb", "linucb_full", "uniform_random", "oracle"])
-    def test_no_choice_rounds_means_no_regret(self, policy):
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    @pytest.mark.parametrize("policy", ["linucb", "linucb_full", "linucb_minority", "uniform_random", "oracle"])
+    def test_no_choice_rounds_means_no_regret(self, policy, noise):
         # Without B rounds every round forces its action, so nothing is ever
         # decided and no policy can pay the gap.
-        cfg = TwoBridgeConfig(horizon=200)
-        res = run_two_bridge_policy(cfg, policy, MASTER, _replicate_without_b_rounds(cfg))
+        cfg = TwoBridgeConfig(horizon=200, noise=noise)
+        rep = _replicate_without_b_rounds(cfg)
+        res = run_two_bridge_policy(cfg, policy, MASTER, rep, sums=_curve_sums((rep,), cfg.horizon))
         assert res.b_rounds == 0
         assert res.wrong_b_rounds == 0
         assert res.regret_total == 0.0
+        np.testing.assert_array_equal(res.curve, np.zeros(cfg.horizon))
 
     def test_theta_override_sets_the_gap(self):
         # Under theta1 the bottom bridge is best, by epsilon.
@@ -481,14 +498,16 @@ class TestTwoBridgeBatchFreqEngine:
             horizon=3000, theta_variant=variant, noise=noise, p_majority=p_majority
         )
         res = run_two_bridge_batch_freq(cfg, MASTER, 2, batch_size)
-        wrong, n_b = reference_two_bridge_batch_freq(cfg, MASTER, 2, batch_size)
+        wrong_pos, n_b = reference_two_bridge_batch_freq(cfg, MASTER, 2, batch_size)
+        wrong = wrong_pos.size
         assert res.wrong_b_rounds == wrong
         assert res.b_rounds == n_b
         assert res.regret_total == pytest.approx(cfg.epsilon * wrong)
         assert res.regret_minority == res.regret_total
 
-    def test_no_choice_rounds_means_no_regret(self):
-        cfg = TwoBridgeConfig(horizon=200)
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    def test_no_choice_rounds_means_no_regret(self, noise):
+        cfg = TwoBridgeConfig(horizon=200, noise=noise)
         res = run_two_bridge_batch_freq(cfg, MASTER, _replicate_without_b_rounds(cfg), 20)
         assert res.b_rounds == 0
         assert res.regret_total == 0.0
@@ -511,9 +530,9 @@ class TestTwoBridgeBatchFreqEngine:
         batch_size = 100
         for rep in range(5):
             res = run_two_bridge_batch_freq(cfg, MASTER, rep, batch_size, sums=_curve_sums((rep,), cfg.horizon))
-            kinds = _kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
+            kinds = kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
             starts = np.arange(0, cfg.horizon, batch_size)
-            count_b = np.add.reduceat(kinds == _B, starts)
+            count_b = np.add.reduceat(kinds == KIND_B, starts)
             wrong = np.add.reduceat(np.diff(res.curve, prepend=0.0) > 0, starts)
             assert wrong.sum() == res.wrong_b_rounds
             for b in range(1, len(starts)):
@@ -544,6 +563,103 @@ class TestTwoBridgeBatchFreqEngine:
         coins = _coins(MASTER, 6, cfg.horizon, 0.5)
         increments = np.diff(base.curve, prepend=0.0)
         assert coin.regret_minority == pytest.approx(float(increments[coins].sum()))
+
+
+def _wrong_curve(cfg, wrong_pos):
+    """The regret curve of wrong B rounds at ``wrong_pos``, summed as the engines sum it."""
+    sums = RegretSums(MASTER, (0,), cfg.horizon, curve=True)
+    sums.add(wrong_pos, np.full((len(wrong_pos), 1), abs(float(cfg.theta[0] - cfg.theta[1]))))
+    return sums.curve()
+
+
+# Horizons from a handful of rounds, with few or no B rounds, to the
+# acceptance scale.
+ORACLE_HORIZONS = (4, 37, 400, 4000, 40_000)
+POPULATIONS = {"minority": 0.0, "full": 0.95}
+
+
+class TestTwoBridgeEnginesMatchOracles:
+    """The engines against the per-round loops, decision for decision."""
+
+    @pytest.mark.parametrize("horizon", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    @pytest.mark.parametrize("population", POPULATIONS)
+    @pytest.mark.parametrize("policy", ["linucb", "linucb_full", "linucb_minority"])
+    def test_linucb_matches_the_per_round_loop(self, horizon, noise, population, policy):
+        cfg = TwoBridgeConfig(horizon=horizon, noise=noise, p_majority=POPULATIONS[population])
+        params = LinUCBParams.for_two_bridge(horizon)
+        inject = 0.95 if policy == "linucb_full" else 0.0
+        for rep in range(3):
+            (_, b_pos, top_inc, bot_inc, seg_top, seg_bot, cand_top, cand_bot, _) = _two_bridge_draws(
+                cfg, MASTER, rep, inject
+            )
+            picks_top = linucb_picks_per_round(
+                np.cumsum(top_inc), np.cumsum(bot_inc), seg_top, seg_bot, cand_top, cand_bot, params
+            )
+            wrong_pos = b_pos[picks_top != (cfg.theta[0] > cfg.theta[1])]
+            res = run_two_bridge_policy(cfg, policy, MASTER, rep, sums=_curve_sums((rep,), horizon))
+            assert (res.b_rounds, res.wrong_b_rounds) == (b_pos.size, wrong_pos.size)
+            np.testing.assert_array_equal(res.curve, _wrong_curve(cfg, wrong_pos))
+            assert res.regret_total == res.curve[-1]
+
+    @pytest.mark.parametrize("horizon", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    @pytest.mark.parametrize("population", POPULATIONS)
+    @pytest.mark.parametrize("batch", ["one", "horizon"])
+    def test_batch_freq_matches_the_per_batch_loop(self, horizon, noise, population, batch):
+        cfg = TwoBridgeConfig(horizon=horizon, noise=noise, p_majority=POPULATIONS[population])
+        batch_size = 1 if batch == "one" else horizon
+        # One replicate: with one round per batch, the generic loop solves
+        # least squares in every round.
+        rep = horizon % 3
+        wrong_pos, n_b = reference_two_bridge_batch_freq(cfg, MASTER, rep, batch_size)
+        res = run_two_bridge_batch_freq(cfg, MASTER, rep, batch_size, sums=_curve_sums((rep,), horizon))
+        assert (res.b_rounds, res.wrong_b_rounds) == (n_b, wrong_pos.size)
+        np.testing.assert_array_equal(res.curve, _wrong_curve(cfg, wrong_pos))
+
+
+def _synthetic_draws(seed, n_b, max_inc, zero_share, noise):
+    """Forced-pull counts and reward draws built to make LinUCB switch often.
+
+    Increments are mostly 0 or small, so a bridge's count grows mainly by its
+    picks; Bernoulli draws make exact ties between the bounds common.
+    """
+    rng = np.random.default_rng(seed)
+    top_inc, bot_inc = (np.where(rng.random(n_b) < zero_share, 0, rng.integers(1, max_inc + 1, n_b))
+                        for _ in range(2))
+    if noise is NoiseKind.BERNOULLI:
+        seg_top, seg_bot = rng.binomial(top_inc, 0.5).astype(float), rng.binomial(bot_inc, 0.45).astype(float)
+        cand_top, cand_bot = rng.binomial(1, 0.5, n_b).astype(float), rng.binomial(1, 0.45, n_b).astype(float)
+    else:
+        seg_top, seg_bot = rng.normal(0.5 * top_inc, np.sqrt(top_inc)), rng.normal(0.45 * bot_inc, np.sqrt(bot_inc))
+        cand_top, cand_bot = rng.normal(0.5, 1.0, n_b), rng.normal(0.45, 1.0, n_b)
+    return np.cumsum(top_inc), np.cumsum(bot_inc), seg_top, seg_bot, cand_top, cand_bot
+
+
+class TestLinUCBStretches:
+    @PROPERTY
+    @given(seed=SEEDS, n_b=st.integers(0, 700), max_inc=st.sampled_from([1, 3, 40]),
+           zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]), noise=st.sampled_from(list(NoiseKind)),
+           horizon=st.sampled_from([10, 1000, 160_000]))
+    def test_stretch_picks_equal_the_per_round_loop(self, seed, n_b, max_inc, zero_share, noise, horizon):
+        draws = _synthetic_draws(seed, n_b, max_inc, zero_share, noise)
+        params = LinUCBParams.for_two_bridge(horizon)
+        picks = linucb_picks_top(*draws, params)
+        assert picks.dtype == bool
+        assert picks.tolist() == linucb_picks_per_round(*draws, params).tolist()
+
+    @pytest.mark.parametrize("horizon", [10, 1000])
+    def test_synthetic_draws_switch_often(self, horizon):
+        # The property above is only as strong as the switches it sees.  On
+        # some of these Bernoulli draws one ulp more in a pick reward changes a
+        # pick, which the property's few examples rarely reach.
+        params = LinUCBParams.for_two_bridge(horizon)
+        for seed in range(20):
+            for noise in NoiseKind:
+                draws = _synthetic_draws(seed, 600, 1, 0.9, noise)
+                picks = linucb_picks_per_round(*draws, params)
+                assert np.count_nonzero(np.diff(picks)) > 100
+                assert picks.tolist() == linucb_picks_top(*draws, params).tolist()
 
 
 def _one_group_catalog() -> Catalog:
@@ -919,13 +1035,6 @@ class TestPerturbedLinUCBEngine:
         assert coin.regret_minority == pytest.approx(
             float(increments[coins].sum()), abs=1e-9
         )
-
-
-# Few, fixed examples keep the property tests to a few seconds and the same on
-# every run.
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-SEEDS = st.integers(0, 2**32 - 1)
-RESTRICTIONS = st.sampled_from(["minority", "coin"])
 
 
 def _check_invariants(results, horizon, curve):

@@ -5,10 +5,7 @@ import pytest
 
 from banditsim.core import ConfigurationError, NoiseKind
 from banditsim.engines import (
-    _A,
-    _B,
-    _C,
-    _kind_codes,
+    _round_positions,
     _seg_sums,
     _single_rewards,
     run_perturbed_batch_greedy,
@@ -18,6 +15,7 @@ from banditsim.environments import Catalog, TwoBridgeConfig, draw_theta
 from banditsim.estimators import gaussian_prior
 from banditsim.policies import LinUCBParams, context_norm_bound
 from banditsim.rng import Purpose, stream
+from oracles import KIND_A, KIND_B, KIND_C, kind_codes
 
 
 class TestTwoBridgeConfig:
@@ -53,12 +51,21 @@ class TestTwoBridgeConfig:
             TwoBridgeConfig(horizon=100, p_majority=1.0)
 
 
+def _engine_codes(cfg, rng, horizon):
+    """The engine's kind draw as the oracle's codes."""
+    a_pos, b_pos = _round_positions(cfg, rng, horizon)
+    codes = np.full(horizon, KIND_C, dtype=np.int8)
+    codes[a_pos] = KIND_A
+    codes[b_pos] = KIND_B
+    return codes
+
+
 class TestTwoBridgeSampling:
     def test_kind_frequencies_vectorized(self):
         # The engine's vectorized kind draw follows the configured law:
         # P(A) = 0.95, P(C) = 0.0475, P(B) = 0.0025.
         n = 1_000_000
-        codes = _kind_codes(TwoBridgeConfig(horizon=n), np.random.default_rng(7), n)
+        codes = _engine_codes(TwoBridgeConfig(horizon=n), np.random.default_rng(7), n)
         freq = np.bincount(codes, minlength=3) / n
         assert freq[0] == pytest.approx(0.95, abs=3 * 0.0002)
         assert freq[1] == pytest.approx(0.0475, abs=3 * 0.0002)
@@ -66,17 +73,17 @@ class TestTwoBridgeSampling:
 
     def test_minority_only_has_no_majority_rounds(self):
         cfg = TwoBridgeConfig(horizon=1000, p_majority=0.0)
-        codes = _kind_codes(cfg, np.random.default_rng(3), 1000)
-        assert set(np.unique(codes)) == {_B, _C}
+        codes = _engine_codes(cfg, np.random.default_rng(3), 1000)
+        assert set(np.unique(codes)) == {KIND_B, KIND_C}
 
     def test_one_code_per_round_from_one_uniform_each(self):
         # The kind draw consumes exactly one uniform per round, so the
         # context stream continues identically whatever the kinds were.
         cfg = TwoBridgeConfig(horizon=500)
         rng = np.random.default_rng(4)
-        codes = _kind_codes(cfg, rng, 500)
+        codes = _engine_codes(cfg, rng, 500)
         assert codes.shape == (500,)
-        assert set(np.unique(codes)) <= {_A, _B, _C}
+        assert set(np.unique(codes)) <= {KIND_A, KIND_B, KIND_C}
         twin = np.random.default_rng(4)
         twin.random(500)
         assert rng.random() == twin.random()
@@ -89,13 +96,22 @@ class TestTwoBridgeSampling:
         failures = 0
         for rep in range(500):
             rng = stream(99, rep, Purpose.CONTEXTS)
-            codes = _kind_codes(cfg, rng, horizon)
-            counts = np.cumsum(codes == 1)
+            codes = _engine_codes(cfg, rng, horizon)
+            counts = np.cumsum(codes == KIND_C)
             ts = np.arange(1, horizon + 1)
             tail = ts >= t0
             if np.any(counts[tail] < 0.9 * ts[tail]):
                 failures += 1
         assert failures == 0
+
+    @pytest.mark.parametrize("p_majority", [0.0, 0.95])
+    def test_positions_match_the_oracle_codes(self, p_majority):
+        cfg = TwoBridgeConfig(horizon=20_000, p_majority=p_majority)
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                _engine_codes(cfg, np.random.default_rng(seed), cfg.horizon),
+                kind_codes(cfg, np.random.default_rng(seed), cfg.horizon),
+            )
 
 
 def _two_entry_config(rho: float, minority_prob: float = 0.0) -> Catalog:

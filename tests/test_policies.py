@@ -5,46 +5,74 @@ import math
 import numpy as np
 import pytest
 
-from banditsim.engines import _B, _kind_codes, closed_form_ucb, run_two_bridge_policy
+from banditsim.engines import run_two_bridge_policy
 from banditsim.metrics import RegretSums
 from banditsim.environments import TwoBridgeConfig
 from banditsim.estimators import SufficientStats, ols_estimate
 from banditsim.policies import LinUCBParams, context_norm_bound, interval_width, suggested_batch_size
 from banditsim.rng import Purpose, stream
-from oracles import BOTTOM, TOP, ContextRound, Group, empty_stats, greedy_select, linucb_scores
+from oracles import (
+    BOTTOM,
+    KIND_B,
+    TOP,
+    ContextRound,
+    Group,
+    closed_form_ucb,
+    empty_stats,
+    greedy_select,
+    kind_codes,
+    linucb_scores,
+    scalar_interval_width,
+)
 
 B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
 
 
 def _linucb_pick(round_: ContextRound, stats: SufficientStats, params: LinUCBParams) -> int:
     """The LinUCB decision: the first action of highest upper confidence bound."""
-    f = interval_width(stats.n, params, round_.dim)
+    [f] = interval_width([stats.n], params, round_.dim)
     return int(np.argmax(linucb_scores(round_, stats, f, params.ridge)))
 
 
 class TestIntervalWidth:
     def test_frozen_value(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
-        assert interval_width(9, params, d=4) == pytest.approx(
+        assert interval_width([9], params, d=4)[0] == pytest.approx(
             5.291932052578694, abs=1e-12
         )
 
     def test_formula_at_zero_observations(self):
         params = LinUCBParams(L=2.0, S=0.5, horizon=50)
         expected = 0.5 + math.sqrt(3 * math.log(50))
-        assert interval_width(0, params, d=3) == pytest.approx(expected)
+        assert interval_width([0], params, d=3)[0] == pytest.approx(expected)
 
     def test_monotone_in_observations(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=100)
-        widths = [interval_width(t, params, d=2) for t in range(0, 200, 10)]
+        widths = interval_width(np.arange(0, 200, 10), params, d=2)
         assert all(b >= a for a, b in zip(widths, widths[1:]))
 
     def test_negative_inputs_rejected(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
         with pytest.raises(ValueError):
-            interval_width(-1, params, d=2)
+            interval_width([3, -1], params, d=2)
         with pytest.raises(ValueError):
-            interval_width(1, params, d=0)
+            interval_width([1], params, d=0)
+
+    @pytest.mark.parametrize("params,d", [
+        (LinUCBParams.for_two_bridge(40_000), 2),
+        (LinUCBParams.for_perturbed(d=5, n_actions=4, horizon=20_000, rho=0.3, prior_norm=0.8), 5),
+    ])
+    def test_equals_the_scalar_formula(self, params, d):
+        # Every count's log is math.log's, so each width is the scalar float.
+        counts = np.concatenate([np.arange(100_000), [10**6, 5 * 10**7]])
+        widths = interval_width(counts, params, d)
+        assert widths.dtype == np.float64
+        assert widths.tolist() == [scalar_interval_width(int(t), params, d) for t in counts]
+
+    def test_keeps_the_shape_of_the_counts(self):
+        params = LinUCBParams(L=1.0, S=1.0, horizon=10)
+        assert interval_width(np.arange(6).reshape(2, 3), params, d=2).shape == (2, 3)
+        assert interval_width(np.arange(0), params, d=2).shape == (0,)
 
 
 class TestLinUCBParams:
@@ -65,7 +93,7 @@ class TestLinUCBParams:
         p = LinUCBParams.for_two_bridge(horizon)
         assert p.L == 1.0
         assert p.S == pytest.approx(1 / math.sqrt(2) + math.sqrt(6 * math.log(horizon)))
-        assert interval_width(0, p, d=2) > p.S > 2 * math.sqrt(math.log(horizon))
+        assert interval_width([0], p, d=2)[0] > p.S > 2 * math.sqrt(math.log(horizon))
 
     def test_perturbed_recipe(self):
         p = LinUCBParams.for_perturbed(
@@ -108,7 +136,7 @@ class TestLinUCBScores:
                 xr=np.array([s1, s2]),
                 n=n1 + n2,
             )
-            f = interval_width(stats.n, params, d=2)
+            [f] = interval_width([stats.n], params, d=2)
             scores = linucb_scores(B_ROUND, stats, f=f, ridge=0.0)
             u1, u2 = closed_form_ucb(n1, s1, n2, s2, f)
             for got, want in zip(scores, (u1, u2)):
@@ -240,9 +268,9 @@ class TestLinUCBWarmBehavior:
                 sums=RegretSums(20260814, (rep,), horizon, curve=True),
             )
             increments = np.diff(res.curve, prepend=0.0) > 0
-            codes = _kind_codes(cfg, stream(20260814, rep, Purpose.CONTEXTS), horizon)
+            codes = kind_codes(cfg, stream(20260814, rep, Purpose.CONTEXTS), horizon)
             tail = np.arange(1, horizon + 1) >= t0
-            wrong_after += int((increments & (codes == _B) & tail).sum())
-            b_after += int(((codes == _B) & tail).sum())
+            wrong_after += int((increments & (codes == KIND_B) & tail).sum())
+            b_after += int(((codes == KIND_B) & tail).sum())
         assert b_after > 0
         assert wrong_after / b_after <= 0.05
