@@ -21,7 +21,7 @@ from .core import (
 )
 from .csvio import ResultRow, emit_csv
 from .environments import Catalog, TwoBridgeConfig, draw_theta
-from .estimators import SufficientStats, min_eigenvalue, ols_estimate
+from .estimators import min_eigenvalue, ols_estimate
 from .metrics import bayesian_regret, scaling_exponent
 from .policies import LinUCBParams, interval_width, suggested_batch_size
 from .experiments import (

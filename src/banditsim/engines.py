@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import NoiseKind, last_batch_end
 from .environments import MAJORITY_RATE, Catalog, TwoBridgeConfig
-from .estimators import GaussianPrior, ols_estimate, posterior_mean, SufficientStats
+from .estimators import GaussianPrior, ols_estimate, posterior_mean
 from .metrics import RegretSums, running_sum
 from .policies import LinUCBParams, context_norm_bound, interval_width
 from .rng import Purpose, stream
@@ -298,7 +298,6 @@ class PerturbedRunResult:
     regret_prediction: float
     gap_allowance: float
     probe_values: dict
-    final_stats: SufficientStats
     curve: np.ndarray | None = None
     chosen_rows: np.ndarray | None = None
 
@@ -318,16 +317,19 @@ def run_perturbed_batch_greedy(
     """Batched greedy replicate with whole batches vectorized.
 
     ``acting`` picks the frozen acting estimate: "freq" for least squares,
-    "bayes" for the posterior mean.  ``gap_allowance`` accumulates
-    ``2 R ||theta_bay - theta_freq||`` per round with the batch-frozen
-    estimates and R = ``context_norm_bound`` of the instance, the per-round
-    bound on how far the two greedy rules' reward predictions can disagree.
+    "bayes" for the posterior mean; any other value is a ``ValueError``.
+    ``gap_allowance`` accumulates ``2 R ||theta_bay - theta_freq||`` per round
+    with the batch-frozen estimates and R = ``context_norm_bound`` of the
+    instance, the per-round bound on how far the two greedy rules' reward
+    predictions can disagree.
     ``probe_values`` maps each of GAP_PROBE_ROUNDS within the horizon to
     ``t0 ||theta_bay - theta_freq||``, t0 the last batch end before it.
     ``sums`` receives each batch's regret; by default it restricts to minority
     rounds and keeps no curve.  The prediction regret is summed in the same
     round order.  ``keep_rows`` keeps the chosen context of every round.
     """
+    if acting not in ("freq", "bayes"):
+        raise ValueError(f"acting must be 'freq' or 'bayes', not {acting!r}")
     d, k = cat.dim, cat.n_actions
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
     pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
@@ -336,7 +338,6 @@ def run_perturbed_batch_greedy(
 
     Z = np.zeros((d, d))
     xr = np.zeros(d)
-    n_obs = 0
     theta_freq = np.zeros(d)
     theta_bay = prior.mean.copy()
     cold = True
@@ -389,17 +390,15 @@ def run_perturbed_batch_greedy(
 
         Z += chosen.T @ chosen
         xr += chosen.T @ rewards
-        n_obs += y
         done += y
-        stats = SufficientStats(0.5 * (Z + Z.T), xr, n_obs)
-        theta_freq = ols_estimate(stats)
-        theta_bay = posterior_mean(stats, prior)
+        Z_sym = 0.5 * (Z + Z.T)
+        theta_freq = ols_estimate(Z_sym, xr)
+        theta_bay = posterior_mean(Z_sym, xr, prior)
         cold = False
 
-    final = SufficientStats(0.5 * (Z + Z.T), xr, n_obs)
     return PerturbedRunResult(
         float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes,
-        final, curve=sums.curve(), chosen_rows=chosen_rows,
+        curve=sums.curve(), chosen_rows=chosen_rows,
     )
 
 
@@ -407,6 +406,9 @@ def run_perturbed_batch_greedy(
 # Chunked normal draws continue each replicate's stream exactly, so the size
 # bounds memory without changing any result.
 NOISE_CHUNK = 1024
+# Rounds between rebuilds of LinUCB's cached inverses from the exact Gram
+# matrices, which cap the floating-point drift of the rank-one updates.
+REFRESH_EVERY = 10_000
 
 
 def run_perturbed_linucb(
@@ -416,7 +418,6 @@ def run_perturbed_linucb(
     horizon: int,
     master_seed: int,
     replicates: tuple,
-    refresh_every: int = 10_000,
     sums: RegretSums | None = None,
 ) -> list:
     """LinUCB replicates advanced in lockstep; one result per replicate.
@@ -429,8 +430,8 @@ def run_perturbed_linucb(
     by default minority-restricted with no curve) adds regret in round order,
     so a replicate's result does not depend on the block it runs in.
 
-    Requires a positive ridge; the cached inverses are rebuilt from the exact
-    Gram matrices every ``refresh_every`` rounds to cap floating-point drift.
+    Requires a positive ridge; the cached inverses are rebuilt every
+    REFRESH_EVERY rounds.
     """
     if params.ridge <= 0.0:
         raise ValueError("the perturbed LinUCB engine needs a positive ridge")
@@ -484,7 +485,7 @@ def run_perturbed_linucb(
             xr += reward_x[c][rows, a][:, :, None]
             wx = W @ chosen
             W -= (wx * wx.transpose(0, 2, 1)) / (1.0 + chosen.transpose(0, 2, 1) @ wx)
-            if (start + c + 1) % refresh_every == 0:
+            if (start + c + 1) % REFRESH_EVERY == 0:
                 W = np.linalg.inv(0.5 * (Z + Z.transpose(0, 2, 1)) + params.ridge * np.eye(d))
                 W = 0.5 * (W + W.transpose(0, 2, 1))
             theta_hat = W @ xr
@@ -493,11 +494,10 @@ def run_perturbed_linucb(
         inst = true_vals.max(axis=2) - np.take_along_axis(true_vals, actions[..., None], axis=2)[..., 0]
         sums.add(slice(start, stop), inst, cat.minority[entries])
 
-    results = []
-    for i in range(n):
-        final = SufficientStats(0.5 * (Z[i] + Z[i].T), xr[i, :, 0], horizon)
-        results.append(PerturbedRunResult(
-            float(sums.total[i]), float(sums.restricted[i]), float(sums.total[i]), 0.0, {}, final,
+    return [
+        PerturbedRunResult(
+            float(sums.total[i]), float(sums.restricted[i]), float(sums.total[i]), 0.0, {},
             curve=sums.curve() if i == 0 else None,
-        ))
-    return results
+        )
+        for i in range(n)
+    ]

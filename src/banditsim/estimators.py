@@ -1,4 +1,8 @@
-"""Sufficient statistics and the frequentist / Bayesian point estimators."""
+"""OLS and Gaussian posterior from (Z, xr), the Gaussian prior, and eigenvalues.
+
+``Z`` is the symmetrised Gram matrix sum x x^T of the observed contexts and
+``xr`` the reward-weighted sum sum r x, both plain arrays.
+"""
 
 from __future__ import annotations
 
@@ -13,39 +17,20 @@ SINGULAR_CUTOFF = 1e-10
 SYMMETRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SufficientStats:
-    """Value-semantic regression statistics: Z = sum xx^T, xr = sum rx, n rounds."""
+def _solve_spd(M: np.ndarray, b: np.ndarray, pivot_tol: float = 0.0) -> np.ndarray:
+    """Solve M v = b for symmetric positive semidefinite M via Cholesky.
 
-    Z: np.ndarray
-    xr: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        Z = np.asarray(self.Z, dtype=float)
-        xr = np.asarray(self.xr, dtype=float)
-        if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-            raise ValueError("Z must be square")
-        if xr.shape != (Z.shape[0],):
-            raise ValueError("xr dimension must match Z")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "xr", xr)
-
-    @property
-    def dim(self) -> int:
-        return self.Z.shape[0]
-
-
-def _solve_spd(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M v = b for symmetric positive definite M via Cholesky.
-
-    Falls back to an eigendecomposition pseudo-inverse when the factorization
-    fails, treating eigenvalues below SINGULAR_CUTOFF * max as zero.
+    Falls back to an eigendecomposition pseudo-inverse, treating eigenvalues
+    below SINGULAR_CUTOFF * max as zero, when the factorization fails or a
+    squared pivot is at most ``pivot_tol * trace(M)``.  Rounding can let
+    the factorization of an exactly singular M succeed with a tiny pivot, and
+    its solution then is not the minimum-norm one; a positive definite M
+    needs no ``pivot_tol``.
     """
     try:
         c = np.linalg.cholesky(M)
+        if pivot_tol and c.diagonal().min() ** 2 <= pivot_tol * M.trace():
+            raise np.linalg.LinAlgError("numerically singular")
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(M)
         cutoff = SINGULAR_CUTOFF * max(float(vals.max(initial=0.0)), 1e-300)
@@ -57,9 +42,9 @@ def _solve_spd(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(c.T, y)
 
 
-def ols_estimate(stats: SufficientStats) -> np.ndarray:
+def ols_estimate(Z: np.ndarray, xr: np.ndarray) -> np.ndarray:
     """Least-squares estimate Z^-1 xr; minimum-norm solution when Z is singular."""
-    return _solve_spd(stats.Z, stats.xr)
+    return _solve_spd(Z, xr, SINGULAR_CUTOFF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,16 +79,9 @@ def gaussian_prior(prior_mean: np.ndarray, prior_cov: np.ndarray) -> GaussianPri
     return GaussianPrior(prior_mean, precision, precision @ prior_mean, chol)
 
 
-def posterior_mean(stats: SufficientStats, prior: GaussianPrior) -> np.ndarray:
-    """Posterior mean (Z + Sigma^-1)^-1 (xr + Sigma^-1 theta_bar) for unit noise.
-
-    With no observations this is exactly the prior mean.
-    """
-    if prior.mean.shape != (stats.dim,):
-        raise ValueError("prior dimensions must match the statistics")
-    if stats.n == 0:
-        return prior.mean.copy()
-    return _solve_spd(stats.Z + prior.precision, stats.xr + prior.shift)
+def posterior_mean(Z: np.ndarray, xr: np.ndarray, prior: GaussianPrior) -> np.ndarray:
+    """Posterior mean (Z + Sigma^-1)^-1 (xr + Sigma^-1 theta_bar) for unit noise."""
+    return _solve_spd(Z + prior.precision, xr + prior.shift)
 
 
 def min_eigenvalue(M: np.ndarray) -> float:

@@ -273,7 +273,7 @@ def _lambda_checks(curve: np.ndarray, rho: float, horizon: int) -> dict:
     return {
         "lambda_bound_ok": bool(np.all(curve[tail] >= bound[tail])),
         "lambda_slope": slope,
-        "lambda_min_ratio": float(ratios.min()) if ratios.size else math.inf,
+        "lambda_min_ratio": float(ratios.min()),
         "lambda_final": float(curve[-1]),
     }
 
@@ -346,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     """Run every (policy, horizon, replicate) job and aggregate the table."""
     spec = EXPERIMENT_SPECS[cfg.experiment]
     if spec.family == "audit":
-        report = simulation_verification_report(cfg, cfg.n_targets, cfg.sim_draws)
+        report = simulation_verification_report(cfg)
         return ExperimentResult((), {"experiment": cfg.experiment, "simulation_verify": report}, {})
     jobs = _jobs_for(cfg, _instance_for(cfg))
     n_workers = resolve_workers(workers)
@@ -488,7 +488,7 @@ def _aggregate_scaling(cfg, rows, extras, aggregates) -> None:
         per_t = _per_horizon(rows, policy, "regret_total")
         if len(per_t) < 3 or not all(v.mean() > 0 for v in per_t.values()):
             continue
-        exponent, lo, hi = scaling_exponent_bootstrap(per_t, boot_rng, n_boot=200)
+        exponent, lo, hi = scaling_exponent_bootstrap(per_t, boot_rng)
         fits[policy] = {"exponent": exponent, "ci_lo": lo, "ci_hi": hi}
     aggregates["scaling_fits"] = fits
 
@@ -566,6 +566,9 @@ def _check_audit(cfg) -> str | None:
 def _check_eig_growth(cfg) -> str | None:
     if cfg.d != 2:
         return f"{cfg.experiment} needs d = 2, the only dimension its lambda curve tracking supports"
+    if min(cfg.horizons) < LAMBDA_FLOOR_ROUND:
+        return (f"horizons must be at least {LAMBDA_FLOOR_ROUND} for {cfg.experiment}: "
+                f"its bound is checked from round {LAMBDA_FLOOR_ROUND} on")
     return None
 
 
@@ -697,14 +700,15 @@ def ks_2samp_equal(x: np.ndarray, y: np.ndarray) -> tuple:
     return statistic, min(1.0, float(2.0 * (terms[0::2].sum() - terms[1::2].sum())))
 
 
-def simulation_verification_report(cfg: ExperimentConfig, n_targets: int, n_draws: int) -> dict:
+def simulation_verification_report(cfg: ExperimentConfig) -> dict:
     """Audit the reward-simulation construction on one diverse batch.
 
     Builds a batch by running batched greedy on the perturbed instance,
-    draws targets inside the batch's diversity radius, and compares the
-    simulated reward law against direct draws with a two-sample KS test per
-    target at level 0.01 (``ks_2samp_equal``).
+    draws ``cfg.n_targets`` targets inside the batch's diversity radius, and
+    compares the simulated reward law against ``cfg.sim_draws`` direct draws
+    with a two-sample KS test per target at level 0.01 (``ks_2samp_equal``).
     """
+    n_targets, n_draws = cfg.n_targets, cfg.sim_draws
     catalog, prior = build_instance(cfg)
     theta = draw_theta_for_replicate(cfg, prior, 0)
     horizon = cfg.horizons[0]

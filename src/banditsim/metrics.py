@@ -29,11 +29,13 @@ class RegretSums:
     is set, the regret of every round.  The restricted set is the minority
     rounds the engine flags, or with ``restriction = "coin"`` the rounds an
     independent Bernoulli(``restriction_p``) coin from the replicate's
-    restriction stream flags.
+    restriction stream flags; any other ``restriction`` is a ``ValueError``.
     """
 
     def __init__(self, master_seed: int, replicates, horizon: int,
                  restriction: str = "minority", restriction_p: float = 0.5, curve: bool = False):
+        if restriction not in ("minority", "coin"):
+            raise ValueError(f"restriction must be 'minority' or 'coin', not {restriction!r}")
         self.total = np.zeros(len(replicates))
         self.restricted = np.zeros(len(replicates))
         self._coins = None
@@ -93,22 +95,22 @@ def scaling_exponent(points) -> tuple:
     return float(slope), float(intercept)
 
 
-def scaling_exponent_bootstrap(
-    per_horizon_regrets: dict,
-    rng: np.random.Generator,
-    n_boot: int = 200,
-) -> tuple:
+# Bootstrap resamples behind each scaling-exponent interval.
+N_BOOT = 200
+
+
+def scaling_exponent_bootstrap(per_horizon_regrets: dict, rng: np.random.Generator) -> tuple:
     """Scaling exponent of mean regrets plus a bootstrap percentile interval.
 
     ``per_horizon_regrets`` maps horizon -> array of per-replicate regrets.
     Returns (exponent, lo, hi) with a 2.5/97.5 percentile interval over
-    ``n_boot`` resamples of the replicates at each horizon.
+    N_BOOT resamples of the replicates at each horizon.
     """
     horizons = sorted(per_horizon_regrets)
     means = [(t, float(np.mean(per_horizon_regrets[t]))) for t in horizons]
     exponent, _ = scaling_exponent(means)
     draws = []
-    for _ in range(n_boot):
+    for _ in range(N_BOOT):
         resampled = []
         for t in horizons:
             vals = np.asarray(per_horizon_regrets[t], dtype=float)

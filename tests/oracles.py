@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from banditsim.csvio import HEADER, ResultRow
-from banditsim.estimators import SINGULAR_CUTOFF, SufficientStats, gaussian_prior, posterior_mean
+from banditsim.estimators import SINGULAR_CUTOFF, gaussian_prior, posterior_mean
 from banditsim.policies import LinUCBParams
 
 # The two-bridge instance's contexts: the top and the bottom bridge.
@@ -163,36 +163,36 @@ class ContextRound:
         return 0 <= a < len(self.contexts) and self.contexts[a] is not None
 
 
-def empty_stats(d: int) -> SufficientStats:
-    """Statistics of no observations in dimension ``d``."""
-    return SufficientStats(np.zeros((d, d)), np.zeros(d), 0)
+def empty_stats(d: int) -> tuple:
+    """The Gram matrix and reward-weighted sum ``(Z, xr)`` of no observations in dimension ``d``."""
+    return np.zeros((d, d)), np.zeros(d)
 
 
-def _ucb_terms(stats: SufficientStats, ridge: float):
+def _ucb_terms(Z: np.ndarray, xr: np.ndarray, ridge: float):
     """Point estimate and a quadratic-form evaluator for the width term.
 
     With ridge 0 and singular Z the evaluator returns ``inf`` for any vector
     touching the null space of Z, which forces exploration of unseen
     directions.
     """
-    d = stats.dim
+    d = Z.shape[0]
     if ridge > 0.0:
-        A = stats.Z + ridge * np.eye(d)
+        A = Z + ridge * np.eye(d)
         A_inv = np.linalg.inv(A)
         A_inv = 0.5 * (A_inv + A_inv.T)
-        theta_hat = A_inv @ stats.xr
+        theta_hat = A_inv @ xr
 
         def quad(x: np.ndarray) -> float:
             return float(x @ A_inv @ x)
 
         return theta_hat, quad
 
-    vals, vecs = np.linalg.eigh(stats.Z)
+    vals, vecs = np.linalg.eigh(Z)
     cutoff = SINGULAR_CUTOFF * max(float(vals.max(initial=0.0)), 1e-300)
     keep = vals > cutoff
     inv_vals = np.zeros_like(vals)
     inv_vals[keep] = 1.0 / vals[keep]
-    theta_hat = (vecs * inv_vals) @ (vecs.T @ stats.xr)
+    theta_hat = (vecs * inv_vals) @ (vecs.T @ xr)
 
     def quad(x: np.ndarray) -> float:
         comps = vecs.T @ x
@@ -204,9 +204,10 @@ def _ucb_terms(stats: SufficientStats, ridge: float):
     return theta_hat, quad
 
 
-def linucb_scores(round_: ContextRound, stats: SufficientStats, f: float, ridge: float) -> np.ndarray:
-    """Upper confidence bounds per action slot; unavailable slots score -inf."""
-    theta_hat, quad = _ucb_terms(stats, ridge)
+def linucb_scores(round_: ContextRound, Z: np.ndarray, xr: np.ndarray, f: float, ridge: float) -> np.ndarray:
+    """Upper confidence bounds per action slot given the Gram matrix ``Z`` and
+    reward-weighted sum ``xr``; unavailable slots score -inf."""
+    theta_hat, quad = _ucb_terms(Z, xr, ridge)
     scores = np.full(round_.n_actions, -math.inf)
     for a in round_.available_indices():
         x = round_.contexts[a]
@@ -239,12 +240,13 @@ def instantaneous_regret(theta: np.ndarray, round_: ContextRound, chosen: int) -
 
 
 def bayes_posterior_mean(
-    stats: SufficientStats,
+    Z: np.ndarray,
+    xr: np.ndarray,
     prior_mean: np.ndarray,
     prior_cov: np.ndarray,
 ) -> np.ndarray:
     """Posterior mean under the prior (prior_mean, prior_cov); see ``posterior_mean``."""
-    return posterior_mean(stats, gaussian_prior(prior_mean, prior_cov))
+    return posterior_mean(Z, xr, gaussian_prior(prior_mean, prior_cov))
 
 
 def parse_csv(text: str) -> list:

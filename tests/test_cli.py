@@ -246,6 +246,18 @@ class TestRun:
         assert err["error"] == "ConfigError"
         assert "d = 2" in err["message"]
 
+    def test_eig_growth_horizon_below_floor_round_exit_2(self, capsys):
+        # No round would be checked: the run reported a bound fraction of 1.0
+        # and wrote min_ratio as Infinity, which is not JSON.
+        code = main([
+            "run", "--experiment", "EigGrowth", "--set", "horizons=1999,4000",
+            "--replicates", "1", "--out", "-", "--workers", "1",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "horizons" in err["message"] and "2000" in err["message"]
+
     def test_comparator_with_two_horizons_exit_2(self, capsys):
         # Both horizons map to the comparator horizon 400 // 20 = 410 // 20 = 20.
         code = main([
@@ -479,7 +491,7 @@ TINY = {
     "ScalingFit": ("horizons = 200, 300, 400\nreplicates = 2", "linucb, batch_freq_greedy"),
     "ExternalityVanishing": ("horizons = 400\nreplicates = 2\nbatch = 20", "batch_freq_greedy, linucb_full"),
     "SimulationVerify": ("horizons = 600\nbatch = 200\nn_targets = 2\nsim_draws = 200", "linucb"),
-    "EigGrowth": ("horizons = 400\nreplicates = 2\nbatch = 20", "batch_bayes_greedy"),
+    "EigGrowth": ("horizons = 2000\nreplicates = 2\nbatch = 20", "batch_bayes_greedy"),
 }
 # Second values; the first that differs from the tiny config's value is used.
 ALTERNATES = {

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsim.core import NoiseKind, last_batch_end
+import banditsim.engines as engines
 from banditsim.engines import (
     GAP_PROBE_ROUNDS,
     NOISE_CHUNK,
@@ -31,7 +32,7 @@ from banditsim.engines import (
     run_two_bridge_policy,
 )
 from banditsim.environments import Catalog, TwoBridgeConfig
-from banditsim.estimators import SufficientStats, gaussian_prior, ols_estimate
+from banditsim.estimators import gaussian_prior, ols_estimate
 from banditsim.experiments import _lambda_min_curve
 from banditsim.metrics import RegretSums
 from banditsim.policies import LinUCBParams, context_norm_bound
@@ -125,11 +126,8 @@ def reference_two_bridge_linucb(cfg, master_seed, replicate, params, inject_rate
         s1 += float(seg_top[k])
         n2 += int(bot_inc[k])
         s2 += float(seg_bot[k])
-        stats = SufficientStats(
-            Z=np.diag([float(n1), float(n2)]), xr=np.array([s1, s2]), n=n1 + n2
-        )
         f = scalar_interval_width(n1 + n2, params, 2)
-        scores = linucb_scores(B_ROUND, stats, f=f, ridge=params.ridge)
+        scores = linucb_scores(B_ROUND, np.diag([float(n1), float(n2)]), np.array([s1, s2]), f=f, ridge=params.ridge)
         pick = int(np.argmax(scores))
         if pick == 0:
             n1 += 1
@@ -172,10 +170,7 @@ def reference_two_bridge_batch_freq(cfg, master_seed, replicate, batch_size):
             picks_top = int(pol.binomial(nb, 0.5)) if nb else 0
             picks_bot = nb - picks_top
         else:
-            stats = SufficientStats(
-                Z=np.diag([float(n1), float(n2)]), xr=np.array([s1, s2]), n=n1 + n2
-            )
-            est = ols_estimate(stats)
+            est = ols_estimate(np.diag([float(n1), float(n2)]), np.array([s1, s2]))
             if greedy_select(B_ROUND, est) == 0:
                 picks_top, picks_bot = nb, 0
             else:
@@ -218,7 +213,6 @@ def reference_perturbed_greedy(
 
     Z = np.zeros((d, d))
     xr = np.zeros(d)
-    n_obs = 0
     theta_freq = np.zeros(d)
     theta_bay = np.asarray(prior_mean, dtype=float).copy()
     cold = True
@@ -260,10 +254,9 @@ def reference_perturbed_greedy(
                 )
         Z += chosen.T @ chosen
         xr += chosen.T @ rewards
-        n_obs += y
-        stats = SufficientStats(0.5 * (Z + Z.T), xr, n_obs)
-        theta_freq = ols_estimate(stats)
-        theta_bay = bayes_posterior_mean(stats, prior_mean, prior_cov)
+        Z_sym = 0.5 * (Z + Z.T)
+        theta_freq = ols_estimate(Z_sym, xr)
+        theta_bay = bayes_posterior_mean(Z_sym, xr, prior_mean, prior_cov)
         cold = False
         done += y
     return total, minority_total, pred_total, allowance, probes
@@ -313,7 +306,7 @@ def single_replicate_linucb(
     """Per-round LinUCB on one replicate with a rank-one-updated cached inverse.
 
     The same arithmetic, call for call, as the lockstep engine's per-replicate
-    slice; returns (regret_total, regret_minority, curve, Z, xr).
+    slice; returns (regret_total, regret_minority, curve).
     """
     d, k = cat.dim, cat.n_actions
     ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
@@ -362,7 +355,7 @@ def single_replicate_linucb(
             W = np.linalg.inv(0.5 * (Z + Z.T) + params.ridge * np.eye(d))
             W = 0.5 * (W + W.T)
         theta_hat = W @ xr
-    return total, minority_total, np.cumsum(inst_curve), 0.5 * (Z + Z.T), xr
+    return total, minority_total, np.cumsum(inst_curve)
 
 
 class TestTwoBridgePolicyEngine:
@@ -794,6 +787,16 @@ class TestPerturbedGreedyEngine:
         bound = context_norm_bound(cat.rho, 2, 150, 2)
         assert res.gap_allowance == pytest.approx(2 * bound * np.linalg.norm(PRIOR_MEAN) * 150)
 
+    @pytest.mark.parametrize("acting", ["Bayes", "ols", ""])
+    def test_unknown_acting_is_rejected(self, acting):
+        # Any value but "freq" and "bayes" used to run a third policy: greedy
+        # on least squares without the cold random first batch.
+        with pytest.raises(ValueError, match=f"not {acting!r}"):
+            run_perturbed_batch_greedy(
+                _one_group_catalog(), PRIOR, THETA,
+                horizon=100, batch_size=50, master_seed=MASTER, replicate=0, acting=acting,
+            )
+
     def test_one_group_minority_regret_is_zero(self):
         res = run_perturbed_batch_greedy(
             _one_group_catalog(), PRIOR, THETA,
@@ -831,17 +834,6 @@ class TestPerturbedGreedyEngine:
             gram += np.outer(row, row)
             lam = np.linalg.eigvalsh(gram)[0]
             assert curve[t] == pytest.approx(lam, abs=1e-8)
-
-    def test_final_stats_match_rows(self):
-        res = run_perturbed_batch_greedy(
-            _two_group_catalog(), PRIOR, THETA,
-            horizon=400, batch_size=100, master_seed=MASTER, replicate=3,
-            keep_rows=True,
-        )
-        np.testing.assert_allclose(
-            res.final_stats.Z, res.chosen_rows.T @ res.chosen_rows, atol=1e-9
-        )
-        assert res.final_stats.n == 400
 
     def test_coin_restriction_identity(self):
         cfg = _two_group_catalog()
@@ -900,7 +892,7 @@ class TestPerturbedLinUCBEngine:
     @pytest.mark.parametrize("block", [1, 2, 5])
     @pytest.mark.parametrize("two_group", [False, True])
     @pytest.mark.parametrize("restriction", ["minority", "coin"])
-    def test_lockstep_is_bit_identical_to_single_replicate_loop(self, block, two_group, restriction):
+    def test_lockstep_is_bit_identical_to_single_replicate_loop(self, block, two_group, restriction, monkeypatch):
         assert LOCKSTEP_HORIZON % NOISE_CHUNK != 0
         refreshes = range(LOCKSTEP_REFRESH, LOCKSTEP_HORIZON + 1, LOCKSTEP_REFRESH)
         assert {t // NOISE_CHUNK for t in refreshes} == {0, 1}
@@ -911,22 +903,20 @@ class TestPerturbedLinUCBEngine:
             d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         thetas = _lockstep_thetas()
+        monkeypatch.setattr(engines, "REFRESH_EVERY", LOCKSTEP_REFRESH)
         results = []
         for first in range(0, len(LOCKSTEP_REPLICATES), block):
             reps = LOCKSTEP_REPLICATES[first:first + block]
             results += run_perturbed_linucb(
                 cfg, params, thetas[first:first + block], LOCKSTEP_HORIZON, MASTER, reps,
-                refresh_every=LOCKSTEP_REFRESH,
                 sums=_curve_sums(reps, LOCKSTEP_HORIZON, restriction=restriction),
             )
         expected = _single_replicate_runs(two_group, restriction)
         assert len(results) == len(expected)
-        for i, (res, (total, minority, curve, Z, xr)) in enumerate(zip(results, expected)):
+        for i, (res, (total, minority, curve)) in enumerate(zip(results, expected)):
             assert res.regret_total == total
             assert res.regret_minority == minority
             assert res.regret_prediction == total
-            assert np.array_equal(res.final_stats.Z, Z)
-            assert np.array_equal(res.final_stats.xr, xr)
             # Only the first replicate of a block keeps its curve.
             if i % block:
                 assert res.curve is None
@@ -961,23 +951,23 @@ class TestPerturbedLinUCBEngine:
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(engines, "REFRESH_EVERY", LOCKSTEP_REFRESH)
         run_perturbed_linucb(
             cfg, params, _lockstep_thetas()[:2], LOCKSTEP_HORIZON, MASTER, LOCKSTEP_REPLICATES[:2],
-            refresh_every=LOCKSTEP_REFRESH,
         )
         assert LOCKSTEP_HORIZON > NOISE_CHUNK
         assert calls == [(2, 2, 2)] * (LOCKSTEP_HORIZON // LOCKSTEP_REFRESH)
 
-    def test_cached_inverse_matches_per_round_refresh(self):
+    def test_cached_inverse_matches_per_round_refresh(self, monkeypatch):
         cfg = _one_group_catalog()
         horizon = 3000
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         cached = _linucb_one(cfg, params, THETA, horizon, 2)
-        exact = _linucb_one(cfg, params, THETA, horizon, 2, refresh_every=1)
+        monkeypatch.setattr(engines, "REFRESH_EVERY", 1)
+        exact = _linucb_one(cfg, params, THETA, horizon, 2)
         assert cached.regret_total == pytest.approx(exact.regret_total, abs=1e-9)
-        np.testing.assert_allclose(cached.final_stats.Z, exact.final_stats.Z, atol=1e-7)
 
     @pytest.mark.parametrize("two_group", [False, True])
     def test_result_fields(self, two_group):
@@ -987,15 +977,10 @@ class TestPerturbedLinUCBEngine:
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         res = _linucb_one(cfg, params, THETA, horizon, 6, sums=_curve_sums((6,), horizon))
-        assert res.final_stats.n == horizon
         assert res.regret_prediction == res.regret_total > 0.0
         assert 0.0 <= res.regret_minority <= res.regret_total
         assert (res.regret_minority > 0.0) == two_group
         assert res.gap_allowance == 0.0 and res.probe_values == {}
-        # The statistics are this replicate's: ridge regression on them
-        # recovers its weights.
-        est = np.linalg.solve(res.final_stats.Z + np.eye(2), res.final_stats.xr)
-        assert np.linalg.norm(est - THETA) < 0.5
         assert np.all(np.diff(res.curve) >= 0.0)
 
     def test_results_follow_replicate_order(self):
@@ -1009,8 +994,6 @@ class TestPerturbedLinUCBEngine:
         for res, rep, theta in zip(pair, (4, 1), thetas):
             alone = _linucb_one(cfg, params, theta, horizon, rep)
             assert res.regret_total == alone.regret_total
-            np.testing.assert_array_equal(res.final_stats.Z, alone.final_stats.Z)
-            np.testing.assert_array_equal(res.final_stats.xr, alone.final_stats.xr)
         assert pair[0].regret_total != pair[1].regret_total
 
     def test_requires_positive_ridge(self):

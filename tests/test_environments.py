@@ -269,7 +269,6 @@ class TestPerturbedSampling:
                 acting=policy.removeprefix("batch_"),
             )
         assert res.regret_total == 0.0
-        assert res.final_stats.n == horizon
 
     def test_separate_perturbation_stream(self):
         # Contexts come from the replicate's own entry and perturbation

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from banditsim.environments import Catalog, TwoBridgeConfig
-from banditsim.metrics import bayesian_regret, scaling_exponent, scaling_exponent_bootstrap
+from banditsim.metrics import RegretSums, bayesian_regret, scaling_exponent, scaling_exponent_bootstrap
 from banditsim.rng import Purpose, stream
 from oracles import BOTTOM, TOP, ContextRound, Group, instantaneous_regret
 
@@ -142,3 +142,11 @@ class TestScalingExponentBootstrap:
         exp, lo, hi = scaling_exponent_bootstrap(per_horizon, np.random.default_rng(2))
         assert lo <= exp <= hi
         assert exp == pytest.approx(0.5, abs=0.05)
+
+
+class TestRegretSums:
+    @pytest.mark.parametrize("restriction", ["all", "Coin", ""])
+    def test_unknown_restriction_is_rejected(self, restriction):
+        # Any value but "coin" used to restrict to the minority rounds.
+        with pytest.raises(ValueError, match=f"not {restriction!r}"):
+            RegretSums(20260814, (0,), 10, restriction=restriction)

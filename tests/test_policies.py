@@ -8,7 +8,7 @@ import pytest
 from banditsim.engines import run_two_bridge_policy
 from banditsim.metrics import RegretSums
 from banditsim.environments import TwoBridgeConfig
-from banditsim.estimators import SufficientStats, ols_estimate
+from banditsim.estimators import ols_estimate
 from banditsim.policies import LinUCBParams, context_norm_bound, interval_width, suggested_batch_size
 from banditsim.rng import Purpose, stream
 from oracles import (
@@ -28,10 +28,11 @@ from oracles import (
 B_ROUND = ContextRound((TOP, BOTTOM), Group.MINORITY, 1)
 
 
-def _linucb_pick(round_: ContextRound, stats: SufficientStats, params: LinUCBParams) -> int:
-    """The LinUCB decision: the first action of highest upper confidence bound."""
-    [f] = interval_width([stats.n], params, round_.dim)
-    return int(np.argmax(linucb_scores(round_, stats, f, params.ridge)))
+def _linucb_pick(round_: ContextRound, Z, xr, n: int, params: LinUCBParams) -> int:
+    """The LinUCB decision after ``n`` observations with statistics ``(Z, xr)``:
+    the first action of highest upper confidence bound."""
+    [f] = interval_width([n], params, round_.dim)
+    return int(np.argmax(linucb_scores(round_, Z, xr, f, params.ridge)))
 
 
 class TestIntervalWidth:
@@ -108,10 +109,7 @@ class TestLinUCBParams:
 
 class TestLinUCBScores:
     def test_diagonal_example(self):
-        stats = SufficientStats(
-            Z=np.diag([4.0, 1.0]), xr=np.array([2.0, 0.4]), n=5
-        )
-        scores = linucb_scores(B_ROUND, stats, f=2.0, ridge=0.0)
+        scores = linucb_scores(B_ROUND, np.diag([4.0, 1.0]), np.array([2.0, 0.4]), f=2.0, ridge=0.0)
         np.testing.assert_allclose(scores, [1.5, 2.4])
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
         # With these counts the width multiplier stays close to 2 either way;
@@ -120,8 +118,7 @@ class TestLinUCBScores:
 
     def test_unseen_direction_gets_infinite_score(self):
         x = np.array([1.0, 0.0])
-        stats = SufficientStats(np.outer(x, x), 0.3 * x, 1)
-        scores = linucb_scores(B_ROUND, stats, f=1.0, ridge=0.0)
+        scores = linucb_scores(B_ROUND, np.outer(x, x), 0.3 * x, f=1.0, ridge=0.0)
         assert np.isfinite(scores[0])
         assert np.isinf(scores[1])
 
@@ -131,13 +128,8 @@ class TestLinUCBScores:
         for _ in range(0, 10_000, 25):
             n1, n2 = int(rng.integers(0, 40)), int(rng.integers(0, 40))
             s1, s2 = float(rng.normal(0, 3)), float(rng.normal(0, 3))
-            stats = SufficientStats(
-                Z=np.diag([float(n1), float(n2)]),
-                xr=np.array([s1, s2]),
-                n=n1 + n2,
-            )
-            [f] = interval_width([stats.n], params, d=2)
-            scores = linucb_scores(B_ROUND, stats, f=f, ridge=0.0)
+            [f] = interval_width([n1 + n2], params, d=2)
+            scores = linucb_scores(B_ROUND, np.diag([float(n1), float(n2)]), np.array([s1, s2]), f=f, ridge=0.0)
             u1, u2 = closed_form_ucb(n1, s1, n2, s2, f)
             for got, want in zip(scores, (u1, u2)):
                 if math.isinf(want):
@@ -147,23 +139,23 @@ class TestLinUCBScores:
 
     def test_select_breaks_ties_toward_lower_index(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
-        assert _linucb_pick(B_ROUND, empty_stats(2), params) == 0
+        assert _linucb_pick(B_ROUND, *empty_stats(2), 0, params) == 0
 
     def test_single_available_action(self):
         round_ = ContextRound((BOTTOM, None), Group.MINORITY, 1)
         params = LinUCBParams(L=1.0, S=1.0, horizon=10)
-        assert _linucb_pick(round_, empty_stats(2), params) == 0
+        assert _linucb_pick(round_, *empty_stats(2), 0, params) == 0
 
     def test_zero_width_invertible_design_matches_greedy(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 2))
         r = rng.normal(size=30)
-        stats = SufficientStats(X.T @ X, X.T @ r, X.shape[0])
-        est = ols_estimate(stats)
+        Z, xr = X.T @ X, X.T @ r
+        est = ols_estimate(Z, xr)
         for _ in range(50):
             ctxs = tuple(rng.normal(size=2) for _ in range(3))
             round_ = ContextRound(ctxs, Group.MAJORITY)
-            scores = linucb_scores(round_, stats, f=0.0, ridge=0.0)
+            scores = linucb_scores(round_, Z, xr, f=0.0, ridge=0.0)
             assert int(np.argmax(scores)) == greedy_select(round_, est)
 
 
@@ -204,10 +196,10 @@ class TestClosedFormUCB:
 
     @pytest.mark.parametrize("n1,s1,n2,s2", [(1, 0.3, 1, 0.9), (40, 21.0, 3, 1.2), (7, -2.0, 250, 120.0)])
     def test_matches_generic_scores_on_diagonal_design(self, n1, s1, n2, s2):
-        stats = SufficientStats(np.diag([float(n1), float(n2)]), np.array([s1, s2]), n1 + n2)
+        Z, xr = np.diag([float(n1), float(n2)]), np.array([s1, s2])
         f = 1.7
         np.testing.assert_allclose(
-            closed_form_ucb(n1, s1, n2, s2, f), linucb_scores(B_ROUND, stats, f, ridge=0.0), rtol=1e-12
+            closed_form_ucb(n1, s1, n2, s2, f), linucb_scores(B_ROUND, Z, xr, f, ridge=0.0), rtol=1e-12
         )
 
 
