@@ -8,17 +8,18 @@ at a time (``linucb_picks_top``), one replicate per call: a replicate takes
 one vector pass per switch of bridges plus one, not a Python step per B round,
 and none of 1,920 measured replicates switched.  Two-bridge replicates are not
 run in lockstep: a block of 32 raised a pool worker's peak RSS from 39 MB to
-52-54 MB, and blocks small enough to keep it barely ran faster.  The perturbed engines vectorize
-whole batches for the batched greedy policies and advance a block of LinUCB
-replicates in replicate lockstep: one stacked step per round over cached
-inverses, with each replicate's result bit for bit what it would be alone.  Every engine draws from the purpose-keyed
-replicate streams, so results are identical under any scheduling.
+52-54 MB, and blocks small enough to keep it barely ran faster.  The perturbed
+engines advance a block of replicates in lockstep, each replicate from its own
+streams: batched greedy one stacked step per batch, with the estimators
+solving every replicate's system in one stacked call, and LinUCB one stacked
+step per round over cached inverses.  Each replicate's result is bit for bit
+what it would be alone, so results are identical under any scheduling.
 
 Every engine feeds the instantaneous regret of its rounds, in round order, to
 one ``RegretSums`` accumulator, which owns the restricted set, the running
 totals and the optional curve of the first replicate; the two-bridge engines
-feed only their wrong B rounds, each at the gap.  A LinUCB block keeps at most
-one curve.
+feed only their wrong B rounds, each at the gap.  A perturbed block keeps at
+most one curve, the first replicate's.
 """
 
 from __future__ import annotations
@@ -305,16 +306,27 @@ class PerturbedRunResult:
 def run_perturbed_batch_greedy(
     cat: Catalog,
     prior: GaussianPrior,
-    theta: np.ndarray,
+    thetas: np.ndarray,
     horizon: int,
     batch_size: int,
     master_seed: int,
-    replicate: int,
+    replicates: tuple,
     acting: str = "freq",
     keep_rows: bool = False,
     sums: RegretSums | None = None,
-) -> PerturbedRunResult:
-    """Batched greedy replicate with whole batches vectorized.
+) -> list:
+    """Batched greedy replicates advanced in lockstep, one batch at a time; one
+    result per replicate.
+
+    Row ``i`` of ``thetas`` is the latent weight vector of replicate
+    ``replicates[i]``.  Each replicate draws its batch from its own streams,
+    in the order a replicate run alone draws them.  Every stacked product
+    makes, per replicate, the BLAS call a single-replicate loop would make
+    (a flat (y k, d) by (d,) product for the scores, a dot product for each
+    norm), the estimators solve each replicate's system as they would alone,
+    and ``sums`` (one column per replicate, by default minority-restricted
+    with no curve) adds regret in round order, so a replicate's result does
+    not depend on the block it runs in.
 
     ``acting`` picks the frozen acting estimate: "freq" for least squares,
     "bayes" for the posterior mean; any other value is a ``ValueError``.
@@ -324,82 +336,93 @@ def run_perturbed_batch_greedy(
     predictions can disagree.
     ``probe_values`` maps each of GAP_PROBE_ROUNDS within the horizon to
     ``t0 ||theta_bay - theta_freq||``, t0 the last batch end before it.
-    ``sums`` receives each batch's regret; by default it restricts to minority
-    rounds and keeps no curve.  The prediction regret is summed in the same
-    round order.  ``keep_rows`` keeps the chosen context of every round.
+    The prediction regret is summed in round order too.  ``keep_rows`` keeps
+    the chosen context of every round.
     """
     if acting not in ("freq", "bayes"):
         raise ValueError(f"acting must be 'freq' or 'bayes', not {acting!r}")
     d, k = cat.dim, cat.n_actions
-    ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
-    pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
-    rew = stream(master_seed, replicate, Purpose.REWARDS)
-    pol = stream(master_seed, replicate, Purpose.POLICY)
+    n = len(replicates)
+    thetas = np.asarray(thetas, dtype=float).reshape(n, d)
+    ctx, pert, rew, pol = (
+        [stream(master_seed, rep, purpose) for rep in replicates]
+        for purpose in (Purpose.CONTEXTS, Purpose.PERTURBATIONS, Purpose.REWARDS, Purpose.POLICY)
+    )
 
-    Z = np.zeros((d, d))
-    xr = np.zeros(d)
-    theta_freq = np.zeros(d)
-    theta_bay = prior.mean.copy()
+    Z = np.zeros((n, d, d))
+    xr = np.zeros((n, d))
+    theta_freq = np.zeros((n, d))
+    theta_bay = np.repeat(prior.mean[None], n, axis=0)
     cold = True
 
     if sums is None:
-        sums = RegretSums(master_seed, (replicate,), horizon)
-    pred_total = allowance = 0.0
+        sums = RegretSums(master_seed, replicates, horizon)
+    pred_total = np.zeros(n)
+    allowance = np.zeros(n)
     context_bound = context_norm_bound(cat.rho, d, horizon, k)
-    probes = {}
-    chosen_rows = np.empty((horizon, d)) if keep_rows else None
+    probes = [{} for _ in range(n)]
+    chosen_rows = np.empty((n, horizon, d)) if keep_rows else None
 
+    def values(x, v):
+        """Each replicate's rows of ``x`` (n, y, k, d) times its row of ``v``."""
+        return (x.reshape(n, -1, d) @ v[:, :, None]).reshape(x.shape[:3])
+
+    block_ix = np.arange(n)[:, None]
     done = 0
     while done < horizon:
         y = min(batch_size, horizon - done)
-        idx = _draw_entry_indices(cat, y, ctx)
-        noise = pert.normal(0.0, cat.rho, size=(y, k, d))
-        x = cat.means[idx] + noise
+        batch_ix = np.arange(y)
+        idx = np.stack([_draw_entry_indices(cat, y, g) for g in ctx])
+        x = cat.means[idx] + np.stack([g.normal(0.0, cat.rho, size=(y, k, d)) for g in pert])
         avail = cat.avail[idx]
 
-        acting_est = theta_bay if acting == "bayes" else theta_freq
-        if cold and acting == "freq":
-            scores = pol.random((y, k))
+        pred_scores = np.where(avail, values(x, theta_bay), -np.inf)
+        if acting == "bayes":
+            scores = pred_scores
+        elif cold:
+            scores = np.where(avail, np.stack([g.random((y, k)) for g in pol]), -np.inf)
         else:
-            scores = x @ acting_est
-        scores = np.where(avail, scores, -np.inf)
-        actions = np.argmax(scores, axis=1)
+            scores = np.where(avail, values(x, theta_freq), -np.inf)
+        actions = np.argmax(scores, axis=2)
+        pred_actions = actions if acting == "bayes" else np.argmax(pred_scores, axis=2)
 
-        true_vals = np.where(avail, x @ theta, -np.inf)
-        best = true_vals.max(axis=1)
-        rows = np.arange(y)
-        chosen_val = true_vals[rows, actions]
+        true_vals = np.where(avail, values(x, thetas), -np.inf)
+        best = true_vals.max(axis=2)
+        chosen_val = true_vals[block_ix, batch_ix, actions]
+        pred_val = true_vals[block_ix, batch_ix, pred_actions]
+        sums.add(slice(done, done + y), (best - chosen_val).T, cat.minority[idx].T)
+        pred_total = running_sum(pred_total, (best - pred_val).T)
 
-        pred_scores = np.where(avail, x @ theta_bay, -np.inf)
-        pred_actions = np.argmax(pred_scores, axis=1)
-        pred_val = true_vals[rows, pred_actions]
-
-        sums.add(slice(done, done + y), (best - chosen_val)[:, None], cat.minority[idx][:, None])
-        pred_total = running_sum(pred_total, best - pred_val)
-
-        chosen = x[rows, actions]
-        rewards = chosen @ theta + rew.standard_normal(y)
+        chosen = x[block_ix, batch_ix, actions]
+        rewards = chosen @ thetas[:, :, None] + np.stack([g.standard_normal(y) for g in rew])[:, :, None]
         if keep_rows:
-            chosen_rows[done:done + y] = chosen
+            chosen_rows[:, done:done + y] = chosen
 
-        allowance += 2.0 * context_bound * float(np.linalg.norm(theta_bay - theta_freq)) * y
+        gap = theta_bay - theta_freq
+        norms = np.sqrt((gap[:, None, :] @ gap[:, :, None])[:, 0, 0])
+        allowance += 2.0 * context_bound * norms * y
         for p in GAP_PROBE_ROUNDS:
             if done < p <= done + y:
                 t0 = last_batch_end(p, batch_size)
-                probes[p] = t0 * float(np.linalg.norm(theta_bay - theta_freq))
+                for i in range(n):
+                    probes[i][p] = t0 * float(norms[i])
 
-        Z += chosen.T @ chosen
-        xr += chosen.T @ rewards
+        Z += chosen.mT @ chosen
+        xr += (chosen.mT @ rewards)[:, :, 0]
         done += y
-        Z_sym = 0.5 * (Z + Z.T)
+        Z_sym = 0.5 * (Z + Z.mT)
         theta_freq = ols_estimate(Z_sym, xr)
         theta_bay = posterior_mean(Z_sym, xr, prior)
         cold = False
 
-    return PerturbedRunResult(
-        float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes,
-        curve=sums.curve(), chosen_rows=chosen_rows,
-    )
+    return [
+        PerturbedRunResult(
+            float(sums.total[i]), float(sums.restricted[i]), float(pred_total[i]), float(allowance[i]),
+            probes[i], curve=sums.curve() if i == 0 else None,
+            chosen_rows=None if chosen_rows is None else chosen_rows[i],
+        )
+        for i in range(n)
+    ]
 
 
 # Rounds of perturbation noise the LinUCB engine draws and scores at once.

@@ -20,31 +20,53 @@ SYMMETRY_TOL = 1e-9
 def _solve_spd(M: np.ndarray, b: np.ndarray, pivot_tol: float = 0.0) -> np.ndarray:
     """Solve M v = b for symmetric positive semidefinite M via Cholesky.
 
-    Falls back to an eigendecomposition pseudo-inverse, treating eigenvalues
-    below SINGULAR_CUTOFF * max as zero, when the factorization fails or a
-    squared pivot is at most ``pivot_tol * trace(M)``.  Rounding can let
-    the factorization of an exactly singular M succeed with a tiny pivot, and
-    its solution then is not the minimum-norm one; a positive definite M
-    needs no ``pivot_tol``.
+    ``M`` is one matrix or a stack of them, shape (..., d, d), and ``b`` holds
+    the matching right-hand columns, shape (..., d, m).  One stacked Cholesky
+    factorization and two stacked solves treat every member as it would be
+    treated alone.  A member falls back to an eigendecomposition
+    pseudo-inverse, treating eigenvalues below SINGULAR_CUTOFF * max as zero,
+    when its factorization fails or its squared pivot is at most
+    ``pivot_tol * trace``.  Rounding can let the factorization of an exactly
+    singular M succeed with a tiny pivot, and its solution then is not the
+    minimum-norm one; a positive definite M needs no ``pivot_tol``.
     """
+    lead = M.shape[:-2]
+    singular = np.zeros(lead, dtype=bool)
     try:
         c = np.linalg.cholesky(M)
-        if pivot_tol and c.diagonal().min() ** 2 <= pivot_tol * M.trace():
-            raise np.linalg.LinAlgError("numerically singular")
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(M)
+        # The stacked call names no member, so factor each alone.
+        c = np.zeros_like(M)
+        for i in np.ndindex(lead):
+            try:
+                c[i] = np.linalg.cholesky(M[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    if pivot_tol:
+        pivots = np.diagonal(c, axis1=-2, axis2=-1).min(axis=-1)
+        singular |= pivots**2 <= pivot_tol * np.trace(M, axis1=-2, axis2=-1)
+    if singular.any():
+        # A placeholder factor keeps the stacked solves from failing on these
+        # members; their solutions are replaced below.
+        c[singular] = np.eye(M.shape[-1])
+    v = np.linalg.solve(c.mT, np.linalg.solve(c, b))
+    for i in map(tuple, np.argwhere(singular)):
+        vals, vecs = np.linalg.eigh(M[i])
         cutoff = SINGULAR_CUTOFF * max(float(vals.max(initial=0.0)), 1e-300)
         inv = np.zeros_like(vals)
         keep = vals > cutoff
         inv[keep] = 1.0 / vals[keep]
-        return (vecs * inv) @ (vecs.T @ b)
-    y = np.linalg.solve(c, b)
-    return np.linalg.solve(c.T, y)
+        v[i] = (vecs * inv) @ (vecs.T @ b[i])
+    return v
 
 
 def ols_estimate(Z: np.ndarray, xr: np.ndarray) -> np.ndarray:
-    """Least-squares estimate Z^-1 xr; minimum-norm solution when Z is singular."""
-    return _solve_spd(Z, xr, SINGULAR_CUTOFF)
+    """Least-squares estimate Z^-1 xr; minimum-norm solution when Z is singular.
+
+    ``Z`` is (..., d, d) and ``xr`` (..., d): a leading replicate axis solves
+    each replicate's system as it would be solved alone.
+    """
+    return _solve_spd(Z, xr[..., None], SINGULAR_CUTOFF)[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +102,9 @@ def gaussian_prior(prior_mean: np.ndarray, prior_cov: np.ndarray) -> GaussianPri
 
 
 def posterior_mean(Z: np.ndarray, xr: np.ndarray, prior: GaussianPrior) -> np.ndarray:
-    """Posterior mean (Z + Sigma^-1)^-1 (xr + Sigma^-1 theta_bar) for unit noise."""
-    return _solve_spd(Z + prior.precision, xr + prior.shift)
+    """Posterior mean (Z + Sigma^-1)^-1 (xr + Sigma^-1 theta_bar) for unit noise,
+    with the leading axes of ``ols_estimate``."""
+    return _solve_spd(Z + prior.precision, (xr + prior.shift)[..., None])[..., 0]
 
 
 def min_eigenvalue(M: np.ndarray) -> float:

@@ -8,6 +8,9 @@ call.  The engines in ``banditsim.engines`` make the same decisions over whole
 stretches of rounds; the tests hold them to these definitions.  ``parse_csv``
 reads a result table back into rows.
 
+``single_replicate_greedy`` runs batched greedy on one replicate, one batch at
+a time, with the arithmetic of the lockstep engine's per-replicate slice.
+
 For the two-bridge instance, ``kind_codes`` draws the round kinds as codes,
 ``scalar_interval_width`` evaluates one LinUCB width at a time,
 ``closed_form_ucb`` gives the diagonal-design bounds of one B round, and
@@ -24,9 +27,13 @@ from enum import Enum
 
 import numpy as np
 
+from banditsim.core import last_batch_end
 from banditsim.csvio import HEADER, ResultRow
-from banditsim.estimators import SINGULAR_CUTOFF, gaussian_prior, posterior_mean
-from banditsim.policies import LinUCBParams
+from banditsim.engines import GAP_PROBE_ROUNDS, PerturbedRunResult, _draw_entry_indices
+from banditsim.estimators import SINGULAR_CUTOFF, gaussian_prior, ols_estimate, posterior_mean
+from banditsim.metrics import RegretSums, running_sum
+from banditsim.policies import LinUCBParams, context_norm_bound
+from banditsim.rng import Purpose, stream
 
 # The two-bridge instance's contexts: the top and the bottom bridge.
 TOP = np.array([1.0, 0.0])
@@ -247,6 +254,90 @@ def bayes_posterior_mean(
 ) -> np.ndarray:
     """Posterior mean under the prior (prior_mean, prior_cov); see ``posterior_mean``."""
     return posterior_mean(Z, xr, gaussian_prior(prior_mean, prior_cov))
+
+
+def single_replicate_greedy(
+    cat, prior, theta, horizon, batch_size, master_seed, replicate,
+    acting="freq", keep_rows=False, sums=None,
+) -> PerturbedRunResult:
+    """Batched greedy on one replicate, one batch at a time.
+
+    Takes the arguments of ``banditsim.engines.run_perturbed_batch_greedy``
+    for one replicate, with ``theta`` its latent weight vector, and makes, call
+    for call, the products and solves of that engine's per-replicate slice.
+    """
+    if acting not in ("freq", "bayes"):
+        raise ValueError(f"acting must be 'freq' or 'bayes', not {acting!r}")
+    d, k = cat.dim, cat.n_actions
+    ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
+    pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
+    rew = stream(master_seed, replicate, Purpose.REWARDS)
+    pol = stream(master_seed, replicate, Purpose.POLICY)
+
+    Z = np.zeros((d, d))
+    xr = np.zeros(d)
+    theta_freq = np.zeros(d)
+    theta_bay = prior.mean.copy()
+    cold = True
+
+    if sums is None:
+        sums = RegretSums(master_seed, (replicate,), horizon)
+    pred_total = allowance = 0.0
+    context_bound = context_norm_bound(cat.rho, d, horizon, k)
+    probes = {}
+    chosen_rows = np.empty((horizon, d)) if keep_rows else None
+
+    done = 0
+    while done < horizon:
+        y = min(batch_size, horizon - done)
+        idx = _draw_entry_indices(cat, y, ctx)
+        noise = pert.normal(0.0, cat.rho, size=(y, k, d))
+        x = cat.means[idx] + noise
+        avail = cat.avail[idx]
+
+        acting_est = theta_bay if acting == "bayes" else theta_freq
+        if cold and acting == "freq":
+            scores = pol.random((y, k))
+        else:
+            scores = x @ acting_est
+        scores = np.where(avail, scores, -np.inf)
+        actions = np.argmax(scores, axis=1)
+
+        true_vals = np.where(avail, x @ theta, -np.inf)
+        best = true_vals.max(axis=1)
+        rows = np.arange(y)
+        chosen_val = true_vals[rows, actions]
+
+        pred_scores = np.where(avail, x @ theta_bay, -np.inf)
+        pred_actions = np.argmax(pred_scores, axis=1)
+        pred_val = true_vals[rows, pred_actions]
+
+        sums.add(slice(done, done + y), (best - chosen_val)[:, None], cat.minority[idx][:, None])
+        pred_total = running_sum(pred_total, best - pred_val)
+
+        chosen = x[rows, actions]
+        rewards = chosen @ theta + rew.standard_normal(y)
+        if keep_rows:
+            chosen_rows[done:done + y] = chosen
+
+        allowance += 2.0 * context_bound * float(np.linalg.norm(theta_bay - theta_freq)) * y
+        for p in GAP_PROBE_ROUNDS:
+            if done < p <= done + y:
+                t0 = last_batch_end(p, batch_size)
+                probes[p] = t0 * float(np.linalg.norm(theta_bay - theta_freq))
+
+        Z += chosen.T @ chosen
+        xr += chosen.T @ rewards
+        done += y
+        Z_sym = 0.5 * (Z + Z.T)
+        theta_freq = ols_estimate(Z_sym, xr)
+        theta_bay = posterior_mean(Z_sym, xr, prior)
+        cold = False
+
+    return PerturbedRunResult(
+        float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes,
+        curve=sums.curve(), chosen_rows=chosen_rows,
+    )
 
 
 def parse_csv(text: str) -> list:

@@ -477,6 +477,7 @@ UNREAD_PROBES = [
     ("SimulationVerify", "noise = bernoulli", "'noise'"),
     ("SimulationVerify", "policies = linucb", "'linucb'"),
     ("EigGrowth", "ridge = 2", "'ridge'"),
+    ("EigGrowth", "policies = batch_bayes_greedy", "'batch_bayes_greedy'"),
 ]
 
 # Each experiment at a tiny scale, and the policies it switches to when the
@@ -491,7 +492,7 @@ TINY = {
     "ScalingFit": ("horizons = 200, 300, 400\nreplicates = 2", "linucb, batch_freq_greedy"),
     "ExternalityVanishing": ("horizons = 400\nreplicates = 2\nbatch = 20", "batch_freq_greedy, linucb_full"),
     "SimulationVerify": ("horizons = 600\nbatch = 200\nn_targets = 2\nsim_draws = 200", "linucb"),
-    "EigGrowth": ("horizons = 2000\nreplicates = 2\nbatch = 20", "batch_bayes_greedy"),
+    "EigGrowth": ("horizons = 2000\nreplicates = 2\nbatch = 20", "linucb"),
 }
 # Second values; the first that differs from the tiny config's value is used.
 ALTERNATES = {
@@ -502,7 +503,7 @@ ALTERNATES = {
     "sim_draws": ["300"],
 }
 # Keys whose one valid value is the default: any other is rejected.
-ONLY_VALUE = {("EigGrowth", "d"), ("SimulationVerify", "policies")}
+ONLY_VALUE = {("EigGrowth", "d"), ("EigGrowth", "policies"), ("SimulationVerify", "policies")}
 
 
 class TestKeysRead:

@@ -213,7 +213,7 @@ class TestKeysRead:
         }
         assert counts == {
             "TwoBridgeLinUCB": 10, "TwoBridgeImpossibility": 8, "GreedyVsLinUCB": 15, "ScalingFit": 15,
-            "ExternalityVanishing": 15, "SimulationVerify": 13, "EigGrowth": 15,
+            "ExternalityVanishing": 15, "SimulationVerify": 13, "EigGrowth": 14,
         }
 
 

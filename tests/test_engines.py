@@ -5,7 +5,8 @@ order but re-derives every decision through the generic building blocks
 (sufficient statistics, interval widths, and the per-round greedy/UCB
 selection, regret and posterior means of ``oracles``) instead of the engines'
 closed-form shortcuts.  The lockstep LinUCB engine is also held bit for bit
-to a single-replicate loop with the same arithmetic, and the two-bridge
+to a single-replicate loop with the same arithmetic, the lockstep batched
+greedy engine to ``oracles.single_replicate_greedy``, and the two-bridge
 engines to the per-round loops of ``oracles``.
 """
 
@@ -52,6 +53,7 @@ from oracles import (
     linucb_picks_per_round,
     linucb_scores,
     scalar_interval_width,
+    single_replicate_greedy,
 )
 
 MASTER = 20260814
@@ -681,6 +683,14 @@ PRIOR = gaussian_prior(PRIOR_MEAN, PRIOR_COV)
 THETA = np.array([0.7, -0.3])
 
 
+def _greedy_one(cat, prior, theta, horizon, batch_size, master_seed, replicate, **kwargs):
+    """The lockstep batched greedy engine on a block of one replicate."""
+    [res] = run_perturbed_batch_greedy(
+        cat, prior, [theta], horizon, batch_size, master_seed, (replicate,), **kwargs
+    )
+    return res
+
+
 class TestPerturbedGreedyEngine:
     @pytest.mark.parametrize("acting", ["freq", "bayes"])
     @pytest.mark.parametrize("two_group", [False, True])
@@ -691,7 +701,7 @@ class TestPerturbedGreedyEngine:
         kwargs = dict(
             theta=THETA, horizon=horizon, batch_size=150, master_seed=MASTER, replicate=1, acting=acting,
         )
-        res = run_perturbed_batch_greedy(cfg, PRIOR, **kwargs)
+        res = _greedy_one(cfg, PRIOR, **kwargs)
         total, minority, pred, allowance, probes = reference_perturbed_greedy(
             cfg, PRIOR_MEAN, PRIOR_COV, **kwargs,
             context_bound=context_norm_bound(cfg.rho, cfg.dim, horizon, cfg.n_actions),
@@ -711,7 +721,7 @@ class TestPerturbedGreedyEngine:
         # The prediction rule is greedy on the posterior mean, which is the
         # acting estimate of the Bayesian policy.
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             cfg, PRIOR, THETA,
             horizon=600, batch_size=100, master_seed=MASTER, replicate=5, acting="bayes",
         )
@@ -722,7 +732,7 @@ class TestPerturbedGreedyEngine:
         # Exact catalog contexts (rho = 0): the prior favours the second
         # slot, and the first batch acts on the prior whatever its data.
         cfg = _fixed_pair_catalog()
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             cfg, gaussian_prior(np.array([0.2, 0.9]), np.eye(2)), np.array([0.5, 0.4]),
             horizon=200, batch_size=200, master_seed=MASTER, replicate=0,
             acting="bayes", keep_rows=True,
@@ -734,7 +744,7 @@ class TestPerturbedGreedyEngine:
         # In the cold batch the frequentist policy picks at random, while the
         # prediction is greedy on the prior mean, here always the worse slot.
         cfg = _fixed_pair_catalog()
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             cfg, gaussian_prior(np.array([0.0, 5.0]), 0.01 * np.eye(2)), np.array([0.5, 0.4]),
             horizon=300, batch_size=300, master_seed=MASTER, replicate=1, acting="freq",
         )
@@ -744,7 +754,7 @@ class TestPerturbedGreedyEngine:
     def test_freq_cold_start_is_uniform(self):
         cfg = _fixed_pair_catalog()
         n = 4000
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             cfg, PRIOR, np.array([0.5, 0.4]),
             horizon=n, batch_size=n, master_seed=MASTER, replicate=2, keep_rows=True,
         )
@@ -753,7 +763,7 @@ class TestPerturbedGreedyEngine:
 
     def test_freq_warm_acts_greedily(self):
         cfg = _fixed_pair_catalog()
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             cfg, PRIOR, np.array([1.0, -1.0]),
             horizon=400, batch_size=200, master_seed=MASTER, replicate=3, keep_rows=True,
         )
@@ -765,7 +775,7 @@ class TestPerturbedGreedyEngine:
         # the same pick for a whole batch.
         cfg = _fixed_pair_catalog()
         batch_size = 25
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             cfg, PRIOR, np.array([0.5, 0.45]),
             horizon=1000, batch_size=batch_size, master_seed=MASTER, replicate=4,
             acting=acting, keep_rows=True,
@@ -780,7 +790,7 @@ class TestPerturbedGreedyEngine:
         # one is the prior mean, for every round of the first batch, whichever
         # estimate acts.
         cat = _one_group_catalog()
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             cat, PRIOR, THETA,
             horizon=150, batch_size=150, master_seed=MASTER, replicate=0, acting=acting,
         )
@@ -792,13 +802,13 @@ class TestPerturbedGreedyEngine:
         # Any value but "freq" and "bayes" used to run a third policy: greedy
         # on least squares without the cold random first batch.
         with pytest.raises(ValueError, match=f"not {acting!r}"):
-            run_perturbed_batch_greedy(
+            _greedy_one(
                 _one_group_catalog(), PRIOR, THETA,
                 horizon=100, batch_size=50, master_seed=MASTER, replicate=0, acting=acting,
             )
 
     def test_one_group_minority_regret_is_zero(self):
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             _one_group_catalog(), PRIOR, THETA,
             horizon=600, batch_size=200, master_seed=MASTER, replicate=0,
         )
@@ -806,7 +816,7 @@ class TestPerturbedGreedyEngine:
         assert res.regret_total > 0.0
 
     def test_probe_uses_frozen_batch_boundary(self):
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             _one_group_catalog(), PRIOR, THETA,
             horizon=8000, batch_size=8000, master_seed=MASTER, replicate=0,
         )
@@ -817,14 +827,14 @@ class TestPerturbedGreedyEngine:
         assert res.gap_allowance > 0.0
 
     def test_no_probe_beyond_the_horizon(self):
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             _one_group_catalog(), PRIOR, THETA,
             horizon=999, batch_size=100, master_seed=MASTER, replicate=0,
         )
         assert res.probe_values == {}
 
     def test_lambda_curve_matches_eigendecomposition(self):
-        res = run_perturbed_batch_greedy(
+        res = _greedy_one(
             _one_group_catalog(), PRIOR, THETA,
             horizon=300, batch_size=100, master_seed=MASTER, replicate=2, keep_rows=True,
         )
@@ -840,8 +850,8 @@ class TestPerturbedGreedyEngine:
         kwargs = dict(
             prior=PRIOR, theta=THETA, horizon=600, batch_size=150, master_seed=MASTER, replicate=4,
         )
-        base = run_perturbed_batch_greedy(cfg, sums=_curve_sums((4,), 600), **kwargs)
-        coin = run_perturbed_batch_greedy(
+        base = _greedy_one(cfg, sums=_curve_sums((4,), 600), **kwargs)
+        coin = _greedy_one(
             cfg, sums=_curve_sums((4,), 600, restriction="coin", restriction_p=0.25), **kwargs
         )
         assert coin.regret_total == pytest.approx(base.regret_total)
@@ -851,6 +861,136 @@ class TestPerturbedGreedyEngine:
         assert coin.regret_minority == pytest.approx(
             float(increments[coins].sum()), abs=1e-9
         )
+
+
+# Not a multiple of the batch and past both probe rounds; the replicates are
+# out of order, with gaps, and split into blocks of 3 and 8 with a ragged end.
+GREEDY_HORIZON = GAP_PROBE_ROUNDS[1] + 70
+GREEDY_BATCH = 150
+GREEDY_REPLICATES = (5, 0, 2, 9, 13, 4, 21, 7, 30, 11)
+# (two-group catalog, restriction): the two-group catalog draws two uniforms per round.
+GREEDY_CASES = [(False, "minority"), (True, "minority"), (True, "coin")]
+
+
+def _greedy_thetas(replicates):
+    return np.array([THETA + 0.2 * stream(MASTER, rep, Purpose.THETA).standard_normal(2) for rep in replicates])
+
+
+@functools.lru_cache(maxsize=None)
+def _single_replicate_greedy_runs(acting: str, two_group: bool, restriction: str) -> tuple:
+    cfg = _two_group_catalog() if two_group else _one_group_catalog()
+    return tuple(
+        single_replicate_greedy(
+            cfg, PRIOR, theta, GREEDY_HORIZON, GREEDY_BATCH, MASTER, rep, acting=acting, keep_rows=True,
+            sums=_curve_sums((rep,), GREEDY_HORIZON, restriction=restriction),
+        )
+        for rep, theta in zip(GREEDY_REPLICATES, _greedy_thetas(GREEDY_REPLICATES))
+    )
+
+
+def _assert_same_run(res, expected, keeps_curve: bool) -> None:
+    """Every result field bit for bit; only the first replicate of a block keeps its curve."""
+    assert res.regret_total == expected.regret_total
+    assert res.regret_minority == expected.regret_minority
+    assert res.regret_prediction == expected.regret_prediction
+    assert res.gap_allowance == expected.gap_allowance
+    assert res.probe_values == expected.probe_values
+    assert np.array_equal(res.chosen_rows, expected.chosen_rows)
+    if keeps_curve:
+        assert np.array_equal(res.curve, expected.curve)
+        assert res.curve[-1] == res.regret_total
+    else:
+        assert res.curve is None
+
+
+class TestPerturbedGreedyLockstep:
+    @pytest.mark.parametrize("acting", ["freq", "bayes"])
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    @pytest.mark.parametrize("two_group, restriction", GREEDY_CASES)
+    def test_lockstep_is_bit_identical_to_single_replicate_loop(self, acting, block, two_group, restriction):
+        assert GREEDY_HORIZON % GREEDY_BATCH != 0
+        assert len(GREEDY_REPLICATES) % block or block == 1  # a ragged last block
+        cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        thetas = _greedy_thetas(GREEDY_REPLICATES)
+        results = []
+        for first in range(0, len(GREEDY_REPLICATES), block):
+            reps = GREEDY_REPLICATES[first:first + block]
+            results += run_perturbed_batch_greedy(
+                cfg, PRIOR, thetas[first:first + block], GREEDY_HORIZON, GREEDY_BATCH, MASTER, reps,
+                acting=acting, keep_rows=True, sums=_curve_sums(reps, GREEDY_HORIZON, restriction=restriction),
+            )
+        expected = _single_replicate_greedy_runs(acting, two_group, restriction)
+        assert len(results) == len(expected)
+        for i, (res, want) in enumerate(zip(results, expected)):
+            assert set(res.probe_values) == set(GAP_PROBE_ROUNDS)
+            _assert_same_run(res, want, keeps_curve=i % block == 0)
+
+
+def _nearly_planar_catalog() -> Catalog:
+    """Exact contexts in d = 3: the first two entries offer three contexts in
+    one plane (p2 = p0 - p1 exactly), the rarer third entry two off it."""
+    p0, p1 = [0.5, 0.25, 0.125], [0.25, 0.5, 0.375]
+    p2 = [0.25, -0.25, -0.25]
+    means = [[p0, p1], [p1, p2], [[0.2, -0.3, 0.6], [-0.4, 0.1, 0.5]]]
+    return Catalog(means, np.ones((3, 2), dtype=bool), [1.0, 1.0, 0.25], [False] * 3, rho=0.0)
+
+
+class TestGreedySingularFallback:
+    # With a batch of one the Gram matrices start rank-deficient; replicate 36
+    # picks only in-plane contexts and stays singular, its neighbours do not.
+    REPLICATES = (36, 37, 38, 39)
+    HORIZON = 12
+
+    @pytest.mark.parametrize("acting", ["freq", "bayes"])
+    def test_singular_member_matches_single_replicate_loop(self, acting, monkeypatch):
+        cat = _nearly_planar_catalog()
+        prior = gaussian_prior(np.array([0.1, 0.2, -0.1]), np.eye(3))
+        theta = np.array([0.6, -0.4, 0.3])
+        n = len(self.REPLICATES)
+        # Each stacked factorization opens a solve; its members' own
+        # factorizations and pseudo-inverses follow it.
+        solves = []
+        cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
+
+        def spy_cholesky(M):
+            try:
+                c = cholesky(M)
+            except np.linalg.LinAlgError:
+                outcome = "raise"
+                raise
+            else:
+                outcome = "ok"
+                return c
+            finally:
+                if np.shape(M) == (n, 3, 3):
+                    solves.append([outcome])
+                else:
+                    solves[-1].append(outcome)
+
+        def spy_eigh(M):
+            solves[-1].append("eigh")
+            return eigh(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        results = run_perturbed_batch_greedy(
+            cat, prior, np.tile(theta, (n, 1)), self.HORIZON, 1, MASTER, self.REPLICATES,
+            acting=acting, keep_rows=True, sums=_curve_sums(self.REPLICATES, self.HORIZON),
+        )
+        monkeypatch.undo()
+
+        # A stacked factorization failed while a member's own succeeded, and
+        # another succeeded with one member at or below the pivot cutoff.
+        assert any(s[0] == "raise" and "ok" in s[1:] for s in solves)
+        assert any(s[0] == "ok" and s.count("eigh") == 1 for s in solves)
+        ranks = [int(np.linalg.matrix_rank(res.chosen_rows.T @ res.chosen_rows)) for res in results]
+        assert ranks == [2, 3, 3, 3]
+        for i, (res, rep) in enumerate(zip(results, self.REPLICATES)):
+            want = single_replicate_greedy(
+                cat, prior, theta, self.HORIZON, 1, MASTER, rep, acting=acting, keep_rows=True,
+                sums=_curve_sums((rep,), self.HORIZON),
+            )
+            _assert_same_run(res, want, keeps_curve=i == 0)
 
 
 def _linucb_one(cfg, params, theta, horizon, replicate, **kwargs):
@@ -1062,20 +1202,24 @@ class TestEngineInvariants:
 
     @PROPERTY
     @given(horizon=st.integers(2, 300), batch_frac=st.floats(0.0, 1.0), two_group=st.booleans(),
-           acting=st.sampled_from(["freq", "bayes"]), seed=SEEDS, replicate=st.integers(0, 50),
-           restriction=RESTRICTIONS, curve=st.booleans())
-    def test_perturbed_batch_greedy(self, horizon, batch_frac, two_group, acting, seed, replicate,
+           acting=st.sampled_from(["freq", "bayes"]), seed=SEEDS, first=st.integers(0, 50),
+           block=st.integers(1, 3), restriction=RESTRICTIONS, curve=st.booleans())
+    def test_perturbed_batch_greedy(self, horizon, batch_frac, two_group, acting, seed, first, block,
                                     restriction, curve):
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         batch = 1 + int(batch_frac * (horizon - 1))
-        sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
-        res = run_perturbed_batch_greedy(
-            cfg, PRIOR, THETA, horizon, batch, seed, replicate, acting=acting, sums=sums,
+        reps = tuple(range(first, first + block))
+        thetas = np.array([THETA + 0.2 * stream(seed, rep, Purpose.THETA).standard_normal(2) for rep in reps])
+        sums = RegretSums(seed, reps, horizon, restriction, 0.5, curve)
+        results = run_perturbed_batch_greedy(
+            cfg, PRIOR, thetas, horizon, batch, seed, reps, acting=acting, sums=sums,
         )
-        _check_invariants([res], horizon, curve)
-        assert res.regret_prediction >= 0.0
-        if acting == "bayes":
-            assert res.regret_prediction == res.regret_total
+        assert len(results) == block
+        _check_invariants(results, horizon, curve)
+        for res in results:
+            assert res.regret_prediction >= 0.0
+            if acting == "bayes":
+                assert res.regret_prediction == res.regret_total
 
     @PROPERTY
     @given(horizon=st.integers(2, 120), two_group=st.booleans(), seed=SEEDS,

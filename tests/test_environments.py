@@ -225,9 +225,9 @@ def _greedy_rows(cfg, theta, horizon, batch_size, replicate=0, acting="freq", pr
     """Contexts the batched greedy engine chose, one row per round."""
     d = cfg.dim
     prior_mean = np.zeros(d) if prior_mean is None else prior_mean
-    res = run_perturbed_batch_greedy(
-        cfg, gaussian_prior(prior_mean, np.eye(d)), np.asarray(theta, dtype=float), horizon, batch_size,
-        20260814, replicate, acting=acting, keep_rows=True,
+    [res] = run_perturbed_batch_greedy(
+        cfg, gaussian_prior(prior_mean, np.eye(d)), np.asarray(theta, dtype=float)[None], horizon, batch_size,
+        20260814, (replicate,), acting=acting, keep_rows=True,
     )
     return res.chosen_rows
 
@@ -264,8 +264,8 @@ class TestPerturbedSampling:
             )
             [res] = run_perturbed_linucb(cfg, params, [theta], horizon, 20260814, (0,))
         else:
-            res = run_perturbed_batch_greedy(
-                cfg, gaussian_prior(np.zeros(2), np.eye(2)), theta, horizon, 50, 20260814, 0,
+            [res] = run_perturbed_batch_greedy(
+                cfg, gaussian_prior(np.zeros(2), np.eye(2)), [theta], horizon, 50, 20260814, (0,),
                 acting=policy.removeprefix("batch_"),
             )
         assert res.regret_total == 0.0

@@ -236,19 +236,23 @@ class TestRunExperiment:
         cfg = _cfg(
             "experiment = ExternalityVanishing\n"
             "horizons = 400\n"
-            "replicates = 2\n"
+            "replicates = 3\n"
             "policies = batch_freq_greedy\n"
         )
         engine = experiments.run_perturbed_batch_greedy
+        blocks = []
 
-        def fail_on_replicate_1(catalog, prior, theta, horizon, batch, master_seed, replicate, **kwargs):
-            if replicate == 1:
+        def fail_on_replicate_1(catalog, prior, thetas, horizon, batch, master_seed, replicates, **kwargs):
+            blocks.append(replicates)
+            if 1 in replicates:
                 raise FloatingPointError("injected")
-            return engine(catalog, prior, theta, horizon, batch, master_seed, replicate, **kwargs)
+            return engine(catalog, prior, thetas, horizon, batch, master_seed, replicates, **kwargs)
 
         monkeypatch.setattr(experiments, "run_perturbed_batch_greedy", fail_on_replicate_1)
         with pytest.raises(ReplicateError) as err:
             run_experiment(cfg, workers=1)
+        # The block fails as a whole; its replicates then run one at a time.
+        assert blocks == [(0, 1, 2), (0,), (1,)]
         assert "replicate 1 " in str(err.value)
         assert str(replicate_seed_id(cfg.master_seed, 1)) in str(err.value)
 
@@ -294,24 +298,29 @@ class TestLinUCBBlocks:
     @pytest.mark.parametrize("text", [SMALL_SCALING, SMALL_EXTERNALITY], ids=["scaling", "externality"])
     def test_outputs_independent_of_workers_and_block(self, text, monkeypatch):
         cfg = _cfg(text)
-        assert cfg.replicates > experiments.LINUCB_BLOCK  # a full and a ragged block
+        # A full and a ragged block of each engine.
+        assert cfg.replicates > max(experiments.LINUCB_BLOCK, experiments.GREEDY_BLOCK)
+        assert cfg.replicates % experiments.LINUCB_BLOCK and cfg.replicates % experiments.GREEDY_BLOCK
         blocked = _outputs(cfg, workers=1)
         assert _outputs(cfg, workers=3) == blocked
         monkeypatch.setattr(experiments, "LINUCB_BLOCK", 1)
+        monkeypatch.setattr(experiments, "GREEDY_BLOCK", 1)
         assert _outputs(cfg, workers=1) == blocked
 
-    def test_linucb_jobs_hold_blocks_and_other_jobs_one_replicate(self):
+    def test_perturbed_jobs_hold_blocks_of_their_engine(self):
         cfg = _cfg(SMALL_SCALING)
         jobs = experiments._jobs_for(cfg, build_instance(cfg))
         for _, _, policy, _, reps, _ in jobs:
-            if policy == "linucb":
-                assert len(reps) in (experiments.LINUCB_BLOCK, 35 % experiments.LINUCB_BLOCK)
-            else:
-                assert len(reps) == 1
+            block = experiments.LINUCB_BLOCK if policy == "linucb" else experiments.GREEDY_BLOCK
+            assert len(reps) in (block, 35 % block)
         covered = sorted((p, t, r) for _, _, p, t, reps, _ in jobs for r in reps)
         assert covered == sorted(
             (p, t, r) for p in cfg.policies for t in cfg.horizons for r in range(35)
         )
+
+    def test_two_bridge_jobs_hold_one_replicate(self):
+        cfg = _cfg(SMALL_TWO_BRIDGE)
+        assert all(len(reps) == 1 for *_, reps, _ in experiments._jobs_for(cfg, None))
 
     def test_failing_replicate_in_block_carries_its_seed(self, monkeypatch):
         cfg = _cfg("experiment = ScalingFit\nhorizons = 200, 400, 800\nreplicates = 6\npolicies = linucb\n")
