@@ -279,14 +279,12 @@ def run_two_bridge_batch_freq(
 def _draw_entry_indices(cat: Catalog, n: int, rng: np.random.Generator) -> np.ndarray:
     """Group-first weighted entry draw, one or two uniforms per round."""
     if cat.minority_prob <= 0.0:
-        cum = np.cumsum(cat.weights / cat.weights.sum())
+        [(_, cum)] = cat.draw_table
         return np.searchsorted(cum, rng.random(n), side="right")
     is_min = rng.random(n) < cat.minority_prob
     u = rng.random(n)
     idx = np.empty(n, dtype=np.int64)
-    for flag in (False, True):
-        pool = np.flatnonzero(cat.minority == flag)
-        cum = np.cumsum(cat.weights[pool] / cat.weights[pool].sum())
+    for flag, (pool, cum) in zip((False, True), cat.draw_table):
         sel = is_min == flag
         idx[sel] = pool[np.searchsorted(cum, u[sel], side="right")]
     return idx

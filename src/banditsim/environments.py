@@ -4,7 +4,7 @@ the prior draw of the latent weights.  The engines draw the rounds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,9 @@ class Catalog:
     ``means[i, a]`` of norm at most 1; unavailable slots are zeroed.  Each
     round draws one entry by weight (group first, minority with probability
     ``minority_prob``, when that is positive), then adds independent
-    N(0, rho^2) noise to every coordinate of every slot.
+    N(0, rho^2) noise to every coordinate of every slot.  ``draw_table``
+    holds, per group drawn (the majority first, or the whole catalog), the
+    group's entry indices and their normalized cumulative weights.
     """
 
     means: np.ndarray     # (n, K, d)
@@ -77,6 +79,7 @@ class Catalog:
     minority: np.ndarray  # (n,) bool
     rho: float
     minority_prob: float = 0.0
+    draw_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -107,7 +110,11 @@ class Catalog:
             raise ConfigurationError("minority_prob must lie in [0, 1)")
         if self.minority_prob > 0 and (minority.all() or not minority.any()):
             raise ConfigurationError("two-group catalogs need entries for both groups")
-        for name, value in (("means", means), ("avail", avail), ("weights", weights), ("minority", minority)):
+        groups = (~minority, minority) if self.minority_prob > 0 else (np.ones(n, dtype=bool),)
+        pools = [np.flatnonzero(g) for g in groups]
+        table = tuple((pool, np.cumsum(weights[pool] / weights[pool].sum())) for pool in pools)
+        for name, value in (("means", means), ("avail", avail), ("weights", weights),
+                            ("minority", minority), ("draw_table", table)):
             object.__setattr__(self, name, value)
 
     @property

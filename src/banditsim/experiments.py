@@ -734,12 +734,7 @@ def simulation_verification_report(cfg: ExperimentConfig) -> dict:
         x = radius * direction
         w = simulation_weights(x_batch, x)
         recon = float(np.linalg.norm(x_batch.T @ w.w - x))
-        sims = np.empty(n_draws)
-        chunk = 10000
-        for start in range(0, n_draws, chunk):
-            m = min(chunk, n_draws - start)
-            draws = batch_means[None, :] + rng.standard_normal((m, x_batch.shape[0]))
-            sims[start:start + m] = simulate_reward_many(w, draws, rng)
+        sims = simulate_reward_many(w, batch_means, n_draws, rng)
         direct = float(theta @ x) + rng.standard_normal(n_draws)
         statistic, p_value = ks_2samp_equal(sims, direct)
         reject = bool(p_value < alpha)

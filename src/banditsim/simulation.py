@@ -4,6 +4,17 @@ A diverse batch of contexts ``X_B`` with rewards ``r_B`` can synthesize an
 unbiased unit-variance reward for any target ``x`` inside the batch's
 diversity radius: take ``w = X_B (X_B^T X_B)^-1 x`` so that ``X_B^T w = x``,
 return ``w . r_B`` plus independent noise of variance ``1 - ||w||^2``.
+
+``simulate_reward_many`` draws the batch rewards itself and streams them
+through one buffer of ``SIM_TILE`` rows (one more for a lone last row), so no
+``n x Y`` matrix is ever built.  Its draws come in stretches of ``SIM_CHUNK``
+rows, each stretch's top-up noise right after its rows.  ``SIM_CHUNK`` is part
+of the stream contract: changing it moves the bytes of every
+``verify-simulation`` report.  ``SIM_TILE`` moves no byte at one BLAS thread:
+OpenBLAS's gemv rounds a row by its place among groups of four rows, and tiles
+of a multiple of four rows keep each row's place in its stretch.  OpenBLAS
+splits a gemv over threads from about 460 800 entries, which can shift those
+places; a tile of 513 rows stays below that up to ``Y = 898``.
 """
 
 from __future__ import annotations
@@ -18,6 +29,11 @@ from .estimators import min_eigenvalue
 # Residual variances this far below zero indicate the target left the radius.
 NEGATIVE_VAR_TOL = 1e-12
 DIVERSITY_FLOOR = 1e-10
+
+# Rows per stretch of batch-reward draws (part of the stream contract), and
+# rows per pass through the reused buffer (1.2 MB at Y = 300).
+SIM_CHUNK = 10_000
+SIM_TILE = 512
 
 
 class InsufficientDiversityError(RuntimeError):
@@ -77,20 +93,37 @@ def simulation_weights(batch_contexts: np.ndarray, x: np.ndarray) -> SimulationW
 
 def simulate_reward_many(
     weights: SimulationWeights,
-    batch_reward_draws: np.ndarray,
+    batch_means: np.ndarray,
+    n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Synthesize one reward per row of independent batch-reward draws.
+    """Synthesize ``n`` rewards, each from a fresh draw of the batch rewards.
 
-    Each value is the weighted batch rewards plus top-up Gaussian noise of the
-    residual variance, drawn from ``rng``.
+    A draw is the row ``batch_means + N(0, I_Y)``; its reward is the weighted
+    sum of the row plus top-up Gaussian noise of the residual variance.  The
+    rows come from ``rng`` in stretches of ``SIM_CHUNK``, each followed by the
+    top-up noise of its stretch, and pass ``SIM_TILE`` at a time through one
+    reused buffer.
     """
-    R = np.asarray(batch_reward_draws, dtype=float)
-    if R.ndim != 2 or R.shape[1] != weights.batch_length:
-        raise ValueError("draws must form an (m, Y) matrix")
+    means = np.asarray(batch_means, dtype=float)
+    if means.shape != (weights.batch_length,):
+        raise ValueError("batch means must have one entry per batch reward")
     if weights.residual_var < 0.0:
         raise RadiusError("target outside the simulation radius")
-    values = R @ weights.w
-    if weights.residual_var > 0.0:
-        values = values + math.sqrt(weights.residual_var) * rng.standard_normal(R.shape[0])
-    return values
+    sims = np.empty(n)
+    tile = np.empty((min(SIM_TILE + 1, n), means.shape[0]))
+    for start in range(0, n, SIM_CHUNK):
+        stop = min(start + SIM_CHUNK, n)
+        lo = start
+        while lo < stop:
+            # A lone last row joins the tile before it: NumPy sends a one-row
+            # product to a dot product, which rounds unlike gemv.
+            hi = stop if stop - lo <= SIM_TILE + 1 else lo + SIM_TILE
+            rows = tile[:hi - lo]
+            rng.standard_normal(out=rows)
+            np.add(rows, means, out=rows)
+            np.matmul(rows, weights.w, out=sims[lo:hi])
+            lo = hi
+        if weights.residual_var > 0.0:
+            sims[start:stop] += math.sqrt(weights.residual_var) * rng.standard_normal(stop - start)
+    return sims

@@ -11,6 +11,11 @@ reads a result table back into rows.
 ``single_replicate_greedy`` runs batched greedy on one replicate, one batch at
 a time, with the arithmetic of the lockstep engine's per-replicate slice.
 
+``simulate_reward_rows`` synthesizes one reward per row of a batch-reward
+matrix, and ``chunked_simulated_rewards`` draws those matrices a stretch of
+``SIM_CHUNK`` rows at a time: the streaming ``simulate_reward_many`` must
+return their bits.
+
 For the two-bridge instance, ``kind_codes`` draws the round kinds as codes,
 ``scalar_interval_width`` evaluates one LinUCB width at a time,
 ``closed_form_ucb`` gives the diagonal-design bounds of one B round, and
@@ -34,6 +39,7 @@ from banditsim.estimators import SINGULAR_CUTOFF, gaussian_prior, ols_estimate, 
 from banditsim.metrics import RegretSums, running_sum
 from banditsim.policies import LinUCBParams, context_norm_bound
 from banditsim.rng import Purpose, stream
+from banditsim.simulation import SIM_CHUNK, RadiusError
 
 # The two-bridge instance's contexts: the top and the bottom bridge.
 TOP = np.array([1.0, 0.0])
@@ -338,6 +344,31 @@ def single_replicate_greedy(
         float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes,
         curve=sums.curve(), chosen_rows=chosen_rows,
     )
+
+
+def simulate_reward_rows(weights, batch_reward_draws, rng) -> np.ndarray:
+    """One reward per row of ``batch_reward_draws`` (m, Y): the weighted row
+    plus top-up noise of the residual variance, drawn after the rows."""
+    R = np.asarray(batch_reward_draws, dtype=float)
+    if R.ndim != 2 or R.shape[1] != weights.batch_length:
+        raise ValueError("draws must form an (m, Y) matrix")
+    if weights.residual_var < 0.0:
+        raise RadiusError("target outside the simulation radius")
+    values = R @ weights.w
+    if weights.residual_var > 0.0:
+        values = values + math.sqrt(weights.residual_var) * rng.standard_normal(R.shape[0])
+    return values
+
+
+def chunked_simulated_rewards(weights, batch_means, n, rng) -> np.ndarray:
+    """``n`` simulated rewards, drawing a whole (m, Y) batch-reward matrix per
+    stretch of ``SIM_CHUNK`` rows; same arguments as ``simulate_reward_many``."""
+    sims = np.empty(n)
+    for start in range(0, n, SIM_CHUNK):
+        m = min(SIM_CHUNK, n - start)
+        draws = batch_means[None, :] + rng.standard_normal((m, batch_means.shape[0]))
+        sims[start:start + m] = simulate_reward_rows(weights, draws, rng)
+    return sims
 
 
 def parse_csv(text: str) -> list:

@@ -1258,6 +1258,38 @@ class TestEntryDraws:
         freq0 = (majority == 0).mean()
         assert freq0 == pytest.approx(0.6, abs=3 * math.sqrt(0.6 * 0.4 / majority.size))
 
+    @staticmethod
+    def _per_call_draw(cat, n, rng):
+        """The draw with the cumulative weights rebuilt from the catalog."""
+        if cat.minority_prob <= 0.0:
+            cum = np.cumsum(cat.weights / cat.weights.sum())
+            return np.searchsorted(cum, rng.random(n), side="right")
+        is_min = rng.random(n) < cat.minority_prob
+        u = rng.random(n)
+        idx = np.empty(n, dtype=np.int64)
+        for flag in (False, True):
+            pool = np.flatnonzero(cat.minority == flag)
+            cum = np.cumsum(cat.weights[pool] / cat.weights[pool].sum())
+            sel = is_min == flag
+            idx[sel] = pool[np.searchsorted(cum, u[sel], side="right")]
+        return idx
+
+    def test_table_draws_match_per_call_weights(self):
+        # Minority entries interleaved with majority ones, so that the
+        # minority-only catalog renumbers them and builds its own table.
+        means = np.full((5, 2, 2), 0.3)
+        mixed = Catalog(means, np.ones((5, 2), dtype=bool), [0.7, 0.1, 2.0, 0.3, 0.9],
+                        [False, True, False, True, False], rho=0.1, minority_prob=0.4)
+        for cat in (_one_group_catalog(), _two_group_catalog(), mixed, mixed.minority_only()):
+            for n in (1, 7, 200, 5000):
+                got = _draw_entry_indices(cat, n, np.random.default_rng(n))
+                want = self._per_call_draw(cat, n, np.random.default_rng(n))
+                assert got.tolist() == want.tolist()
+        assert [pool.tolist() for pool, _ in mixed.draw_table] == [[0, 2, 4], [1, 3]]
+        [(pool, cum)] = mixed.minority_only().draw_table
+        assert pool.tolist() == [0, 1]
+        assert cum == pytest.approx([0.25, 1.0])
+
 
 class TestLambdaMinCurve:
     def test_matches_eigvalsh(self):

@@ -22,6 +22,8 @@ from banditsim.experiments import (
     run_experiment,
 )
 from banditsim.rng import Purpose, replicate_seed_id, stream
+from banditsim.simulation import SIM_CHUNK, SIM_TILE
+from oracles import chunked_simulated_rewards
 
 
 def _cfg(text: str):
@@ -386,6 +388,19 @@ class TestExperimentCurves:
     def test_simulation_verify_has_no_curves(self):
         cfg = _cfg("experiment = SimulationVerify\nsim_draws = 1000\nn_targets = 2\n")
         assert run_experiment(cfg).curves == {}
+
+
+class TestSimulationAudit:
+    def test_report_equals_chunked_oracle(self, monkeypatch):
+        # Ragged against both the tile and the stretch of the draw stream.
+        n = SIM_CHUNK + SIM_TILE + 3
+        cfg = _cfg("experiment = SimulationVerify\nhorizons = 600\nbatch = 200\n"
+                   f"n_targets = 2\nsim_draws = {n}\n")
+        report = experiments.simulation_verification_report(cfg)
+        assert report["n_draws"] == n
+        assert all(t["residual_var"] > 0.0 for t in report["targets"])
+        monkeypatch.setattr(experiments, "simulate_reward_many", chunked_simulated_rewards)
+        assert experiments.simulation_verification_report(cfg) == report
 
 
 class TestKsTwoSampleEqual:

@@ -1,11 +1,16 @@
 """Reward synthesis from batch data: weights, radii, and distribution match."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import banditsim.simulation as simulation
 from banditsim.estimators import min_eigenvalue
 from banditsim.simulation import (
+    SIM_CHUNK,
+    SIM_TILE,
     InsufficientDiversityError,
     RadiusError,
     SimulationWeights,
@@ -13,6 +18,7 @@ from banditsim.simulation import (
     simulation_weights,
 )
 from banditsim.rng import Purpose, stream
+from oracles import chunked_simulated_rewards
 
 
 class TestSimulationWeights:
@@ -69,23 +75,28 @@ class TestSimulationWeights:
 class TestSimulateReward:
     def test_zero_residual_reproduces_weighted_sum(self):
         w = simulation_weights(np.eye(2), np.array([1.0, 0.0]))
+        means = np.array([0.7, -0.3])
         rng = np.random.default_rng(2)
-        r = np.array([[0.7, -0.3], [0.1, 0.2]])
-        np.testing.assert_array_equal(simulate_reward_many(w, r, rng), [0.7, 0.1])
+        ref = np.random.default_rng(2)
+        expected = (means + ref.standard_normal((3, 2)))[:, 0]
+        np.testing.assert_array_equal(simulate_reward_many(w, means, 3, rng), expected)
+        # No top-up noise is drawn at zero residual variance.
+        assert rng.random() == ref.random()
 
     def test_out_of_radius_rejected(self):
         # Target norm exceeds the diversity radius: residual variance < 0.
         w = simulation_weights(np.eye(2), np.array([2.0, 0.0]))
         assert w.residual_var < 0.0
         with pytest.raises(RadiusError):
-            simulate_reward_many(w, np.zeros((5, 2)), np.random.default_rng(0))
+            simulate_reward_many(w, np.zeros(2), 5, np.random.default_rng(0))
 
     def test_reward_length_checked(self):
         w = simulation_weights(np.eye(2), np.array([1.0, 0.0]))
+        assert w.batch_length == 2
         with pytest.raises(ValueError):
-            simulate_reward_many(w, np.zeros((5, 3)), np.random.default_rng(0))
+            simulate_reward_many(w, np.zeros(3), 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            simulate_reward_many(w, np.zeros(2), np.random.default_rng(0))
+            simulate_reward_many(w, np.zeros((5, 2)), 5, np.random.default_rng(0))
 
     def test_mean_matches_target(self):
         # E[w . r] = w . X theta = x . theta when rewards are unbiased.
@@ -95,9 +106,7 @@ class TestSimulateReward:
         x = np.array([0.4, 0.2])
         w = simulation_weights(X, x)
         n = 100_000
-        draws = simulate_reward_many(
-            w, X @ theta + rng.standard_normal((n, 40)), rng
-        )
+        draws = simulate_reward_many(w, X @ theta, n, rng)
         assert draws.mean() == pytest.approx(float(x @ theta), abs=3 / np.sqrt(n))
 
     def test_distribution_matches_direct_sampling(self):
@@ -110,14 +119,64 @@ class TestSimulateReward:
         x = 0.8 * np.sqrt(lam) * np.array([0.6, 0.8])
         w = simulation_weights(X, x)
         assert float(np.linalg.norm(w.w)) <= 1.0
-        means = X @ theta
         n = 100_000
-        synthesized = simulate_reward_many(
-            w, means[None, :] + rng.standard_normal((n, 300)), rng
-        )
+        synthesized = simulate_reward_many(w, X @ theta, n, rng)
         direct = float(x @ theta) + rng.standard_normal(n)
         result = sps.ks_2samp(synthesized, direct)
         assert result.pvalue > 0.01
 
     def test_batch_length_property(self):
         assert SimulationWeights(np.zeros(7), 1.0).batch_length == 7
+
+
+def _weights(y: int, residual: float) -> tuple:
+    """Weights of squared norm ``1 - residual`` over ``y`` batch rewards, and batch means."""
+    g = np.random.default_rng(y)
+    w = g.normal(size=y)
+    w *= np.sqrt(1.0 - residual) / np.linalg.norm(w)
+    return SimulationWeights(w, residual), g.normal(0.0, 0.5, size=y)
+
+
+class TestStreamingMatchesChunkedDraws:
+    """The tiled stream against whole stretches of ``SIM_CHUNK`` rows, bit for bit."""
+
+    @pytest.mark.parametrize("residual", [0.0, 0.35])
+    @pytest.mark.parametrize("y", [2, 300])
+    @pytest.mark.parametrize(
+        "n", [1, 10, SIM_TILE - 1, SIM_TILE, SIM_TILE + 1, SIM_CHUNK + SIM_TILE + 3, 25_000]
+    )
+    def test_equals_oracle(self, n, y, residual):
+        weights, means = _weights(y, residual)
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = simulate_reward_many(weights, means, n, rng)
+        assert got.shape == (n,)
+        assert got.tolist() == chunked_simulated_rewards(weights, means, n, ref).tolist()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("tile", [64, 1024])
+    def test_tile_moves_no_byte(self, monkeypatch, tile):
+        weights, means = _weights(300, 0.35)
+        n = 2 * SIM_CHUNK + tile + 1
+        expected = simulate_reward_many(weights, means, n, np.random.default_rng(4))
+        monkeypatch.setattr(simulation, "SIM_TILE", tile)
+        got = simulate_reward_many(weights, means, n, np.random.default_rng(4))
+        assert got.tolist() == expected.tolist()
+
+    def test_no_draws_for_no_rewards(self):
+        weights, means = _weights(300, 0.35)
+        rng = np.random.default_rng(6)
+        assert simulate_reward_many(weights, means, 0, rng).shape == (0,)
+        assert rng.random() == np.random.default_rng(6).random()
+
+    def test_memory_stays_within_one_tile(self):
+        # The chunked oracle peaks near 69 MiB here: two 10 000 x 300 arrays
+        # per stretch.  NumPy reports its buffers to tracemalloc.
+        weights, means = _weights(300, 0.35)
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            simulate_reward_many(weights, means, 20_000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
