@@ -12,14 +12,16 @@ run in lockstep: a block of 32 raised a pool worker's peak RSS from 39 MB to
 engines advance a block of replicates in lockstep, each replicate from its own
 streams: batched greedy one stacked step per batch, with the estimators
 solving every replicate's system in one stacked call, and LinUCB one stacked
-step per round over cached inverses.  Each replicate's result is bit for bit
-what it would be alone, so results are identical under any scheduling.
+step per round over cached inverses, for every horizon of the block at once,
+with its inputs drawn NOISE_CHUNK rounds at a time.  Each replicate's result
+is bit for bit what it would be alone, so results are identical under any
+scheduling.
 
 Every engine feeds the instantaneous regret of its rounds, in round order, to
 one ``RegretSums`` accumulator, which owns the restricted set, the running
 totals and the optional curve of the first replicate; the two-bridge engines
 feed only their wrong B rounds, each at the gap.  A perturbed block keeps at
-most one curve, the first replicate's.
+most one curve per horizon, the first replicate's.
 """
 
 from __future__ import annotations
@@ -278,12 +280,22 @@ def run_two_bridge_batch_freq(
 
 def _draw_entry_indices(cat: Catalog, n: int, rng: np.random.Generator) -> np.ndarray:
     """Group-first weighted entry draw, one or two uniforms per round."""
-    if cat.minority_prob <= 0.0:
+    is_min = _draw_group_flags(cat, n, rng)
+    return _entries_for(cat, rng.random(n), is_min)
+
+
+def _draw_group_flags(cat: Catalog, n: int, rng: np.random.Generator) -> np.ndarray | None:
+    """Whether each of ``n`` rounds draws from the minority group, or None on
+    a one-group catalog; a two-group draw takes every flag before any uniform."""
+    return None if cat.minority_prob <= 0.0 else rng.random(n) < cat.minority_prob
+
+
+def _entries_for(cat: Catalog, u: np.ndarray, is_min: np.ndarray | None) -> np.ndarray:
+    """Entry indices for the uniforms ``u`` of rounds with group flags ``is_min``."""
+    if is_min is None:
         [(_, cum)] = cat.draw_table
-        return np.searchsorted(cum, rng.random(n), side="right")
-    is_min = rng.random(n) < cat.minority_prob
-    u = rng.random(n)
-    idx = np.empty(n, dtype=np.int64)
+        return np.searchsorted(cum, u, side="right")
+    idx = np.empty(u.size, dtype=np.int64)
     for flag, (pool, cum) in zip((False, True), cat.draw_table):
         sel = is_min == flag
         idx[sel] = pool[np.searchsorted(cum, u[sel], side="right")]
@@ -423,102 +435,175 @@ def run_perturbed_batch_greedy(
     ]
 
 
-# Rounds of perturbation noise the LinUCB engine draws and scores at once.
-# Chunked normal draws continue each replicate's stream exactly, so the size
-# bounds memory without changing any result.
-NOISE_CHUNK = 1024
+# Rounds of LinUCB inputs (entry draws, perturbations, reward noise) that the
+# engine draws and scores at once.  Chunked draws continue each row's streams
+# exactly, so the size bounds memory without changing any result.
+NOISE_CHUNK = 256
 # Rounds between rebuilds of LinUCB's cached inverses from the exact Gram
 # matrices, which cap the floating-point drift of the rank-one updates.
 REFRESH_EVERY = 10_000
 
 
+@dataclass(frozen=True)
+class LinUCBCell:
+    """One horizon of a perturbed LinUCB call: its rounds, its width
+    parameters, and the regret sums of its replicates (by default
+    minority-restricted with no curve)."""
+
+    horizon: int
+    params: LinUCBParams
+    sums: RegretSums | None = None
+
+
 def run_perturbed_linucb(
     cat: Catalog,
-    params: LinUCBParams,
+    cells: list,
     thetas: np.ndarray,
     horizon: int,
     master_seed: int,
     replicates: tuple,
-    sums: RegretSums | None = None,
 ) -> list:
-    """LinUCB replicates advanced in lockstep; one result per replicate.
+    """LinUCB on every (cell, replicate) row in one lockstep pass; one list of
+    results per cell, one result per replicate.
 
-    Row ``i`` of ``thetas`` is the latent weight vector of replicate
-    ``replicates[i]``.  Each round makes one stacked score, width, argmax and
-    rank-one (Sherman-Morrison) update of the cached inverses for the whole
-    block.  Every stacked product makes, per replicate, the BLAS call a
-    single-replicate loop would make, and ``sums`` (one column per replicate,
-    by default minority-restricted with no curve) adds regret in round order,
-    so a replicate's result does not depend on the block it runs in.
+    Row (``j``, ``i``) runs replicate ``replicates[i]``, whose latent weight
+    vector is row ``i`` of ``thetas``, for ``cells[j].horizon`` rounds with the
+    widths of ``cells[j].params``, and feeds column ``i`` of the cell's sums.
+    ``horizon``, the rounds the call runs, must be the longest cell horizon.
+    Each round makes one stacked score, width, argmax and rank-one
+    (Sherman-Morrison) update of the cached inverses for every row still
+    running; a row leaves at its cell's horizon.  Each row draws from its own
+    streams, in the order a replicate run alone at its horizon draws them,
+    NOISE_CHUNK rounds at a time.  Every stacked product makes, per row, the
+    BLAS call a single-replicate loop would make, and the sums add regret in
+    round order, so a row's result depends neither on its block nor on its
+    neighbours.
 
-    Requires a positive ridge; the cached inverses are rebuilt every
+    Requires positive ridges; the cached inverses are rebuilt every
     REFRESH_EVERY rounds.
     """
-    if params.ridge <= 0.0:
+    if not cells or horizon != max(cell.horizon for cell in cells):
+        raise ValueError("horizon must be the longest cell horizon")
+    if any(cell.params.ridge <= 0.0 for cell in cells):
         raise ValueError("the perturbed LinUCB engine needs a positive ridge")
     d, k = cat.dim, cat.n_actions
     n = len(replicates)
     thetas = np.asarray(thetas, dtype=float).reshape(n, d)
-    theta_col = thetas[:, :, None]
+    sums = [
+        RegretSums(master_seed, replicates, cell.horizon) if cell.sums is None else cell.sums
+        for cell in cells
+    ]
+    f_tables = [interval_width(np.arange(cell.horizon), cell.params, d) for cell in cells]
 
-    idx = np.stack([
-        _draw_entry_indices(cat, horizon, stream(master_seed, rep, Purpose.CONTEXTS))
-        for rep in replicates
-    ])
-    pert = [stream(master_seed, rep, Purpose.PERTURBATIONS) for rep in replicates]
-    reward_noise = np.stack([stream(master_seed, rep, Purpose.REWARDS).standard_normal(horizon) for rep in replicates])
-    if sums is None:
-        sums = RegretSums(master_seed, replicates, horizon)
+    # Rows run cell by cell, so the rows of every cell still running are one
+    # contiguous stretch of n rows.
+    live = list(range(len(cells)))
+    row_rep = np.tile(np.arange(n), len(cells))
+    theta_col = thetas[row_rep][:, :, None]
+    ridge = np.repeat([cell.params.ridge for cell in cells], n)[:, None, None]
+    ctx, pert, rew = (
+        [stream(master_seed, replicates[i], purpose) for i in row_rep]
+        for purpose in (Purpose.CONTEXTS, Purpose.PERTURBATIONS, Purpose.REWARDS)
+    )
+    flags = [_draw_group_flags(cat, cells[j].horizon, g) for j, g in zip(np.repeat(live, n), ctx)]
+    offsets = np.arange(len(row_rep)) * k
 
-    f_table = interval_width(np.arange(horizon), params, d)
+    Z = np.zeros((len(row_rep), d, d))
+    xr = np.zeros((len(row_rep), d, 1))
+    W = np.eye(d) / ridge
+    theta_hat = np.zeros((len(row_rep), d, 1))
 
-    Z = np.zeros((n, d, d))
-    xr = np.zeros((n, d, 1))
-    W = np.repeat((np.eye(d) / params.ridge)[None], n, axis=0)
-    theta_hat = np.zeros((n, d, 1))
-    rows = np.arange(n)
-
-    for start in range(0, horizon, NOISE_CHUNK):
-        stop = min(start + NOISE_CHUNK, horizon)
-        # Chunk arrays are round-major: x_chunk[c] is round start + c of
-        # every replicate in the block.
-        entries = idx[:, start:stop].T
-        x_chunk = cat.means[entries] + np.stack(
-            [g.normal(0.0, cat.rho, size=(stop - start, k, d)) for g in pert], axis=1
-        )
+    stops = sorted({*range(NOISE_CHUNK, horizon, NOISE_CHUNK), *(cell.horizon for cell in cells)})
+    start = 0
+    for stop in stops:
+        m = stop - start
+        # Chunk arrays are round-major: x_chunk[c] is round start + c of every
+        # running row.
+        entries = np.stack([
+            _entries_for(cat, g.random(m), None if is_min is None else is_min[start:stop])
+            for g, is_min in zip(ctx, flags)
+        ], axis=1)
+        x_chunk = cat.means[entries] + np.stack([g.normal(0.0, cat.rho, size=(m, k, d)) for g in pert], axis=1)
         avail = cat.avail[entries]
+        mask = np.where(avail, 0.0, -np.inf)
         # r * x for every action: r is the row's true value, taken as the dot
         # product a single-replicate loop takes for its chosen row, plus the
         # round's reward noise.
         rewards = (x_chunk[..., None, :] @ theta_col[None, :, None])[..., 0, 0]
-        rewards += reward_noise[:, start:stop].T[..., None]
-        reward_x = rewards[..., None] * x_chunk
-        actions = np.empty((stop - start, n), dtype=np.int64)
+        rewards += np.stack([g.standard_normal(m) for g in rew], axis=1)[..., None]
+        reward_x = (rewards[..., None] * x_chunk).reshape(m, -1, d)
+        x_flat = x_chunk.reshape(m, -1, d)
+        f_chunk = np.repeat([f_tables[j][start:stop] for j in live], n, axis=0).T[:, :, None]
+        # Z is read only at a refresh, so the chosen rows' outer products are
+        # folded into it, in round order, there and at the end of the chunk.
+        chosen = np.empty((m, len(offsets), d))
+        actions = np.empty((m, len(offsets)), dtype=np.int64)
+        folded = 0
         for c, x in enumerate(x_chunk):
-            xw = x @ W
-            widths = np.sqrt(np.maximum(np.add.reduce(xw * x, axis=2), 0.0))
-            scores = np.where(avail[c], (x @ theta_hat)[:, :, 0] + f_table[start + c] * widths, -np.inf)
+            widths = x @ W
+            np.multiply(widths, x, out=widths)
+            widths = np.add.reduce(widths, axis=2)
+            np.maximum(widths, 0.0, out=widths)
+            np.sqrt(widths, out=widths)
+            widths *= f_chunk[c]
+            scores = (x @ theta_hat)[:, :, 0]
+            scores += widths
+            scores += mask[c]
             a = scores.argmax(axis=1)
             actions[c] = a
-
-            chosen = x[rows, a][:, :, None]
-            Z += chosen * chosen.transpose(0, 2, 1)
-            xr += reward_x[c][rows, a][:, :, None]
-            wx = W @ chosen
-            W -= (wx * wx.transpose(0, 2, 1)) / (1.0 + chosen.transpose(0, 2, 1) @ wx)
+            at = offsets + a
+            row = x_flat[c].take(at, axis=0)
+            chosen[c] = row
+            xr += reward_x[c].take(at, axis=0)[:, :, None]
+            col = row[:, :, None]
+            wx = W @ col
+            denom = col.transpose(0, 2, 1) @ wx
+            denom += 1.0
+            step = wx * wx.transpose(0, 2, 1)
+            step /= denom
+            W -= step
             if (start + c + 1) % REFRESH_EVERY == 0:
-                W = np.linalg.inv(0.5 * (Z + Z.transpose(0, 2, 1)) + params.ridge * np.eye(d))
+                Z = _fold_outer(Z, chosen[folded:c + 1])
+                folded = c + 1
+                W = np.linalg.inv(0.5 * (Z + Z.transpose(0, 2, 1)) + ridge * np.eye(d))
                 W = 0.5 * (W + W.transpose(0, 2, 1))
             theta_hat = W @ xr
+        Z = _fold_outer(Z, chosen[folded:])
 
         true_vals = np.where(avail, (x_chunk @ theta_col)[..., 0], -np.inf)
         inst = true_vals.max(axis=2) - np.take_along_axis(true_vals, actions[..., None], axis=2)[..., 0]
-        sums.add(slice(start, stop), inst, cat.minority[entries])
+        minority = cat.minority[entries]
+        for p, j in enumerate(live):
+            cols = slice(p * n, (p + 1) * n)
+            sums[j].add(slice(start, stop), inst[:, cols], minority[:, cols])
+
+        # Rows whose cell ends here leave the block.
+        keep = np.repeat([cells[j].horizon > stop for j in live], n)
+        if not keep.all():
+            live = [j for j in live if cells[j].horizon > stop]
+            Z, xr, W, theta_hat, theta_col, ridge = (
+                arr[keep] for arr in (Z, xr, W, theta_hat, theta_col, ridge)
+            )
+            ctx, pert, rew, flags = (
+                [g for g, kept in zip(seq, keep) if kept] for seq in (ctx, pert, rew, flags)
+            )
+            offsets = offsets[:keep.sum()]
+        start = stop
 
     return [
-        PerturbedRunResult(
-            float(sums.total[i]), float(sums.restricted[i]), float(sums.total[i]), 0.0, {},
-            curve=sums.curve() if i == 0 else None,
-        )
-        for i in range(n)
+        [
+            PerturbedRunResult(
+                float(s.total[i]), float(s.restricted[i]), float(s.total[i]), 0.0, {},
+                curve=s.curve() if i == 0 else None,
+            )
+            for i in range(n)
+        ]
+        for s in sums
     ]
+
+
+def _fold_outer(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``Z`` plus the outer product of each of ``rows`` (rounds, replicates,
+    d) with itself, added one round at a time in round order."""
+    outer = rows[..., :, None] * rows[..., None, :]
+    return np.add.reduce(np.concatenate((Z[None], outer)), axis=0)

@@ -2,10 +2,12 @@
 
 ``EXPERIMENT_SPECS`` is the one table of what sets each named experiment
 apart; the config parser, the CLI and the harness read it.  Each experiment
-expands into independent (policy, horizon, replicate) jobs.  A job's
-randomness comes only from the purpose-keyed streams of its replicate, so
-tables are byte-identical across repeated runs and across any worker count;
-rows are sorted by (policy, T, replicate) before emission.
+expands into independent jobs, each a block of replicates of one policy: at
+every horizon of the policy for perturbed LinUCB, at one horizon otherwise
+(``_jobs_for``).  The result of a (policy, horizon, replicate) comes only
+from the purpose-keyed streams of its replicate, so tables are byte-identical
+across repeated runs and across any worker count; rows are sorted by
+(policy, T, replicate) and curves follow the cells before emission.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .core import ConfigurationError, NoiseKind
 from .csvio import ResultRow
 from .engines import (
+    LinUCBCell,
     run_perturbed_batch_greedy,
     run_perturbed_linucb,
     run_two_bridge_batch_freq,
@@ -140,25 +143,47 @@ def linucb_comparator_horizon(horizon: int, batch: int) -> int:
 
 
 def _run_job(job) -> list:
-    """Run one job: one (row, extras, curve points) outcome per replicate it holds."""
-    cfg, instance, policy, horizon, reps, track_curve = job
+    """Run one job: one (row, extras, curve points) outcome per (horizon,
+    replicate) it holds."""
+    cfg, instance, policy, horizons, reps, track_curve = job
     try:
         if instance is None:
-            return [_two_bridge_job(cfg, policy, horizon, rep, track_curve) for rep in reps]
-        return _perturbed_job(cfg, instance, policy, horizon, reps, track_curve)
+            return [_two_bridge_job(cfg, policy, t, rep, track_curve) for t in horizons for rep in reps]
+        return _perturbed_job(cfg, instance, policy, horizons, reps, track_curve)
     except Exception as exc:
         if len(reps) > 1:
             # Replicates are independent of their block, so running them one
             # at a time gives the same outcomes and names the one that fails.
             return [
                 out for rep in reps
-                for out in _run_job((cfg, instance, policy, horizon, (rep,), track_curve))
+                for out in _run_job((cfg, instance, policy, horizons, (rep,), track_curve))
             ]
         seed = replicate_seed_id(cfg.master_seed, reps[0])
+        at = ",".join(str(t) for t in horizons)
         raise ReplicateError(
-            f"replicate {reps[0]} of {cfg.experiment}/{policy}/T={horizon} failed "
+            f"replicate {reps[0]} of {cfg.experiment}/{policy}/T={at} failed "
             f"(seed {seed}): {exc}"
         ) from exc
+
+
+def _run_jobs(jobs: list) -> list:
+    """Run consecutive jobs in one pool task: one outcome list per job."""
+    return [_run_job(job) for job in jobs]
+
+
+def _work_chunks(jobs: list, n_chunks: int) -> list:
+    """Split ``jobs`` into runs of consecutive jobs that each hold about
+    1/``n_chunks`` of the total work, a job's work being the sum of its
+    horizons times its replicate count; a job larger than that share runs
+    alone."""
+    work = [sum(horizons) * len(reps) for _, _, _, horizons, reps, _ in jobs]
+    total = sum(work)
+    chunks: dict = {}
+    done = 0
+    for job, w in zip(jobs, work):
+        chunks.setdefault(done * n_chunks // total, []).append(job)
+        done += w
+    return list(chunks.values())
 
 
 def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, res, theta_id: int, extras: dict) -> tuple:
@@ -205,39 +230,42 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
     return _outcome(cfg, policy, horizon, rep, res, int(variant == "theta1"), extras)
 
 
-def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizon: int, reps: tuple, track_curve: bool) -> list:
+def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple,
+                   track_curve: bool) -> list:
     catalog, prior = instance
     thetas = [draw_theta_for_replicate(cfg, prior, rep) for rep in reps]
 
+    def sums(horizon):
+        return RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, track_curve)
+
     if policy in ("batch_bayes_greedy", "batch_freq_greedy"):
+        [horizon] = horizons
         lambda_checks = EXPERIMENT_SPECS[cfg.experiment].lambda_checks
         results = run_perturbed_batch_greedy(
             catalog, prior, np.array(thetas), horizon, cfg.batch, cfg.master_seed, reps,
             acting="bayes" if policy == "batch_bayes_greedy" else "freq",
             keep_rows=lambda_checks,
-            sums=RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, track_curve),
+            sums=sums(horizon),
         )
-        runs = []
-        for res in results:
+        outcomes = []
+        for rep, res in zip(reps, results):
             extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
             if lambda_checks:
                 extras.update(_lambda_checks(_lambda_min_curve(res.chosen_rows), cfg.rho, horizon))
-            runs.append((res, extras))
-    elif policy in ("linucb", "linucb_full", "linucb_minority"):
+            outcomes.append(_outcome(cfg, policy, horizon, rep, res, rep, extras))
+        return outcomes
+    if policy in ("linucb", "linucb_full", "linucb_minority"):
         run_catalog = catalog.minority_only() if policy == "linucb_minority" else catalog
-        params = _perturbed_params(cfg, horizon, float(np.linalg.norm(prior.mean)))
-        results = run_perturbed_linucb(
-            run_catalog, params, np.array(thetas), horizon, cfg.master_seed, reps,
-            sums=RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, track_curve),
+        prior_norm = float(np.linalg.norm(prior.mean))
+        cells = [LinUCBCell(t, _perturbed_params(cfg, t, prior_norm), sums(t)) for t in horizons]
+        per_cell = run_perturbed_linucb(
+            run_catalog, cells, np.array(thetas), max(horizons), cfg.master_seed, reps,
         )
-        runs = [(res, {}) for res in results]
-    else:
-        raise ValueError(f"policy '{policy}' is not valid on perturbed instances")
-
-    return [
-        _outcome(cfg, policy, horizon, rep, res, rep, extras)
-        for rep, (res, extras) in zip(reps, runs)
-    ]
+        return [
+            _outcome(cfg, policy, t, rep, res, rep, {})
+            for t, results in zip(horizons, per_cell) for rep, res in zip(reps, results)
+        ]
+    raise ValueError(f"policy '{policy}' is not valid on perturbed instances")
 
 
 def draw_theta_for_replicate(cfg: ExperimentConfig, prior, rep: int) -> np.ndarray:
@@ -285,22 +313,27 @@ def _instance_for(cfg: ExperimentConfig):
 
 
 def _jobs_for(cfg: ExperimentConfig, instance) -> list:
-    """Jobs ``(cfg, instance, policy, horizon, replicates, track_curve)``.
+    """Jobs ``(cfg, instance, policy, horizons, replicates, track_curve)``.
 
-    A perturbed LinUCB job holds up to LINUCB_BLOCK consecutive replicates
-    and a perturbed batched greedy job up to GREEDY_BLOCK, which their
-    engines advance in lockstep; every two-bridge job holds one.  The
-    job that holds replicate 0 of a cell also tracks its regret curve, which
-    draws nothing and changes no total.
+    A perturbed LinUCB job holds up to LINUCB_BLOCK consecutive replicates at
+    every horizon of its policy's cells, which its engine advances in one
+    lockstep pass.  A perturbed batched greedy job holds up to GREEDY_BLOCK
+    replicates at one horizon, and a two-bridge job one replicate at one
+    horizon.  The job that holds replicate 0 also tracks the regret curve of
+    each of its cells, which draws nothing and changes no total.
     """
     jobs = []
-    for policy, horizon in _cells(cfg):
-        block = 1
-        if instance is not None:
-            block = LINUCB_BLOCK if policy.startswith("linucb") else GREEDY_BLOCK
-        for first in range(0, cfg.replicates, block):
-            reps = tuple(range(first, min(first + block, cfg.replicates)))
-            jobs.append((cfg, instance, policy, horizon, reps, first == 0))
+    for policy in cfg.policies:
+        horizons = tuple(t for p, t in _cells(cfg) if p == policy)
+        groups, block = [(t,) for t in horizons], 1
+        if instance is not None and policy.startswith("linucb"):
+            groups, block = [horizons], LINUCB_BLOCK
+        elif instance is not None:
+            block = GREEDY_BLOCK
+        for group in groups:
+            for first in range(0, cfg.replicates, block):
+                reps = tuple(range(first, min(first + block, cfg.replicates)))
+                jobs.append((cfg, instance, policy, group, reps, first == 0))
     return jobs
 
 
@@ -340,7 +373,12 @@ def check_linucb(cfg: ExperimentConfig) -> str | None:
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
-    """Run every (policy, horizon, replicate) job and aggregate the table."""
+    """Run every job and aggregate the table.
+
+    A pool runs consecutive jobs in chunks of about equal work, several per
+    worker (``_work_chunks``).  Rows, aggregates and curves do not depend on
+    the order in which the outcomes arrive.
+    """
     spec = EXPERIMENT_SPECS[cfg.experiment]
     if spec.family == "audit":
         report = simulation_verification_report(cfg)
@@ -350,16 +388,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     if n_workers == 1 or len(jobs) == 1:
         per_job = [_run_job(j) for j in jobs]
     else:
-        chunk = max(1, len(jobs) // (n_workers * 8))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            per_job = list(pool.map(_run_job, jobs, chunksize=chunk))
+            per_job = [outs for chunk in pool.map(_run_jobs, _work_chunks(jobs, n_workers * 8))
+                       for outs in chunk]
     outcomes = [out for outs in per_job for out in outs]
     rows = tuple(sorted((out[0] for out in outcomes), key=ResultRow.sort_key))
     extras = {(row.policy, row.horizon, row.replicate): ex or {} for row, ex, _ in outcomes}
-    curves: dict = {}
-    for row, _, points in outcomes:
-        if points is not None:
-            curves.setdefault((row.policy, row.horizon), points)
+    points = {(row.policy, row.horizon): pts for row, _, pts in outcomes if pts is not None}
+    curves = {cell: points[cell] for cell in _cells(cfg) if cell in points}
 
     aggregates = {"experiment": cfg.experiment, "summary": _summary(rows)}
     spec.aggregate(cfg, rows, extras, aggregates)

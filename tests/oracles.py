@@ -9,7 +9,9 @@ stretches of rounds; the tests hold them to these definitions.  ``parse_csv``
 reads a result table back into rows.
 
 ``single_replicate_greedy`` runs batched greedy on one replicate, one batch at
-a time, with the arithmetic of the lockstep engine's per-replicate slice.
+a time, and ``single_replicate_linucb`` runs LinUCB on one replicate, one round
+at a time, each with the arithmetic of its lockstep engine's per-replicate
+slice.
 
 ``simulate_reward_rows`` synthesizes one reward per row of a batch-reward
 matrix, and ``chunked_simulated_rewards`` draws those matrices a stretch of
@@ -344,6 +346,67 @@ def single_replicate_greedy(
         float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes,
         curve=sums.curve(), chosen_rows=chosen_rows,
     )
+
+
+def single_replicate_linucb(
+    cat, params, theta, horizon, master_seed, replicate,
+    refresh_every=10_000, restriction="minority", restriction_p=0.5,
+):
+    """Per-round LinUCB on one replicate with a rank-one-updated cached inverse.
+
+    Takes the arguments of one row of ``banditsim.engines.run_perturbed_linucb``,
+    with ``theta`` its latent weight vector, draws the whole horizon of each
+    stream at once, and makes, call for call, the products of that engine's
+    per-row slice; returns (regret_total, regret_minority, curve).
+    """
+    d, k = cat.dim, cat.n_actions
+    ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
+    pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
+    rew = stream(master_seed, replicate, Purpose.REWARDS)
+
+    idx = _draw_entry_indices(cat, horizon, ctx)
+    noise = pert.normal(0.0, cat.rho, size=(horizon, k, d))
+    reward_noise = rew.standard_normal(horizon)
+
+    f_table = np.array([scalar_interval_width(t, params, d) for t in range(horizon)])
+
+    Z = np.zeros((d, d))
+    xr = np.zeros(d)
+    W = np.eye(d) / params.ridge
+    theta_hat = np.zeros(d)
+    theta = np.asarray(theta, dtype=float)
+
+    total = minority_total = 0.0
+    inst_curve = np.empty(horizon)
+    in_set = cat.minority[idx]
+    if restriction == "coin":
+        in_set = stream(master_seed, replicate, Purpose.RESTRICTION).random(horizon) < restriction_p
+    for t in range(horizon):
+        x = cat.means[idx[t]] + noise[t]
+        avail = cat.avail[idx[t]]
+        xw = x @ W
+        widths = np.sqrt(np.maximum(np.sum(xw * x, axis=1), 0.0))
+        scores = np.where(avail, x @ theta_hat + f_table[t] * widths, -np.inf)
+        a = int(np.argmax(scores))
+
+        true_vals = np.where(avail, x @ theta, -np.inf)
+        inst = float(true_vals.max() - true_vals[a])
+        total += inst
+        if in_set[t]:
+            minority_total += inst
+        inst_curve[t] = inst
+
+        chosen = x[a]
+        r = float(chosen @ theta) + float(reward_noise[t])
+        Z += np.outer(chosen, chosen)
+        xr += r * chosen
+        wx = W @ chosen
+        W -= np.outer(wx, wx) / (1.0 + float(chosen @ wx))
+        if (t + 1) % refresh_every == 0:
+            W = np.linalg.inv(0.5 * (Z + Z.T) + params.ridge * np.eye(d))
+            W = 0.5 * (W + W.T)
+        theta_hat = W @ xr
+    return total, minority_total, np.cumsum(inst_curve)
 
 
 def simulate_reward_rows(weights, batch_reward_draws, rng) -> np.ndarray:

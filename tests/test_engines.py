@@ -5,9 +5,9 @@ order but re-derives every decision through the generic building blocks
 (sufficient statistics, interval widths, and the per-round greedy/UCB
 selection, regret and posterior means of ``oracles``) instead of the engines'
 closed-form shortcuts.  The lockstep LinUCB engine is also held bit for bit
-to a single-replicate loop with the same arithmetic, the lockstep batched
-greedy engine to ``oracles.single_replicate_greedy``, and the two-bridge
-engines to the per-round loops of ``oracles``.
+to ``oracles.single_replicate_linucb``, the lockstep batched greedy engine
+to ``oracles.single_replicate_greedy``, and the two-bridge engines to the
+per-round loops of ``oracles``.
 """
 
 import functools
@@ -23,7 +23,10 @@ import banditsim.engines as engines
 from banditsim.engines import (
     GAP_PROBE_ROUNDS,
     NOISE_CHUNK,
+    LinUCBCell,
     _draw_entry_indices,
+    _draw_group_flags,
+    _entries_for,
     _seg_sums,
     _single_rewards,
     linucb_picks_top,
@@ -54,6 +57,7 @@ from oracles import (
     linucb_scores,
     scalar_interval_width,
     single_replicate_greedy,
+    single_replicate_linucb,
 )
 
 MASTER = 20260814
@@ -299,65 +303,6 @@ def reference_perturbed_linucb(cat, params, theta, horizon, master_seed, replica
         Z += np.outer(chosen, chosen)
         xr += r * chosen
     return total, minority_total
-
-
-def single_replicate_linucb(
-    cat, params, theta, horizon, master_seed, replicate,
-    refresh_every=10_000, restriction="minority", restriction_p=0.5,
-):
-    """Per-round LinUCB on one replicate with a rank-one-updated cached inverse.
-
-    The same arithmetic, call for call, as the lockstep engine's per-replicate
-    slice; returns (regret_total, regret_minority, curve).
-    """
-    d, k = cat.dim, cat.n_actions
-    ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
-    pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
-    rew = stream(master_seed, replicate, Purpose.REWARDS)
-
-    idx = _draw_entry_indices(cat, horizon, ctx)
-    noise = pert.normal(0.0, cat.rho, size=(horizon, k, d))
-    reward_noise = rew.standard_normal(horizon)
-
-    f_table = np.array([scalar_interval_width(t, params, d) for t in range(horizon)])
-
-    Z = np.zeros((d, d))
-    xr = np.zeros(d)
-    W = np.eye(d) / params.ridge
-    theta_hat = np.zeros(d)
-    theta = np.asarray(theta, dtype=float)
-
-    total = minority_total = 0.0
-    inst_curve = np.empty(horizon)
-    in_set = cat.minority[idx]
-    if restriction == "coin":
-        in_set = _coins(master_seed, replicate, horizon, restriction_p)
-    for t in range(horizon):
-        x = cat.means[idx[t]] + noise[t]
-        avail = cat.avail[idx[t]]
-        xw = x @ W
-        widths = np.sqrt(np.maximum(np.sum(xw * x, axis=1), 0.0))
-        scores = np.where(avail, x @ theta_hat + f_table[t] * widths, -np.inf)
-        a = int(np.argmax(scores))
-
-        true_vals = np.where(avail, x @ theta, -np.inf)
-        inst = float(true_vals.max() - true_vals[a])
-        total += inst
-        if in_set[t]:
-            minority_total += inst
-        inst_curve[t] = inst
-
-        chosen = x[a]
-        r = float(chosen @ theta) + float(reward_noise[t])
-        Z += np.outer(chosen, chosen)
-        xr += r * chosen
-        wx = W @ chosen
-        W -= np.outer(wx, wx) / (1.0 + float(chosen @ wx))
-        if (t + 1) % refresh_every == 0:
-            W = np.linalg.inv(0.5 * (Z + Z.T) + params.ridge * np.eye(d))
-            W = 0.5 * (W + W.T)
-        theta_hat = W @ xr
-    return total, minority_total, np.cumsum(inst_curve)
 
 
 class TestTwoBridgePolicyEngine:
@@ -993,9 +938,11 @@ class TestGreedySingularFallback:
             _assert_same_run(res, want, keeps_curve=i == 0)
 
 
-def _linucb_one(cfg, params, theta, horizon, replicate, **kwargs):
-    """The lockstep engine on a block of one replicate."""
-    [res] = run_perturbed_linucb(cfg, params, [theta], horizon, MASTER, (replicate,), **kwargs)
+def _linucb_one(cfg, params, theta, horizon, replicate, sums=None):
+    """The lockstep engine on one cell of one replicate."""
+    [[res]] = run_perturbed_linucb(
+        cfg, [LinUCBCell(horizon, params, sums)], [theta], horizon, MASTER, (replicate,)
+    )
     return res
 
 
@@ -1004,6 +951,14 @@ def _linucb_one(cfg, params, theta, horizon, replicate, **kwargs):
 LOCKSTEP_HORIZON = NOISE_CHUNK + 40
 LOCKSTEP_REFRESH = NOISE_CHUNK // 3 + 1
 LOCKSTEP_REPLICATES = tuple(range(7))
+# The cells of one lockstep call: one ends on a refresh round inside the first
+# chunk, one is LOCKSTEP_HORIZON and ends inside a refresh period, and one ends
+# on a chunk boundary, also inside a refresh period.
+LOCKSTEP_CELLS = (2 * LOCKSTEP_REFRESH, LOCKSTEP_HORIZON, 2 * NOISE_CHUNK)
+
+
+def _lockstep_params(cfg, horizon):
+    return LinUCBParams.for_perturbed(d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM)
 
 
 def _lockstep_thetas():
@@ -1014,14 +969,11 @@ def _lockstep_thetas():
 
 
 @functools.lru_cache(maxsize=None)
-def _single_replicate_runs(two_group: bool, restriction: str) -> tuple:
+def _single_replicate_runs(two_group: bool, restriction: str, horizon: int) -> tuple:
     cfg = _two_group_catalog() if two_group else _one_group_catalog()
-    params = LinUCBParams.for_perturbed(
-        d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_norm=PRIOR_NORM
-    )
     return tuple(
         single_replicate_linucb(
-            cfg, params, theta, LOCKSTEP_HORIZON, MASTER, rep,
+            cfg, _lockstep_params(cfg, horizon), theta, horizon, MASTER, rep,
             refresh_every=LOCKSTEP_REFRESH, restriction=restriction,
         )
         for rep, theta in zip(LOCKSTEP_REPLICATES, _lockstep_thetas())
@@ -1033,36 +985,65 @@ class TestPerturbedLinUCBEngine:
     @pytest.mark.parametrize("two_group", [False, True])
     @pytest.mark.parametrize("restriction", ["minority", "coin"])
     def test_lockstep_is_bit_identical_to_single_replicate_loop(self, block, two_group, restriction, monkeypatch):
-        assert LOCKSTEP_HORIZON % NOISE_CHUNK != 0
+        short, mid, long = LOCKSTEP_CELLS
+        assert short % LOCKSTEP_REFRESH == 0 and short < NOISE_CHUNK
+        assert mid % NOISE_CHUNK and mid % LOCKSTEP_REFRESH
+        assert long % NOISE_CHUNK == 0 and long % LOCKSTEP_REFRESH
         refreshes = range(LOCKSTEP_REFRESH, LOCKSTEP_HORIZON + 1, LOCKSTEP_REFRESH)
         assert {t // NOISE_CHUNK for t in refreshes} == {0, 1}
         assert len(LOCKSTEP_REPLICATES) % block or block == 1  # a ragged last block
 
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
-        params = LinUCBParams.for_perturbed(
-            d=2, n_actions=2, horizon=LOCKSTEP_HORIZON, rho=cfg.rho, prior_norm=PRIOR_NORM
-        )
         thetas = _lockstep_thetas()
         monkeypatch.setattr(engines, "REFRESH_EVERY", LOCKSTEP_REFRESH)
-        results = []
+        # The cells go in out of horizon order; results come back per cell.
+        order = (mid, long, short)
+        results = {t: [] for t in order}
         for first in range(0, len(LOCKSTEP_REPLICATES), block):
             reps = LOCKSTEP_REPLICATES[first:first + block]
-            results += run_perturbed_linucb(
-                cfg, params, thetas[first:first + block], LOCKSTEP_HORIZON, MASTER, reps,
-                sums=_curve_sums(reps, LOCKSTEP_HORIZON, restriction=restriction),
-            )
-        expected = _single_replicate_runs(two_group, restriction)
-        assert len(results) == len(expected)
-        for i, (res, (total, minority, curve)) in enumerate(zip(results, expected)):
-            assert res.regret_total == total
-            assert res.regret_minority == minority
-            assert res.regret_prediction == total
-            # Only the first replicate of a block keeps its curve.
-            if i % block:
-                assert res.curve is None
-            else:
-                assert np.array_equal(res.curve, curve)
-                assert res.curve[-1] == res.regret_total
+            cells = [
+                LinUCBCell(t, _lockstep_params(cfg, t), _curve_sums(reps, t, restriction=restriction))
+                for t in order
+            ]
+            per_cell = run_perturbed_linucb(cfg, cells, thetas[first:first + block], long, MASTER, reps)
+            assert [len(r) for r in per_cell] == [len(reps)] * len(order)
+            for t, cell_results in zip(order, per_cell):
+                results[t] += cell_results
+        for t in order:
+            expected = _single_replicate_runs(two_group, restriction, t)
+            assert len(results[t]) == len(expected)
+            for i, (res, (total, minority, curve)) in enumerate(zip(results[t], expected)):
+                assert res.regret_total == total
+                assert res.regret_minority == minority
+                assert res.regret_prediction == total
+                # Only the first replicate of a block keeps its cell's curve.
+                if i % block:
+                    assert res.curve is None
+                else:
+                    assert np.array_equal(res.curve, curve)
+                    assert res.curve[-1] == res.regret_total
+
+    def test_gram_fold_adds_rounds_in_order(self):
+        # Regret reads only the decisions, which rarely turn on the last bits
+        # of Z, so the fold is held to the per-round sum directly.
+        rng = np.random.default_rng(3)
+        Z = rng.standard_normal((4, 3, 3)) * 1e3
+        rows = rng.standard_normal((50, 4, 3)) * np.logspace(-3, 3, 50)[:, None, None]
+        expected = Z.copy()
+        for r in rows:
+            expected += r[:, :, None] * r[:, None, :]
+        assert np.array_equal(engines._fold_outer(Z, rows), expected)
+        # Summing the rounds first rounds differently on these inputs.
+        assert not np.array_equal(Z + (rows[..., :, None] * rows[..., None, :]).sum(axis=0), expected)
+
+    def test_horizon_is_the_longest_cell(self):
+        cfg = _one_group_catalog()
+        cells = [LinUCBCell(t, _lockstep_params(cfg, t)) for t in (100, 200)]
+        for horizon in (100, 150, 300):
+            with pytest.raises(ValueError, match="longest cell horizon"):
+                run_perturbed_linucb(cfg, cells, [THETA], horizon, MASTER, (0,))
+        with pytest.raises(ValueError, match="longest cell horizon"):
+            run_perturbed_linucb(cfg, [], [THETA], 100, MASTER, (0,))
 
     @pytest.mark.parametrize("two_group", [False, True])
     def test_matches_direct_inverse_reference(self, two_group):
@@ -1093,7 +1074,8 @@ class TestPerturbedLinUCBEngine:
         monkeypatch.setattr(np.linalg, "inv", counted)
         monkeypatch.setattr(engines, "REFRESH_EVERY", LOCKSTEP_REFRESH)
         run_perturbed_linucb(
-            cfg, params, _lockstep_thetas()[:2], LOCKSTEP_HORIZON, MASTER, LOCKSTEP_REPLICATES[:2],
+            cfg, [LinUCBCell(LOCKSTEP_HORIZON, params)], _lockstep_thetas()[:2], LOCKSTEP_HORIZON,
+            MASTER, LOCKSTEP_REPLICATES[:2],
         )
         assert LOCKSTEP_HORIZON > NOISE_CHUNK
         assert calls == [(2, 2, 2)] * (LOCKSTEP_HORIZON // LOCKSTEP_REFRESH)
@@ -1130,7 +1112,7 @@ class TestPerturbedLinUCBEngine:
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         thetas = _lockstep_thetas()[[4, 1]]
-        pair = run_perturbed_linucb(cfg, params, thetas, horizon, MASTER, (4, 1))
+        [pair] = run_perturbed_linucb(cfg, [LinUCBCell(horizon, params)], thetas, horizon, MASTER, (4, 1))
         for res, rep, theta in zip(pair, (4, 1), thetas):
             alone = _linucb_one(cfg, params, theta, horizon, rep)
             assert res.regret_total == alone.regret_total
@@ -1222,22 +1204,40 @@ class TestEngineInvariants:
                 assert res.regret_prediction == res.regret_total
 
     @PROPERTY
-    @given(horizon=st.integers(2, 120), two_group=st.booleans(), seed=SEEDS,
-           first=st.integers(0, 50), block=st.integers(1, 3), restriction=RESTRICTIONS,
-           curve=st.booleans())
-    def test_perturbed_linucb(self, horizon, two_group, seed, first, block, restriction, curve):
+    @given(horizons=st.lists(st.integers(2, 120), min_size=1, max_size=3, unique=True),
+           two_group=st.booleans(), seed=SEEDS, first=st.integers(0, 50), block=st.integers(1, 3),
+           restriction=RESTRICTIONS, curve=st.booleans())
+    def test_perturbed_linucb(self, horizons, two_group, seed, first, block, restriction, curve):
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         # Widths for a longer horizon: the parameters need one beyond their norm bound.
         params = LinUCBParams.for_perturbed(d=2, n_actions=2, horizon=200, rho=cfg.rho, prior_norm=PRIOR_NORM)
         reps = tuple(range(first, first + block))
         thetas = np.array([THETA + 0.2 * stream(seed, rep, Purpose.THETA).standard_normal(2) for rep in reps])
-        sums = RegretSums(seed, reps, horizon, restriction, 0.5, curve)
-        results = run_perturbed_linucb(cfg, params, thetas, horizon, seed, reps, sums=sums)
-        assert len(results) == block
-        _check_invariants(results, horizon, curve)
+        cells = [LinUCBCell(t, params, RegretSums(seed, reps, t, restriction, 0.5, curve)) for t in horizons]
+        per_cell = run_perturbed_linucb(cfg, cells, thetas, max(horizons), seed, reps)
+        assert len(per_cell) == len(horizons)
+        for t, results in zip(horizons, per_cell):
+            assert len(results) == block
+            _check_invariants(results, t, curve)
 
 
 class TestEntryDraws:
+    @pytest.mark.parametrize("two_group", [False, True])
+    def test_streamed_draw_continues_the_whole_horizon_draw(self, two_group):
+        # The LinUCB engine draws the group flags of a row's whole horizon,
+        # then its uniforms one chunk at a time.
+        cat = _two_group_catalog() if two_group else _one_group_catalog()
+        horizon = 2 * NOISE_CHUNK + 57
+        rng = stream(MASTER, 5, Purpose.CONTEXTS)
+        is_min = _draw_group_flags(cat, horizon, rng)
+        assert (is_min is None) != two_group
+        chunks = [
+            _entries_for(cat, rng.random(stop - start), None if is_min is None else is_min[start:stop])
+            for start, stop in ((0, NOISE_CHUNK), (NOISE_CHUNK, 2 * NOISE_CHUNK), (2 * NOISE_CHUNK, horizon))
+        ]
+        whole = _draw_entry_indices(cat, horizon, stream(MASTER, 5, Purpose.CONTEXTS))
+        np.testing.assert_array_equal(np.concatenate(chunks), whole)
+
     def test_entry_draw_frequencies(self):
         cat = _one_group_catalog()
         rng = np.random.default_rng(0)

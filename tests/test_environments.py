@@ -5,6 +5,7 @@ import pytest
 
 from banditsim.core import ConfigurationError, NoiseKind
 from banditsim.engines import (
+    LinUCBCell,
     _round_positions,
     _seg_sums,
     _single_rewards,
@@ -262,7 +263,7 @@ class TestPerturbedSampling:
             params = LinUCBParams.for_perturbed(
                 d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=0.0
             )
-            [res] = run_perturbed_linucb(cfg, params, [theta], horizon, 20260814, (0,))
+            [[res]] = run_perturbed_linucb(cfg, [LinUCBCell(horizon, params)], [theta], horizon, 20260814, (0,))
         else:
             [res] = run_perturbed_batch_greedy(
                 cfg, gaussian_prior(np.zeros(2), np.eye(2)), [theta], horizon, 50, 20260814, (0,),

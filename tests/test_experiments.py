@@ -312,13 +312,48 @@ class TestLinUCBBlocks:
     def test_perturbed_jobs_hold_blocks_of_their_engine(self):
         cfg = _cfg(SMALL_SCALING)
         jobs = experiments._jobs_for(cfg, build_instance(cfg))
-        for _, _, policy, _, reps, _ in jobs:
-            block = experiments.LINUCB_BLOCK if policy == "linucb" else experiments.GREEDY_BLOCK
+        for _, _, policy, horizons, reps, _ in jobs:
+            # A LinUCB job holds every horizon of its policy, a greedy job one.
+            if policy == "linucb":
+                block = experiments.LINUCB_BLOCK
+                assert horizons == cfg.horizons
+            else:
+                block = experiments.GREEDY_BLOCK
+                assert len(horizons) == 1
+            # Full blocks and one ragged block per cell.
             assert len(reps) in (block, 35 % block)
-        covered = sorted((p, t, r) for _, _, p, t, reps, _ in jobs for r in reps)
+        covered = sorted((p, t, r) for _, _, p, hs, reps, _ in jobs for t in hs for r in reps)
         assert covered == sorted(
             (p, t, r) for p in cfg.policies for t in cfg.horizons for r in range(35)
         )
+        assert [(p, hs, reps[0]) for _, _, p, hs, reps, curve in jobs if curve] == [
+            ("linucb", cfg.horizons, 0),
+            *(("batch_bayes_greedy", (t,), 0) for t in cfg.horizons),
+            *(("batch_freq_greedy", (t,), 0) for t in cfg.horizons),
+        ]
+
+    def test_outputs_independent_of_job_order(self, monkeypatch):
+        cfg = _cfg(SMALL_SCALING)
+        forward = _outputs(cfg, workers=1)
+        jobs_for = experiments._jobs_for
+        monkeypatch.setattr(experiments, "_jobs_for", lambda *args: jobs_for(*args)[::-1])
+        assert _outputs(cfg, workers=1) == forward
+        assert _outputs(cfg, workers=2) == forward
+
+    def test_chunks_hold_consecutive_jobs_of_about_equal_work(self):
+        cfg = _cfg(SMALL_SCALING)
+        jobs = experiments._jobs_for(cfg, build_instance(cfg))
+        work = {id(job): sum(job[3]) * len(job[4]) for job in jobs}
+        share = sum(work.values()) / 8
+        chunks = experiments._work_chunks(jobs, 8)
+        assert [job for chunk in chunks for job in chunk] == jobs
+        assert len(chunks) <= 8
+        for chunk in chunks:
+            # A chunk stays within a share of the work, plus the job that crosses into the next share.
+            assert len(chunk) == 1 or sum(work[id(job)] for job in chunk[:-1]) < share
+        # The multi-horizon LinUCB blocks do not all land in one chunk.
+        linucb = {i for i, chunk in enumerate(chunks) for job in chunk if job[2] == "linucb"}
+        assert len(linucb) > 1
 
     def test_two_bridge_jobs_hold_one_replicate(self):
         cfg = _cfg(SMALL_TWO_BRIDGE)
@@ -328,16 +363,18 @@ class TestLinUCBBlocks:
         cfg = _cfg("experiment = ScalingFit\nhorizons = 200, 400, 800\nreplicates = 6\npolicies = linucb\n")
         engine = experiments.run_perturbed_linucb
 
-        def fail_on_replicate_3(catalog, params, thetas, horizon, master_seed, replicates, **kwargs):
+        def fail_on_replicate_3(catalog, cells, thetas, horizon, master_seed, replicates):
             if 3 in replicates:
                 raise FloatingPointError("injected")
-            return engine(catalog, params, thetas, horizon, master_seed, replicates, **kwargs)
+            return engine(catalog, cells, thetas, horizon, master_seed, replicates)
 
         monkeypatch.setattr(experiments, "run_perturbed_linucb", fail_on_replicate_3)
         with pytest.raises(ReplicateError) as err:
             run_experiment(cfg, workers=1)
         assert "replicate 3 " in str(err.value)
         assert str(replicate_seed_id(cfg.master_seed, 3)) in str(err.value)
+        # The failing job held every horizon, and the message names them all.
+        assert "ScalingFit/linucb/T=200,400,800 " in str(err.value)
 
 
 class TestUniformRandomCalibration:
