@@ -145,18 +145,18 @@ def linucb_comparator_horizon(horizon: int, batch: int) -> int:
 def _run_job(job) -> list:
     """Run one job: one (row, extras, curve points) outcome per (horizon,
     replicate) it holds."""
-    cfg, instance, policy, horizons, reps, track_curve = job
+    cfg, instance, policy, horizons, reps = job
     try:
         if instance is None:
-            return [_two_bridge_job(cfg, policy, t, rep, track_curve) for t in horizons for rep in reps]
-        return _perturbed_job(cfg, instance, policy, horizons, reps, track_curve)
+            return [_two_bridge_job(cfg, policy, t, rep) for t in horizons for rep in reps]
+        return _perturbed_job(cfg, instance, policy, horizons, reps)
     except Exception as exc:
         if len(reps) > 1:
             # Replicates are independent of their block, so running them one
             # at a time gives the same outcomes and names the one that fails.
             return [
                 out for rep in reps
-                for out in _run_job((cfg, instance, policy, horizons, (rep,), track_curve))
+                for out in _run_job((cfg, instance, policy, horizons, (rep,)))
             ]
         seed = replicate_seed_id(cfg.master_seed, reps[0])
         at = ",".join(str(t) for t in horizons)
@@ -176,7 +176,7 @@ def _work_chunks(jobs: list, n_chunks: int) -> list:
     1/``n_chunks`` of the total work, a job's work being the sum of its
     horizons times its replicate count; a job larger than that share runs
     alone."""
-    work = [sum(horizons) * len(reps) for _, _, _, horizons, reps, _ in jobs]
+    work = [sum(horizons) * len(reps) for _, _, _, horizons, reps in jobs]
     total = sum(work)
     chunks: dict = {}
     done = 0
@@ -205,7 +205,7 @@ def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, res, th
     return row, extras, points
 
 
-def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, track_curve: bool = False) -> tuple:
+def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int) -> tuple:
     variant = cfg.theta_variant
     p_majority = MAJORITY_RATE if cfg.population == "full" else 0.0
     if EXPERIMENT_SPECS[cfg.experiment].theta_coin:
@@ -220,7 +220,7 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
         noise=NoiseKind(cfg.noise),
         p_majority=p_majority,
     )
-    sums = RegretSums(cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, track_curve)
+    sums = RegretSums(cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, rep == 0)
     if policy == "batch_freq_greedy":
         res = run_two_bridge_batch_freq(base, cfg.master_seed, rep, cfg.batch, sums=sums)
     else:
@@ -230,13 +230,12 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, 
     return _outcome(cfg, policy, horizon, rep, res, int(variant == "theta1"), extras)
 
 
-def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple,
-                   track_curve: bool) -> list:
+def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
     catalog, prior = instance
     thetas = [draw_theta_for_replicate(cfg, prior, rep) for rep in reps]
 
     def sums(horizon):
-        return RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, track_curve)
+        return RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, reps[0] == 0)
 
     if policy in ("batch_bayes_greedy", "batch_freq_greedy"):
         [horizon] = horizons
@@ -313,7 +312,7 @@ def _instance_for(cfg: ExperimentConfig):
 
 
 def _jobs_for(cfg: ExperimentConfig, instance) -> list:
-    """Jobs ``(cfg, instance, policy, horizons, replicates, track_curve)``.
+    """Jobs ``(cfg, instance, policy, horizons, replicates)``.
 
     A perturbed LinUCB job holds up to LINUCB_BLOCK consecutive replicates at
     every horizon of its policy's cells, which its engine advances in one
@@ -333,7 +332,7 @@ def _jobs_for(cfg: ExperimentConfig, instance) -> list:
         for group in groups:
             for first in range(0, cfg.replicates, block):
                 reps = tuple(range(first, min(first + block, cfg.replicates)))
-                jobs.append((cfg, instance, policy, group, reps, first == 0))
+                jobs.append((cfg, instance, policy, group, reps))
     return jobs
 
 

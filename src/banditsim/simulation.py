@@ -6,15 +6,12 @@ diversity radius: take ``w = X_B (X_B^T X_B)^-1 x`` so that ``X_B^T w = x``,
 return ``w . r_B`` plus independent noise of variance ``1 - ||w||^2``.
 
 ``simulate_reward_many`` draws the batch rewards itself and streams them
-through one buffer of ``SIM_TILE`` rows (one more for a lone last row), so no
-``n x Y`` matrix is ever built.  Its draws come in stretches of ``SIM_CHUNK``
-rows, each stretch's top-up noise right after its rows.  ``SIM_CHUNK`` is part
-of the stream contract: changing it moves the bytes of every
-``verify-simulation`` report.  ``SIM_TILE`` moves no byte at one BLAS thread:
-OpenBLAS's gemv rounds a row by its place among groups of four rows, and tiles
-of a multiple of four rows keep each row's place in its stretch.  OpenBLAS
-splits a gemv over threads from about 460 800 entries, which can shift those
-places; a tile of 513 rows stays below that up to ``Y = 898``.
+through one buffer of ``SIM_TILE`` rows, so no ``n x Y`` matrix is ever built.
+Its draws come in stretches of ``SIM_CHUNK`` rows, each stretch's top-up noise
+right after its rows.  ``SIM_CHUNK`` is part of the stream contract: changing
+it moves the bytes of every ``verify-simulation`` report.  Each row's weighted
+sum is an ``einsum``, which calls no BLAS, so a row's bits depend neither on
+``SIM_TILE`` nor on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -111,19 +108,15 @@ def simulate_reward_many(
     if weights.residual_var < 0.0:
         raise RadiusError("target outside the simulation radius")
     sims = np.empty(n)
-    tile = np.empty((min(SIM_TILE + 1, n), means.shape[0]))
+    tile = np.empty((min(SIM_TILE, n), means.shape[0]))
     for start in range(0, n, SIM_CHUNK):
         stop = min(start + SIM_CHUNK, n)
-        lo = start
-        while lo < stop:
-            # A lone last row joins the tile before it: NumPy sends a one-row
-            # product to a dot product, which rounds unlike gemv.
-            hi = stop if stop - lo <= SIM_TILE + 1 else lo + SIM_TILE
+        for lo in range(start, stop, SIM_TILE):
+            hi = min(lo + SIM_TILE, stop)
             rows = tile[:hi - lo]
             rng.standard_normal(out=rows)
             np.add(rows, means, out=rows)
-            np.matmul(rows, weights.w, out=sims[lo:hi])
-            lo = hi
+            np.einsum("ij,j->i", rows, weights.w, out=sims[lo:hi])
         if weights.residual_var > 0.0:
             sims[start:stop] += math.sqrt(weights.residual_var) * rng.standard_normal(stop - start)
     return sims

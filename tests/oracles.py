@@ -417,7 +417,7 @@ def simulate_reward_rows(weights, batch_reward_draws, rng) -> np.ndarray:
         raise ValueError("draws must form an (m, Y) matrix")
     if weights.residual_var < 0.0:
         raise RadiusError("target outside the simulation radius")
-    values = R @ weights.w
+    values = np.einsum("ij,j->i", R, weights.w)
     if weights.residual_var > 0.0:
         values = values + math.sqrt(weights.residual_var) * rng.standard_normal(R.shape[0])
     return values

@@ -312,7 +312,7 @@ class TestLinUCBBlocks:
     def test_perturbed_jobs_hold_blocks_of_their_engine(self):
         cfg = _cfg(SMALL_SCALING)
         jobs = experiments._jobs_for(cfg, build_instance(cfg))
-        for _, _, policy, horizons, reps, _ in jobs:
+        for _, _, policy, horizons, reps in jobs:
             # A LinUCB job holds every horizon of its policy, a greedy job one.
             if policy == "linucb":
                 block = experiments.LINUCB_BLOCK
@@ -322,11 +322,12 @@ class TestLinUCBBlocks:
                 assert len(horizons) == 1
             # Full blocks and one ragged block per cell.
             assert len(reps) in (block, 35 % block)
-        covered = sorted((p, t, r) for _, _, p, hs, reps, _ in jobs for t in hs for r in reps)
+        covered = sorted((p, t, r) for _, _, p, hs, reps in jobs for t in hs for r in reps)
         assert covered == sorted(
             (p, t, r) for p in cfg.policies for t in cfg.horizons for r in range(35)
         )
-        assert [(p, hs, reps[0]) for _, _, p, hs, reps, curve in jobs if curve] == [
+        # Replicate 0, whose curve is kept, leads its block, so the engine tracks its curve.
+        assert [(p, hs, reps[0]) for _, _, p, hs, reps in jobs if 0 in reps] == [
             ("linucb", cfg.horizons, 0),
             *(("batch_bayes_greedy", (t,), 0) for t in cfg.horizons),
             *(("batch_freq_greedy", (t,), 0) for t in cfg.horizons),
@@ -357,7 +358,7 @@ class TestLinUCBBlocks:
 
     def test_two_bridge_jobs_hold_one_replicate(self):
         cfg = _cfg(SMALL_TWO_BRIDGE)
-        assert all(len(reps) == 1 for *_, reps, _ in experiments._jobs_for(cfg, None))
+        assert all(len(reps) == 1 for *_, reps in experiments._jobs_for(cfg, None))
 
     def test_failing_replicate_in_block_carries_its_seed(self, monkeypatch):
         cfg = _cfg("experiment = ScalingFit\nhorizons = 200, 400, 800\nreplicates = 6\npolicies = linucb\n")

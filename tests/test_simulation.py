@@ -1,6 +1,10 @@
 """Reward synthesis from batch data: weights, radii, and distribution match."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,7 +145,7 @@ class TestStreamingMatchesChunkedDraws:
     """The tiled stream against whole stretches of ``SIM_CHUNK`` rows, bit for bit."""
 
     @pytest.mark.parametrize("residual", [0.0, 0.35])
-    @pytest.mark.parametrize("y", [2, 300])
+    @pytest.mark.parametrize("y", [2, 300, 1000])
     @pytest.mark.parametrize(
         "n", [1, 10, SIM_TILE - 1, SIM_TILE, SIM_TILE + 1, SIM_CHUNK + SIM_TILE + 3, 25_000]
     )
@@ -153,9 +157,10 @@ class TestStreamingMatchesChunkedDraws:
         assert got.tolist() == chunked_simulated_rewards(weights, means, n, ref).tolist()
         assert rng.random() == ref.random()
 
-    @pytest.mark.parametrize("tile", [64, 1024])
-    def test_tile_moves_no_byte(self, monkeypatch, tile):
-        weights, means = _weights(300, 0.35)
+    @pytest.mark.parametrize("y", [7, 300, 1000])
+    @pytest.mark.parametrize("tile", [1, 3, 64, 513, 1024])
+    def test_tile_moves_no_byte(self, monkeypatch, tile, y):
+        weights, means = _weights(y, 0.35)
         n = 2 * SIM_CHUNK + tile + 1
         expected = simulate_reward_many(weights, means, n, np.random.default_rng(4))
         monkeypatch.setattr(simulation, "SIM_TILE", tile)
@@ -180,3 +185,38 @@ class TestStreamingMatchesChunkedDraws:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+# Prints one md5 of simulated rewards per (Y, n, seed); the weights and means
+# are those of ``_weights``.  The batches are wide enough for OpenBLAS to split
+# a tile's matrix-vector product over threads, so a product that went through
+# BLAS would change bits between 1 and 2 threads.
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from banditsim.simulation import SimulationWeights, simulate_reward_many
+for y, n in ((1000, 470), (1000, 10_470), (2000, 300)):
+    g = np.random.default_rng(y)
+    w = g.normal(size=y)
+    w *= np.sqrt(0.65) / np.linalg.norm(w)
+    weights, means = SimulationWeights(w, 0.35), g.normal(0.0, 0.5, size=y)
+    for seed in range(3):
+        sims = simulate_reward_many(weights, means, n, np.random.default_rng(seed))
+        print(y, n, seed, hashlib.md5(sims.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_rewards_do_not_depend_on_blas_thread_count(self):
+        # The thread count is read when NumPy loads, so each count runs in a
+        # fresh interpreter.
+        src = str(Path(simulation.__file__).resolve().parents[1])
+        listings = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
+                                 text=True, check=True, timeout=120)
+            listings.append(out.stdout.splitlines())
+        assert len(listings[0]) == 9
+        assert listings[0] == listings[1]

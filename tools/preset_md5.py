@@ -6,10 +6,13 @@ Usage, from anywhere:
 
 runs the CLI of the checkout this file sits in on the run list below, once
 with ``--workers 1`` and once with ``--workers 2``, plus the two simulation
-audits, ``list-experiments`` and ``print-defaults``.  Every output lands under
-OUTDIR, and one ``md5  file`` line per output goes to stdout, sorted by file.
-A refactor that must keep the output bytes passes when ``diff`` finds no
-difference between the listings of two checkouts.
+audits, ``list-experiments`` and ``print-defaults``.  The ``--workers 1`` runs
+and the listing commands run under ``OPENBLAS_NUM_THREADS=1``, the
+``--workers 2`` runs and the audits under ``OPENBLAS_NUM_THREADS=2``, so one
+listing covers both worker counts and both BLAS thread counts.  Every output
+lands under OUTDIR, and one ``md5  file`` line per output goes to stdout,
+sorted by file.  A refactor that must keep the output bytes passes when
+``diff`` finds no difference between the listings of two checkouts.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ EXPERIMENTS = ("TwoBridgeLinUCB", "TwoBridgeImpossibility", "GreedyVsLinUCB", "S
                "ExternalityVanishing", "SimulationVerify", "EigGrowth")
 
 
-def banditsim(args: list, stdout=subprocess.DEVNULL) -> None:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def banditsim(args: list, threads: int = 1, stdout=subprocess.DEVNULL) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-m", "banditsim.cli", *args], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True)
     # The audit exits 4 when too many KS tests reject; its report is still an output.
@@ -76,9 +79,9 @@ def main(argv: list) -> int:
             run_dir.mkdir(parents=True, exist_ok=True)
             banditsim(["run", *args, "--workers", str(workers), "--out", str(run_dir / "results.csv"),
                        "--aggregates", str(run_dir / "aggregates.json"),
-                       "--curves", str(run_dir / "curves.csv")])
+                       "--curves", str(run_dir / "curves.csv")], threads=workers)
     for name, args in AUDITS:
-        banditsim(["verify-simulation", *args, "--out", str(out / f"{name}.json")])
+        banditsim(["verify-simulation", *args, "--out", str(out / f"{name}.json")], threads=2)
     with open(out / "list-experiments.txt", "w", encoding="utf-8") as fh:
         banditsim(["list-experiments"], stdout=fh)
     with open(out / "print-defaults.json", "w", encoding="utf-8") as fh:
