@@ -60,8 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--curves", default=None,
                      help="write replicate-0 cumulative regret curves to this CSV")
 
-    verify = sub.add_parser("verify-simulation",
-                            help="audit simulated rewards against direct draws")
+    verify = sub.add_parser(
+        "verify-simulation", help="audit simulated rewards against direct draws",
+        description="Audit simulated rewards against direct draws. The targets run on "
+                    "BANDITSIM_WORKERS worker processes (default: cpu count, at most 8); "
+                    "the report does not depend on the count.")
     verify.add_argument("config", nargs="?", help="config file of key = value lines")
     verify.add_argument("--seed", type=int, default=None, help="master seed override")
     verify.add_argument("--targets", type=int, default=None, help="number of target contexts")
@@ -159,7 +162,7 @@ def _cmd_verify(args) -> int:
     if EXPERIMENT_SPECS[parse_config(text, shared, default_experiment=audit).experiment].family != "audit":
         raise ConfigError(f"verify-simulation requires the {audit} experiment")
     cfg = parse_config(text, overrides, default_experiment=audit)
-    result = run_experiment(cfg, workers=1)
+    result = run_experiment(cfg)
     report = result.aggregates["simulation_verify"]
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     if report["rejections"] > args.max_rejections:

@@ -12,6 +12,7 @@ across repeated runs and across any worker count; rows are sorted by
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -169,6 +170,15 @@ def _run_job(job) -> list:
 def _run_jobs(jobs: list) -> list:
     """Run consecutive jobs in one pool task: one outcome list per job."""
     return [_run_job(job) for job in jobs]
+
+
+def _map_ordered(fn: Callable, items: list, n_workers: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``n_workers`` processes
+    when there is more than one worker and more than one item."""
+    if n_workers == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _work_chunks(jobs: list, n_chunks: int) -> list:
@@ -379,17 +389,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Experim
     the order in which the outcomes arrive.
     """
     spec = EXPERIMENT_SPECS[cfg.experiment]
+    n_workers = resolve_workers(workers)
     if spec.family == "audit":
-        report = simulation_verification_report(cfg)
+        report = simulation_verification_report(cfg, n_workers)
         return ExperimentResult((), {"experiment": cfg.experiment, "simulation_verify": report}, {})
     jobs = _jobs_for(cfg, _instance_for(cfg))
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(jobs) == 1:
-        per_job = [_run_job(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            per_job = [outs for chunk in pool.map(_run_jobs, _work_chunks(jobs, n_workers * 8))
-                       for outs in chunk]
+    chunks = _work_chunks(jobs, n_workers * 8)
+    per_job = [outs for chunk in _map_ordered(_run_jobs, chunks, n_workers) for outs in chunk]
     outcomes = [out for outs in per_job for out in outs]
     rows = tuple(sorted((out[0] for out in outcomes), key=ResultRow.sort_key))
     extras = {(row.policy, row.horizon, row.replicate): ex or {} for row, ex, _ in outcomes}
@@ -732,14 +738,43 @@ def ks_2samp_equal(x: np.ndarray, y: np.ndarray) -> tuple:
     return statistic, min(1.0, float(2.0 * (terms[0::2].sum() - terms[1::2].sum())))
 
 
-def simulation_verification_report(cfg: ExperimentConfig) -> dict:
+def _audit_target(cfg: ExperimentConfig, x_batch: np.ndarray, theta: np.ndarray, lam: float,
+                  alpha: float, i: int) -> dict:
+    """Audit target ``i``, drawn from its own stream: its direction, radius,
+    simulated rewards and direct draws, then the KS test at level ``alpha``."""
+    rng = stream(cfg.master_seed, i, Purpose.SIMULATION)
+    direction = rng.standard_normal(cfg.d)
+    direction /= max(float(np.linalg.norm(direction)), 1e-12)
+    radius = math.sqrt(lam) * rng.random()
+    x = radius * direction
+    w = simulation_weights(x_batch, x)
+    recon = float(np.linalg.norm(x_batch.T @ w.w - x))
+    sims = simulate_reward_many(w, x_batch @ theta, cfg.sim_draws, rng)
+    direct = float(theta @ x) + rng.standard_normal(cfg.sim_draws)
+    statistic, p_value = ks_2samp_equal(sims, direct)
+    return {
+        "target_norm": radius,
+        "weight_norm": float(np.linalg.norm(w.w)),
+        "residual_var": w.residual_var,
+        "reconstruction_error": recon,
+        "ks_statistic": statistic,
+        "p_value": p_value,
+        "reject": bool(p_value < alpha),
+    }
+
+
+def simulation_verification_report(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     """Audit the reward-simulation construction on one diverse batch.
 
     Builds a batch by running batched greedy on the perturbed instance,
     draws ``cfg.n_targets`` targets inside the batch's diversity radius, and
     compares the simulated reward law against ``cfg.sim_draws`` direct draws
     with a two-sample KS test per target at level 0.01 (``ks_2samp_equal``).
+    Target ``i`` draws everything from ``stream(master_seed, i, SIMULATION)``,
+    so it does not depend on ``n_targets``, and the targets run on
+    ``resolve_workers(workers)`` processes without moving a byte of the report.
     """
+    n_workers = resolve_workers(workers)
     n_targets, n_draws = cfg.n_targets, cfg.sim_draws
     catalog, prior = build_instance(cfg)
     theta = draw_theta_for_replicate(cfg, prior, 0)
@@ -757,34 +792,10 @@ def simulation_verification_report(cfg: ExperimentConfig) -> dict:
     bound = context_norm_bound(cfg.rho, cfg.d, horizon, cfg.n_actions)
     y0 = suggested_batch_size(cfg.rho, cfg.d, horizon, 0.01, cfg.n_actions)
 
-    rng = stream(cfg.master_seed, 0, Purpose.SIMULATION)
-    batch_means = x_batch @ theta
     alpha = 0.01
-    targets = []
-    rejections = 0
-    for i in range(n_targets):
-        direction = rng.standard_normal(cfg.d)
-        direction /= max(float(np.linalg.norm(direction)), 1e-12)
-        radius = math.sqrt(lam) * rng.random()
-        x = radius * direction
-        w = simulation_weights(x_batch, x)
-        recon = float(np.linalg.norm(x_batch.T @ w.w - x))
-        sims = simulate_reward_many(w, batch_means, n_draws, rng)
-        direct = float(theta @ x) + rng.standard_normal(n_draws)
-        statistic, p_value = ks_2samp_equal(sims, direct)
-        reject = bool(p_value < alpha)
-        rejections += int(reject)
-        targets.append(
-            {
-                "target_norm": radius,
-                "weight_norm": float(np.linalg.norm(w.w)),
-                "residual_var": w.residual_var,
-                "reconstruction_error": recon,
-                "ks_statistic": statistic,
-                "p_value": p_value,
-                "reject": reject,
-            }
-        )
+    target = functools.partial(_audit_target, cfg, x_batch, theta, lam, alpha)
+    targets = _map_ordered(target, list(range(n_targets)), n_workers)
+    rejections = sum(t["reject"] for t in targets)
     return {
         "batch": cfg.batch,
         "batch_index": n_batches,

@@ -22,6 +22,8 @@ class Purpose(IntEnum):
     REWARDS = 2
     THETA = 3
     POLICY = 4
+    # The audit keys this stream by target, (master_seed, target, SIMULATION);
+    # ScalingFit's bootstrap draws from (master_seed, 0, SIMULATION).
     SIMULATION = 5
     CATALOG = 6
     RESTRICTION = 7

@@ -434,14 +434,31 @@ class TestVerifySimulation:
         assert err["error"] == "ConfigError"
         assert message in err["message"]
 
-    def test_singular_audited_batch_exit_4(self, tmp_path, capsys):
+    def test_singular_audited_batch_exit_4(self, tmp_path, capsys, monkeypatch):
         # Valid, but one catalog entry with two actions and almost no
-        # perturbation gives a batch whose Gram matrix is singular.
+        # perturbation gives a batch whose Gram matrix is singular.  At two
+        # workers the error is raised in a pool worker, whatever the CPU count.
         cfg = tmp_path / "singular.cfg"
         cfg.write_text("rho = 1e-9\ncatalog_size = 1\nn_actions = 2\n")
-        assert main(["verify-simulation", str(cfg), "--targets", "2", "--draws", "100", "--out", "-"]) == 4
+        for workers in ("1", "2"):
+            monkeypatch.setenv(experiments.WORKERS_ENV_VAR, workers)
+            assert main(["verify-simulation", str(cfg), "--targets", "2", "--draws", "100", "--out", "-"]) == 4
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "InsufficientDiversityError"
+
+    def test_audit_run_with_zero_workers_exit_2(self, capsys, monkeypatch):
+        monkeypatch.delenv(experiments.WORKERS_ENV_VAR, raising=False)
+        argv = ["run", "--experiment", "SimulationVerify", "--set", "n_targets=2", "--set", "sim_draws=100",
+                "--workers", "0", "--out", "-"]
+        assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "InsufficientDiversityError"
+        assert err == {"error": "ConfigurationError", "message": "workers must be at least 1"}
+
+    def test_audit_with_bad_worker_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "abc")
+        assert main(["verify-simulation", "--targets", "2", "--draws", "100", "--out", "-"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ConfigurationError", "message": "BANDITSIM_WORKERS must be an integer, got 'abc'"}
 
     def test_wrong_experiment_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "wrong.cfg"

@@ -428,17 +428,38 @@ class TestExperimentCurves:
         assert run_experiment(cfg).curves == {}
 
 
+AUDIT_CONFIG = "experiment = SimulationVerify\nhorizons = 600\nbatch = 200\nsim_draws = 2000\n"
+
+
 class TestSimulationAudit:
     def test_report_equals_chunked_oracle(self, monkeypatch):
         # Ragged against both the tile and the stretch of the draw stream.
         n = SIM_CHUNK + SIM_TILE + 3
         cfg = _cfg("experiment = SimulationVerify\nhorizons = 600\nbatch = 200\n"
                    f"n_targets = 2\nsim_draws = {n}\n")
-        report = experiments.simulation_verification_report(cfg)
+        report = experiments.simulation_verification_report(cfg, workers=1)
         assert report["n_draws"] == n
         assert all(t["residual_var"] > 0.0 for t in report["targets"])
+        # One worker, so the patch applies in this process and needs no fork.
         monkeypatch.setattr(experiments, "simulate_reward_many", chunked_simulated_rewards)
-        assert experiments.simulation_verification_report(cfg) == report
+        assert experiments.simulation_verification_report(cfg, workers=1) == report
+
+    def test_report_does_not_depend_on_worker_count(self):
+        cfg = _cfg(AUDIT_CONFIG + "n_targets = 5\n")
+        report = experiments.simulation_verification_report(cfg, workers=1)
+        assert experiments.simulation_verification_report(cfg, workers=2) == report
+
+    def test_targets_are_keyed_by_index(self):
+        cfg = _cfg(AUDIT_CONFIG + "n_targets = 5\n")
+        few = experiments.simulation_verification_report(_cfg(AUDIT_CONFIG + "n_targets = 3\n"), workers=1)
+        many = experiments.simulation_verification_report(cfg, workers=1)
+        assert few["targets"] == many["targets"][:3]
+        assert few["lambda_min"] == many["lambda_min"]
+        # Target i's radius is the first uniform of its own stream, after its direction.
+        for i, target in enumerate(many["targets"]):
+            rng = stream(cfg.master_seed, i, Purpose.SIMULATION)
+            rng.standard_normal(cfg.d)
+            assert target["target_norm"] == math.sqrt(many["lambda_min"]) * rng.random()
 
 
 class TestKsTwoSampleEqual:

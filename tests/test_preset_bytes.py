@@ -2,8 +2,8 @@
 
 ``preset_md5.txt`` lists the md5 of every output that ``tools/preset_md5.py``
 writes: the reduced-scale runs of each preset under one worker and one BLAS
-thread and under two workers and two BLAS threads, the two simulation audits,
-``list-experiments`` and ``print-defaults``.  A change that moves output bytes
+thread and under two workers and two BLAS threads, the two simulation audits
+(one at two workers, one at one), ``list-experiments`` and ``print-defaults``.  A change that moves output bytes
 on purpose regenerates the listing in the same diff (``python
 tools/preset_md5.py OUTDIR``, then keep the header) and says which files moved
 and why.
