@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="master seed override")
     run.add_argument("--replicates", type=int, default=None, help="replicate count override")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: BANDITSIM_WORKERS or cpu count)")
+                     help="worker processes (default: BANDITSIM_WORKERS or cpu count, at most 8)")
     run.add_argument("--set", dest="assignments", action="append", default=[],
                      metavar="KEY=VALUE", help="additional config override, repeatable")
     run.add_argument("--out", default="results.csv", help="result table path (- for stdout)")
@@ -155,6 +155,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_rejections < 0:
+        raise ConfigError(f"--max-rejections must be at least 0, got {args.max_rejections}")
     text, overrides = _read_config(args.config), _overrides_from(args)
     audit = "SimulationVerify"
     # Check the experiment before --targets and --draws, which only the audit reads.

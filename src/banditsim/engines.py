@@ -149,8 +149,11 @@ def run_two_bridge_policy(
     learns from the top-bridge data a full population would generate between
     the simulated rounds: before each round, a geometric number of majority
     rounds (at MAJORITY_RATE) is pulled on the top bridge and folded into the
-    statistics.  ``linucb`` and ``linucb_minority`` learn from the simulated
-    rounds alone.  ``uniform_random`` and ``oracle`` read no reward, so they
+    statistics.  Only the sum over each gap between B rounds matters, so it
+    draws one negative-binomial count per gap, which has the law of that sum.
+    ``linucb`` and ``linucb_minority`` are one computation: both learn from
+    the simulated rounds alone, and each two-bridge experiment allows one of
+    the two names.  ``uniform_random`` and ``oracle`` read no reward, so they
     draw none.
 
     ``sums`` receives the gap for every wrong B round, a minority round; by
@@ -173,12 +176,13 @@ def run_two_bridge_policy(
         # Forced pulls before each decision: the A and C rounds before it, and
         # for linucb_full every injected majority stretch up to and including
         # the B round's own.  Everything after the last B round never affects
-        # play.
+        # play.  Gap k covers the rounds after B round k - 1 up to B round k;
+        # the first starts at round 0.
         a_before = np.searchsorted(a_pos, b_pos)
         top_before = a_before
         if policy_name == "linucb_full":
-            injected = ctx.geometric(1.0 - MAJORITY_RATE, size=horizon) - 1
-            top_before = a_before + np.cumsum(injected)[b_pos]
+            gaps = np.diff(b_pos, prepend=-1)
+            top_before = a_before + np.cumsum(ctx.negative_binomial(gaps, 1.0 - MAJORITY_RATE))
         bot_before = b_pos - np.arange(n_b) - a_before
         top_inc = np.diff(top_before, prepend=0)
         bot_inc = np.diff(bot_before, prepend=0)

@@ -629,7 +629,8 @@ EXPERIMENT_SPECS = {
     "TwoBridgeLinUCB": ExperimentSpec(
         blurb="optimism on the two-bridge instance across horizons",
         defaults={"horizons": (10000, 40000, 160000), "noise": "gaussian", "policies": ("linucb",)},
-        policies=("linucb", "linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy", "oracle"),
+        # linucb_minority would repeat linucb: the population key picks the population.
+        policies=("linucb", "linucb_full", "uniform_random", "batch_freq_greedy", "oracle"),
         family="two_bridge",
         aggregate=_aggregate_two_bridge_linucb,
     ),
@@ -637,7 +638,8 @@ EXPERIMENT_SPECS = {
         blurb="minority-time regret floor for four policies",
         defaults={"horizons": (10000, 40000), "noise": "bernoulli",
                   "policies": ("linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy")},
-        policies=("linucb", "linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy", "oracle"),
+        # linucb would repeat linucb_minority: the coin leaves no majority rounds.
+        policies=("linucb_full", "linucb_minority", "uniform_random", "batch_freq_greedy", "oracle"),
         family="two_bridge",
         aggregate=_aggregate_impossibility,
         theta_coin=True,
@@ -697,10 +699,20 @@ def keys_read(cfg: ExperimentConfig) -> set:
     keys = {"experiment", "master_seed", "horizons", "policies"}
     if spec.family == "audit":
         return keys | {"batch", "n_targets", "sim_draws", *INSTANCE_KEYS}
-    keys |= {"replicates", "restriction"}
+    keys.add("replicates")
+    # The oracle never pays regret, so neither the restriction nor the
+    # population moves a run of the oracle alone.
+    pays = set(cfg.policies) != {"oracle"}
+    if pays:
+        keys.add("restriction")
+        if cfg.restriction == "coin":
+            keys.add("restriction_p")
     if spec.family == "two_bridge":
         # The minority-time coin picks theta and the population itself.
-        keys |= set() if spec.theta_coin else {"theta_variant", "population"}
+        if not spec.theta_coin:
+            keys.add("theta_variant")
+            if pays:
+                keys.add("population")
         # Oracle and uniform-random picks never look at a reward.
         if any(p not in ("oracle", "uniform_random") for p in cfg.policies):
             keys.add("noise")
@@ -710,8 +722,6 @@ def keys_read(cfg: ExperimentConfig) -> set:
         keys.add("batch")
     if spec.family == "perturbed" and any(p.startswith("linucb") for p in cfg.policies):
         keys.add("ridge")
-    if cfg.restriction == "coin":
-        keys.add("restriction_p")
     return keys
 
 

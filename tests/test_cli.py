@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, overrides, exit codes, outputs."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import banditsim.experiments as experiments
 import banditsim.cli as cli
 from banditsim.cli import main
 from banditsim.config import EXPERIMENTS, parse_config
-from banditsim.experiments import keys_read
+from banditsim.experiments import EXPERIMENT_SPECS, keys_read
 from banditsim.rng import replicate_seed_id
 from oracles import parse_csv
 
@@ -404,13 +405,16 @@ class TestVerifySimulation:
         assert report["max_weight_norm"] <= 1.0
         assert report["max_reconstruction_error"] <= 1e-8
 
-    def test_rejection_budget_exceeded_exit_4(self, capsys):
+    def test_rejection_budget_exceeded_exit_4(self, capsys, monkeypatch):
+        # Every KS test rejects, so a budget of 0 is exceeded.
+        monkeypatch.setattr(experiments, "ks_2samp_equal", lambda x, y: (1.0, 0.0))
+        monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "1")
         code = main(
             [
                 "verify-simulation",
                 "--targets", "3",
                 "--draws", "1000",
-                "--max-rejections", "-1",
+                "--max-rejections", "0",
                 "--out", "-",
             ]
         )
@@ -420,6 +424,16 @@ class TestVerifySimulation:
         assert err["error"] == "SimulationMismatch"
         # The report is still written before the failure is signalled.
         assert json.loads(captured.out)["n_targets"] == 3
+
+    def test_negative_rejection_budget_exit_2(self, capsys):
+        # A budget below 0 would fail every audit, however well it matched.
+        argv = ["verify-simulation", "--targets", "2", "--draws", "100", "--max-rejections", "-1", "--out", "-"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "ConfigError"
+        assert "--max-rejections" in err["message"]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("text, message", [
         ("rho = 0", "rho must be positive"),
@@ -478,6 +492,10 @@ UNREAD_PROBES = [
     ("TwoBridgeLinUCB", "ridge = 0", "'ridge'"),
     ("TwoBridgeImpossibility", "theta_variant = theta1", "'theta_variant'"),
     ("TwoBridgeImpossibility", "population = minority", "'population'"),
+    ("TwoBridgeLinUCB", "policies = oracle\npopulation = minority", "'population'"),
+    ("TwoBridgeLinUCB", "policies = oracle\nrestriction = coin", "'restriction'"),
+    ("TwoBridgeLinUCB", "restriction_p = 0.3\nrestriction = coin\npolicies = oracle", "'restriction_p'"),
+    ("TwoBridgeImpossibility", "policies = oracle\nrestriction = coin", "'restriction'"),
     ("TwoBridgeLinUCB", "batch = 50", "'batch'"),
     ("TwoBridgeLinUCB", "policies = oracle, uniform_random\nnoise = bernoulli", "'noise'"),
     ("GreedyVsLinUCB", "noise = bernoulli", "'noise'"),
@@ -498,7 +516,8 @@ UNREAD_PROBES = [
 ]
 
 # Each experiment at a tiny scale, and the policies it switches to when the
-# sync guard varies them.
+# sync guard varies them.  At this scale every pair of allowed policies pays
+# different regret, the oracle included.
 TINY = {
     # LinUCB's picks rarely depend on the noise law; at this seed they do in
     # replicate 1 at T = 30.
@@ -562,3 +581,16 @@ class TestKeysRead:
                 assert code == 2, key
             else:
                 assert code == 0 and changed != reference, key
+
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if len(EXPERIMENT_SPECS[e].policies) > 1])
+    def test_every_allowed_policy_is_its_own_computation(self, experiment, tmp_path, capsys):
+        # Two names for one computation would run each replicate twice.
+        allowed = EXPERIMENT_SPECS[experiment].policies
+        cfg = tmp_path / "every.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{TINY[experiment][0]}\npolicies = {', '.join(allowed)}\n")
+        assert main(["run", str(cfg), "--out", "-", "--workers", "1"]) == 0
+        regrets: dict = {}
+        for row in parse_csv(capsys.readouterr().out):
+            regrets.setdefault(row.policy, []).append((row.regret_total, row.regret_minority, row.regret_prediction))
+        for a, b in itertools.combinations(allowed, 2):
+            assert regrets[a] != regrets[b], (a, b)

@@ -101,6 +101,10 @@ class TestParseConfig:
             parse_config("experiment = ScalingFit\npolicies = oracle")
         with pytest.raises(ConfigError, match="uniform_random"):
             parse_config("experiment = ExternalityVanishing\npolicies = uniform_random")
+        # Each two-bridge experiment allows one name for LinUCB on the simulated rounds alone.
+        for experiment, policy in (("TwoBridgeLinUCB", "linucb_minority"), ("TwoBridgeImpossibility", "linucb")):
+            with pytest.raises(ConfigError, match=f"policy '{policy}' is not valid for {experiment}; allowed: "):
+                parse_config(f"experiment = {experiment}\npolicies = {policy}")
 
     def test_externality_needs_minority_mass(self):
         with pytest.raises(ConfigError, match="minority_prob"):

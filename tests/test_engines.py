@@ -35,9 +35,9 @@ from banditsim.engines import (
     run_two_bridge_batch_freq,
     run_two_bridge_policy,
 )
-from banditsim.environments import Catalog, TwoBridgeConfig
+from banditsim.environments import MAJORITY_RATE, Catalog, TwoBridgeConfig
 from banditsim.estimators import gaussian_prior, ols_estimate
-from banditsim.experiments import _lambda_min_curve
+from banditsim.experiments import _lambda_min_curve, ks_2samp_equal
 from banditsim.metrics import RegretSums
 from banditsim.policies import LinUCBParams, context_norm_bound
 from banditsim.rng import Purpose, stream
@@ -98,16 +98,17 @@ def _two_bridge_draws(cfg, master_seed, replicate, inject_rate):
     pol = stream(master_seed, replicate, Purpose.POLICY)
 
     kinds = kind_codes(cfg, ctx, horizon)
-    if inject_rate > 0.0:
-        injected = ctx.geometric(1.0 - inject_rate, size=horizon) - 1
-    else:
-        injected = np.zeros(horizon, dtype=np.int64)
-
     b_pos = np.flatnonzero(kinds == KIND_B)
+    # The injected pulls from one B round's successor up to and including the
+    # next B round: one negative binomial per gap, the first from round 0.
+    if inject_rate > 0.0:
+        injected = ctx.negative_binomial(np.diff(b_pos, prepend=-1), 1.0 - inject_rate)
+    else:
+        injected = np.zeros(b_pos.size, dtype=np.int64)
+
     cum_a = np.concatenate([[0], np.cumsum(kinds == KIND_A)])
     cum_c = np.concatenate([[0], np.cumsum(kinds == KIND_C)])
-    cum_g = np.concatenate([[0], np.cumsum(injected)])
-    top_inc = np.diff(np.concatenate([[0], cum_a[b_pos] + cum_g[b_pos + 1]]))
+    top_inc = np.diff(np.concatenate([[0], cum_a[b_pos]])) + injected
     bot_inc = np.diff(np.concatenate([[0], cum_c[b_pos]]))
 
     seg_top = _seg_sums(top_inc, float(theta[0]), cfg.noise, rew)
@@ -400,6 +401,18 @@ class TestTwoBridgePolicyEngine:
         injected = run_two_bridge_policy(cfg, "linucb_full", MASTER, 4)
         assert injected.b_rounds == plain.b_rounds
 
+    @pytest.mark.parametrize("gap", [1, 3, 20])
+    def test_injected_gap_sum_has_the_per_round_law(self, gap):
+        # linucb_full draws one negative binomial per gap between B rounds for
+        # what the model draws as one geometric count, less one, per round.
+        rng = np.random.default_rng(gap)
+        p = 1.0 - MAJORITY_RATE
+        per_gap = rng.negative_binomial(np.full(4000, gap), p)
+        per_round = (rng.geometric(p, size=(4000, gap)) - 1).sum(axis=1)
+        _, p_value = ks_2samp_equal(per_gap.astype(float), per_round.astype(float))
+        assert p_value > 0.01
+        assert per_gap.mean() == pytest.approx(gap * MAJORITY_RATE / p, rel=0.1)
+
     def test_unknown_policy_rejected(self):
         cfg = TwoBridgeConfig(horizon=100)
         with pytest.raises(ValueError):
@@ -541,6 +554,26 @@ class TestTwoBridgeEnginesMatchOracles:
             assert (res.b_rounds, res.wrong_b_rounds) == (b_pos.size, wrong_pos.size)
             np.testing.assert_array_equal(res.curve, _wrong_curve(cfg, wrong_pos))
             assert res.regret_total == res.curve[-1]
+
+    @pytest.mark.parametrize("horizon", ORACLE_HORIZONS)
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    @pytest.mark.parametrize("population", POPULATIONS)
+    def test_linucb_full_decides_on_the_replayed_draws(self, horizon, noise, population, monkeypatch):
+        # linucb_full's picks rarely depend on its injected counts, so compare
+        # what it decides on with the oracle's replay of its streams.
+        seen = []
+
+        def record(*args):
+            seen.append(args[:6])
+            return linucb_picks_top(*args)
+
+        monkeypatch.setattr(engines, "linucb_picks_top", record)
+        cfg = TwoBridgeConfig(horizon=horizon, noise=noise, p_majority=POPULATIONS[population])
+        for rep in range(3):
+            run_two_bridge_policy(cfg, "linucb_full", MASTER, rep)
+            (_, _, top_inc, bot_inc, *draws, _) = _two_bridge_draws(cfg, MASTER, rep, 0.95)
+            for got, want in zip(seen.pop(), (np.cumsum(top_inc), np.cumsum(bot_inc), *draws), strict=True):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("horizon", ORACLE_HORIZONS)
     @pytest.mark.parametrize("noise", list(NoiseKind))

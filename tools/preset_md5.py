@@ -31,8 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = (
     ("two_bridge_linucb", ["--experiment", "TwoBridgeLinUCB", "--replicates", "8",
                            "--set", "horizons=2000,4000,8000",
-                           "--set", "policies=linucb,linucb_full,linucb_minority,uniform_random,"
-                                    "batch_freq_greedy,oracle"]),
+                           "--set", "policies=linucb,linucb_full,uniform_random,batch_freq_greedy,oracle"]),
     ("two_bridge_impossibility", ["--experiment", "TwoBridgeImpossibility", "--replicates", "8",
                                   "--set", "horizons=2000,4000"]),
     ("greedy_vs_linucb", ["--experiment", "GreedyVsLinUCB", "--replicates", "4",
@@ -48,7 +47,7 @@ RUNS = (
     ("two_bridge_coin_minority_bernoulli",
      ["--experiment", "TwoBridgeLinUCB", "--replicates", "8",
       "--set", "horizons=2000,4000,8000",
-      "--set", "policies=linucb,linucb_full,linucb_minority,uniform_random,batch_freq_greedy,oracle",
+      "--set", "policies=linucb,linucb_full,uniform_random,batch_freq_greedy,oracle",
       "--set", "restriction=coin", "--set", "population=minority", "--set", "noise=bernoulli"]),
 )
 
