@@ -5,15 +5,17 @@ single-context (C) rounds force the choice, so only B rounds are decision
 points and the forced stretches between them collapse to bulk reward-sum
 draws.  Two-bridge LinUCB then decides its B rounds one stretch of equal picks
 at a time (``linucb_picks_top``), one replicate per call: a replicate takes
-one vector pass per switch of bridges plus one, not a Python step per B round,
-and none of 1,920 measured replicates switched.  Two-bridge replicates are not
-run in lockstep: a block of 32 raised a pool worker's peak RSS from 39 MB to
-52-54 MB, and blocks small enough to keep it barely ran faster.  The perturbed
-engines advance a block of replicates in lockstep, each replicate from its own
-streams: batched greedy one stacked step per batch, with the estimators
-solving every replicate's system in one stacked call, and LinUCB one stacked
-step per round over cached inverses, for every horizon of the block at once,
-with its inputs drawn NOISE_CHUNK rounds at a time.  Each replicate's result
+one vector pass per switch of bridges plus one, not a Python step per B round;
+of 1,920 measured replicates, 8 switched once and none more often.
+Two-bridge replicates are not run in lockstep: a block of 32 raised a pool
+worker's peak RSS from 39 MB to 52-54 MB, and blocks small enough to keep it
+barely ran faster.  The perturbed engines advance a block of replicates in
+lockstep, each replicate from its own streams, and pick each round's catalog
+entry with one uniform (``Catalog.entries``): batched greedy one stacked step
+per batch, with the estimators solving every replicate's system in one
+stacked call, and LinUCB one stacked step per round over cached inverses, for
+every horizon of the block at once, with each replicate's inputs drawn once
+for all its horizons, NOISE_CHUNK rounds at a time.  Each replicate's result
 is bit for bit what it would be alone, so results are identical under any
 scheduling.
 
@@ -282,30 +284,6 @@ def run_two_bridge_batch_freq(
     )
 
 
-def _draw_entry_indices(cat: Catalog, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Group-first weighted entry draw, one or two uniforms per round."""
-    is_min = _draw_group_flags(cat, n, rng)
-    return _entries_for(cat, rng.random(n), is_min)
-
-
-def _draw_group_flags(cat: Catalog, n: int, rng: np.random.Generator) -> np.ndarray | None:
-    """Whether each of ``n`` rounds draws from the minority group, or None on
-    a one-group catalog; a two-group draw takes every flag before any uniform."""
-    return None if cat.minority_prob <= 0.0 else rng.random(n) < cat.minority_prob
-
-
-def _entries_for(cat: Catalog, u: np.ndarray, is_min: np.ndarray | None) -> np.ndarray:
-    """Entry indices for the uniforms ``u`` of rounds with group flags ``is_min``."""
-    if is_min is None:
-        [(_, cum)] = cat.draw_table
-        return np.searchsorted(cum, u, side="right")
-    idx = np.empty(u.size, dtype=np.int64)
-    for flag, (pool, cum) in zip((False, True), cat.draw_table):
-        sel = is_min == flag
-        idx[sel] = pool[np.searchsorted(cum, u[sel], side="right")]
-    return idx
-
-
 @dataclass
 class PerturbedRunResult:
     regret_total: float
@@ -386,7 +364,7 @@ def run_perturbed_batch_greedy(
     while done < horizon:
         y = min(batch_size, horizon - done)
         batch_ix = np.arange(y)
-        idx = np.stack([_draw_entry_indices(cat, y, g) for g in ctx])
+        idx = cat.entries(np.stack([g.random(y) for g in ctx]))
         x = cat.means[idx] + np.stack([g.normal(0.0, cat.rho, size=(y, k, d)) for g in pert])
         avail = cat.avail[idx]
 
@@ -440,8 +418,8 @@ def run_perturbed_batch_greedy(
 
 
 # Rounds of LinUCB inputs (entry draws, perturbations, reward noise) that the
-# engine draws and scores at once.  Chunked draws continue each row's streams
-# exactly, so the size bounds memory without changing any result.
+# engine draws and scores at once.  Chunked draws continue each replicate's
+# streams exactly, so the size bounds memory without changing any result.
 NOISE_CHUNK = 256
 # Rounds between rebuilds of LinUCB's cached inverses from the exact Gram
 # matrices, which cap the floating-point drift of the rank-one updates.
@@ -476,12 +454,13 @@ def run_perturbed_linucb(
     ``horizon``, the rounds the call runs, must be the longest cell horizon.
     Each round makes one stacked score, width, argmax and rank-one
     (Sherman-Morrison) update of the cached inverses for every row still
-    running; a row leaves at its cell's horizon.  Each row draws from its own
-    streams, in the order a replicate run alone at its horizon draws them,
-    NOISE_CHUNK rounds at a time.  Every stacked product makes, per row, the
-    BLAS call a single-replicate loop would make, and the sums add regret in
-    round order, so a row's result depends neither on its block nor on its
-    neighbours.
+    running; a row leaves at its cell's horizon.  Each replicate draws its
+    inputs from its own streams, NOISE_CHUNK rounds at a time, once for all
+    its rows, so a row sees the first rounds of the draws a replicate run
+    alone at the longest horizon makes.  Every stacked product makes, per
+    row, the BLAS call a single-replicate loop would make, and the sums add
+    regret in round order, so a row's result depends neither on its block nor
+    on its neighbours.
 
     Requires positive ridges; the cached inverses are rebuilt every
     REFRESH_EVERY rounds.
@@ -492,26 +471,22 @@ def run_perturbed_linucb(
         raise ValueError("the perturbed LinUCB engine needs a positive ridge")
     d, k = cat.dim, cat.n_actions
     n = len(replicates)
-    thetas = np.asarray(thetas, dtype=float).reshape(n, d)
+    theta_col = np.asarray(thetas, dtype=float).reshape(n, d, 1)
     sums = [
         RegretSums(master_seed, replicates, cell.horizon) if cell.sums is None else cell.sums
         for cell in cells
     ]
     f_tables = [interval_width(np.arange(cell.horizon), cell.params, d) for cell in cells]
-
-    # Rows run cell by cell, so the rows of every cell still running are one
-    # contiguous stretch of n rows.
-    live = list(range(len(cells)))
-    row_rep = np.tile(np.arange(n), len(cells))
-    theta_col = thetas[row_rep][:, :, None]
-    ridge = np.repeat([cell.params.ridge for cell in cells], n)[:, None, None]
     ctx, pert, rew = (
-        [stream(master_seed, replicates[i], purpose) for i in row_rep]
+        [stream(master_seed, rep, purpose) for rep in replicates]
         for purpose in (Purpose.CONTEXTS, Purpose.PERTURBATIONS, Purpose.REWARDS)
     )
-    flags = [_draw_group_flags(cat, cells[j].horizon, g) for j, g in zip(np.repeat(live, n), ctx)]
-    offsets = np.arange(len(row_rep)) * k
 
+    # Rows run cell by cell, so the rows of every cell still running are one
+    # contiguous stretch of n rows, and row r reads replicate r % n.
+    live = list(range(len(cells)))
+    row_rep = np.tile(np.arange(n), len(cells))
+    ridge = np.repeat([cell.params.ridge for cell in cells], n)[:, None, None]
     Z = np.zeros((len(row_rep), d, d))
     xr = np.zeros((len(row_rep), d, 1))
     W = np.eye(d) / ridge
@@ -521,29 +496,32 @@ def run_perturbed_linucb(
     start = 0
     for stop in stops:
         m = stop - start
-        # Chunk arrays are round-major: x_chunk[c] is round start + c of every
-        # running row.
-        entries = np.stack([
-            _entries_for(cat, g.random(m), None if is_min is None else is_min[start:stop])
-            for g, is_min in zip(ctx, flags)
-        ], axis=1)
-        x_chunk = cat.means[entries] + np.stack([g.normal(0.0, cat.rho, size=(m, k, d)) for g in pert], axis=1)
+        # Chunk arrays are round-major: x_rep[c] is round start + c of every
+        # replicate, and x_rows[c] the same round of every running row.
+        entries = cat.entries(np.stack([g.random(m) for g in ctx], axis=1))
+        x_rep = cat.means[entries]
+        for i, g in enumerate(pert):
+            x_rep[:, i] += g.normal(0.0, cat.rho, size=(m, k, d))
+        # A lone running cell's rows are the replicates, so it reads x_rep;
+        # ``take`` keeps the gathered rows contiguous for the per-round BLAS.
+        x_rows = x_rep if len(live) == 1 else x_rep.take(row_rep, axis=1)
         avail = cat.avail[entries]
-        mask = np.where(avail, 0.0, -np.inf)
-        # r * x for every action: r is the row's true value, taken as the dot
-        # product a single-replicate loop takes for its chosen row, plus the
-        # round's reward noise.
-        rewards = (x_chunk[..., None, :] @ theta_col[None, :, None])[..., 0, 0]
+        mask = np.where(avail.take(row_rep, axis=1), 0.0, -np.inf)
+        # r * x for every action: r is the replicate's true value, taken as
+        # the dot product a single-replicate loop takes for its chosen row,
+        # plus the round's reward noise.
+        rewards = (x_rep[..., None, :] @ theta_col[None, :, None])[..., 0, 0]
         rewards += np.stack([g.standard_normal(m) for g in rew], axis=1)[..., None]
-        reward_x = (rewards[..., None] * x_chunk).reshape(m, -1, d)
-        x_flat = x_chunk.reshape(m, -1, d)
+        reward_x = (rewards[..., None] * x_rep).reshape(m, -1, d)
+        x_flat = x_rep.reshape(m, -1, d)
+        offsets = row_rep * k
         f_chunk = np.repeat([f_tables[j][start:stop] for j in live], n, axis=0).T[:, :, None]
         # Z is read only at a refresh, so the chosen rows' outer products are
         # folded into it, in round order, there and at the end of the chunk.
-        chosen = np.empty((m, len(offsets), d))
-        actions = np.empty((m, len(offsets)), dtype=np.int64)
+        chosen = np.empty((m, len(row_rep), d))
+        actions = np.empty((m, len(row_rep)), dtype=np.int64)
         folded = 0
-        for c, x in enumerate(x_chunk):
+        for c, x in enumerate(x_rows):
             widths = x @ W
             np.multiply(widths, x, out=widths)
             widths = np.add.reduce(widths, axis=2)
@@ -574,24 +552,19 @@ def run_perturbed_linucb(
             theta_hat = W @ xr
         Z = _fold_outer(Z, chosen[folded:])
 
-        true_vals = np.where(avail, (x_chunk @ theta_col)[..., 0], -np.inf)
-        inst = true_vals.max(axis=2) - np.take_along_axis(true_vals, actions[..., None], axis=2)[..., 0]
+        true_vals = np.where(avail, (x_rep @ theta_col)[..., 0], -np.inf)
+        chosen_vals = np.take_along_axis(true_vals.reshape(m, -1), offsets + actions, axis=1)
+        inst = true_vals.max(axis=2).take(row_rep, axis=1) - chosen_vals
         minority = cat.minority[entries]
         for p, j in enumerate(live):
-            cols = slice(p * n, (p + 1) * n)
-            sums[j].add(slice(start, stop), inst[:, cols], minority[:, cols])
+            sums[j].add(slice(start, stop), inst[:, p * n:(p + 1) * n], minority)
 
         # Rows whose cell ends here leave the block.
         keep = np.repeat([cells[j].horizon > stop for j in live], n)
         if not keep.all():
             live = [j for j in live if cells[j].horizon > stop]
-            Z, xr, W, theta_hat, theta_col, ridge = (
-                arr[keep] for arr in (Z, xr, W, theta_hat, theta_col, ridge)
-            )
-            ctx, pert, rew, flags = (
-                [g for g, kept in zip(seq, keep) if kept] for seq in (ctx, pert, rew, flags)
-            )
-            offsets = offsets[:keep.sum()]
+            Z, xr, W, theta_hat, ridge = (arr[keep] for arr in (Z, xr, W, theta_hat, ridge))
+            row_rep = row_rep[:keep.sum()]
         start = stop
 
     return [

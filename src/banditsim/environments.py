@@ -68,9 +68,11 @@ class Catalog:
     ``means[i, a]`` of norm at most 1; unavailable slots are zeroed.  Each
     round draws one entry by weight (group first, minority with probability
     ``minority_prob``, when that is positive), then adds independent
-    N(0, rho^2) noise to every coordinate of every slot.  ``draw_table``
-    holds, per group drawn (the majority first, or the whole catalog), the
-    group's entry indices and their normalized cumulative weights.
+    N(0, rho^2) noise to every coordinate of every slot.  ``draw_cum`` lays
+    that law out in entry order: an entry's mass is its weight over its
+    group's total times its group's probability (the whole catalog and 1.0
+    on a one-group catalog), and the table ends at exactly 1.0, so
+    ``entries`` maps one uniform per round to an entry.
     """
 
     means: np.ndarray     # (n, K, d)
@@ -79,7 +81,7 @@ class Catalog:
     minority: np.ndarray  # (n,) bool
     rho: float
     minority_prob: float = 0.0
-    draw_table: tuple = field(init=False, repr=False)
+    draw_cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -110,11 +112,16 @@ class Catalog:
             raise ConfigurationError("minority_prob must lie in [0, 1)")
         if self.minority_prob > 0 and (minority.all() or not minority.any()):
             raise ConfigurationError("two-group catalogs need entries for both groups")
-        groups = (~minority, minority) if self.minority_prob > 0 else (np.ones(n, dtype=bool),)
-        pools = [np.flatnonzero(g) for g in groups]
-        table = tuple((pool, np.cumsum(weights[pool] / weights[pool].sum())) for pool in pools)
+        if self.minority_prob > 0:
+            group_total = np.where(minority, weights[minority].sum(), weights[~minority].sum())
+            group_prob = np.where(minority, self.minority_prob, 1.0 - self.minority_prob)
+        else:
+            group_total, group_prob = weights.sum(), 1.0
+        draw_cum = np.cumsum(weights / group_total * group_prob)
+        # The masses may sum to just below 1; the last entry takes the rest.
+        draw_cum[-1] = 1.0
         for name, value in (("means", means), ("avail", avail), ("weights", weights),
-                            ("minority", minority), ("draw_table", table)):
+                            ("minority", minority), ("draw_cum", draw_cum)):
             object.__setattr__(self, name, value)
 
     @property
@@ -124,6 +131,10 @@ class Catalog:
     @property
     def n_actions(self) -> int:
         return self.means.shape[1]
+
+    def entries(self, u: np.ndarray) -> np.ndarray:
+        """The entry each uniform in [0, 1) picks."""
+        return np.searchsorted(self.draw_cum, u, side="right")
 
     def minority_only(self) -> Catalog:
         """The minority entries alone, in their order: every round is a minority round."""

@@ -8,6 +8,8 @@ call.  The engines in ``banditsim.engines`` make the same decisions over whole
 stretches of rounds; the tests hold them to these definitions.  ``parse_csv``
 reads a result table back into rows.
 
+``draw_entries`` draws a perturbed catalog's entries, one uniform per round,
+from a mixture table it builds from the catalog's weights and groups.
 ``single_replicate_greedy`` runs batched greedy on one replicate, one batch at
 a time, and ``single_replicate_linucb`` runs LinUCB on one replicate, one round
 at a time, each with the arithmetic of its lockstep engine's per-replicate
@@ -36,7 +38,7 @@ import numpy as np
 
 from banditsim.core import last_batch_end
 from banditsim.csvio import HEADER, ResultRow
-from banditsim.engines import GAP_PROBE_ROUNDS, PerturbedRunResult, _draw_entry_indices
+from banditsim.engines import GAP_PROBE_ROUNDS, PerturbedRunResult
 from banditsim.estimators import SINGULAR_CUTOFF, gaussian_prior, ols_estimate, posterior_mean
 from banditsim.metrics import RegretSums, running_sum
 from banditsim.policies import LinUCBParams, context_norm_bound
@@ -246,12 +248,17 @@ def greedy_select(round_: ContextRound, estimate: np.ndarray) -> int:
 
 
 def instantaneous_regret(theta: np.ndarray, round_: ContextRound, chosen: int) -> float:
-    """Best available mean reward minus the chosen action's mean reward."""
+    """Best available mean reward minus the chosen action's mean reward.
+
+    The mean rewards are one product of the stacked available contexts with
+    ``theta``, the product the engines take of a round's contexts; a dot
+    product per context can round differently in the last bit.
+    """
     if not round_.is_available(chosen):
         raise ValueError(f"chosen action {chosen} is unavailable in round {round_.round_index}")
-    theta = np.asarray(theta, dtype=float)
-    vals = [float(theta @ round_.contexts[a]) for a in round_.available_indices()]
-    return max(vals) - float(theta @ round_.contexts[chosen])
+    available = round_.available_indices()
+    vals = np.stack([round_.contexts[a] for a in available]) @ np.asarray(theta, dtype=float)
+    return float(vals.max() - vals[available.index(chosen)])
 
 
 def bayes_posterior_mean(
@@ -262,6 +269,23 @@ def bayes_posterior_mean(
 ) -> np.ndarray:
     """Posterior mean under the prior (prior_mean, prior_cov); see ``posterior_mean``."""
     return posterior_mean(Z, xr, gaussian_prior(prior_mean, prior_cov))
+
+
+def draw_entries(cat, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Entries of ``n`` rounds, one uniform each.
+
+    The group-first law in entry order: an entry's mass is its weight over
+    its group's total times the group's probability, one group of
+    probability 1 on a one-group catalog.  A uniform beyond the last
+    cumulative mass, which rounding can leave below 1, picks the last entry.
+    """
+    w = np.asarray(cat.weights, dtype=float)
+    mass = w / w.sum()
+    if cat.minority_prob > 0.0:
+        for group, p in ((cat.minority, cat.minority_prob), (~cat.minority, 1.0 - cat.minority_prob)):
+            mass[group] = w[group] / w[group].sum() * p
+    idx = np.searchsorted(np.cumsum(mass), rng.random(n), side="right")
+    return np.minimum(idx, w.size - 1)
 
 
 def single_replicate_greedy(
@@ -298,7 +322,7 @@ def single_replicate_greedy(
     done = 0
     while done < horizon:
         y = min(batch_size, horizon - done)
-        idx = _draw_entry_indices(cat, y, ctx)
+        idx = draw_entries(cat, y, ctx)
         noise = pert.normal(0.0, cat.rho, size=(y, k, d))
         x = cat.means[idx] + noise
         avail = cat.avail[idx]
@@ -364,7 +388,7 @@ def single_replicate_linucb(
     pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
     rew = stream(master_seed, replicate, Purpose.REWARDS)
 
-    idx = _draw_entry_indices(cat, horizon, ctx)
+    idx = draw_entries(cat, horizon, ctx)
     noise = pert.normal(0.0, cat.rho, size=(horizon, k, d))
     reward_noise = rew.standard_normal(horizon)
 

@@ -24,9 +24,6 @@ from banditsim.engines import (
     GAP_PROBE_ROUNDS,
     NOISE_CHUNK,
     LinUCBCell,
-    _draw_entry_indices,
-    _draw_group_flags,
-    _entries_for,
     _seg_sums,
     _single_rewards,
     linucb_picks_top,
@@ -50,6 +47,7 @@ from oracles import (
     ContextRound,
     Group,
     bayes_posterior_mean,
+    draw_entries,
     greedy_select,
     instantaneous_regret,
     kind_codes,
@@ -229,7 +227,7 @@ def reference_perturbed_greedy(
     done = 0
     while done < horizon:
         y = min(batch_size, horizon - done)
-        idx = _draw_entry_indices(cat, y, ctx)
+        idx = draw_entries(cat, y, ctx)
         noise = pert.normal(0.0, cat.rho, size=(y, k, d))
         cold_scores = pol.random((y, k)) if cold and acting == "freq" else None
         acting_est = theta_bay if acting == "bayes" else theta_freq
@@ -276,7 +274,7 @@ def reference_perturbed_linucb(cat, params, theta, horizon, master_seed, replica
     pert = stream(master_seed, replicate, Purpose.PERTURBATIONS)
     rew = stream(master_seed, replicate, Purpose.REWARDS)
 
-    idx = _draw_entry_indices(cat, horizon, ctx)
+    idx = draw_entries(cat, horizon, ctx)
     noise = pert.normal(0.0, cat.rho, size=(horizon, k, d))
     reward_noise = rew.standard_normal(horizon)
 
@@ -1079,6 +1077,17 @@ class TestPerturbedLinUCBEngine:
             run_perturbed_linucb(cfg, [], [THETA], 100, MASTER, (0,))
 
     @pytest.mark.parametrize("two_group", [False, True])
+    def test_shorter_cell_is_a_prefix(self, two_group):
+        # Both cells read one replicate's draws, so the shorter row plays the
+        # first rounds of the longer one.
+        cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        params = _lockstep_params(cfg, 600)
+        cells = [LinUCBCell(t, params, _curve_sums((0,), t)) for t in (300, 600)]
+        [[short], [long]] = run_perturbed_linucb(cfg, cells, [THETA], 600, MASTER, (0,))
+        assert short.regret_total == long.curve[299]
+        assert np.array_equal(short.curve, long.curve[:300])
+
+    @pytest.mark.parametrize("two_group", [False, True])
     def test_matches_direct_inverse_reference(self, two_group):
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         horizon = 400
@@ -1255,36 +1264,47 @@ class TestEngineInvariants:
 
 
 class TestEntryDraws:
+    def test_one_group_table_is_the_normalized_cumsum(self):
+        for cat in (_one_group_catalog(), _fixed_pair_catalog()):
+            w = cat.weights
+            assert np.array_equal(cat.draw_cum, np.cumsum(w / w.sum()))
+            assert cat.draw_cum[-1] == 1.0
+
+    def test_last_uniform_picks_the_last_entry(self):
+        # Ten equal weights of 0.1 sum to just below 1, so without the pinned
+        # last value this uniform maps one past the last entry.
+        means = np.full((10, 1, 2), 0.1)
+        cat = Catalog(means, np.ones((10, 1), dtype=bool), [0.1] * 10, [False] * 10, rho=0.1)
+        assert np.cumsum(cat.weights / cat.weights.sum())[-1] < 1.0
+        u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        assert cat.entries(u).tolist() == [0, 5, 9]
+        assert cat.means[cat.entries(u)].shape == (3, 1, 2)
+
     @pytest.mark.parametrize("two_group", [False, True])
     def test_streamed_draw_continues_the_whole_horizon_draw(self, two_group):
-        # The LinUCB engine draws the group flags of a row's whole horizon,
-        # then its uniforms one chunk at a time.
+        # The LinUCB engine draws each replicate's uniforms one chunk at a time.
         cat = _two_group_catalog() if two_group else _one_group_catalog()
         horizon = 2 * NOISE_CHUNK + 57
         rng = stream(MASTER, 5, Purpose.CONTEXTS)
-        is_min = _draw_group_flags(cat, horizon, rng)
-        assert (is_min is None) != two_group
         chunks = [
-            _entries_for(cat, rng.random(stop - start), None if is_min is None else is_min[start:stop])
+            cat.entries(rng.random(stop - start))
             for start, stop in ((0, NOISE_CHUNK), (NOISE_CHUNK, 2 * NOISE_CHUNK), (2 * NOISE_CHUNK, horizon))
         ]
-        whole = _draw_entry_indices(cat, horizon, stream(MASTER, 5, Purpose.CONTEXTS))
+        whole = draw_entries(cat, horizon, stream(MASTER, 5, Purpose.CONTEXTS))
         np.testing.assert_array_equal(np.concatenate(chunks), whole)
 
     def test_entry_draw_frequencies(self):
         cat = _one_group_catalog()
-        rng = np.random.default_rng(0)
         n = 100_000
-        idx = _draw_entry_indices(cat, n, rng)
+        idx = cat.entries(np.random.default_rng(0).random(n))
         freq = np.bincount(idx, minlength=3) / n
         for f, w in zip(freq, (0.5, 0.3, 0.2)):
             assert f == pytest.approx(w, abs=3 * math.sqrt(w * (1 - w) / n))
 
     def test_two_group_draw_respects_minority_rate(self):
         cat = _two_group_catalog()
-        rng = np.random.default_rng(1)
         n = 100_000
-        idx = _draw_entry_indices(cat, n, rng)
+        idx = cat.entries(np.random.default_rng(1).random(n))
         minority_freq = cat.minority[idx].mean()
         assert minority_freq == pytest.approx(0.3, abs=3 * math.sqrt(0.3 * 0.7 / n))
         majority = idx[~cat.minority[idx]]
@@ -1292,36 +1312,27 @@ class TestEntryDraws:
         assert freq0 == pytest.approx(0.6, abs=3 * math.sqrt(0.6 * 0.4 / majority.size))
 
     @staticmethod
-    def _per_call_draw(cat, n, rng):
-        """The draw with the cumulative weights rebuilt from the catalog."""
-        if cat.minority_prob <= 0.0:
-            cum = np.cumsum(cat.weights / cat.weights.sum())
-            return np.searchsorted(cum, rng.random(n), side="right")
-        is_min = rng.random(n) < cat.minority_prob
-        u = rng.random(n)
-        idx = np.empty(n, dtype=np.int64)
-        for flag in (False, True):
-            pool = np.flatnonzero(cat.minority == flag)
-            cum = np.cumsum(cat.weights[pool] / cat.weights[pool].sum())
-            sel = is_min == flag
-            idx[sel] = pool[np.searchsorted(cum, u[sel], side="right")]
-        return idx
+    def _mixed_catalog() -> Catalog:
+        """Minority entries interleaved with majority ones, so that the
+        minority-only catalog renumbers them."""
+        means = np.full((5, 2, 2), 0.3)
+        return Catalog(means, np.ones((5, 2), dtype=bool), [0.7, 0.1, 2.0, 0.3, 0.9],
+                       [False, True, False, True, False], rho=0.1, minority_prob=0.4)
 
     def test_table_draws_match_per_call_weights(self):
-        # Minority entries interleaved with majority ones, so that the
-        # minority-only catalog renumbers them and builds its own table.
-        means = np.full((5, 2, 2), 0.3)
-        mixed = Catalog(means, np.ones((5, 2), dtype=bool), [0.7, 0.1, 2.0, 0.3, 0.9],
-                        [False, True, False, True, False], rho=0.1, minority_prob=0.4)
+        mixed = self._mixed_catalog()
         for cat in (_one_group_catalog(), _two_group_catalog(), mixed, mixed.minority_only()):
             for n in (1, 7, 200, 5000):
-                got = _draw_entry_indices(cat, n, np.random.default_rng(n))
-                want = self._per_call_draw(cat, n, np.random.default_rng(n))
-                assert got.tolist() == want.tolist()
-        assert [pool.tolist() for pool, _ in mixed.draw_table] == [[0, 2, 4], [1, 3]]
-        [(pool, cum)] = mixed.minority_only().draw_table
-        assert pool.tolist() == [0, 1]
-        assert cum == pytest.approx([0.25, 1.0])
+                got = cat.entries(np.random.default_rng(n).random(n))
+                assert got.tolist() == draw_entries(cat, n, np.random.default_rng(n)).tolist()
+
+    def test_minority_only_builds_its_own_table(self):
+        mixed = self._mixed_catalog()
+        masses = np.array([0.7 / 3.6 * 0.6, 0.1 / 0.4 * 0.4, 2.0 / 3.6 * 0.6, 0.3 / 0.4 * 0.4, 0.9 / 3.6 * 0.6])
+        assert mixed.draw_cum == pytest.approx(np.cumsum(masses))
+        alone = mixed.minority_only()
+        assert alone.minority_prob == 0.0
+        assert alone.draw_cum == pytest.approx([0.25, 1.0])
 
 
 class TestLambdaMinCurve:
