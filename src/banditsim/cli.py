@@ -1,10 +1,11 @@
 """Command-line harness: run experiments, verify the reward simulator.
 
 Errors print one JSON line to stderr (``{"error": ..., "message": ...}``) and
-exit nonzero: 2 for configuration and usage problems, 3 for a failed
-replicate, a worker process that died or a run out of memory, 4 for a failed simulation
-verification (too many KS rejections, or an audited batch too little diverse
-to simulate from).
+exit nonzero: 2 for configuration and usage problems (a value outside its key's
+domain names the key), 3 for a failed replicate, a worker process that died or
+a run out of memory, 4 for a failed simulation verification (too many KS
+rejections, or an audited batch too little diverse to simulate from).
+``--workers`` alone sets the worker count: by default the CPU count, at most 8.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--experiment", choices=EXPERIMENTS, help="experiment name override")
     run.add_argument("--seed", type=int, default=None, help="master seed override")
     run.add_argument("--replicates", type=int, default=None, help="replicate count override")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: BANDITSIM_WORKERS or cpu count, at most 8)")
+    workers_help = "worker processes (default: cpu count, at most 8); no output depends on it"
+    run.add_argument("--workers", type=int, default=None, help=workers_help)
     run.add_argument("--set", dest="assignments", action="append", default=[],
                      metavar="KEY=VALUE", help="additional config override, repeatable")
     run.add_argument("--out", default="results.csv", help="result table path (- for stdout)")
@@ -60,15 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--curves", default=None,
                      help="write replicate-0 cumulative regret curves to this CSV")
 
-    verify = sub.add_parser(
-        "verify-simulation", help="audit simulated rewards against direct draws",
-        description="Audit simulated rewards against direct draws. The targets run on "
-                    "BANDITSIM_WORKERS worker processes (default: cpu count, at most 8); "
-                    "the report does not depend on the count.")
+    verify = sub.add_parser("verify-simulation", help="audit simulated rewards against direct draws")
     verify.add_argument("config", nargs="?", help="config file of key = value lines")
     verify.add_argument("--seed", type=int, default=None, help="master seed override")
     verify.add_argument("--targets", type=int, default=None, help="number of target contexts")
     verify.add_argument("--draws", type=int, default=None, help="sample size per comparison")
+    verify.add_argument("--workers", type=int, default=None, help=workers_help)
     verify.add_argument("--max-rejections", type=int, default=2,
                         help="fail when more KS tests reject at level 0.01")
     verify.add_argument("--out", default="-", help="report JSON path (- for stdout)")
@@ -164,7 +162,7 @@ def _cmd_verify(args) -> int:
     if EXPERIMENT_SPECS[parse_config(text, shared, default_experiment=audit).experiment].family != "audit":
         raise ConfigError(f"verify-simulation requires the {audit} experiment")
     cfg = parse_config(text, overrides, default_experiment=audit)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, workers=args.workers)
     report = result.aggregates["simulation_verify"]
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     if report["rejections"] > args.max_rejections:

@@ -10,10 +10,12 @@ would change nothing, so it is rejected by name.
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
-from .core import ConfigurationError
+from .core import ConfigurationError, NoiseKind
+from .environments import THETA_VARIANTS
 from .experiments import EXPERIMENT_SPECS, check_linucb, keys_read
+from .metrics import RESTRICTIONS
 
 
 class ConfigError(ConfigurationError):
@@ -24,31 +26,64 @@ EXPERIMENTS = tuple(EXPERIMENT_SPECS)
 
 
 @dataclass(frozen=True)
+class Domain:
+    """A key's values: the ``choices``, or else the finite numbers from ``low``
+    (``low`` itself only when ``closed``) below ``high``; NaN fails every
+    comparison, and ``high`` itself, infinite or not, is excluded."""
+
+    low: float = 0
+    closed: bool = True
+    high: float = math.inf
+    choices: tuple = ()
+
+    def admits(self, value) -> bool:
+        if self.choices:
+            return value in self.choices
+        # -0.0 == 0.0, but NumPy reads its sign bit as a negative scale.
+        at_low = self.closed and value == self.low and math.copysign(1, value) == math.copysign(1, self.low)
+        return (value > self.low or at_low) and value < self.high
+
+    def __str__(self) -> str:
+        bound = f"[{self.low:g}" if self.closed else f"({self.low:g}"
+        return f"one of {self.choices}" if self.choices else f"in {bound}, {self.high:g})"
+
+
+def _key(default, domain: Domain):
+    """A config field with its default and its own domain, whatever the other keys hold."""
+    return field(default=default, metadata={"domain": domain})
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's settings; the field defaults are the global defaults, and a
-    field's annotation is the type its config value converts to."""
+    """One run's settings; the field defaults are the global defaults, a
+    field's annotation is the type its config value converts to, and its
+    domain the values it may take, which _validate checks."""
 
     experiment: str
-    horizons: tuple[int, ...] = (20000,)
-    replicates: int = 200
-    master_seed: int = 20260814
-    batch: int = 200
-    d: int = 2
-    n_actions: int = 5
-    rho: float = 0.3
-    catalog_size: int = 8
-    catalog_seed: int = 7
-    prior_scale: float = 1.0
-    minority_prob: float = 0.0
-    noise: str = "gaussian"
-    theta_variant: str = "theta0"
-    population: str = "full"
-    ridge: float = 1.0
+    horizons: tuple[int, ...] = _key((20000,), Domain(2))
+    replicates: int = _key(200, Domain(1))
+    master_seed: int = _key(20260814, Domain(0))
+    batch: int = _key(200, Domain(1))
+    d: int = _key(2, Domain(1))
+    n_actions: int = _key(5, Domain(2))
+    rho: float = _key(0.3, Domain(0.0))
+    catalog_size: int = _key(8, Domain(1))
+    catalog_seed: int = _key(7, Domain(0))
+    # The prior covariance is prior_scale^2 I, and theta, so every regret,
+    # scales with prior_scale; the aggregates square regret sums.
+    prior_scale: float = _key(1.0, Domain(1e-100, high=1e100))
+    minority_prob: float = _key(0.0, Domain(0.0, high=1.0))
+    noise: str = _key("gaussian", Domain(choices=tuple(kind.value for kind in NoiseKind)))
+    theta_variant: str = _key("theta0", Domain(choices=THETA_VARIANTS))
+    population: str = _key("full", Domain(choices=("full", "minority")))
+    # Perturbed LinUCB starts from the inverse I / ridge, and its first
+    # Sherman-Morrison step, a product of two of its rows, overflows below 1e-154.
+    ridge: float = _key(1.0, Domain(1e-100))
     policies: tuple[str, ...] = ()
-    n_targets: int = 20
-    sim_draws: int = 100000
-    restriction: str = "minority"
-    restriction_p: float = 0.5
+    n_targets: int = _key(20, Domain(1))
+    sim_draws: int = _key(100000, Domain(10))
+    restriction: str = _key("minority", Domain(choices=RESTRICTIONS))
+    restriction_p: float = _key(0.5, Domain(0.0, closed=False, high=1.0))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,50 +167,22 @@ def parse_config(
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if not cfg.horizons or any(t < 2 for t in cfg.horizons):
-        raise ConfigError("horizons must be integers of at least 2")
-    if len(set(cfg.horizons)) != len(cfg.horizons):
-        raise ConfigError("horizons must be distinct")
-    if cfg.replicates < 1:
-        raise ConfigError("replicates must be at least 1")
-    if cfg.master_seed < 0:
-        raise ConfigError("master_seed must be nonnegative")
-    if cfg.batch < 1:
-        raise ConfigError("batch must be at least 1")
-    if cfg.d < 1:
-        raise ConfigError("d must be at least 1")
-    if cfg.n_actions < 2:
-        raise ConfigError("n_actions must be at least 2")
-    if cfg.rho < 0:
-        raise ConfigError("rho must be nonnegative")
+    for f in fields(cfg):
+        if "domain" not in f.metadata:
+            continue
+        value = getattr(cfg, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if not items or len(set(items)) < len(items):
+            raise ConfigError(f"{f.name} must be one or more distinct values")
+        for item in items:
+            if not f.metadata["domain"].admits(item):
+                raise ConfigError(f"{f.name} must be {f.metadata['domain']}, got {item!r}")
     if cfg.rho > 1.0 / math.sqrt(cfg.d) + 1e-12:
         raise ConfigError(f"rho must not exceed 1/sqrt(d) = {1.0 / math.sqrt(cfg.d):.6g}")
-    if cfg.catalog_size < 1:
-        raise ConfigError("catalog_size must be at least 1")
-    if cfg.prior_scale <= 0:
-        raise ConfigError("prior_scale must be positive")
-    if not 0.0 <= cfg.minority_prob < 1.0:
-        raise ConfigError("minority_prob must lie in [0, 1)")
     if cfg.minority_prob > 0 and cfg.catalog_size < 2:
         raise ConfigError("minority_prob > 0 needs catalog_size of at least 2, one entry per group")
     if cfg.minority_prob > 0 and cfg.d < 2:
         raise ConfigError("minority_prob > 0 needs d of at least 2, one axis per group")
-    if cfg.noise not in ("gaussian", "bernoulli"):
-        raise ConfigError("noise must be 'gaussian' or 'bernoulli'")
-    if cfg.theta_variant not in ("theta0", "theta1"):
-        raise ConfigError("theta_variant must be 'theta0' or 'theta1'")
-    if cfg.population not in ("full", "minority"):
-        raise ConfigError("population must be 'full' or 'minority'")
-    if cfg.ridge < 0:
-        raise ConfigError("ridge must be nonnegative")
-    if cfg.n_targets < 1:
-        raise ConfigError("n_targets must be at least 1")
-    if cfg.sim_draws < 10:
-        raise ConfigError("sim_draws must be at least 10")
-    if cfg.restriction not in ("minority", "coin"):
-        raise ConfigError("restriction must be 'minority' or 'coin'")
-    if not 0.0 < cfg.restriction_p < 1.0:
-        raise ConfigError("restriction_p must lie in (0, 1)")
     spec = EXPERIMENT_SPECS[cfg.experiment]
     if (spec.comparator or spec.family == "audit") and len(cfg.horizons) > 1:
         twice = ", and horizons that share T // batch would run the LinUCB comparator twice"

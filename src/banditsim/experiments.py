@@ -40,8 +40,6 @@ from .simulation import simulate_reward_many, simulation_weights
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
-WORKERS_ENV_VAR = "BANDITSIM_WORKERS"
-
 # Replicates of one perturbed LinUCB cell that one job advances in lockstep.
 # A constant, not derived from the worker count: a replicate's result does not
 # depend on its block, and the blocks do not depend on the scheduling.
@@ -75,20 +73,12 @@ class ExperimentResult:
 
 
 def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ConfigurationError("workers must be at least 1")
-        return workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer, got '{env}'") from None
-        if value < 1:
-            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be at least 1")
-        return value
-    return min(os.cpu_count() or 1, 8)
+    """``workers``, or by default the CPU count up to 8."""
+    if workers is None:
+        return min(os.cpu_count() or 1, 8)
+    if workers < 1:
+        raise ConfigurationError("workers must be at least 1")
+    return workers
 
 
 def build_instance(cfg: ExperimentConfig) -> tuple:
@@ -363,7 +353,7 @@ def check_linucb(cfg: ExperimentConfig) -> str | None:
     Builds the parameters at the horizons the jobs run.  Two-bridge runs need
     T >= 4 whatever their policies: below it the smaller mean 1/2 - 1/sqrt(T)
     is negative, and LinUCB's norm bound S exceeds T.  On perturbed instances
-    only LinUCB builds them, and its engine needs a positive ridge.
+    only LinUCB builds them; the config's domains already keep its ridge positive.
     """
     family = EXPERIMENT_SPECS[cfg.experiment].family
     for policy, horizon in _cells(cfg):
@@ -371,9 +361,6 @@ def check_linucb(cfg: ExperimentConfig) -> str | None:
             if family == "two_bridge":
                 LinUCBParams.for_two_bridge(horizon)
             elif family == "perturbed" and policy.startswith("linucb"):
-                if cfg.ridge <= 0:
-                    return (f"ridge must be positive for {policy} on {cfg.experiment}: "
-                            "its engine starts from (ridge I)^-1")
                 _perturbed_params(cfg, horizon, prior_mean_norm(cfg))
         except ValueError as exc:
             at = f"T = {horizon}" if horizon in cfg.horizons else f"T // batch = {horizon}"
@@ -592,8 +579,9 @@ def _check_externality(cfg) -> str | None:
 
 
 def _check_audit(cfg) -> str | None:
-    if cfg.rho <= 0:
-        return f"rho must be positive for {cfg.experiment}: the audited batch needs perturbed contexts"
+    if cfg.rho < 1e-100:
+        return (f"rho must be positive for {cfg.experiment}, at least 1e-100: the audited batch needs "
+                "perturbed contexts, and its suggested size grows as 1/rho^2")
     if cfg.batch < cfg.d:
         return f"batch must be at least d for {cfg.experiment}: a smaller batch cannot span R^d"
     if cfg.horizons[0] < cfg.batch:
@@ -604,6 +592,8 @@ def _check_audit(cfg) -> str | None:
 def _check_eig_growth(cfg) -> str | None:
     if cfg.d != 2:
         return f"{cfg.experiment} needs d = 2, the only dimension its lambda curve tracking supports"
+    if cfg.rho < 1e-100:
+        return f"rho must be at least 1e-100 for {cfg.experiment}: its lambda bound rho^2 t / (32 ln T) divides"
     if min(cfg.horizons) < LAMBDA_FLOOR_ROUND:
         return (f"horizons must be at least {LAMBDA_FLOOR_ROUND} for {cfg.experiment}: "
                 f"its bound is checked from round {LAMBDA_FLOOR_ROUND} on")

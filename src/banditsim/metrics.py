@@ -14,6 +14,8 @@ import numpy as np
 
 from .rng import Purpose, stream
 
+RESTRICTIONS = ("minority", "coin")
+
 
 def running_sum(prev, inst: np.ndarray):
     """``prev`` plus the rows of ``inst`` added one round at a time, in round order."""
@@ -34,8 +36,8 @@ class RegretSums:
 
     def __init__(self, master_seed: int, replicates, horizon: int,
                  restriction: str = "minority", restriction_p: float = 0.5, curve: bool = False):
-        if restriction not in ("minority", "coin"):
-            raise ValueError(f"restriction must be 'minority' or 'coin', not {restriction!r}")
+        if restriction not in RESTRICTIONS:
+            raise ValueError(f"restriction must be one of {RESTRICTIONS}, not {restriction!r}")
         self.total = np.zeros(len(replicates))
         self.restricted = np.zeros(len(replicates))
         self._coins = None

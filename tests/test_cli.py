@@ -178,19 +178,11 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip())
         assert "KEY=VALUE" in err["message"]
 
-    @pytest.mark.parametrize("flags,env,message", [
-        (["--workers", "0"], None, "workers must be at least 1"),
-        ([], "0", "BANDITSIM_WORKERS must be at least 1"),
-        ([], "abc", "BANDITSIM_WORKERS must be an integer, got 'abc'"),
-    ])
-    def test_bad_worker_count_exit_2(self, config_path, flags, env, message, capsys, monkeypatch):
-        if env is None:
-            monkeypatch.delenv(experiments.WORKERS_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(experiments.WORKERS_ENV_VAR, env)
-        assert main(["run", config_path, "--out", "-", *flags]) == 2
+    @pytest.mark.parametrize("command", [["run", "--experiment", "TwoBridgeLinUCB"], ["verify-simulation"]])
+    def test_bad_worker_count_exit_2(self, command, capsys):
+        assert main([*command, "--out", "-", "--workers", "0"]) == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "ConfigurationError", "message": message}
+        assert err == {"error": "ConfigurationError", "message": "workers must be at least 1"}
 
     def test_replicate_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -310,7 +302,22 @@ class TestRun:
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
-        assert "ridge must be positive for linucb on ScalingFit" in err["message"]
+        assert "ridge must be in [1e-100, inf), got 0.0" in err["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("ridge", "nan"), ("ridge", "inf"), ("ridge", "1e-155"),
+        ("rho", "nan"), ("rho", "-0.0"),
+        ("prior_scale", "nan"), ("prior_scale", "inf"), ("prior_scale", "1e200"), ("prior_scale", "1e-200"),
+        ("catalog_seed", "-5"),
+    ])
+    def test_value_outside_its_domain_exit_2_by_name(self, key, value, capsys):
+        # Each of these once ran: with inf regret, or into a replicate failure (exit 3).
+        argv = ["run", "--experiment", "ScalingFit", "--set", "horizons=50,60,70", "--set", "policies=linucb",
+                "--set", f"{key}={value}", "--replicates", "2", "--out", "-", "--workers", "1"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{key} must be in ")
 
     @pytest.mark.parametrize("experiment", ["TwoBridgeLinUCB", "TwoBridgeImpossibility"])
     def test_nonzero_ridge_on_two_bridge_exit_2(self, experiment, capsys):
@@ -408,10 +415,10 @@ class TestVerifySimulation:
     def test_rejection_budget_exceeded_exit_4(self, capsys, monkeypatch):
         # Every KS test rejects, so a budget of 0 is exceeded.
         monkeypatch.setattr(experiments, "ks_2samp_equal", lambda x, y: (1.0, 0.0))
-        monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "1")
         code = main(
             [
                 "verify-simulation",
+                "--workers", "1",
                 "--targets", "3",
                 "--draws", "1000",
                 "--max-rejections", "0",
@@ -448,31 +455,24 @@ class TestVerifySimulation:
         assert err["error"] == "ConfigError"
         assert message in err["message"]
 
-    def test_singular_audited_batch_exit_4(self, tmp_path, capsys, monkeypatch):
+    def test_singular_audited_batch_exit_4(self, tmp_path, capsys):
         # Valid, but one catalog entry with two actions and almost no
         # perturbation gives a batch whose Gram matrix is singular.  At two
         # workers the error is raised in a pool worker, whatever the CPU count.
         cfg = tmp_path / "singular.cfg"
         cfg.write_text("rho = 1e-9\ncatalog_size = 1\nn_actions = 2\n")
         for workers in ("1", "2"):
-            monkeypatch.setenv(experiments.WORKERS_ENV_VAR, workers)
-            assert main(["verify-simulation", str(cfg), "--targets", "2", "--draws", "100", "--out", "-"]) == 4
+            argv = ["verify-simulation", str(cfg), "--targets", "2", "--draws", "100", "--workers", workers]
+            assert main([*argv, "--out", "-"]) == 4
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == "InsufficientDiversityError"
 
-    def test_audit_run_with_zero_workers_exit_2(self, capsys, monkeypatch):
-        monkeypatch.delenv(experiments.WORKERS_ENV_VAR, raising=False)
+    def test_audit_run_with_zero_workers_exit_2(self, capsys):
         argv = ["run", "--experiment", "SimulationVerify", "--set", "n_targets=2", "--set", "sim_draws=100",
                 "--workers", "0", "--out", "-"]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ConfigurationError", "message": "workers must be at least 1"}
-
-    def test_audit_with_bad_worker_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "abc")
-        assert main(["verify-simulation", "--targets", "2", "--draws", "100", "--out", "-"]) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "ConfigurationError", "message": "BANDITSIM_WORKERS must be an integer, got 'abc'"}
 
     def test_wrong_experiment_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "wrong.cfg"

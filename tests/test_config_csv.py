@@ -227,7 +227,6 @@ def _render(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 # Values each key may take whatever the others hold, within the spec defaults.
 READ_VALUES = {
     "master_seed": st.integers(0, 2**64 - 1),
@@ -237,12 +236,12 @@ READ_VALUES = {
     "rho": st.floats(1e-3, 0.5),
     "catalog_size": st.integers(2, 10**4),
     "catalog_seed": st.integers(0, 2**64 - 1),
-    "prior_scale": POSITIVE,
+    "prior_scale": st.floats(1e-100, 1e100, exclude_max=True),
     "minority_prob": st.floats(1e-9, 1.0, exclude_max=True),
     "noise": st.sampled_from(["gaussian", "bernoulli"]),
     "theta_variant": st.sampled_from(["theta0", "theta1"]),
     "population": st.sampled_from(["full", "minority"]),
-    "ridge": POSITIVE,
+    "ridge": st.floats(1e-100, 1e300),
     "n_targets": st.integers(1, 10**6),
     "sim_draws": st.integers(10, 10**9),
     "restriction_p": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

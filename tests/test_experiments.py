@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from banditsim.csvio import emit_csv
 from banditsim.experiments import (
     ExperimentResult,
     ReplicateError,
-    WORKERS_ENV_VAR,
     build_instance,
     draw_theta_for_replicate,
     ks_2samp_equal,
@@ -136,27 +136,20 @@ class TestThetaDraws:
 
 class TestWorkers:
     def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
+        monkeypatch.setenv("BANDITSIM_WORKERS", "5")
         assert resolve_workers(3) == 3
 
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        assert resolve_workers(None) == 5
-
-    def test_invalid_environment(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
+    def test_environment_is_ignored(self, monkeypatch):
+        # --workers, or the workers argument, alone sets the count.
+        for value in ("5", "many", "0"):
+            monkeypatch.setenv("BANDITSIM_WORKERS", value)
+            assert resolve_workers(None) == min(os.cpu_count() or 1, 8)
 
     def test_invalid_argument(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
 
-    def test_default_is_bounded(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+    def test_default_is_bounded(self):
         assert 1 <= resolve_workers(None) <= 8
 
 

@@ -9,9 +9,9 @@ with ``--workers 1`` and once with ``--workers 2``, plus the two simulation
 audits, ``list-experiments`` and ``print-defaults``.  The ``--workers 1`` runs
 and the listing commands run under ``OPENBLAS_NUM_THREADS=1``, the
 ``--workers 2`` runs and the audits under ``OPENBLAS_NUM_THREADS=2``.  The
-audits take their worker count from ``BANDITSIM_WORKERS``, set here: 2 for
-``verify_seed7_20x25000`` and 1 for ``verify_default_6x5000``.  So one listing
-covers both worker counts and both BLAS thread counts.  Every output
+audits pass ``--workers 2`` for ``verify_seed7_20x25000`` and ``--workers 1``
+for ``verify_default_6x5000``.  So one listing covers both worker counts and
+both BLAS thread counts.  Every output
 lands under OUTDIR, and one ``md5  file`` line per output goes to stdout,
 sorted by file.  A refactor that must keep the output bytes passes when
 ``diff`` finds no difference between the listings of two checkouts.
@@ -51,7 +51,7 @@ RUNS = (
       "--set", "restriction=coin", "--set", "population=minority", "--set", "noise=bernoulli"]),
 )
 
-# (name, BANDITSIM_WORKERS, verify-simulation arguments)
+# (name, --workers, verify-simulation arguments)
 AUDITS = (
     ("verify_seed7_20x25000", 2, ["--seed", "7", "--targets", "20", "--draws", "25000"]),
     ("verify_default_6x5000", 1, ["--targets", "6", "--draws", "5000"]),
@@ -61,9 +61,8 @@ EXPERIMENTS = ("TwoBridgeLinUCB", "TwoBridgeImpossibility", "GreedyVsLinUCB", "S
                "ExternalityVanishing", "SimulationVerify", "EigGrowth")
 
 
-def banditsim(args: list, threads: int = 1, workers: int = 1, stdout=subprocess.DEVNULL) -> None:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads),
-               BANDITSIM_WORKERS=str(workers))
+def banditsim(args: list, threads: int = 1, stdout=subprocess.DEVNULL) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-m", "banditsim.cli", *args], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True)
     # The audit exits 4 when too many KS tests reject; its report is still an output.
@@ -83,7 +82,8 @@ def main(argv: list) -> int:
                        "--aggregates", str(run_dir / "aggregates.json"),
                        "--curves", str(run_dir / "curves.csv")], threads=workers)
     for name, workers, args in AUDITS:
-        banditsim(["verify-simulation", *args, "--out", str(out / f"{name}.json")], threads=2, workers=workers)
+        banditsim(["verify-simulation", *args, "--workers", str(workers), "--out", str(out / f"{name}.json")],
+                  threads=2)
     with open(out / "list-experiments.txt", "w", encoding="utf-8") as fh:
         banditsim(["list-experiments"], stdout=fh)
     with open(out / "print-defaults.json", "w", encoding="utf-8") as fh:
