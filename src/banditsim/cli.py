@@ -2,9 +2,10 @@
 
 Errors print one JSON line to stderr (``{"error": ..., "message": ...}``) and
 exit nonzero: 2 for configuration and usage problems (a value outside its key's
-domain names the key), 3 for a failed replicate, a worker process that died or
-a run out of memory, 4 for a failed simulation verification (too many KS
-rejections, or an audited batch too little diverse to simulate from).
+domain names the key, a malformed command line its flag), 3 for a failed
+replicate, a worker process that died or a run out of memory, 4 for a failed
+simulation verification (too many KS rejections, or an audited batch too
+little diverse to simulate from).
 ``--workers`` alone sets the worker count: by default the CPU count, at most 8.
 """
 
@@ -40,8 +41,15 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they print one JSON line too; subparsers inherit this."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="banditsim",
         description="Linear contextual bandit simulations with reproducible tables.",
     )
@@ -199,9 +207,8 @@ def _cmd_defaults(args) -> int:
 
 
 def main(argv: list | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "verify-simulation":

@@ -79,7 +79,7 @@ class ExperimentConfig:
     # Perturbed LinUCB starts from the inverse I / ridge, and its first
     # Sherman-Morrison step, a product of two of its rows, overflows below 1e-154.
     ridge: float = _key(1.0, Domain(1e-100))
-    policies: tuple[str, ...] = ()
+    policies: tuple[str, ...] = ()  # its domain is its experiment's spec.policies
     n_targets: int = _key(20, Domain(1))
     sim_draws: int = _key(100000, Domain(10))
     restriction: str = _key("minority", Domain(choices=RESTRICTIONS))
@@ -167,37 +167,29 @@ def parse_config(
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    spec = EXPERIMENT_SPECS[cfg.experiment]
     for f in fields(cfg):
-        if "domain" not in f.metadata:
+        domain = Domain(choices=spec.policies) if f.name == "policies" else f.metadata.get("domain")
+        if domain is None:
             continue
         value = getattr(cfg, f.name)
         items = value if isinstance(value, tuple) else (value,)
         if not items or len(set(items)) < len(items):
-            raise ConfigError(f"{f.name} must be one or more distinct values")
+            raise ConfigError(f"{f.name} must be one or more distinct values, got {value!r} on {cfg.experiment}")
         for item in items:
-            if not f.metadata["domain"].admits(item):
-                raise ConfigError(f"{f.name} must be {f.metadata['domain']}, got {item!r}")
+            if not domain.admits(item):
+                raise ConfigError(f"{f.name} must be {domain}, got {item!r} on {cfg.experiment}")
     if cfg.rho > 1.0 / math.sqrt(cfg.d) + 1e-12:
         raise ConfigError(f"rho must not exceed 1/sqrt(d) = {1.0 / math.sqrt(cfg.d):.6g}")
     if cfg.minority_prob > 0 and cfg.catalog_size < 2:
         raise ConfigError("minority_prob > 0 needs catalog_size of at least 2, one entry per group")
     if cfg.minority_prob > 0 and cfg.d < 2:
         raise ConfigError("minority_prob > 0 needs d of at least 2, one axis per group")
-    spec = EXPERIMENT_SPECS[cfg.experiment]
     if (spec.comparator or spec.family == "audit") and len(cfg.horizons) > 1:
         twice = ", and horizons that share T // batch would run the LinUCB comparator twice"
         raise ConfigError(
             f"{cfg.experiment} takes one horizon: its checks read one{twice if spec.comparator else ''}"
         )
-    if not cfg.policies:
-        raise ConfigError("policies must not be empty")
-    for p in cfg.policies:
-        if p not in spec.policies:
-            raise ConfigError(
-                f"policy '{p}' is not valid for {cfg.experiment}; allowed: {', '.join(spec.policies)}"
-            )
-        if cfg.policies.count(p) > 1:
-            raise ConfigError(f"policy '{p}' is listed more than once; policies must be distinct")
     problem = spec.check(cfg) or check_linucb(cfg)
     if problem:
         raise ConfigError(problem)

@@ -75,12 +75,6 @@ def _seg_sums(counts: np.ndarray, mean: float, noise: NoiseKind, rng: np.random.
     return np.asarray(rng.binomial(counts, mean), dtype=float)
 
 
-def _single_rewards(n: int, mean: float, noise: NoiseKind, rng: np.random.Generator) -> np.ndarray:
-    if noise is NoiseKind.GAUSSIAN_UNIT:
-        return rng.normal(mean, 1.0, n)
-    return rng.binomial(1, mean, n).astype(float)
-
-
 def linucb_picks_top(top_before, bot_before, seg_top, seg_bot, cand_top, cand_bot, params) -> np.ndarray:
     """Whether two-bridge LinUCB picks the top bridge at each B round.
 
@@ -192,8 +186,8 @@ def run_two_bridge_policy(
         rew = stream(master_seed, replicate, Purpose.REWARDS)
         seg_top = _seg_sums(top_inc, float(theta[0]), cfg.noise, rew)
         seg_bot = _seg_sums(bot_inc, float(theta[1]), cfg.noise, rew)
-        cand_top = _single_rewards(n_b, float(theta[0]), cfg.noise, rew)
-        cand_bot = _single_rewards(n_b, float(theta[1]), cfg.noise, rew)
+        cand_top = _seg_sums(np.ones(n_b, dtype=np.int64), float(theta[0]), cfg.noise, rew)
+        cand_bot = _seg_sums(np.ones(n_b, dtype=np.int64), float(theta[1]), cfg.noise, rew)
         picks_top = linucb_picks_top(
             top_before, bot_before, seg_top, seg_bot, cand_top, cand_bot,
             LinUCBParams.for_two_bridge(horizon),

@@ -2,12 +2,12 @@
 
 ``EXPERIMENT_SPECS`` is the one table of what sets each named experiment
 apart; the config parser, the CLI and the harness read it.  Each experiment
-expands into independent jobs, each a block of replicates of one policy: at
-every horizon of the policy for perturbed LinUCB, at one horizon otherwise
-(``_jobs_for``).  The result of a (policy, horizon, replicate) comes only
-from the purpose-keyed streams of its replicate, so tables are byte-identical
-across repeated runs and across any worker count; rows are sorted by
-(policy, T, replicate) and curves follow the cells before emission.
+expands into independent jobs, each a block of replicates of one policy with
+the engine that runs it: at every horizon of the policy for perturbed LinUCB,
+at one horizon otherwise (``_jobs_for``).  The result of a (policy, horizon,
+replicate) comes only from the purpose-keyed streams of its replicate, so
+tables are byte-identical across repeated runs and any worker count; rows are
+sorted by (policy, T, replicate) and curves follow the cells before emission.
 """
 
 from __future__ import annotations
@@ -134,21 +134,16 @@ def linucb_comparator_horizon(horizon: int, batch: int) -> int:
 
 
 def _run_job(job) -> list:
-    """Run one job: one (row, extras, curve points) outcome per (horizon,
-    replicate) it holds."""
-    cfg, instance, policy, horizons, reps = job
+    """Run one job ``(engine, cfg, instance, policy, horizons, replicates)``:
+    one (row, extras, curve points) outcome per (horizon, replicate) it holds."""
+    engine, cfg, instance, policy, horizons, reps = job
     try:
-        if instance is None:
-            return [_two_bridge_job(cfg, policy, t, rep) for t in horizons for rep in reps]
-        return _perturbed_job(cfg, instance, policy, horizons, reps)
+        return engine(cfg, instance, policy, horizons, reps)
     except Exception as exc:
         if len(reps) > 1:
             # Replicates are independent of their block, so running them one
             # at a time gives the same outcomes and names the one that fails.
-            return [
-                out for rep in reps
-                for out in _run_job((cfg, instance, policy, horizons, (rep,)))
-            ]
+            return [out for rep in reps for out in _run_job((*job[:-1], (rep,)))]
         seed = replicate_seed_id(cfg.master_seed, reps[0])
         at = ",".join(str(t) for t in horizons)
         raise ReplicateError(
@@ -176,7 +171,7 @@ def _work_chunks(jobs: list, n_chunks: int) -> list:
     1/``n_chunks`` of the total work, a job's work being the sum of its
     horizons times its replicate count; a job larger than that share runs
     alone."""
-    work = [sum(horizons) * len(reps) for _, _, _, horizons, reps in jobs]
+    work = [sum(horizons) * len(reps) for *_, horizons, reps in jobs]
     total = sum(work)
     chunks: dict = {}
     done = 0
@@ -205,7 +200,13 @@ def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, res, th
     return row, extras, points
 
 
-def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int) -> tuple:
+def _sums(cfg: ExperimentConfig, reps: tuple, horizon: int) -> RegretSums:
+    """Regret sums of replicates ``reps`` at ``horizon``; replicate 0's block keeps its curve."""
+    return RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, reps[0] == 0)
+
+
+def _two_bridge_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
+    [horizon], [rep] = horizons, reps
     variant = cfg.theta_variant
     p_majority = MAJORITY_RATE if cfg.population == "full" else 0.0
     if EXPERIMENT_SPECS[cfg.experiment].theta_coin:
@@ -220,51 +221,47 @@ def _two_bridge_job(cfg: ExperimentConfig, policy: str, horizon: int, rep: int) 
         noise=NoiseKind(cfg.noise),
         p_majority=p_majority,
     )
-    sums = RegretSums(cfg.master_seed, (rep,), horizon, cfg.restriction, cfg.restriction_p, rep == 0)
+    sums = _sums(cfg, reps, horizon)
     if policy == "batch_freq_greedy":
         res = run_two_bridge_batch_freq(base, cfg.master_seed, rep, cfg.batch, sums=sums)
     else:
         res = run_two_bridge_policy(base, policy, cfg.master_seed, rep, sums=sums)
 
     extras = {"wrong_b_rounds": res.wrong_b_rounds, "b_rounds": res.b_rounds}
-    return _outcome(cfg, policy, horizon, rep, res, int(variant == "theta1"), extras)
+    return [_outcome(cfg, policy, horizon, rep, res, int(variant == "theta1"), extras)]
 
 
-def _perturbed_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
+def _greedy_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
     catalog, prior = instance
-    thetas = [draw_theta_for_replicate(cfg, prior, rep) for rep in reps]
+    [horizon] = horizons
+    lambda_checks = EXPERIMENT_SPECS[cfg.experiment].lambda_checks
+    thetas = np.array([draw_theta_for_replicate(cfg, prior, rep) for rep in reps])
+    results = run_perturbed_batch_greedy(
+        catalog, prior, thetas, horizon, cfg.batch, cfg.master_seed, reps,
+        acting="bayes" if policy == "batch_bayes_greedy" else "freq",
+        keep_rows=lambda_checks,
+        sums=_sums(cfg, reps, horizon),
+    )
+    outcomes = []
+    for rep, res in zip(reps, results):
+        extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
+        if lambda_checks:
+            extras.update(_lambda_checks(_lambda_min_curve(res.chosen_rows), cfg.rho, horizon))
+        outcomes.append(_outcome(cfg, policy, horizon, rep, res, rep, extras))
+    return outcomes
 
-    def sums(horizon):
-        return RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, reps[0] == 0)
 
-    if policy in ("batch_bayes_greedy", "batch_freq_greedy"):
-        [horizon] = horizons
-        lambda_checks = EXPERIMENT_SPECS[cfg.experiment].lambda_checks
-        results = run_perturbed_batch_greedy(
-            catalog, prior, np.array(thetas), horizon, cfg.batch, cfg.master_seed, reps,
-            acting="bayes" if policy == "batch_bayes_greedy" else "freq",
-            keep_rows=lambda_checks,
-            sums=sums(horizon),
-        )
-        outcomes = []
-        for rep, res in zip(reps, results):
-            extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
-            if lambda_checks:
-                extras.update(_lambda_checks(_lambda_min_curve(res.chosen_rows), cfg.rho, horizon))
-            outcomes.append(_outcome(cfg, policy, horizon, rep, res, rep, extras))
-        return outcomes
-    if policy in ("linucb", "linucb_full", "linucb_minority"):
-        run_catalog = catalog.minority_only() if policy == "linucb_minority" else catalog
-        prior_norm = float(np.linalg.norm(prior.mean))
-        cells = [LinUCBCell(t, _perturbed_params(cfg, t, prior_norm), sums(t)) for t in horizons]
-        per_cell = run_perturbed_linucb(
-            run_catalog, cells, np.array(thetas), max(horizons), cfg.master_seed, reps,
-        )
-        return [
-            _outcome(cfg, policy, t, rep, res, rep, {})
-            for t, results in zip(horizons, per_cell) for rep, res in zip(reps, results)
-        ]
-    raise ValueError(f"policy '{policy}' is not valid on perturbed instances")
+def _linucb_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
+    catalog, prior = instance
+    thetas = np.array([draw_theta_for_replicate(cfg, prior, rep) for rep in reps])
+    run_catalog = catalog.minority_only() if policy == "linucb_minority" else catalog
+    prior_norm = float(np.linalg.norm(prior.mean))
+    cells = [LinUCBCell(t, _perturbed_params(cfg, t, prior_norm), _sums(cfg, reps, t)) for t in horizons]
+    per_cell = run_perturbed_linucb(run_catalog, cells, thetas, max(horizons), cfg.master_seed, reps)
+    return [
+        _outcome(cfg, policy, t, rep, res, rep, {})
+        for t, results in zip(horizons, per_cell) for rep, res in zip(reps, results)
+    ]
 
 
 def draw_theta_for_replicate(cfg: ExperimentConfig, prior, rep: int) -> np.ndarray:
@@ -312,7 +309,7 @@ def _instance_for(cfg: ExperimentConfig):
 
 
 def _jobs_for(cfg: ExperimentConfig, instance) -> list:
-    """Jobs ``(cfg, instance, policy, horizons, replicates)``.
+    """Jobs ``(engine, cfg, instance, policy, horizons, replicates)``; the engine runs the rest.
 
     A perturbed LinUCB job holds up to LINUCB_BLOCK consecutive replicates at
     every horizon of its policy's cells, which its engine advances in one
@@ -324,15 +321,15 @@ def _jobs_for(cfg: ExperimentConfig, instance) -> list:
     jobs = []
     for policy in cfg.policies:
         horizons = tuple(t for p, t in _cells(cfg) if p == policy)
-        groups, block = [(t,) for t in horizons], 1
+        groups, engine, block = [(t,) for t in horizons], _two_bridge_job, 1
         if instance is not None and policy.startswith("linucb"):
-            groups, block = [horizons], LINUCB_BLOCK
+            groups, engine, block = [horizons], _linucb_job, LINUCB_BLOCK
         elif instance is not None:
-            block = GREEDY_BLOCK
+            engine, block = _greedy_job, GREEDY_BLOCK
         for group in groups:
             for first in range(0, cfg.replicates, block):
                 reps = tuple(range(first, min(first + block, cfg.replicates)))
-                jobs.append((cfg, instance, policy, group, reps))
+                jobs.append((engine, cfg, instance, policy, group, reps))
     return jobs
 
 

@@ -178,6 +178,27 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip())
         assert "KEY=VALUE" in err["message"]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--experiment", "ScalingFit", "--workers", "abc"], "--workers"),
+        (["run", "--experiment", "ScalingFit", "--replicates", "1e3"], "--replicates"),
+        (["run", "--experiment", "Nope"], "--experiment"),
+        (["print-defaults", "--experiment", "Nope"], "--experiment"),
+        (["verify-simulation", "--targets", "many"], "--targets"),
+    ], ids=["workers", "replicates", "run-experiment", "defaults-experiment", "targets"])
+    def test_usage_error_prints_one_json_line(self, argv, flag, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ConfigError" and f"argument {flag}:" in payload["message"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", [["run", "--experiment", "TwoBridgeLinUCB"], ["verify-simulation"]])
     def test_bad_worker_count_exit_2(self, command, capsys):
         assert main([*command, "--out", "-", "--workers", "0"]) == 2
@@ -276,7 +297,8 @@ class TestRun:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
-        assert "policy 'linucb' is listed more than once" in err["message"]
+        assert f"policies must be one or more distinct values, got {tuple(policies.split(','))!r}" in err["message"]
+        assert experiment in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment, sets, message", [

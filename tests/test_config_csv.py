@@ -103,7 +103,7 @@ class TestParseConfig:
             parse_config("experiment = ExternalityVanishing\npolicies = uniform_random")
         # Each two-bridge experiment allows one name for LinUCB on the simulated rounds alone.
         for experiment, policy in (("TwoBridgeLinUCB", "linucb_minority"), ("TwoBridgeImpossibility", "linucb")):
-            with pytest.raises(ConfigError, match=f"policy '{policy}' is not valid for {experiment}; allowed: "):
+            with pytest.raises(ConfigError, match=rf"policies must be one of \(.*\), got '{policy}' on {experiment}$"):
                 parse_config(f"experiment = {experiment}\npolicies = {policy}")
 
     def test_externality_needs_minority_mass(self):

@@ -25,7 +25,6 @@ from banditsim.engines import (
     NOISE_CHUNK,
     LinUCBCell,
     _seg_sums,
-    _single_rewards,
     linucb_picks_top,
     run_perturbed_batch_greedy,
     run_perturbed_linucb,
@@ -111,8 +110,9 @@ def _two_bridge_draws(cfg, master_seed, replicate, inject_rate):
 
     seg_top = _seg_sums(top_inc, float(theta[0]), cfg.noise, rew)
     seg_bot = _seg_sums(bot_inc, float(theta[1]), cfg.noise, rew)
-    cand_top = _single_rewards(b_pos.size, float(theta[0]), cfg.noise, rew)
-    cand_bot = _single_rewards(b_pos.size, float(theta[1]), cfg.noise, rew)
+    single = np.ones(b_pos.size, dtype=np.int64)
+    cand_top = _seg_sums(single, float(theta[0]), cfg.noise, rew)
+    cand_bot = _seg_sums(single, float(theta[1]), cfg.noise, rew)
     return kinds, b_pos, top_inc, bot_inc, seg_top, seg_bot, cand_top, cand_bot, pol
 
 

@@ -8,7 +8,6 @@ from banditsim.engines import (
     LinUCBCell,
     _round_positions,
     _seg_sums,
-    _single_rewards,
     run_perturbed_batch_greedy,
     run_perturbed_linucb,
 )
@@ -178,25 +177,25 @@ class TestCatalog:
 
 
 class TestTwoBridgeRewards:
-    """Reward draws of the two-bridge engines: single pulls and forced stretches."""
+    """Reward draws of the two-bridge engines: single pulls (unit counts) and forced stretches."""
 
     def test_bernoulli_certain_means(self):
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(_single_rewards(20, 1.0, NoiseKind.BERNOULLI, rng), np.ones(20))
-        np.testing.assert_array_equal(_single_rewards(20, 0.0, NoiseKind.BERNOULLI, rng), np.zeros(20))
+        rng, single = np.random.default_rng(0), np.ones(20, dtype=np.int64)
+        np.testing.assert_array_equal(_seg_sums(single, 1.0, NoiseKind.BERNOULLI, rng), np.ones(20))
+        np.testing.assert_array_equal(_seg_sums(single, 0.0, NoiseKind.BERNOULLI, rng), np.zeros(20))
         counts = np.array([0, 1, 5, 40])
         np.testing.assert_array_equal(_seg_sums(counts, 1.0, NoiseKind.BERNOULLI, rng), counts)
 
     def test_gaussian_moments(self):
         n = 100_000
-        draws = _single_rewards(n, 0.5, NoiseKind.GAUSSIAN_UNIT, np.random.default_rng(21))
+        draws = _seg_sums(np.ones(n, dtype=np.int64), 0.5, NoiseKind.GAUSSIAN_UNIT, np.random.default_rng(21))
         assert draws.mean() == pytest.approx(0.5, abs=3 / np.sqrt(n))
         assert draws.var() == pytest.approx(1.0, rel=0.05)
 
     def test_two_bridge_top_bernoulli_rate(self):
         cfg = TwoBridgeConfig(horizon=10_000, noise=NoiseKind.BERNOULLI)
         n = 10_000
-        draws = _single_rewards(n, float(cfg.theta[0]), cfg.noise, np.random.default_rng(8))
+        draws = _seg_sums(np.ones(n, dtype=np.int64), float(cfg.theta[0]), cfg.noise, np.random.default_rng(8))
         assert set(np.unique(draws)) <= {0.0, 1.0}
         assert draws.mean() == pytest.approx(0.5, abs=3 * 0.5 / np.sqrt(n))
 

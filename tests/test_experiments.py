@@ -305,26 +305,48 @@ class TestLinUCBBlocks:
     def test_perturbed_jobs_hold_blocks_of_their_engine(self):
         cfg = _cfg(SMALL_SCALING)
         jobs = experiments._jobs_for(cfg, build_instance(cfg))
-        for _, _, policy, horizons, reps in jobs:
+        for engine, _, _, policy, horizons, reps in jobs:
             # A LinUCB job holds every horizon of its policy, a greedy job one.
             if policy == "linucb":
                 block = experiments.LINUCB_BLOCK
-                assert horizons == cfg.horizons
+                assert engine is experiments._linucb_job and horizons == cfg.horizons
             else:
                 block = experiments.GREEDY_BLOCK
-                assert len(horizons) == 1
+                assert engine is experiments._greedy_job and len(horizons) == 1
             # Full blocks and one ragged block per cell.
             assert len(reps) in (block, 35 % block)
-        covered = sorted((p, t, r) for _, _, p, hs, reps in jobs for t in hs for r in reps)
+        covered = sorted((p, t, r) for *_, p, hs, reps in jobs for t in hs for r in reps)
         assert covered == sorted(
             (p, t, r) for p in cfg.policies for t in cfg.horizons for r in range(35)
         )
         # Replicate 0, whose curve is kept, leads its block, so the engine tracks its curve.
-        assert [(p, hs, reps[0]) for _, _, p, hs, reps in jobs if 0 in reps] == [
+        assert [(p, hs, reps[0]) for *_, p, hs, reps in jobs if 0 in reps] == [
             ("linucb", cfg.horizons, 0),
             *(("batch_bayes_greedy", (t,), 0) for t in cfg.horizons),
             *(("batch_freq_greedy", (t,), 0) for t in cfg.horizons),
         ]
+
+    def test_two_group_policies_get_their_engines(self):
+        cfg = _cfg(SMALL_EXTERNALITY)
+        engines = {job[3]: job[0] for job in experiments._jobs_for(cfg, build_instance(cfg))}
+        assert engines == {
+            "batch_freq_greedy": experiments._greedy_job,
+            "linucb_minority": experiments._linucb_job,
+            "linucb_full": experiments._linucb_job,
+        }
+
+    def test_retry_runs_each_replicate_on_the_job_engine(self):
+        calls = []
+
+        def engine(cfg, instance, policy, horizons, reps):
+            calls.append(reps)
+            if len(reps) > 1:
+                raise FloatingPointError("injected")
+            return [(policy, horizons, reps[0])]
+
+        job = (engine, _cfg(SMALL_SCALING), None, "linucb", (200, 400), (4, 5, 6))
+        assert experiments._run_job(job) == [("linucb", (200, 400), rep) for rep in (4, 5, 6)]
+        assert calls == [(4, 5, 6), (4,), (5,), (6,)]
 
     def test_outputs_independent_of_job_order(self, monkeypatch):
         cfg = _cfg(SMALL_SCALING)
@@ -337,7 +359,7 @@ class TestLinUCBBlocks:
     def test_chunks_hold_consecutive_jobs_of_about_equal_work(self):
         cfg = _cfg(SMALL_SCALING)
         jobs = experiments._jobs_for(cfg, build_instance(cfg))
-        work = {id(job): sum(job[3]) * len(job[4]) for job in jobs}
+        work = {id(job): sum(job[4]) * len(job[5]) for job in jobs}
         share = sum(work.values()) / 8
         chunks = experiments._work_chunks(jobs, 8)
         assert [job for chunk in chunks for job in chunk] == jobs
@@ -346,12 +368,16 @@ class TestLinUCBBlocks:
             # A chunk stays within a share of the work, plus the job that crosses into the next share.
             assert len(chunk) == 1 or sum(work[id(job)] for job in chunk[:-1]) < share
         # The multi-horizon LinUCB blocks do not all land in one chunk.
-        linucb = {i for i, chunk in enumerate(chunks) for job in chunk if job[2] == "linucb"}
+        linucb = {i for i, chunk in enumerate(chunks) for job in chunk if job[3] == "linucb"}
         assert len(linucb) > 1
 
     def test_two_bridge_jobs_hold_one_replicate(self):
-        cfg = _cfg(SMALL_TWO_BRIDGE)
-        assert all(len(reps) == 1 for *_, reps in experiments._jobs_for(cfg, None))
+        allowed = experiments.EXPERIMENT_SPECS["TwoBridgeLinUCB"].policies
+        cfg = _cfg(SMALL_TWO_BRIDGE + f"policies = {', '.join(allowed)}\n")
+        jobs = experiments._jobs_for(cfg, None)
+        assert {job[3] for job in jobs} == set(allowed)
+        for engine, *_, horizons, reps in jobs:
+            assert engine is experiments._two_bridge_job and len(horizons) == len(reps) == 1
 
     def test_failing_replicate_in_block_carries_its_seed(self, monkeypatch):
         cfg = _cfg("experiment = ScalingFit\nhorizons = 200, 400, 800\nreplicates = 6\npolicies = linucb\n")
