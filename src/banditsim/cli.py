@@ -6,7 +6,9 @@ domain names the key, a malformed command line its flag), 3 for a failed
 replicate, a worker process that died or a run out of memory, 4 for a failed
 simulation verification (too many KS rejections, or an audited batch too
 little diverse to simulate from).
-``--workers`` alone sets the worker count: by default the CPU count, at most 8.
+``--set KEY=VALUE`` alone sets a config key on the command line, once per key,
+over the file's value. ``--workers`` alone sets the worker count: by default
+the CPU count, at most 8.
 """
 
 from __future__ import annotations
@@ -56,25 +58,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment and write its result table")
-    run.add_argument("config", nargs="?", help="config file of key = value lines")
-    run.add_argument("--experiment", choices=EXPERIMENTS, help="experiment name override")
-    run.add_argument("--seed", type=int, default=None, help="master seed override")
-    run.add_argument("--replicates", type=int, default=None, help="replicate count override")
-    workers_help = "worker processes (default: cpu count, at most 8); no output depends on it"
-    run.add_argument("--workers", type=int, default=None, help=workers_help)
-    run.add_argument("--set", dest="assignments", action="append", default=[],
-                     metavar="KEY=VALUE", help="additional config override, repeatable")
+    verify = sub.add_parser("verify-simulation", help="audit simulated rewards against direct draws")
+    for command in (run, verify):
+        command.add_argument("config", nargs="?", help="config file of key = value lines")
+        command.add_argument("--workers", type=int, default=None,
+                             help="worker processes (default: cpu count, at most 8); no output depends on it")
+        command.add_argument("--set", dest="assignments", action="append", default=[], metavar="KEY=VALUE",
+                             help="config key over the file's value, repeatable, once per key")
     run.add_argument("--out", default="results.csv", help="result table path (- for stdout)")
     run.add_argument("--aggregates", default=None, help="also write aggregates JSON here")
     run.add_argument("--curves", default=None,
                      help="write replicate-0 cumulative regret curves to this CSV")
 
-    verify = sub.add_parser("verify-simulation", help="audit simulated rewards against direct draws")
-    verify.add_argument("config", nargs="?", help="config file of key = value lines")
-    verify.add_argument("--seed", type=int, default=None, help="master seed override")
-    verify.add_argument("--targets", type=int, default=None, help="number of target contexts")
-    verify.add_argument("--draws", type=int, default=None, help="sample size per comparison")
-    verify.add_argument("--workers", type=int, default=None, help=workers_help)
     verify.add_argument("--max-rejections", type=int, default=2,
                         help="fail when more KS tests reject at level 0.01")
     verify.add_argument("--out", default="-", help="report JSON path (- for stdout)")
@@ -94,21 +89,16 @@ def _read_config(path: str | None) -> str:
         return fh.read()
 
 
-# Command-line flags that override config keys.
-_FLAG_KEYS = {"experiment": "experiment", "seed": "master_seed", "replicates": "replicates",
-              "targets": "n_targets", "draws": "sim_draws"}
-
-
 def _overrides_from(args) -> dict:
     overrides: dict = {}
-    for item in getattr(args, "assignments", []):
+    for item in args.assignments:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = convert_value(key.strip(), value)
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
-            overrides[key] = getattr(args, flag)
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"duplicate key '{key}' in --set")
+        overrides[key] = convert_value(key, value)
     return overrides
 
 
@@ -163,13 +153,10 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_rejections < 0:
         raise ConfigError(f"--max-rejections must be at least 0, got {args.max_rejections}")
-    text, overrides = _read_config(args.config), _overrides_from(args)
     audit = "SimulationVerify"
-    # Check the experiment before --targets and --draws, which only the audit reads.
-    shared = {k: v for k, v in overrides.items() if k not in ("n_targets", "sim_draws")}
-    if EXPERIMENT_SPECS[parse_config(text, shared, default_experiment=audit).experiment].family != "audit":
+    cfg = parse_config(_read_config(args.config), _overrides_from(args), default_experiment=audit)
+    if EXPERIMENT_SPECS[cfg.experiment].family != "audit":
         raise ConfigError(f"verify-simulation requires the {audit} experiment")
-    cfg = parse_config(text, overrides, default_experiment=audit)
     result = run_experiment(cfg, workers=args.workers)
     report = result.aggregates["simulation_verify"]
     _write_text(args.out, json.dumps(report, indent=2) + "\n")

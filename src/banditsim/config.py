@@ -118,7 +118,7 @@ def parse_config(
 ) -> ExperimentConfig:
     """Parse config text, apply defaults, and validate every invariant.
 
-    ``overrides`` (e.g. CLI flags) take precedence over file values.
+    ``overrides`` (``--set`` on the command line) take precedence over file values.
     ``default_experiment`` fills the experiment only when neither the text
     nor the overrides name one.
     """
@@ -138,8 +138,6 @@ def parse_config(
         raw[key] = _convert(key, value)
     if overrides:
         for key, value in overrides.items():
-            if value is None:
-                continue
             if key not in _TYPES:
                 raise ConfigError(f"unknown override key '{key}'")
             raw[key] = value

@@ -116,8 +116,8 @@ class TestRun:
             [
                 "run",
                 config_path,
-                "--seed", "123",
-                "--replicates", "2",
+                "--set", "master_seed=123",
+                "--set", "replicates=2",
                 "--set", "horizons = 600",
                 "--out", str(out),
                 "--workers", "1",
@@ -139,10 +139,10 @@ class TestRun:
         code = main(
             [
                 "run",
-                "--experiment", "TwoBridgeLinUCB",
+                "--set", "experiment=TwoBridgeLinUCB",
                 "--set", "horizons = 400, 800",
                 "--set", "policies = oracle",
-                "--replicates", "2",
+                "--set", "replicates=2",
                 "--out", str(out),
                 "--workers", "1",
             ]
@@ -178,20 +178,40 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip())
         assert "KEY=VALUE" in err["message"]
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["run", "--experiment", "ScalingFit", "--workers", "abc"], "--workers"),
-        (["run", "--experiment", "ScalingFit", "--replicates", "1e3"], "--replicates"),
-        (["run", "--experiment", "Nope"], "--experiment"),
-        (["print-defaults", "--experiment", "Nope"], "--experiment"),
-        (["verify-simulation", "--targets", "many"], "--targets"),
-    ], ids=["workers", "replicates", "run-experiment", "defaults-experiment", "targets"])
-    def test_usage_error_prints_one_json_line(self, argv, flag, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--set", "experiment=ScalingFit", "--workers", "abc"], "argument --workers:"),
+        (["run", "--set", "experiment=ScalingFit", "--set", "replicates=1e3"],
+         "key 'replicates' has malformed value '1e3'"),
+        (["run", "--set", "experiment=Nope"], "experiment 'Nope' unknown"),
+        (["print-defaults", "--experiment", "Nope"], "argument --experiment:"),
+        (["run", "--seed", "5"], "unrecognized arguments: --seed"),
+    ], ids=["workers", "replicates", "run-experiment", "defaults-experiment", "removed-flag"])
+    def test_usage_error_prints_one_json_line(self, argv, message, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         [line] = err.splitlines()
         payload = json.loads(line)
-        assert payload["error"] == "ConfigError" and f"argument {flag}:" in payload["message"]
+        assert payload["error"] == "ConfigError" and message in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--set", "experiment=TwoBridgeLinUCB", "--set", "policies=oracle", "--set", "horizons=400",
+         "--set", "replicates=3", "--set", "replicates=1"],
+        ["run", "CONFIG", "--set", "replicates=3", "--set", "replicates = 2"],
+        ["verify-simulation", "--set", "n_targets=2", "--set", "n_targets=3"],
+    ], ids=["run", "file-key", "verify"])
+    def test_key_set_twice_exit_2_by_name(self, argv, config_path, tmp_path, capsys):
+        # Otherwise the last value would win silently.
+        out = tmp_path / "r.csv"
+        argv = [config_path if a == "CONFIG" else a for a in argv]
+        assert main([*argv, "--out", str(out), "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ConfigError"
+        key = argv[-1].split("=")[0].strip()
+        assert f"duplicate key '{key}'" in payload["message"]
+        assert captured.out == "" and not out.exists()
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -199,7 +219,7 @@ class TestRun:
         assert exc.value.code == 0
         assert "--workers" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", [["run", "--experiment", "TwoBridgeLinUCB"], ["verify-simulation"]])
+    @pytest.mark.parametrize("command", [["run", "--set", "experiment=TwoBridgeLinUCB"], ["verify-simulation"]])
     def test_bad_worker_count_exit_2(self, command, capsys):
         assert main([*command, "--out", "-", "--workers", "0"]) == 2
         err = json.loads(capsys.readouterr().err.strip())
@@ -252,8 +272,8 @@ class TestRun:
 
     def test_eig_growth_other_dimension_exit_2(self, capsys):
         code = main([
-            "run", "--experiment", "EigGrowth", "--set", "d=3", "--set", "rho=0.3",
-            "--set", "horizons=400", "--replicates", "1", "--out", "-", "--workers", "1",
+            "run", "--set", "experiment=EigGrowth", "--set", "d=3", "--set", "rho=0.3",
+            "--set", "horizons=400", "--set", "replicates=1", "--out", "-", "--workers", "1",
         ])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
@@ -264,8 +284,8 @@ class TestRun:
         # No round would be checked: the run reported a bound fraction of 1.0
         # and wrote min_ratio as Infinity, which is not JSON.
         code = main([
-            "run", "--experiment", "EigGrowth", "--set", "horizons=1999,4000",
-            "--replicates", "1", "--out", "-", "--workers", "1",
+            "run", "--set", "experiment=EigGrowth", "--set", "horizons=1999,4000",
+            "--set", "replicates=1", "--out", "-", "--workers", "1",
         ])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
@@ -275,8 +295,8 @@ class TestRun:
     def test_comparator_with_two_horizons_exit_2(self, capsys):
         # Both horizons map to the comparator horizon 400 // 20 = 410 // 20 = 20.
         code = main([
-            "run", "--experiment", "GreedyVsLinUCB", "--set", "horizons=400,410",
-            "--set", "batch=20", "--replicates", "2", "--out", "-", "--workers", "1",
+            "run", "--set", "experiment=GreedyVsLinUCB", "--set", "horizons=400,410",
+            "--set", "batch=20", "--set", "replicates=2", "--out", "-", "--workers", "1",
         ])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
@@ -291,8 +311,8 @@ class TestRun:
         # A repeated name would run its cell twice and count every replicate twice.
         out = tmp_path / "r.csv"
         code = main([
-            "run", "--experiment", experiment, "--set", f"policies={policies}",
-            "--set", f"horizons={horizon}", "--replicates", "2", "--out", str(out), "--workers", "1",
+            "run", "--set", f"experiment={experiment}", "--set", f"policies={policies}",
+            "--set", f"horizons={horizon}", "--set", "replicates=2", "--out", str(out), "--workers", "1",
         ])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
@@ -309,7 +329,7 @@ class TestRun:
         ("ExternalityVanishing", ["horizons=1000"], "cannot run at T // batch = 5"),
     ], ids=["two-bridge", "scaling-short", "scaling-wide", "greedy-comparator", "externality-comparator"])
     def test_horizon_too_short_for_linucb_exit_2(self, experiment, sets, message, capsys):
-        argv = ["run", "--experiment", experiment, "--replicates", "1", "--out", "-", "--workers", "1"]
+        argv = ["run", "--set", f"experiment={experiment}", "--set", "replicates=1", "--out", "-", "--workers", "1"]
         for item in sets:
             argv += ["--set", item]
         assert main(argv) == 2
@@ -319,8 +339,8 @@ class TestRun:
         assert "S must be positive and smaller than the horizon" in err["message"]
 
     def test_zero_ridge_with_perturbed_linucb_exit_2(self, capsys):
-        argv = ["run", "--experiment", "ScalingFit", "--set", "ridge=0", "--set", "horizons=200,400,800",
-                "--replicates", "1", "--out", "-", "--workers", "1"]
+        argv = ["run", "--set", "experiment=ScalingFit", "--set", "ridge=0", "--set", "horizons=200,400,800",
+                "--set", "replicates=1", "--out", "-", "--workers", "1"]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
@@ -334,8 +354,8 @@ class TestRun:
     ])
     def test_value_outside_its_domain_exit_2_by_name(self, key, value, capsys):
         # Each of these once ran: with inf regret, or into a replicate failure (exit 3).
-        argv = ["run", "--experiment", "ScalingFit", "--set", "horizons=50,60,70", "--set", "policies=linucb",
-                "--set", f"{key}={value}", "--replicates", "2", "--out", "-", "--workers", "1"]
+        argv = ["run", "--set", "experiment=ScalingFit", "--set", "horizons=50,60,70", "--set", "policies=linucb",
+                "--set", f"{key}={value}", "--set", "replicates=2", "--out", "-", "--workers", "1"]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
@@ -344,16 +364,16 @@ class TestRun:
     @pytest.mark.parametrize("experiment", ["TwoBridgeLinUCB", "TwoBridgeImpossibility"])
     def test_nonzero_ridge_on_two_bridge_exit_2(self, experiment, capsys):
         # Two-bridge LinUCB has no ridge to set: a nonzero one would change nothing.
-        argv = ["run", "--experiment", experiment, "--set", "ridge=5", "--set", "horizons=500,1000",
-                "--replicates", "1", "--out", "-", "--workers", "1"]
+        argv = ["run", "--set", f"experiment={experiment}", "--set", "ridge=5", "--set", "horizons=500,1000",
+                "--set", "replicates=1", "--out", "-", "--workers", "1"]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert f"{experiment} does not read key 'ridge'" in err["message"]
 
     def test_one_dimensional_two_group_catalog_exit_2(self, capsys):
-        argv = ["run", "--experiment", "ExternalityVanishing", "--set", "d=1", "--set", "rho=0.5",
-                "--set", "horizons=4000", "--replicates", "1", "--out", "-", "--workers", "1"]
+        argv = ["run", "--set", "experiment=ExternalityVanishing", "--set", "d=1", "--set", "rho=0.5",
+                "--set", "horizons=4000", "--set", "replicates=1", "--out", "-", "--workers", "1"]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
@@ -398,8 +418,8 @@ class TestRun:
         # Greedy at T = 2, 3, 4 can have zero mean regret at some horizon:
         # no power law fits it, and the run still succeeds.
         aggregates = tmp_path / "aggregates.json"
-        argv = ["run", "--experiment", "ScalingFit", "--set", "horizons=2,3,4",
-                "--set", "policies=batch_bayes_greedy", "--replicates", "2", "--workers", "1",
+        argv = ["run", "--set", "experiment=ScalingFit", "--set", "horizons=2,3,4",
+                "--set", "policies=batch_bayes_greedy", "--set", "replicates=2", "--workers", "1",
                 "--out", "-", "--aggregates", str(aggregates)]
         assert main(argv) == 0
         totals = {}
@@ -421,8 +441,8 @@ class TestVerifySimulation:
         code = main(
             [
                 "verify-simulation",
-                "--targets", "4",
-                "--draws", "2000",
+                "--set", "n_targets=4",
+                "--set", "sim_draws=2000",
                 "--out", str(out),
             ]
         )
@@ -441,8 +461,8 @@ class TestVerifySimulation:
             [
                 "verify-simulation",
                 "--workers", "1",
-                "--targets", "3",
-                "--draws", "1000",
+                "--set", "n_targets=3",
+                "--set", "sim_draws=1000",
                 "--max-rejections", "0",
                 "--out", "-",
             ]
@@ -456,7 +476,7 @@ class TestVerifySimulation:
 
     def test_negative_rejection_budget_exit_2(self, capsys):
         # A budget below 0 would fail every audit, however well it matched.
-        argv = ["verify-simulation", "--targets", "2", "--draws", "100", "--max-rejections", "-1", "--out", "-"]
+        argv = ["verify-simulation", "--set", "n_targets=2", "--set", "sim_draws=100", "--max-rejections", "-1", "--out", "-"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         err = json.loads(captured.err.strip())
@@ -472,7 +492,7 @@ class TestVerifySimulation:
     def test_audit_without_a_full_diverse_batch_exit_2(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "audit.cfg"
         cfg.write_text(text + "\n")
-        assert main(["verify-simulation", str(cfg), "--targets", "2", "--draws", "100", "--out", "-"]) == 2
+        assert main(["verify-simulation", str(cfg), "--set", "n_targets=2", "--set", "sim_draws=100", "--out", "-"]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert message in err["message"]
@@ -484,13 +504,13 @@ class TestVerifySimulation:
         cfg = tmp_path / "singular.cfg"
         cfg.write_text("rho = 1e-9\ncatalog_size = 1\nn_actions = 2\n")
         for workers in ("1", "2"):
-            argv = ["verify-simulation", str(cfg), "--targets", "2", "--draws", "100", "--workers", workers]
+            argv = ["verify-simulation", str(cfg), "--set", "n_targets=2", "--set", "sim_draws=100", "--workers", workers]
             assert main([*argv, "--out", "-"]) == 4
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == "InsufficientDiversityError"
 
     def test_audit_run_with_zero_workers_exit_2(self, capsys):
-        argv = ["run", "--experiment", "SimulationVerify", "--set", "n_targets=2", "--set", "sim_draws=100",
+        argv = ["run", "--set", "experiment=SimulationVerify", "--set", "n_targets=2", "--set", "sim_draws=100",
                 "--workers", "0", "--out", "-"]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip())
@@ -499,10 +519,28 @@ class TestVerifySimulation:
     def test_wrong_experiment_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "wrong.cfg"
         cfg.write_text("experiment = ScalingFit\n")
-        for flags in ([], ["--targets", "3"], ["--draws", "500"]):
+        for flags, message in (
+            ([], "verify-simulation requires the SimulationVerify experiment"),
+            (["--set", "n_targets=3"], "ScalingFit does not read key 'n_targets'"),
+            (["--set", "sim_draws=500"], "ScalingFit does not read key 'sim_draws'"),
+        ):
             assert main(["verify-simulation", str(cfg), "--out", "-", *flags]) == 2
             err = json.loads(capsys.readouterr().err.strip())
-            assert "verify-simulation requires the SimulationVerify experiment" in err["message"]
+            assert err["error"] == "ConfigError" and message in err["message"]
+
+    def test_set_reaches_the_audit(self, tmp_path):
+        def report(*sets):
+            out = tmp_path / "report.json"
+            argv = ["verify-simulation", "--set", "n_targets=2", "--set", "sim_draws=500"]
+            for item in sets:
+                argv += ["--set", item]
+            assert main([*argv, "--workers", "1", "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        default = report()
+        assert report("catalog_seed=9") != default
+        smaller_rho = report("rho=0.1")
+        assert smaller_rho != default and smaller_rho["n_targets"] == 2
 
 
 # Keys that change nothing for an experiment, each probed at a value other than its default.

@@ -182,7 +182,7 @@ class TestParseConfig:
     def test_overrides_take_precedence(self):
         cfg = parse_config(
             "experiment = ScalingFit\nreplicates = 5",
-            overrides={"replicates": 9, "master_seed": 123, "policies": None},
+            overrides={"replicates": 9, "master_seed": 123},
         )
         assert cfg.replicates == 9
         assert cfg.master_seed == 123

@@ -81,7 +81,7 @@ def hostile_pairs(draw, experiment):
 
 def _run(experiment: str, sets: dict, tmp_path) -> tuple:
     out = tmp_path / "results.csv"
-    argv = ["run", "--experiment", experiment, "--workers", "1", "--out", str(out)]
+    argv = ["run", "--set", f"experiment={experiment}", "--workers", "1", "--out", str(out)]
     for key, value in sets.items():
         argv += ["--set", f"{key}={value}"]
     err = io.StringIO()

@@ -29,23 +29,23 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (name, run arguments): each writes results.csv, aggregates.json and curves.csv.
 RUNS = (
-    ("two_bridge_linucb", ["--experiment", "TwoBridgeLinUCB", "--replicates", "8",
+    ("two_bridge_linucb", ["--set", "experiment=TwoBridgeLinUCB", "--set", "replicates=8",
                            "--set", "horizons=2000,4000,8000",
                            "--set", "policies=linucb,linucb_full,uniform_random,batch_freq_greedy,oracle"]),
-    ("two_bridge_impossibility", ["--experiment", "TwoBridgeImpossibility", "--replicates", "8",
+    ("two_bridge_impossibility", ["--set", "experiment=TwoBridgeImpossibility", "--set", "replicates=8",
                                   "--set", "horizons=2000,4000"]),
-    ("greedy_vs_linucb", ["--experiment", "GreedyVsLinUCB", "--replicates", "4",
+    ("greedy_vs_linucb", ["--set", "experiment=GreedyVsLinUCB", "--set", "replicates=4",
                           "--set", "horizons=4000"]),
-    ("scaling_fit", ["--experiment", "ScalingFit", "--replicates", "4",
+    ("scaling_fit", ["--set", "experiment=ScalingFit", "--set", "replicates=4",
                      "--set", "horizons=1000,2000,4000"]),
-    ("externality", ["--experiment", "ExternalityVanishing", "--replicates", "4",
+    ("externality", ["--set", "experiment=ExternalityVanishing", "--set", "replicates=4",
                      "--set", "horizons=4000"]),
-    ("externality_coin", ["--experiment", "ExternalityVanishing", "--replicates", "4",
+    ("externality_coin", ["--set", "experiment=ExternalityVanishing", "--set", "replicates=4",
                           "--set", "horizons=4000", "--set", "restriction=coin",
                           "--set", "restriction_p=0.25"]),
-    ("eig_growth", ["--experiment", "EigGrowth", "--replicates", "4", "--set", "horizons=4000"]),
+    ("eig_growth", ["--set", "experiment=EigGrowth", "--set", "replicates=4", "--set", "horizons=4000"]),
     ("two_bridge_coin_minority_bernoulli",
-     ["--experiment", "TwoBridgeLinUCB", "--replicates", "8",
+     ["--set", "experiment=TwoBridgeLinUCB", "--set", "replicates=8",
       "--set", "horizons=2000,4000,8000",
       "--set", "policies=linucb,linucb_full,uniform_random,batch_freq_greedy,oracle",
       "--set", "restriction=coin", "--set", "population=minority", "--set", "noise=bernoulli"]),
@@ -53,8 +53,8 @@ RUNS = (
 
 # (name, --workers, verify-simulation arguments)
 AUDITS = (
-    ("verify_seed7_20x25000", 2, ["--seed", "7", "--targets", "20", "--draws", "25000"]),
-    ("verify_default_6x5000", 1, ["--targets", "6", "--draws", "5000"]),
+    ("verify_seed7_20x25000", 2, ["--set", "master_seed=7", "--set", "n_targets=20", "--set", "sim_draws=25000"]),
+    ("verify_default_6x5000", 1, ["--set", "n_targets=6", "--set", "sim_draws=5000"]),
 )
 
 EXPERIMENTS = ("TwoBridgeLinUCB", "TwoBridgeImpossibility", "GreedyVsLinUCB", "ScalingFit",
