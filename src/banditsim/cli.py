@@ -44,7 +44,12 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ConfigError, so they print one JSON line too; subparsers inherit this."""
+    """Usage errors raise ConfigError, so they print one JSON line too, and a
+    flag is spelled only in full, not by a prefix; subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
 
     def error(self, message: str):
         raise ConfigError(f"{self.prog}: {message}")

@@ -183,7 +183,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("minority_prob > 0 needs catalog_size of at least 2, one entry per group")
     if cfg.minority_prob > 0 and cfg.d < 2:
         raise ConfigError("minority_prob > 0 needs d of at least 2, one axis per group")
-    if (spec.comparator or spec.family == "audit") and len(cfg.horizons) > 1:
+    if (spec.comparator or spec.lambda_checks or spec.family == "audit") and len(cfg.horizons) > 1:
         twice = ", and horizons that share T // batch would run the LinUCB comparator twice"
         raise ConfigError(
             f"{cfg.experiment} takes one horizon: its checks read one{twice if spec.comparator else ''}"

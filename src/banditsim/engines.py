@@ -20,10 +20,10 @@ is bit for bit what it would be alone, so results are identical under any
 scheduling.
 
 Every engine feeds the instantaneous regret of its rounds, in round order, to
-one ``RegretSums`` accumulator, which owns the restricted set, the running
-totals and the optional curve of the first replicate; the two-bridge engines
-feed only their wrong B rounds, each at the gap.  A perturbed block keeps at
-most one curve per horizon, the first replicate's.
+the ``RegretSums`` accumulator its caller passes, which owns the restricted
+set, the running totals and the optional curve of the first replicate, and
+alone reports them; the two-bridge engines feed only their wrong B rounds,
+each at the gap.  An engine returns only what the sums cannot hold.
 """
 
 from __future__ import annotations
@@ -46,12 +46,8 @@ GAP_PROBE_ROUNDS = (1000, 8000)
 
 @dataclass(frozen=True)
 class TwoBridgeRunResult:
-    regret_total: float
-    regret_minority: float
-    regret_prediction: float
     wrong_b_rounds: int
     b_rounds: int
-    curve: np.ndarray | None = None
 
 
 def _round_positions(cfg: TwoBridgeConfig, rng: np.random.Generator, horizon: int) -> tuple:
@@ -135,7 +131,7 @@ def run_two_bridge_policy(
     policy_name: str,
     master_seed: int,
     replicate: int,
-    sums: RegretSums | None = None,
+    sums: RegretSums,
 ) -> TwoBridgeRunResult:
     """One two-bridge replicate for linucb, linucb_full, linucb_minority,
     uniform_random or oracle.
@@ -152,8 +148,7 @@ def run_two_bridge_policy(
     the two names.  ``uniform_random`` and ``oracle`` read no reward, so they
     draw none.
 
-    ``sums`` receives the gap for every wrong B round, a minority round; by
-    default it restricts to minority rounds and keeps no curve.
+    ``sums`` receives the gap for every wrong B round, a minority round.
     """
     horizon = int(cfg.horizon)
     theta = cfg.theta
@@ -195,16 +190,13 @@ def run_two_bridge_policy(
     else:
         raise ValueError(f"unsupported two-bridge policy: {policy_name}")
     wrong_mask = ~picks_top if top_best else picks_top
-    return _two_bridge_result(master_seed, replicate, horizon, gap_size, b_pos[wrong_mask], n_b, sums)
+    return _two_bridge_result(sums, gap_size, b_pos[wrong_mask], n_b)
 
 
-def _two_bridge_result(master_seed, replicate, horizon, gap_size, wrong_pos, n_b, sums) -> TwoBridgeRunResult:
-    """Feed the gap for each wrong B round, in round order, and read the sums."""
-    if sums is None:
-        sums = RegretSums(master_seed, (replicate,), horizon)
+def _two_bridge_result(sums: RegretSums, gap_size: float, wrong_pos: np.ndarray, n_b: int) -> TwoBridgeRunResult:
+    """Feed ``sums`` the gap for each wrong B round, in round order, and count them."""
     sums.add(wrong_pos, np.full((wrong_pos.size, 1), gap_size))
-    total = float(sums.total[0])
-    return TwoBridgeRunResult(total, float(sums.restricted[0]), total, wrong_pos.size, n_b, sums.curve())
+    return TwoBridgeRunResult(wrong_pos.size, n_b)
 
 
 def run_two_bridge_batch_freq(
@@ -212,7 +204,7 @@ def run_two_bridge_batch_freq(
     master_seed: int,
     replicate: int,
     batch_size: int,
-    sums: RegretSums | None = None,
+    sums: RegretSums,
 ) -> TwoBridgeRunResult:
     """Batched frequentist greedy on the two-bridge instance.
 
@@ -273,19 +265,16 @@ def run_two_bridge_batch_freq(
         s1 += float(seg_top[b])
         n2 += int(count_c[b])
         s2 += float(seg_bot[b])
-    return _two_bridge_result(
-        master_seed, replicate, horizon, gap_size, np.concatenate(wrong_runs), b_pos.size, sums
-    )
+    return _two_bridge_result(sums, gap_size, np.concatenate(wrong_runs), b_pos.size)
 
 
 @dataclass
 class PerturbedRunResult:
-    regret_total: float
-    regret_minority: float
+    """What batched greedy reports of one replicate beside its regret sums."""
+
     regret_prediction: float
     gap_allowance: float
     probe_values: dict
-    curve: np.ndarray | None = None
     chosen_rows: np.ndarray | None = None
 
 
@@ -297,9 +286,9 @@ def run_perturbed_batch_greedy(
     batch_size: int,
     master_seed: int,
     replicates: tuple,
+    sums: RegretSums,
     acting: str = "freq",
     keep_rows: bool = False,
-    sums: RegretSums | None = None,
 ) -> list:
     """Batched greedy replicates advanced in lockstep, one batch at a time; one
     result per replicate.
@@ -310,9 +299,8 @@ def run_perturbed_batch_greedy(
     makes, per replicate, the BLAS call a single-replicate loop would make
     (a flat (y k, d) by (d,) product for the scores, a dot product for each
     norm), the estimators solve each replicate's system as they would alone,
-    and ``sums`` (one column per replicate, by default minority-restricted
-    with no curve) adds regret in round order, so a replicate's result does
-    not depend on the block it runs in.
+    and ``sums`` (one column per replicate) adds regret in round order, so a
+    replicate's result does not depend on the block it runs in.
 
     ``acting`` picks the frozen acting estimate: "freq" for least squares,
     "bayes" for the posterior mean; any other value is a ``ValueError``.
@@ -341,8 +329,6 @@ def run_perturbed_batch_greedy(
     theta_bay = np.repeat(prior.mean[None], n, axis=0)
     cold = True
 
-    if sums is None:
-        sums = RegretSums(master_seed, replicates, horizon)
     pred_total = np.zeros(n)
     allowance = np.zeros(n)
     context_bound = context_norm_bound(cat.rho, d, horizon, k)
@@ -403,9 +389,8 @@ def run_perturbed_batch_greedy(
 
     return [
         PerturbedRunResult(
-            float(sums.total[i]), float(sums.restricted[i]), float(pred_total[i]), float(allowance[i]),
-            probes[i], curve=sums.curve() if i == 0 else None,
-            chosen_rows=None if chosen_rows is None else chosen_rows[i],
+            float(pred_total[i]), float(allowance[i]), probes[i],
+            None if chosen_rows is None else chosen_rows[i],
         )
         for i in range(n)
     ]
@@ -423,12 +408,11 @@ REFRESH_EVERY = 10_000
 @dataclass(frozen=True)
 class LinUCBCell:
     """One horizon of a perturbed LinUCB call: its rounds, its width
-    parameters, and the regret sums of its replicates (by default
-    minority-restricted with no curve)."""
+    parameters, and the regret sums of its replicates."""
 
     horizon: int
     params: LinUCBParams
-    sums: RegretSums | None = None
+    sums: RegretSums
 
 
 def run_perturbed_linucb(
@@ -438,9 +422,9 @@ def run_perturbed_linucb(
     horizon: int,
     master_seed: int,
     replicates: tuple,
-) -> list:
-    """LinUCB on every (cell, replicate) row in one lockstep pass; one list of
-    results per cell, one result per replicate.
+) -> None:
+    """LinUCB on every (cell, replicate) row in one lockstep pass; the regret
+    of each row goes to its cell's sums, and nothing else is reported.
 
     Row (``j``, ``i``) runs replicate ``replicates[i]``, whose latent weight
     vector is row ``i`` of ``thetas``, for ``cells[j].horizon`` rounds with the
@@ -466,10 +450,6 @@ def run_perturbed_linucb(
     d, k = cat.dim, cat.n_actions
     n = len(replicates)
     theta_col = np.asarray(thetas, dtype=float).reshape(n, d, 1)
-    sums = [
-        RegretSums(master_seed, replicates, cell.horizon) if cell.sums is None else cell.sums
-        for cell in cells
-    ]
     f_tables = [interval_width(np.arange(cell.horizon), cell.params, d) for cell in cells]
     ctx, pert, rew = (
         [stream(master_seed, rep, purpose) for rep in replicates]
@@ -551,7 +531,7 @@ def run_perturbed_linucb(
         inst = true_vals.max(axis=2).take(row_rep, axis=1) - chosen_vals
         minority = cat.minority[entries]
         for p, j in enumerate(live):
-            sums[j].add(slice(start, stop), inst[:, p * n:(p + 1) * n], minority)
+            cells[j].sums.add(slice(start, stop), inst[:, p * n:(p + 1) * n], minority)
 
         # Rows whose cell ends here leave the block.
         keep = np.repeat([cells[j].horizon > stop for j in live], n)
@@ -560,17 +540,6 @@ def run_perturbed_linucb(
             Z, xr, W, theta_hat, ridge = (arr[keep] for arr in (Z, xr, W, theta_hat, ridge))
             row_rep = row_rep[:keep.sum()]
         start = stop
-
-    return [
-        [
-            PerturbedRunResult(
-                float(s.total[i]), float(s.restricted[i]), float(s.total[i]), 0.0, {},
-                curve=s.curve() if i == 0 else None,
-            )
-            for i in range(n)
-        ]
-        for s in sums
-    ]
 
 
 def _fold_outer(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -124,8 +124,8 @@ def prior_mean_norm(cfg: ExperimentConfig) -> float:
     return 1.0 + math.sqrt(3.0 * math.log(max(cfg.horizons)))
 
 
-def _perturbed_params(cfg: ExperimentConfig, horizon: int, prior_norm: float) -> LinUCBParams:
-    return LinUCBParams.for_perturbed(cfg.d, cfg.n_actions, horizon, cfg.rho, prior_norm, ridge=cfg.ridge)
+def _perturbed_params(cfg: ExperimentConfig, horizon: int) -> LinUCBParams:
+    return LinUCBParams.for_perturbed(cfg.d, cfg.n_actions, horizon, cfg.rho, prior_mean_norm(cfg), ridge=cfg.ridge)
 
 
 def linucb_comparator_horizon(horizon: int, batch: int) -> int:
@@ -181,22 +181,26 @@ def _work_chunks(jobs: list, n_chunks: int) -> list:
     return list(chunks.values())
 
 
-def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, rep: int, res, theta_id: int, extras: dict) -> tuple:
-    """A replicate's row and extras, with its curve points when it is replicate 0."""
+def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, reps: tuple, i: int, sums: RegretSums,
+             theta_id: int, extras: dict, prediction: float | None = None) -> tuple:
+    """Replicate ``reps[i]``'s row and extras, read off column ``i`` of its
+    job's ``sums``, with its curve points when it is replicate 0.  Its
+    prediction regret is greedy's ``prediction``, else its total."""
+    rep = reps[i]
+    total = float(sums.total[i])
     row = ResultRow(
         experiment=cfg.experiment,
         policy=policy,
         horizon=horizon,
         replicate=rep,
         seed=replicate_seed_id(cfg.master_seed, rep),
-        regret_total=res.regret_total,
-        regret_minority=res.regret_minority,
-        regret_prediction=res.regret_prediction,
+        regret_total=total,
+        regret_minority=float(sums.restricted[i]),
+        regret_prediction=total if prediction is None else prediction,
         theta_draw_id=theta_id,
     )
-    points = None
-    if rep == 0 and res.curve is not None:
-        points = _subsample_curve(res.curve, CURVE_POINTS)
+    curve = sums.curve() if rep == 0 else None
+    points = None if curve is None else _subsample_curve(curve, CURVE_POINTS)
     return row, extras, points
 
 
@@ -228,7 +232,7 @@ def _two_bridge_job(cfg: ExperimentConfig, instance, policy: str, horizons: tupl
         res = run_two_bridge_policy(base, policy, cfg.master_seed, rep, sums=sums)
 
     extras = {"wrong_b_rounds": res.wrong_b_rounds, "b_rounds": res.b_rounds}
-    return [_outcome(cfg, policy, horizon, rep, res, int(variant == "theta1"), extras)]
+    return [_outcome(cfg, policy, horizon, reps, 0, sums, int(variant == "theta1"), extras)]
 
 
 def _greedy_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
@@ -236,18 +240,19 @@ def _greedy_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, r
     [horizon] = horizons
     lambda_checks = EXPERIMENT_SPECS[cfg.experiment].lambda_checks
     thetas = np.array([draw_theta_for_replicate(cfg, prior, rep) for rep in reps])
+    sums = _sums(cfg, reps, horizon)
     results = run_perturbed_batch_greedy(
         catalog, prior, thetas, horizon, cfg.batch, cfg.master_seed, reps,
+        sums=sums,
         acting="bayes" if policy == "batch_bayes_greedy" else "freq",
         keep_rows=lambda_checks,
-        sums=_sums(cfg, reps, horizon),
     )
     outcomes = []
-    for rep, res in zip(reps, results):
+    for i, (rep, res) in enumerate(zip(reps, results)):
         extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
         if lambda_checks:
             extras.update(_lambda_checks(_lambda_min_curve(res.chosen_rows), cfg.rho, horizon))
-        outcomes.append(_outcome(cfg, policy, horizon, rep, res, rep, extras))
+        outcomes.append(_outcome(cfg, policy, horizon, reps, i, sums, rep, extras, res.regret_prediction))
     return outcomes
 
 
@@ -255,12 +260,11 @@ def _linucb_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, r
     catalog, prior = instance
     thetas = np.array([draw_theta_for_replicate(cfg, prior, rep) for rep in reps])
     run_catalog = catalog.minority_only() if policy == "linucb_minority" else catalog
-    prior_norm = float(np.linalg.norm(prior.mean))
-    cells = [LinUCBCell(t, _perturbed_params(cfg, t, prior_norm), _sums(cfg, reps, t)) for t in horizons]
-    per_cell = run_perturbed_linucb(run_catalog, cells, thetas, max(horizons), cfg.master_seed, reps)
+    cells = [LinUCBCell(t, _perturbed_params(cfg, t), _sums(cfg, reps, t)) for t in horizons]
+    run_perturbed_linucb(run_catalog, cells, thetas, max(horizons), cfg.master_seed, reps)
     return [
-        _outcome(cfg, policy, t, rep, res, rep, {})
-        for t, results in zip(horizons, per_cell) for rep, res in zip(reps, results)
+        _outcome(cfg, policy, cell.horizon, reps, i, cell.sums, rep, {})
+        for cell in cells for i, rep in enumerate(reps)
     ]
 
 
@@ -358,7 +362,7 @@ def check_linucb(cfg: ExperimentConfig) -> str | None:
             if family == "two_bridge":
                 LinUCBParams.for_two_bridge(horizon)
             elif family == "perturbed" and policy.startswith("linucb"):
-                _perturbed_params(cfg, horizon, prior_mean_norm(cfg))
+                _perturbed_params(cfg, horizon)
         except ValueError as exc:
             at = f"T = {horizon}" if horizon in cfg.horizons else f"T // batch = {horizon}"
             return f"{policy} on {cfg.experiment} cannot run at {at}: its LinUCB parameters fail ({exc})"
@@ -471,11 +475,8 @@ def _aggregate_greedy_vs_linucb(cfg, rows, extras, aggregates) -> None:
         mean, se = bayesian_regret(vals)
         allowance = 0.0
         if policy == "batch_freq_greedy":
-            gaps = [
-                extras.get((policy, horizon, rep), {}).get("gap_allowance", 0.0)
-                for rep in range(cfg.replicates)
-            ]
-            allowance = float(np.mean(gaps)) if gaps else 0.0
+            allowance = float(np.mean([extras[(policy, horizon, rep)]["gap_allowance"]
+                                       for rep in range(cfg.replicates)]))
         pooled, rhs = _batch_bound(cfg, se, lin_mean, lin_se, allowance)
         comparisons[policy] = {
             "mean_regret": mean,
@@ -547,24 +548,14 @@ def _aggregate_externality(cfg, rows, extras, aggregates) -> None:
 
 
 def _aggregate_eig_growth(cfg, rows, extras, aggregates) -> None:
-    horizon = cfg.horizons[0]
-    oks, slopes, ratios, finals = [], [], [], []
-    for rep in range(cfg.replicates):
-        e = extras.get(("batch_freq_greedy", horizon, rep), {})
-        if "lambda_bound_ok" not in e:
-            continue
-        oks.append(e["lambda_bound_ok"])
-        slopes.append(e["lambda_slope"])
-        ratios.append(e["lambda_min_ratio"])
-        finals.append(e["lambda_final"])
-    if not oks:
-        return
+    [horizon] = cfg.horizons
+    checks = [extras[("batch_freq_greedy", horizon, rep)] for rep in range(cfg.replicates)]
     aggregates["eig_growth"] = {
-        "replicates": len(oks),
-        "bound_fraction": float(np.mean(oks)),
-        "all_slopes_positive": bool(all(s > 0 for s in slopes)),
-        "min_ratio": float(np.min(ratios)),
-        "mean_final_lambda": float(np.mean(finals)),
+        "replicates": len(checks),
+        "bound_fraction": float(np.mean([e["lambda_bound_ok"] for e in checks])),
+        "all_slopes_positive": bool(all(e["lambda_slope"] > 0 for e in checks)),
+        "min_ratio": float(np.min([e["lambda_min_ratio"] for e in checks])),
+        "mean_final_lambda": float(np.mean([e["lambda_final"] for e in checks])),
         "floor_round": LAMBDA_FLOOR_ROUND,
     }
 
@@ -777,8 +768,8 @@ def simulation_verification_report(cfg: ExperimentConfig, workers: int | None = 
     theta = draw_theta_for_replicate(cfg, prior, 0)
     horizon = cfg.horizons[0]
     [res] = run_perturbed_batch_greedy(
-        catalog, prior, theta[None], horizon, cfg.batch,
-        cfg.master_seed, (0,), acting="freq", keep_rows=True,
+        catalog, prior, theta[None], horizon, cfg.batch, cfg.master_seed, (0,),
+        RegretSums(cfg.master_seed, (0,), horizon), acting="freq", keep_rows=True,
     )
     n_batches = horizon // cfg.batch
     lo = (n_batches - 1) * cfg.batch

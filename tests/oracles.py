@@ -40,7 +40,7 @@ from banditsim.core import last_batch_end
 from banditsim.csvio import HEADER, ResultRow
 from banditsim.engines import GAP_PROBE_ROUNDS, PerturbedRunResult
 from banditsim.estimators import SINGULAR_CUTOFF, gaussian_prior, ols_estimate, posterior_mean
-from banditsim.metrics import RegretSums, running_sum
+from banditsim.metrics import running_sum
 from banditsim.policies import LinUCBParams, context_norm_bound
 from banditsim.rng import Purpose, stream
 from banditsim.simulation import SIM_CHUNK, RadiusError
@@ -289,8 +289,8 @@ def draw_entries(cat, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def single_replicate_greedy(
-    cat, prior, theta, horizon, batch_size, master_seed, replicate,
-    acting="freq", keep_rows=False, sums=None,
+    cat, prior, theta, horizon, batch_size, master_seed, replicate, sums,
+    acting="freq", keep_rows=False,
 ) -> PerturbedRunResult:
     """Batched greedy on one replicate, one batch at a time.
 
@@ -312,8 +312,6 @@ def single_replicate_greedy(
     theta_bay = prior.mean.copy()
     cold = True
 
-    if sums is None:
-        sums = RegretSums(master_seed, (replicate,), horizon)
     pred_total = allowance = 0.0
     context_bound = context_norm_bound(cat.rho, d, horizon, k)
     probes = {}
@@ -366,10 +364,7 @@ def single_replicate_greedy(
         theta_bay = posterior_mean(Z_sym, xr, prior)
         cold = False
 
-    return PerturbedRunResult(
-        float(sums.total[0]), float(sums.restricted[0]), float(pred_total), allowance, probes,
-        curve=sums.curve(), chosen_rows=chosen_rows,
-    )
+    return PerturbedRunResult(float(pred_total), allowance, probes, chosen_rows)
 
 
 def single_replicate_linucb(

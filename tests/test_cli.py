@@ -185,7 +185,13 @@ class TestRun:
         (["run", "--set", "experiment=Nope"], "experiment 'Nope' unknown"),
         (["print-defaults", "--experiment", "Nope"], "argument --experiment:"),
         (["run", "--seed", "5"], "unrecognized arguments: --seed"),
-    ], ids=["workers", "replicates", "run-experiment", "defaults-experiment", "removed-flag"])
+        # A flag prefix would be a second spelling of its flag, and a flag
+        # added later could change what it means.
+        (["run", "--se", "replicates=2", "--wor", "1"], "unrecognized arguments: --se --wor 1"),
+        (["verify-simulation", "--max", "3"], "unrecognized arguments: --max"),
+        (["print-defaults", "--exp", "EigGrowth"], "unrecognized arguments: --exp EigGrowth"),
+    ], ids=["workers", "replicates", "run-experiment", "defaults-experiment", "removed-flag",
+            "run-prefixes", "verify-prefix", "defaults-prefix"])
     def test_usage_error_prints_one_json_line(self, argv, message, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
@@ -284,7 +290,7 @@ class TestRun:
         # No round would be checked: the run reported a bound fraction of 1.0
         # and wrote min_ratio as Infinity, which is not JSON.
         code = main([
-            "run", "--set", "experiment=EigGrowth", "--set", "horizons=1999,4000",
+            "run", "--set", "experiment=EigGrowth", "--set", "horizons=1999",
             "--set", "replicates=1", "--out", "-", "--workers", "1",
         ])
         assert code == 2

@@ -154,10 +154,12 @@ class TestParseConfig:
         assert parse_config(f"experiment = {experiment}\nhorizons = 400\nbatch = 20").horizons == (400,)
         assert parse_config("experiment = ScalingFit\nhorizons = 400, 410, 420").horizons == (400, 410, 420)
 
-    def test_audit_takes_one_horizon(self):
-        with pytest.raises(ConfigError, match="SimulationVerify takes one horizon"):
-            parse_config("experiment = SimulationVerify\nhorizons = 1200, 2400")
-        assert parse_config("experiment = SimulationVerify\nhorizons = 2400").horizons == (2400,)
+    # The audit's batch ends at one horizon, and EigGrowth's checks read one.
+    @pytest.mark.parametrize("experiment", ["SimulationVerify", "EigGrowth"])
+    def test_checked_experiments_take_one_horizon(self, experiment):
+        with pytest.raises(ConfigError, match=f"{experiment} takes one horizon"):
+            parse_config(f"experiment = {experiment}\nhorizons = 2000, 4000")
+        assert parse_config(f"experiment = {experiment}\nhorizons = 4000").horizons == (4000,)
 
     def test_duplicate_horizons_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
@@ -259,7 +261,7 @@ def named_values(draw):
     if draw(st.booleans()):
         values["restriction"] = draw(st.sampled_from(["minority", "coin"]))
     if draw(st.booleans()):
-        one = spec.comparator or spec.family == "audit"
+        one = spec.comparator or spec.lambda_checks or spec.family == "audit"
         values["horizons"] = tuple(draw(st.lists(st.integers(10**4, 10**6), min_size=1,
                                                  max_size=1 if one else 4, unique=True)))
     if draw(st.booleans()) and experiment != "EigGrowth":

@@ -77,6 +77,14 @@ def _curve_sums(replicates, horizon, **kwargs):
     return RegretSums(MASTER, replicates, horizon, curve=True, **kwargs)
 
 
+def _run(engine, *args, reps, horizon, restriction="minority", restriction_p=0.5, **kwargs):
+    """``engine`` on ``args`` and ``kwargs``, fed a fresh accumulator of
+    ``reps`` at ``horizon`` that keeps the first replicate's curve; returns
+    the accumulator and the engine's result."""
+    sums = _curve_sums(reps, horizon, restriction=restriction, restriction_p=restriction_p)
+    return sums, engine(*args, sums=sums, **kwargs)
+
+
 def _replicate_without_b_rounds(cfg):
     """The first replicate whose round kinds hold no B round."""
     for rep in range(100):
@@ -316,32 +324,32 @@ class TestTwoBridgePolicyEngine:
             horizon=horizon, theta_variant=variant, noise=noise, p_majority=p_majority
         )
         params = LinUCBParams.for_two_bridge(horizon)
-        res = run_two_bridge_policy(cfg, policy, MASTER, 3, sums=_curve_sums((3,), horizon))
+        sums, res = _run(run_two_bridge_policy, cfg, policy, MASTER, 3, reps=(3,), horizon=horizon)
         # linucb_full also learns from majority stretches at rate 0.95.
         inject = 0.95 if policy == "linucb_full" else 0.0
         b_pos, wrong_mask = reference_two_bridge_linucb(cfg, MASTER, 3, params, inject)
         assert res.b_rounds == b_pos.size
         assert res.wrong_b_rounds == int(wrong_mask.sum())
-        assert res.regret_total == pytest.approx(cfg.epsilon * wrong_mask.sum())
+        assert sums.total[0] == pytest.approx(cfg.epsilon * wrong_mask.sum())
         gap_size = abs(float(cfg.theta[0] - cfg.theta[1]))
         expected_curve = np.zeros(horizon)
         expected_curve[b_pos[wrong_mask]] = gap_size
-        np.testing.assert_array_equal(res.curve, np.cumsum(expected_curve))
+        np.testing.assert_array_equal(sums.curve(), np.cumsum(expected_curve))
 
     def test_oracle_never_wrong(self):
         cfg = TwoBridgeConfig(horizon=5000, p_majority=0.0)
-        res = run_two_bridge_policy(cfg, "oracle", MASTER, 0)
+        sums, res = _run(run_two_bridge_policy, cfg, "oracle", MASTER, 0, reps=(0,), horizon=cfg.horizon)
         assert res.wrong_b_rounds == 0
-        assert res.regret_total == 0.0
+        assert sums.total[0] == 0.0
         assert res.b_rounds > 0
 
     def test_uniform_random_wrong_rate(self):
         cfg = TwoBridgeConfig(horizon=40_000, p_majority=0.0)
         wrongs, totals = 0, 0
         for rep in range(20):
-            res = run_two_bridge_policy(cfg, "uniform_random", MASTER, rep)
-            assert res.regret_total == pytest.approx(cfg.epsilon * res.wrong_b_rounds)
-            assert res.regret_minority == res.regret_total
+            sums, res = _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, rep, reps=(rep,), horizon=cfg.horizon)
+            assert sums.total[0] == pytest.approx(cfg.epsilon * res.wrong_b_rounds)
+            assert sums.restricted[0] == sums.total[0]
             wrongs += res.wrong_b_rounds
             totals += res.b_rounds
         assert wrongs / totals == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(totals))
@@ -350,11 +358,11 @@ class TestTwoBridgePolicyEngine:
     @pytest.mark.parametrize("noise", [NoiseKind.GAUSSIAN_UNIT, NoiseKind.BERNOULLI])
     def test_oracle_accrues_no_regret(self, variant, noise):
         cfg = TwoBridgeConfig(horizon=3000, theta_variant=variant, noise=noise, p_majority=0.0)
-        res = run_two_bridge_policy(cfg, "oracle", MASTER, 1, sums=_curve_sums((1,), cfg.horizon))
+        sums, res = _run(run_two_bridge_policy, cfg, "oracle", MASTER, 1, reps=(1,), horizon=cfg.horizon)
         assert res.b_rounds > 0
         assert res.wrong_b_rounds == 0
-        assert res.regret_total == res.regret_minority == res.regret_prediction == 0.0
-        np.testing.assert_array_equal(res.curve, np.zeros(cfg.horizon))
+        assert sums.total[0] == sums.restricted[0] == 0.0
+        np.testing.assert_array_equal(sums.curve(), np.zeros(cfg.horizon))
 
     @pytest.mark.parametrize("noise", list(NoiseKind))
     @pytest.mark.parametrize("policy", ["linucb", "linucb_full", "linucb_minority", "uniform_random", "oracle"])
@@ -363,40 +371,41 @@ class TestTwoBridgePolicyEngine:
         # decided and no policy can pay the gap.
         cfg = TwoBridgeConfig(horizon=200, noise=noise)
         rep = _replicate_without_b_rounds(cfg)
-        res = run_two_bridge_policy(cfg, policy, MASTER, rep, sums=_curve_sums((rep,), cfg.horizon))
+        sums, res = _run(run_two_bridge_policy, cfg, policy, MASTER, rep, reps=(rep,), horizon=cfg.horizon)
         assert res.b_rounds == 0
         assert res.wrong_b_rounds == 0
-        assert res.regret_total == 0.0
-        np.testing.assert_array_equal(res.curve, np.zeros(cfg.horizon))
+        assert sums.total[0] == 0.0
+        np.testing.assert_array_equal(sums.curve(), np.zeros(cfg.horizon))
 
     def test_theta_override_sets_the_gap(self):
         # Under theta1 the bottom bridge is best, by epsilon.
         cfg = TwoBridgeConfig(horizon=20_000, theta_variant="theta1", p_majority=0.0)
-        res = run_two_bridge_policy(cfg, "uniform_random", MASTER, 2, sums=_curve_sums((2,), cfg.horizon))
+        sums, res = _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, 2, reps=(2,), horizon=cfg.horizon)
         assert res.wrong_b_rounds > 0
-        assert res.regret_total == pytest.approx(cfg.epsilon * res.wrong_b_rounds)
-        assert res.curve[-1] == res.regret_total
+        assert sums.total[0] == pytest.approx(cfg.epsilon * res.wrong_b_rounds)
+        assert sums.curve()[-1] == sums.total[0]
         # The wrong picks are the top-bridge picks: the complement of the
         # wrong picks under the default theta0 on the same streams.
-        default = run_two_bridge_policy(TwoBridgeConfig(horizon=20_000, p_majority=0.0), "uniform_random", MASTER, 2)
+        _, default = _run(run_two_bridge_policy, TwoBridgeConfig(horizon=20_000, p_majority=0.0), "uniform_random",
+                          MASTER, 2, reps=(2,), horizon=20_000)
         assert res.b_rounds == default.b_rounds
         assert res.wrong_b_rounds == default.b_rounds - default.wrong_b_rounds
 
     def test_linucb_sanity(self):
         cfg = TwoBridgeConfig(horizon=400, p_majority=0.0)
-        res = run_two_bridge_policy(cfg, "linucb", MASTER, 10, sums=_curve_sums((10,), cfg.horizon))
+        sums, res = _run(run_two_bridge_policy, cfg, "linucb", MASTER, 10, reps=(10,), horizon=cfg.horizon)
         assert 0 <= res.wrong_b_rounds <= res.b_rounds
-        assert res.regret_total >= 0.0
-        assert res.regret_minority == res.regret_prediction == res.regret_total
-        assert np.all(np.diff(res.curve) >= 0.0)
-        assert res.curve[-1] == res.regret_total
+        assert sums.total[0] >= 0.0
+        assert sums.restricted[0] == sums.total[0]
+        assert np.all(np.diff(sums.curve()) >= 0.0)
+        assert sums.curve()[-1] == sums.total[0]
 
     def test_injected_majority_data_leaves_rounds_unchanged(self):
         # Injection draws after the kind sequence, so the simulated rounds are
         # the same with and without it.
         cfg = TwoBridgeConfig(horizon=5000, p_majority=0.0)
-        plain = run_two_bridge_policy(cfg, "linucb", MASTER, 4)
-        injected = run_two_bridge_policy(cfg, "linucb_full", MASTER, 4)
+        _, plain = _run(run_two_bridge_policy, cfg, "linucb", MASTER, 4, reps=(4,), horizon=cfg.horizon)
+        _, injected = _run(run_two_bridge_policy, cfg, "linucb_full", MASTER, 4, reps=(4,), horizon=cfg.horizon)
         assert injected.b_rounds == plain.b_rounds
 
     @pytest.mark.parametrize("gap", [1, 3, 20])
@@ -414,29 +423,30 @@ class TestTwoBridgePolicyEngine:
     def test_unknown_policy_rejected(self):
         cfg = TwoBridgeConfig(horizon=100)
         with pytest.raises(ValueError):
-            run_two_bridge_policy(cfg, "thompson", MASTER, 0)
+            _run(run_two_bridge_policy, cfg, "thompson", MASTER, 0, reps=(0,), horizon=cfg.horizon)
 
     def test_deterministic_and_replicate_sensitive(self):
         cfg = TwoBridgeConfig(horizon=20_000)
-        a = run_two_bridge_policy(cfg, "uniform_random", MASTER, 1)
-        b = run_two_bridge_policy(cfg, "uniform_random", MASTER, 1)
-        c = run_two_bridge_policy(cfg, "uniform_random", MASTER, 2)
+        (sa, a), (sb, b), (sc, c) = (
+            _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, rep, reps=(rep,), horizon=cfg.horizon)
+            for rep in (1, 1, 2)
+        )
         assert a == b
-        assert (a.regret_total, a.b_rounds) != (c.regret_total, c.b_rounds)
+        assert (sa.total[0], sa.restricted[0]) == (sb.total[0], sb.restricted[0])
+        np.testing.assert_array_equal(sa.curve(), sb.curve())
+        assert (sa.total[0], a.b_rounds) != (sc.total[0], c.b_rounds)
 
     def test_coin_restriction_counts_flagged_wrong_rounds(self):
         cfg = TwoBridgeConfig(horizon=30_000, p_majority=0.0)
-        base = run_two_bridge_policy(cfg, "uniform_random", MASTER, 5, sums=_curve_sums((5,), cfg.horizon))
-        coin = run_two_bridge_policy(
-            cfg, "uniform_random", MASTER, 5,
-            sums=_curve_sums((5,), cfg.horizon, restriction="coin", restriction_p=0.25),
-        )
-        assert coin.regret_total == base.regret_total
-        np.testing.assert_array_equal(coin.curve, base.curve)
+        base, _ = _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, 5, reps=(5,), horizon=cfg.horizon)
+        coin, _ = _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, 5, reps=(5,), horizon=cfg.horizon,
+                       restriction="coin", restriction_p=0.25)
+        assert coin.total[0] == base.total[0]
+        np.testing.assert_array_equal(coin.curve(), base.curve())
         coins = _coins(MASTER, 5, cfg.horizon, 0.25)
-        increments = np.diff(base.curve, prepend=0.0)
-        assert coin.regret_minority == pytest.approx(float(increments[coins].sum()))
-        assert coin.regret_minority < base.regret_minority
+        increments = np.diff(base.curve(), prepend=0.0)
+        assert coin.restricted[0] == pytest.approx(float(increments[coins].sum()))
+        assert coin.restricted[0] < base.restricted[0]
 
 
 class TestTwoBridgeBatchFreqEngine:
@@ -448,20 +458,21 @@ class TestTwoBridgeBatchFreqEngine:
         cfg = TwoBridgeConfig(
             horizon=3000, theta_variant=variant, noise=noise, p_majority=p_majority
         )
-        res = run_two_bridge_batch_freq(cfg, MASTER, 2, batch_size)
+        sums, res = _run(run_two_bridge_batch_freq, cfg, MASTER, 2, batch_size, reps=(2,), horizon=cfg.horizon)
         wrong_pos, n_b = reference_two_bridge_batch_freq(cfg, MASTER, 2, batch_size)
         wrong = wrong_pos.size
         assert res.wrong_b_rounds == wrong
         assert res.b_rounds == n_b
-        assert res.regret_total == pytest.approx(cfg.epsilon * wrong)
-        assert res.regret_minority == res.regret_total
+        assert sums.total[0] == pytest.approx(cfg.epsilon * wrong)
+        assert sums.restricted[0] == sums.total[0]
 
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_no_choice_rounds_means_no_regret(self, noise):
         cfg = TwoBridgeConfig(horizon=200, noise=noise)
-        res = run_two_bridge_batch_freq(cfg, MASTER, _replicate_without_b_rounds(cfg), 20)
+        rep = _replicate_without_b_rounds(cfg)
+        sums, res = _run(run_two_bridge_batch_freq, cfg, MASTER, rep, 20, reps=(rep,), horizon=cfg.horizon)
         assert res.b_rounds == 0
-        assert res.regret_total == 0.0
+        assert sums.total[0] == 0.0
 
     def test_cold_batch_splits_uniformly(self):
         # One batch holds the whole horizon, so every B round is decided on
@@ -469,7 +480,7 @@ class TestTwoBridgeBatchFreqEngine:
         cfg = TwoBridgeConfig(horizon=4000, p_majority=0.0)
         wrongs = totals = 0
         for rep in range(20):
-            res = run_two_bridge_batch_freq(cfg, MASTER, rep, cfg.horizon)
+            _, res = _run(run_two_bridge_batch_freq, cfg, MASTER, rep, cfg.horizon, reps=(rep,), horizon=cfg.horizon)
             wrongs += res.wrong_b_rounds
             totals += res.b_rounds
         assert wrongs / totals == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(totals))
@@ -480,40 +491,42 @@ class TestTwoBridgeBatchFreqEngine:
         cfg = TwoBridgeConfig(horizon=6000, p_majority=0.0)
         batch_size = 100
         for rep in range(5):
-            res = run_two_bridge_batch_freq(cfg, MASTER, rep, batch_size, sums=_curve_sums((rep,), cfg.horizon))
+            sums, res = _run(run_two_bridge_batch_freq, cfg, MASTER, rep, batch_size, reps=(rep,), horizon=cfg.horizon)
             kinds = kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
             starts = np.arange(0, cfg.horizon, batch_size)
             count_b = np.add.reduceat(kinds == KIND_B, starts)
-            wrong = np.add.reduceat(np.diff(res.curve, prepend=0.0) > 0, starts)
+            wrong = np.add.reduceat(np.diff(sums.curve(), prepend=0.0) > 0, starts)
             assert wrong.sum() == res.wrong_b_rounds
             for b in range(1, len(starts)):
                 assert wrong[b] in (0, count_b[b])
 
     def test_deterministic_and_replicate_sensitive(self):
         cfg = TwoBridgeConfig(horizon=20_000)
-        a = run_two_bridge_batch_freq(cfg, MASTER, 1, 500)
-        b = run_two_bridge_batch_freq(cfg, MASTER, 1, 500)
-        c = run_two_bridge_batch_freq(cfg, MASTER, 2, 500)
+        (sa, a), (sb, b), (sc, c) = (
+            _run(run_two_bridge_batch_freq, cfg, MASTER, rep, 500, reps=(rep,), horizon=cfg.horizon)
+            for rep in (1, 1, 2)
+        )
         assert a == b
-        assert (a.regret_total, a.b_rounds) != (c.regret_total, c.b_rounds)
+        assert (sa.total[0], sa.restricted[0]) == (sb.total[0], sb.restricted[0])
+        np.testing.assert_array_equal(sa.curve(), sb.curve())
+        assert (sa.total[0], a.b_rounds) != (sc.total[0], c.b_rounds)
 
     def test_curve_reaches_total(self):
         cfg = TwoBridgeConfig(horizon=3000, p_majority=0.0)
-        res = run_two_bridge_batch_freq(cfg, MASTER, 4, 100, sums=_curve_sums((4,), cfg.horizon))
-        assert res.curve.shape == (3000,)
-        assert res.curve[-1] == res.regret_total
-        assert np.all(np.diff(res.curve) >= 0)
+        sums, _ = _run(run_two_bridge_batch_freq, cfg, MASTER, 4, 100, reps=(4,), horizon=cfg.horizon)
+        assert sums.curve().shape == (3000,)
+        assert sums.curve()[-1] == sums.total[0]
+        assert np.all(np.diff(sums.curve()) >= 0)
 
     def test_coin_restriction_identity(self):
         cfg = TwoBridgeConfig(horizon=3000, p_majority=0.0)
-        base = run_two_bridge_batch_freq(cfg, MASTER, 6, 100, sums=_curve_sums((6,), cfg.horizon))
-        coin = run_two_bridge_batch_freq(
-            cfg, MASTER, 6, 100, sums=_curve_sums((6,), cfg.horizon, restriction="coin", restriction_p=0.5)
-        )
-        assert coin.regret_total == base.regret_total
+        base, _ = _run(run_two_bridge_batch_freq, cfg, MASTER, 6, 100, reps=(6,), horizon=cfg.horizon)
+        coin, _ = _run(run_two_bridge_batch_freq, cfg, MASTER, 6, 100, reps=(6,), horizon=cfg.horizon,
+                       restriction="coin", restriction_p=0.5)
+        assert coin.total[0] == base.total[0]
         coins = _coins(MASTER, 6, cfg.horizon, 0.5)
-        increments = np.diff(base.curve, prepend=0.0)
-        assert coin.regret_minority == pytest.approx(float(increments[coins].sum()))
+        increments = np.diff(base.curve(), prepend=0.0)
+        assert coin.restricted[0] == pytest.approx(float(increments[coins].sum()))
 
 
 def _wrong_curve(cfg, wrong_pos):
@@ -548,10 +561,10 @@ class TestTwoBridgeEnginesMatchOracles:
                 np.cumsum(top_inc), np.cumsum(bot_inc), seg_top, seg_bot, cand_top, cand_bot, params
             )
             wrong_pos = b_pos[picks_top != (cfg.theta[0] > cfg.theta[1])]
-            res = run_two_bridge_policy(cfg, policy, MASTER, rep, sums=_curve_sums((rep,), horizon))
+            sums, res = _run(run_two_bridge_policy, cfg, policy, MASTER, rep, reps=(rep,), horizon=horizon)
             assert (res.b_rounds, res.wrong_b_rounds) == (b_pos.size, wrong_pos.size)
-            np.testing.assert_array_equal(res.curve, _wrong_curve(cfg, wrong_pos))
-            assert res.regret_total == res.curve[-1]
+            np.testing.assert_array_equal(sums.curve(), _wrong_curve(cfg, wrong_pos))
+            assert sums.total[0] == sums.curve()[-1]
 
     @pytest.mark.parametrize("horizon", ORACLE_HORIZONS)
     @pytest.mark.parametrize("noise", list(NoiseKind))
@@ -568,7 +581,7 @@ class TestTwoBridgeEnginesMatchOracles:
         monkeypatch.setattr(engines, "linucb_picks_top", record)
         cfg = TwoBridgeConfig(horizon=horizon, noise=noise, p_majority=POPULATIONS[population])
         for rep in range(3):
-            run_two_bridge_policy(cfg, "linucb_full", MASTER, rep)
+            _run(run_two_bridge_policy, cfg, "linucb_full", MASTER, rep, reps=(rep,), horizon=horizon)
             (_, _, top_inc, bot_inc, *draws, _) = _two_bridge_draws(cfg, MASTER, rep, 0.95)
             for got, want in zip(seen.pop(), (np.cumsum(top_inc), np.cumsum(bot_inc), *draws), strict=True):
                 np.testing.assert_array_equal(got, want)
@@ -584,9 +597,9 @@ class TestTwoBridgeEnginesMatchOracles:
         # least squares in every round.
         rep = horizon % 3
         wrong_pos, n_b = reference_two_bridge_batch_freq(cfg, MASTER, rep, batch_size)
-        res = run_two_bridge_batch_freq(cfg, MASTER, rep, batch_size, sums=_curve_sums((rep,), horizon))
+        sums, res = _run(run_two_bridge_batch_freq, cfg, MASTER, rep, batch_size, reps=(rep,), horizon=horizon)
         assert (res.b_rounds, res.wrong_b_rounds) == (n_b, wrong_pos.size)
-        np.testing.assert_array_equal(res.curve, _wrong_curve(cfg, wrong_pos))
+        np.testing.assert_array_equal(sums.curve(), _wrong_curve(cfg, wrong_pos))
 
 
 def _synthetic_draws(seed, n_b, max_inc, zero_share, noise):
@@ -660,11 +673,12 @@ THETA = np.array([0.7, -0.3])
 
 
 def _greedy_one(cat, prior, theta, horizon, batch_size, master_seed, replicate, **kwargs):
-    """The lockstep batched greedy engine on a block of one replicate."""
-    [res] = run_perturbed_batch_greedy(
-        cat, prior, [theta], horizon, batch_size, master_seed, (replicate,), **kwargs
+    """The lockstep batched greedy engine on a block of one replicate, through ``_run``."""
+    sums, [res] = _run(
+        run_perturbed_batch_greedy, cat, prior, [theta], horizon, batch_size, master_seed, (replicate,),
+        reps=(replicate,), horizon=horizon, **kwargs,
     )
-    return res
+    return sums, res
 
 
 class TestPerturbedGreedyEngine:
@@ -677,14 +691,14 @@ class TestPerturbedGreedyEngine:
         kwargs = dict(
             theta=THETA, horizon=horizon, batch_size=150, master_seed=MASTER, replicate=1, acting=acting,
         )
-        res = _greedy_one(cfg, PRIOR, **kwargs)
+        sums, res = _greedy_one(cfg, PRIOR, **kwargs)
         total, minority, pred, allowance, probes = reference_perturbed_greedy(
             cfg, PRIOR_MEAN, PRIOR_COV, **kwargs,
             context_bound=context_norm_bound(cfg.rho, cfg.dim, horizon, cfg.n_actions),
             probe_rounds=GAP_PROBE_ROUNDS,
         )
-        assert res.regret_total == total
-        assert res.regret_minority == minority
+        assert sums.total[0] == total
+        assert sums.restricted[0] == minority
         assert res.regret_prediction == pred
         assert res.gap_allowance == pytest.approx(allowance, abs=1e-9)
         assert set(res.probe_values) == {1000}
@@ -697,40 +711,40 @@ class TestPerturbedGreedyEngine:
         # The prediction rule is greedy on the posterior mean, which is the
         # acting estimate of the Bayesian policy.
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
-        res = _greedy_one(
+        sums, res = _greedy_one(
             cfg, PRIOR, THETA,
             horizon=600, batch_size=100, master_seed=MASTER, replicate=5, acting="bayes",
         )
-        assert res.regret_prediction == res.regret_total
-        assert res.regret_total > 0.0
+        assert res.regret_prediction == sums.total[0]
+        assert sums.total[0] > 0.0
 
     def test_first_batch_uses_prior(self):
         # Exact catalog contexts (rho = 0): the prior favours the second
         # slot, and the first batch acts on the prior whatever its data.
         cfg = _fixed_pair_catalog()
-        res = _greedy_one(
+        sums, res = _greedy_one(
             cfg, gaussian_prior(np.array([0.2, 0.9]), np.eye(2)), np.array([0.5, 0.4]),
             horizon=200, batch_size=200, master_seed=MASTER, replicate=0,
             acting="bayes", keep_rows=True,
         )
         np.testing.assert_array_equal(res.chosen_rows, np.tile(BOTTOM, (200, 1)))
-        assert res.regret_total == pytest.approx(200 * 0.1)
+        assert sums.total[0] == pytest.approx(200 * 0.1)
 
     def test_prediction_comes_from_bayes_estimate(self):
         # In the cold batch the frequentist policy picks at random, while the
         # prediction is greedy on the prior mean, here always the worse slot.
         cfg = _fixed_pair_catalog()
-        res = _greedy_one(
+        sums, res = _greedy_one(
             cfg, gaussian_prior(np.array([0.0, 5.0]), 0.01 * np.eye(2)), np.array([0.5, 0.4]),
             horizon=300, batch_size=300, master_seed=MASTER, replicate=1, acting="freq",
         )
         assert res.regret_prediction == pytest.approx(300 * 0.1)
-        assert 0.0 < res.regret_total < res.regret_prediction
+        assert 0.0 < sums.total[0] < res.regret_prediction
 
     def test_freq_cold_start_is_uniform(self):
         cfg = _fixed_pair_catalog()
         n = 4000
-        res = _greedy_one(
+        _, res = _greedy_one(
             cfg, PRIOR, np.array([0.5, 0.4]),
             horizon=n, batch_size=n, master_seed=MASTER, replicate=2, keep_rows=True,
         )
@@ -739,7 +753,7 @@ class TestPerturbedGreedyEngine:
 
     def test_freq_warm_acts_greedily(self):
         cfg = _fixed_pair_catalog()
-        res = _greedy_one(
+        _, res = _greedy_one(
             cfg, PRIOR, np.array([1.0, -1.0]),
             horizon=400, batch_size=200, master_seed=MASTER, replicate=3, keep_rows=True,
         )
@@ -751,7 +765,7 @@ class TestPerturbedGreedyEngine:
         # the same pick for a whole batch.
         cfg = _fixed_pair_catalog()
         batch_size = 25
-        res = _greedy_one(
+        _, res = _greedy_one(
             cfg, PRIOR, np.array([0.5, 0.45]),
             horizon=1000, batch_size=batch_size, master_seed=MASTER, replicate=4,
             acting=acting, keep_rows=True,
@@ -766,7 +780,7 @@ class TestPerturbedGreedyEngine:
         # one is the prior mean, for every round of the first batch, whichever
         # estimate acts.
         cat = _one_group_catalog()
-        res = _greedy_one(
+        _, res = _greedy_one(
             cat, PRIOR, THETA,
             horizon=150, batch_size=150, master_seed=MASTER, replicate=0, acting=acting,
         )
@@ -784,15 +798,15 @@ class TestPerturbedGreedyEngine:
             )
 
     def test_one_group_minority_regret_is_zero(self):
-        res = _greedy_one(
+        sums, _ = _greedy_one(
             _one_group_catalog(), PRIOR, THETA,
             horizon=600, batch_size=200, master_seed=MASTER, replicate=0,
         )
-        assert res.regret_minority == 0.0
-        assert res.regret_total > 0.0
+        assert sums.restricted[0] == 0.0
+        assert sums.total[0] > 0.0
 
     def test_probe_uses_frozen_batch_boundary(self):
-        res = _greedy_one(
+        _, res = _greedy_one(
             _one_group_catalog(), PRIOR, THETA,
             horizon=8000, batch_size=8000, master_seed=MASTER, replicate=0,
         )
@@ -803,14 +817,14 @@ class TestPerturbedGreedyEngine:
         assert res.gap_allowance > 0.0
 
     def test_no_probe_beyond_the_horizon(self):
-        res = _greedy_one(
+        _, res = _greedy_one(
             _one_group_catalog(), PRIOR, THETA,
             horizon=999, batch_size=100, master_seed=MASTER, replicate=0,
         )
         assert res.probe_values == {}
 
     def test_lambda_curve_matches_eigendecomposition(self):
-        res = _greedy_one(
+        _, res = _greedy_one(
             _one_group_catalog(), PRIOR, THETA,
             horizon=300, batch_size=100, master_seed=MASTER, replicate=2, keep_rows=True,
         )
@@ -826,15 +840,13 @@ class TestPerturbedGreedyEngine:
         kwargs = dict(
             prior=PRIOR, theta=THETA, horizon=600, batch_size=150, master_seed=MASTER, replicate=4,
         )
-        base = _greedy_one(cfg, sums=_curve_sums((4,), 600), **kwargs)
-        coin = _greedy_one(
-            cfg, sums=_curve_sums((4,), 600, restriction="coin", restriction_p=0.25), **kwargs
-        )
-        assert coin.regret_total == pytest.approx(base.regret_total)
-        np.testing.assert_allclose(coin.curve, base.curve)
+        base, _ = _greedy_one(cfg, **kwargs)
+        coin, _ = _greedy_one(cfg, restriction="coin", restriction_p=0.25, **kwargs)
+        assert coin.total[0] == pytest.approx(base.total[0])
+        np.testing.assert_allclose(coin.curve(), base.curve())
         coins = _coins(MASTER, 4, 600, 0.25)
-        increments = np.diff(base.curve, prepend=0.0)
-        assert coin.regret_minority == pytest.approx(
+        increments = np.diff(base.curve(), prepend=0.0)
+        assert coin.restricted[0] == pytest.approx(
             float(increments[coins].sum()), abs=1e-9
         )
 
@@ -854,29 +866,31 @@ def _greedy_thetas(replicates):
 
 @functools.lru_cache(maxsize=None)
 def _single_replicate_greedy_runs(acting: str, two_group: bool, restriction: str) -> tuple:
+    """(sums, result) of the single-replicate loop on each of GREEDY_REPLICATES."""
     cfg = _two_group_catalog() if two_group else _one_group_catalog()
     return tuple(
-        single_replicate_greedy(
-            cfg, PRIOR, theta, GREEDY_HORIZON, GREEDY_BATCH, MASTER, rep, acting=acting, keep_rows=True,
-            sums=_curve_sums((rep,), GREEDY_HORIZON, restriction=restriction),
+        _run(
+            single_replicate_greedy, cfg, PRIOR, theta, GREEDY_HORIZON, GREEDY_BATCH, MASTER, rep,
+            reps=(rep,), horizon=GREEDY_HORIZON, restriction=restriction, acting=acting, keep_rows=True,
         )
         for rep, theta in zip(GREEDY_REPLICATES, _greedy_thetas(GREEDY_REPLICATES))
     )
 
 
-def _assert_same_run(res, expected, keeps_curve: bool) -> None:
-    """Every result field bit for bit; only the first replicate of a block keeps its curve."""
-    assert res.regret_total == expected.regret_total
-    assert res.regret_minority == expected.regret_minority
-    assert res.regret_prediction == expected.regret_prediction
-    assert res.gap_allowance == expected.gap_allowance
-    assert res.probe_values == expected.probe_values
-    assert np.array_equal(res.chosen_rows, expected.chosen_rows)
+def _assert_same_run(sums, i, res, expected, keeps_curve: bool) -> None:
+    """Column ``i`` of ``sums`` and ``res`` against a single-replicate loop's
+    (sums, result), bit for bit; only the first replicate of a block keeps
+    its curve."""
+    want_sums, want = expected
+    assert sums.total[i] == want_sums.total[0]
+    assert sums.restricted[i] == want_sums.restricted[0]
+    assert res.regret_prediction == want.regret_prediction
+    assert res.gap_allowance == want.gap_allowance
+    assert res.probe_values == want.probe_values
+    assert np.array_equal(res.chosen_rows, want.chosen_rows)
     if keeps_curve:
-        assert np.array_equal(res.curve, expected.curve)
-        assert res.curve[-1] == res.regret_total
-    else:
-        assert res.curve is None
+        assert np.array_equal(sums.curve(), want_sums.curve())
+        assert sums.curve()[-1] == sums.total[0]
 
 
 class TestPerturbedGreedyLockstep:
@@ -891,15 +905,17 @@ class TestPerturbedGreedyLockstep:
         results = []
         for first in range(0, len(GREEDY_REPLICATES), block):
             reps = GREEDY_REPLICATES[first:first + block]
-            results += run_perturbed_batch_greedy(
-                cfg, PRIOR, thetas[first:first + block], GREEDY_HORIZON, GREEDY_BATCH, MASTER, reps,
-                acting=acting, keep_rows=True, sums=_curve_sums(reps, GREEDY_HORIZON, restriction=restriction),
+            sums, block_results = _run(
+                run_perturbed_batch_greedy, cfg, PRIOR, thetas[first:first + block], GREEDY_HORIZON,
+                GREEDY_BATCH, MASTER, reps, reps=reps, horizon=GREEDY_HORIZON, restriction=restriction,
+                acting=acting, keep_rows=True,
             )
+            results += [(sums, i, res) for i, res in enumerate(block_results)]
         expected = _single_replicate_greedy_runs(acting, two_group, restriction)
         assert len(results) == len(expected)
-        for i, (res, want) in enumerate(zip(results, expected)):
+        for (sums, i, res), want in zip(results, expected):
             assert set(res.probe_values) == set(GAP_PROBE_ROUNDS)
-            _assert_same_run(res, want, keeps_curve=i % block == 0)
+            _assert_same_run(sums, i, res, want, keeps_curve=i == 0)
 
 
 def _nearly_planar_catalog() -> Catalog:
@@ -949,9 +965,9 @@ class TestGreedySingularFallback:
 
         monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
         monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-        results = run_perturbed_batch_greedy(
-            cat, prior, np.tile(theta, (n, 1)), self.HORIZON, 1, MASTER, self.REPLICATES,
-            acting=acting, keep_rows=True, sums=_curve_sums(self.REPLICATES, self.HORIZON),
+        sums, results = _run(
+            run_perturbed_batch_greedy, cat, prior, np.tile(theta, (n, 1)), self.HORIZON, 1, MASTER,
+            self.REPLICATES, reps=self.REPLICATES, horizon=self.HORIZON, acting=acting, keep_rows=True,
         )
         monkeypatch.undo()
 
@@ -962,19 +978,20 @@ class TestGreedySingularFallback:
         ranks = [int(np.linalg.matrix_rank(res.chosen_rows.T @ res.chosen_rows)) for res in results]
         assert ranks == [2, 3, 3, 3]
         for i, (res, rep) in enumerate(zip(results, self.REPLICATES)):
-            want = single_replicate_greedy(
-                cat, prior, theta, self.HORIZON, 1, MASTER, rep, acting=acting, keep_rows=True,
-                sums=_curve_sums((rep,), self.HORIZON),
+            want = _run(
+                single_replicate_greedy, cat, prior, theta, self.HORIZON, 1, MASTER, rep,
+                reps=(rep,), horizon=self.HORIZON, acting=acting, keep_rows=True,
             )
-            _assert_same_run(res, want, keeps_curve=i == 0)
+            _assert_same_run(sums, i, res, want, keeps_curve=i == 0)
 
 
-def _linucb_one(cfg, params, theta, horizon, replicate, sums=None):
-    """The lockstep engine on one cell of one replicate."""
-    [[res]] = run_perturbed_linucb(
-        cfg, [LinUCBCell(horizon, params, sums)], [theta], horizon, MASTER, (replicate,)
-    )
-    return res
+def _linucb_one(cfg, params, theta, horizon, replicate, **kwargs):
+    """The lockstep engine on one cell of one replicate, through ``_run``; its sums."""
+    def one_cell(sums):
+        return run_perturbed_linucb(cfg, [LinUCBCell(horizon, params, sums)], [theta], horizon, MASTER, (replicate,))
+
+    sums, _ = _run(one_cell, reps=(replicate,), horizon=horizon, **kwargs)
+    return sums
 
 
 # Not a multiple of the noise chunk, with refreshes in both chunks and a
@@ -1029,30 +1046,26 @@ class TestPerturbedLinUCBEngine:
         monkeypatch.setattr(engines, "REFRESH_EVERY", LOCKSTEP_REFRESH)
         # The cells go in out of horizon order; results come back per cell.
         order = (mid, long, short)
-        results = {t: [] for t in order}
+        columns = {t: [] for t in order}
         for first in range(0, len(LOCKSTEP_REPLICATES), block):
             reps = LOCKSTEP_REPLICATES[first:first + block]
             cells = [
                 LinUCBCell(t, _lockstep_params(cfg, t), _curve_sums(reps, t, restriction=restriction))
                 for t in order
             ]
-            per_cell = run_perturbed_linucb(cfg, cells, thetas[first:first + block], long, MASTER, reps)
-            assert [len(r) for r in per_cell] == [len(reps)] * len(order)
-            for t, cell_results in zip(order, per_cell):
-                results[t] += cell_results
+            assert run_perturbed_linucb(cfg, cells, thetas[first:first + block], long, MASTER, reps) is None
+            for cell in cells:
+                columns[cell.horizon] += [(cell.sums, i) for i in range(len(reps))]
         for t in order:
             expected = _single_replicate_runs(two_group, restriction, t)
-            assert len(results[t]) == len(expected)
-            for i, (res, (total, minority, curve)) in enumerate(zip(results[t], expected)):
-                assert res.regret_total == total
-                assert res.regret_minority == minority
-                assert res.regret_prediction == total
+            assert len(columns[t]) == len(expected)
+            for (sums, i), (total, minority, curve) in zip(columns[t], expected):
+                assert sums.total[i] == total
+                assert sums.restricted[i] == minority
                 # Only the first replicate of a block keeps its cell's curve.
-                if i % block:
-                    assert res.curve is None
-                else:
-                    assert np.array_equal(res.curve, curve)
-                    assert res.curve[-1] == res.regret_total
+                if i == 0:
+                    assert np.array_equal(sums.curve(), curve)
+                    assert sums.curve()[-1] == sums.total[0]
 
     def test_gram_fold_adds_rounds_in_order(self):
         # Regret reads only the decisions, which rarely turn on the last bits
@@ -1069,7 +1082,7 @@ class TestPerturbedLinUCBEngine:
 
     def test_horizon_is_the_longest_cell(self):
         cfg = _one_group_catalog()
-        cells = [LinUCBCell(t, _lockstep_params(cfg, t)) for t in (100, 200)]
+        cells = [LinUCBCell(t, _lockstep_params(cfg, t), _curve_sums((0,), t)) for t in (100, 200)]
         for horizon in (100, 150, 300):
             with pytest.raises(ValueError, match="longest cell horizon"):
                 run_perturbed_linucb(cfg, cells, [THETA], horizon, MASTER, (0,))
@@ -1082,10 +1095,10 @@ class TestPerturbedLinUCBEngine:
         # first rounds of the longer one.
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         params = _lockstep_params(cfg, 600)
-        cells = [LinUCBCell(t, params, _curve_sums((0,), t)) for t in (300, 600)]
-        [[short], [long]] = run_perturbed_linucb(cfg, cells, [THETA], 600, MASTER, (0,))
-        assert short.regret_total == long.curve[299]
-        assert np.array_equal(short.curve, long.curve[:300])
+        short, long = cells = [LinUCBCell(t, params, _curve_sums((0,), t)) for t in (300, 600)]
+        run_perturbed_linucb(cfg, cells, [THETA], 600, MASTER, (0,))
+        assert short.sums.total[0] == long.sums.curve()[299]
+        assert np.array_equal(short.sums.curve(), long.sums.curve()[:300])
 
     @pytest.mark.parametrize("two_group", [False, True])
     def test_matches_direct_inverse_reference(self, two_group):
@@ -1094,10 +1107,10 @@ class TestPerturbedLinUCBEngine:
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
-        res = _linucb_one(cfg, params, THETA, horizon, 1)
+        sums = _linucb_one(cfg, params, THETA, horizon, 1)
         total, minority = reference_perturbed_linucb(cfg, params, THETA, horizon, MASTER, 1)
-        assert res.regret_total == pytest.approx(total, abs=1e-9)
-        assert res.regret_minority == pytest.approx(minority, abs=1e-9)
+        assert sums.total[0] == pytest.approx(total, abs=1e-9)
+        assert sums.restricted[0] == pytest.approx(minority, abs=1e-9)
 
     def test_cached_inverse_is_refreshed_every_period(self, monkeypatch):
         # Decisions rarely depend on the last bits the refresh corrects, so
@@ -1116,8 +1129,8 @@ class TestPerturbedLinUCBEngine:
         monkeypatch.setattr(np.linalg, "inv", counted)
         monkeypatch.setattr(engines, "REFRESH_EVERY", LOCKSTEP_REFRESH)
         run_perturbed_linucb(
-            cfg, [LinUCBCell(LOCKSTEP_HORIZON, params)], _lockstep_thetas()[:2], LOCKSTEP_HORIZON,
-            MASTER, LOCKSTEP_REPLICATES[:2],
+            cfg, [LinUCBCell(LOCKSTEP_HORIZON, params, _curve_sums(LOCKSTEP_REPLICATES[:2], LOCKSTEP_HORIZON))],
+            _lockstep_thetas()[:2], LOCKSTEP_HORIZON, MASTER, LOCKSTEP_REPLICATES[:2],
         )
         assert LOCKSTEP_HORIZON > NOISE_CHUNK
         assert calls == [(2, 2, 2)] * (LOCKSTEP_HORIZON // LOCKSTEP_REFRESH)
@@ -1131,21 +1144,20 @@ class TestPerturbedLinUCBEngine:
         cached = _linucb_one(cfg, params, THETA, horizon, 2)
         monkeypatch.setattr(engines, "REFRESH_EVERY", 1)
         exact = _linucb_one(cfg, params, THETA, horizon, 2)
-        assert cached.regret_total == pytest.approx(exact.regret_total, abs=1e-9)
+        assert cached.total[0] == pytest.approx(exact.total[0], abs=1e-9)
 
     @pytest.mark.parametrize("two_group", [False, True])
-    def test_result_fields(self, two_group):
+    def test_regret_sums(self, two_group):
         cfg = _two_group_catalog() if two_group else _one_group_catalog()
         horizon = 300
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
-        res = _linucb_one(cfg, params, THETA, horizon, 6, sums=_curve_sums((6,), horizon))
-        assert res.regret_prediction == res.regret_total > 0.0
-        assert 0.0 <= res.regret_minority <= res.regret_total
-        assert (res.regret_minority > 0.0) == two_group
-        assert res.gap_allowance == 0.0 and res.probe_values == {}
-        assert np.all(np.diff(res.curve) >= 0.0)
+        sums = _linucb_one(cfg, params, THETA, horizon, 6)
+        assert sums.total[0] > 0.0
+        assert 0.0 <= sums.restricted[0] <= sums.total[0]
+        assert (sums.restricted[0] > 0.0) == two_group
+        assert np.all(np.diff(sums.curve()) >= 0.0)
 
     def test_results_follow_replicate_order(self):
         cfg = _one_group_catalog()
@@ -1154,11 +1166,12 @@ class TestPerturbedLinUCBEngine:
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
         thetas = _lockstep_thetas()[[4, 1]]
-        [pair] = run_perturbed_linucb(cfg, [LinUCBCell(horizon, params)], thetas, horizon, MASTER, (4, 1))
-        for res, rep, theta in zip(pair, (4, 1), thetas):
+        pair = _curve_sums((4, 1), horizon)
+        run_perturbed_linucb(cfg, [LinUCBCell(horizon, params, pair)], thetas, horizon, MASTER, (4, 1))
+        for i, (rep, theta) in enumerate(zip((4, 1), thetas)):
             alone = _linucb_one(cfg, params, theta, horizon, rep)
-            assert res.regret_total == alone.regret_total
-        assert pair[0].regret_total != pair[1].regret_total
+            assert pair.total[i] == alone.total[0]
+        assert pair.total[0] != pair.total[1]
 
     def test_requires_positive_ridge(self):
         params = LinUCBParams(L=1.0, S=1.0, horizon=100, ridge=0.0)
@@ -1171,30 +1184,26 @@ class TestPerturbedLinUCBEngine:
         params = LinUCBParams.for_perturbed(
             d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=PRIOR_NORM
         )
-        base = _linucb_one(cfg, params, THETA, horizon, 3, sums=_curve_sums((3,), horizon))
-        coin = _linucb_one(
-            cfg, params, THETA, horizon, 3,
-            sums=_curve_sums((3,), horizon, restriction="coin", restriction_p=0.5),
-        )
-        assert coin.regret_total == pytest.approx(base.regret_total)
+        base = _linucb_one(cfg, params, THETA, horizon, 3)
+        coin = _linucb_one(cfg, params, THETA, horizon, 3, restriction="coin", restriction_p=0.5)
+        assert coin.total[0] == pytest.approx(base.total[0])
         coins = _coins(MASTER, 3, horizon, 0.5)
-        increments = np.diff(base.curve, prepend=0.0)
-        assert coin.regret_minority == pytest.approx(
+        increments = np.diff(base.curve(), prepend=0.0)
+        assert coin.restricted[0] == pytest.approx(
             float(increments[coins].sum()), abs=1e-9
         )
 
 
-def _check_invariants(results, horizon, curve):
+def _check_invariants(sums, horizon, curve):
     """Regret is nonnegative, restricted within total, and the first curve ends at the total."""
-    for i, res in enumerate(results):
-        assert res.regret_total >= 0.0
-        assert 0.0 <= res.regret_minority <= res.regret_total
-        if curve and i == 0:
-            assert res.curve.shape == (horizon,)
-            assert np.all(np.diff(res.curve) >= 0.0)
-            assert res.curve[-1] == res.regret_total
-        else:
-            assert res.curve is None
+    assert np.all(sums.total >= 0.0)
+    assert np.all((0.0 <= sums.restricted) & (sums.restricted <= sums.total))
+    if curve:
+        assert sums.curve().shape == (horizon,)
+        assert np.all(np.diff(sums.curve()) >= 0.0)
+        assert sums.curve()[-1] == sums.total[0]
+    else:
+        assert sums.curve() is None
 
 
 class TestEngineInvariants:
@@ -1209,8 +1218,8 @@ class TestEngineInvariants:
         cfg = TwoBridgeConfig(horizon=horizon, theta_variant=variant, noise=noise, p_majority=p_majority)
         sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
         res = run_two_bridge_policy(cfg, policy, seed, replicate, sums=sums)
-        _check_invariants([res], horizon, curve)
-        assert res.regret_prediction == res.regret_total
+        _check_invariants(sums, horizon, curve)
+        assert 0 <= res.wrong_b_rounds <= res.b_rounds
 
     @PROPERTY
     @given(horizon=st.integers(4, 2000), batch_frac=st.floats(0.0, 1.0),
@@ -1222,7 +1231,8 @@ class TestEngineInvariants:
         batch = 1 + int(batch_frac * (horizon - 1))
         sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
         res = run_two_bridge_batch_freq(cfg, seed, replicate, batch, sums=sums)
-        _check_invariants([res], horizon, curve)
+        _check_invariants(sums, horizon, curve)
+        assert 0 <= res.wrong_b_rounds <= res.b_rounds
 
     @PROPERTY
     @given(horizon=st.integers(2, 300), batch_frac=st.floats(0.0, 1.0), two_group=st.booleans(),
@@ -1239,11 +1249,11 @@ class TestEngineInvariants:
             cfg, PRIOR, thetas, horizon, batch, seed, reps, acting=acting, sums=sums,
         )
         assert len(results) == block
-        _check_invariants(results, horizon, curve)
-        for res in results:
+        _check_invariants(sums, horizon, curve)
+        for i, res in enumerate(results):
             assert res.regret_prediction >= 0.0
             if acting == "bayes":
-                assert res.regret_prediction == res.regret_total
+                assert res.regret_prediction == sums.total[i]
 
     @PROPERTY
     @given(horizons=st.lists(st.integers(2, 120), min_size=1, max_size=3, unique=True),
@@ -1256,11 +1266,10 @@ class TestEngineInvariants:
         reps = tuple(range(first, first + block))
         thetas = np.array([THETA + 0.2 * stream(seed, rep, Purpose.THETA).standard_normal(2) for rep in reps])
         cells = [LinUCBCell(t, params, RegretSums(seed, reps, t, restriction, 0.5, curve)) for t in horizons]
-        per_cell = run_perturbed_linucb(cfg, cells, thetas, max(horizons), seed, reps)
-        assert len(per_cell) == len(horizons)
-        for t, results in zip(horizons, per_cell):
-            assert len(results) == block
-            _check_invariants(results, t, curve)
+        run_perturbed_linucb(cfg, cells, thetas, max(horizons), seed, reps)
+        for cell in cells:
+            assert cell.sums.total.shape == (block,)
+            _check_invariants(cell.sums, cell.horizon, curve)
 
 
 class TestEntryDraws:

@@ -13,6 +13,7 @@ from banditsim.engines import (
 )
 from banditsim.environments import Catalog, TwoBridgeConfig, draw_theta
 from banditsim.estimators import gaussian_prior
+from banditsim.metrics import RegretSums
 from banditsim.policies import LinUCBParams, context_norm_bound
 from banditsim.rng import Purpose, stream
 from oracles import KIND_A, KIND_B, KIND_C, kind_codes
@@ -227,7 +228,7 @@ def _greedy_rows(cfg, theta, horizon, batch_size, replicate=0, acting="freq", pr
     prior_mean = np.zeros(d) if prior_mean is None else prior_mean
     [res] = run_perturbed_batch_greedy(
         cfg, gaussian_prior(prior_mean, np.eye(d)), np.asarray(theta, dtype=float)[None], horizon, batch_size,
-        20260814, (replicate,), acting=acting, keep_rows=True,
+        20260814, (replicate,), RegretSums(20260814, (replicate,), horizon), acting=acting, keep_rows=True,
     )
     return res.chosen_rows
 
@@ -258,17 +259,18 @@ class TestPerturbedSampling:
         cfg = _single_entry_config((np.array([0.4, 0.1]), None), rho=0.2)
         theta = np.array([-1.0, 0.5])
         horizon = 400
+        sums = RegretSums(20260814, (0,), horizon)
         if policy == "linucb":
             params = LinUCBParams.for_perturbed(
                 d=2, n_actions=2, horizon=horizon, rho=cfg.rho, prior_norm=0.0
             )
-            [[res]] = run_perturbed_linucb(cfg, [LinUCBCell(horizon, params)], [theta], horizon, 20260814, (0,))
+            run_perturbed_linucb(cfg, [LinUCBCell(horizon, params, sums)], [theta], horizon, 20260814, (0,))
         else:
-            [res] = run_perturbed_batch_greedy(
-                cfg, gaussian_prior(np.zeros(2), np.eye(2)), [theta], horizon, 50, 20260814, (0,),
+            run_perturbed_batch_greedy(
+                cfg, gaussian_prior(np.zeros(2), np.eye(2)), [theta], horizon, 50, 20260814, (0,), sums,
                 acting=policy.removeprefix("batch_"),
             )
-        assert res.regret_total == 0.0
+        assert sums.total[0] == 0.0
 
     def test_separate_perturbation_stream(self):
         # Contexts come from the replicate's own entry and perturbation

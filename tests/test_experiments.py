@@ -200,6 +200,16 @@ class TestRunExperiment:
         lin_rows = [r for r in result.rows if r.policy == "linucb"]
         assert {r.horizon for r in lin_rows} == {10}
 
+    def test_prediction_regret_is_the_total_but_for_frequentist_greedy(self):
+        # Only frequentist greedy acts on another estimate than the posterior
+        # mean it predicts with; every other row reports its total.
+        rows = run_experiment(_cfg(SMALL_GREEDY), workers=1).rows + run_experiment(_cfg(SMALL_TWO_BRIDGE)).rows
+        assert {r.policy for r in rows} == {"batch_bayes_greedy", "batch_freq_greedy", "linucb"}
+        for row in rows:
+            if row.policy != "batch_freq_greedy":
+                assert row.regret_prediction == row.regret_total
+        assert all(r.regret_prediction != r.regret_total for r in rows if r.policy == "batch_freq_greedy")
+
     def test_gap_probes_survive_without_comparator(self):
         cfg = _cfg(SMALL_GREEDY + "policies = batch_freq_greedy\n")
         result = run_experiment(cfg)
@@ -421,9 +431,9 @@ class TestExperimentCurves:
         calls = []
         engine = experiments.run_two_bridge_policy
 
-        def counted(*args, **kwargs):
-            res = engine(*args, **kwargs)
-            calls.append(res.curve is not None)
+        def counted(*args, sums, **kwargs):
+            res = engine(*args, sums=sums, **kwargs)
+            calls.append(sums.curve() is not None)
             return res
 
         monkeypatch.setattr(experiments, "run_two_bridge_policy", counted)

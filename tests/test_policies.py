@@ -252,14 +252,9 @@ class TestLinUCBWarmBehavior:
         wrong_after = 0
         b_after = 0
         for rep in range(reps):
-            res = run_two_bridge_policy(
-                cfg,
-                "linucb",
-                20260814,
-                rep,
-                sums=RegretSums(20260814, (rep,), horizon, curve=True),
-            )
-            increments = np.diff(res.curve, prepend=0.0) > 0
+            sums = RegretSums(20260814, (rep,), horizon, curve=True)
+            run_two_bridge_policy(cfg, "linucb", 20260814, rep, sums=sums)
+            increments = np.diff(sums.curve(), prepend=0.0) > 0
             codes = kind_codes(cfg, stream(20260814, rep, Purpose.CONTEXTS), horizon)
             tail = np.arange(1, horizon + 1) >= t0
             wrong_after += int((increments & (codes == KIND_B) & tail).sum())
