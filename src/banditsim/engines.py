@@ -11,12 +11,13 @@ Two-bridge replicates are not run in lockstep: a block of 32 raised a pool
 worker's peak RSS from 39 MB to 52-54 MB, and blocks small enough to keep it
 barely ran faster.  The perturbed engines advance a block of replicates in
 lockstep, each replicate from its own streams, and pick each round's catalog
-entry with one uniform (``Catalog.entries``): batched greedy one stacked step
-per batch, with the estimators solving every replicate's system in one
-stacked call, and LinUCB one stacked step per round over cached inverses, for
-every horizon of the block at once, with each replicate's inputs drawn once
-for all its horizons, NOISE_CHUNK rounds at a time.  Each replicate's result
-is bit for bit what it would be alone, so results are identical under any
+entry with one uniform (``Catalog.entries``), for every cell of the block at
+once with each replicate's inputs drawn once for all its cells: batched
+greedy one stacked step per batch for both acting rules at every horizon,
+with the estimators solving every replicate's system in one stacked call,
+and LinUCB one stacked step per round over cached inverses for every
+horizon, NOISE_CHUNK rounds of inputs at a time.  Each replicate's result is
+bit for bit what it would be alone, so results are identical under any
 scheduling.
 
 Every engine feeds the instantaneous regret of its rounds, in round order, to
@@ -270,7 +271,7 @@ def run_two_bridge_batch_freq(
 
 @dataclass
 class PerturbedRunResult:
-    """What batched greedy reports of one replicate beside its regret sums."""
+    """What batched greedy reports of one (cell, replicate) beside its regret sums."""
 
     regret_prediction: float
     gap_allowance: float
@@ -278,121 +279,166 @@ class PerturbedRunResult:
     chosen_rows: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class GreedyCell:
+    """One horizon of one acting rule in a batched greedy call: its rounds,
+    its frozen acting estimate ("freq" for least squares, "bayes" for the
+    posterior mean), and the regret sums of its replicates."""
+
+    horizon: int
+    acting: str
+    sums: RegretSums
+
+
 def run_perturbed_batch_greedy(
     cat: Catalog,
     prior: GaussianPrior,
+    cells: list,
     thetas: np.ndarray,
     horizon: int,
     batch_size: int,
     master_seed: int,
     replicates: tuple,
-    sums: RegretSums,
-    acting: str = "freq",
     keep_rows: bool = False,
 ) -> list:
-    """Batched greedy replicates advanced in lockstep, one batch at a time; one
-    result per replicate.
+    """Batched greedy on every (cell, replicate) in one lockstep pass, one
+    batch at a time; per cell, one result per replicate.
 
-    Row ``i`` of ``thetas`` is the latent weight vector of replicate
-    ``replicates[i]``.  Each replicate draws its batch from its own streams,
-    in the order a replicate run alone draws them.  Every stacked product
-    makes, per replicate, the BLAS call a single-replicate loop would make
-    (a flat (y k, d) by (d,) product for the scores, a dot product for each
-    norm), the estimators solve each replicate's system as they would alone,
-    and ``sums`` (one column per replicate) adds regret in round order, so a
-    replicate's result does not depend on the block it runs in.
+    Cell ``j`` runs replicate ``replicates[i]``, whose latent weight vector is
+    row ``i`` of ``thetas``, for ``cells[j].horizon`` rounds greedy on the
+    estimate ``cells[j].acting`` names ("freq" or "bayes"; any other value is
+    a ``ValueError``), and feeds column ``i`` of the cell's sums.
+    ``horizon``, the rounds the call runs, must be the longest cell horizon.
+    Each batch draws every replicate's inputs once, from its own streams in
+    the order a replicate run alone draws them: entries, perturbations,
+    reward noise, and in the cold batch the frequentist rule's random scores.
+    The contexts, true values and best values are then shared by both acting
+    rules; each rule scores, picks and updates its own estimates, and feeds
+    every cell of that rule still running, cut at the cell's horizon.  A
+    shorter horizon's draws are the first rounds of the longer one's, so a
+    cell's result is what a call of that cell alone returns.  Every stacked
+    product makes, per replicate, the BLAS call a single-replicate loop would
+    make (a flat (y k, d) by (d,) product for the scores, a dot product for
+    each norm), the estimators solve each replicate's system as they would
+    alone, and the sums add regret in round order, so a result depends neither
+    on the block nor on the other cells.
 
-    ``acting`` picks the frozen acting estimate: "freq" for least squares,
-    "bayes" for the posterior mean; any other value is a ``ValueError``.
     ``gap_allowance`` accumulates ``2 R ||theta_bay - theta_freq||`` per round
-    with the batch-frozen estimates and R = ``context_norm_bound`` of the
-    instance, the per-round bound on how far the two greedy rules' reward
-    predictions can disagree.
-    ``probe_values`` maps each of GAP_PROBE_ROUNDS within the horizon to
-    ``t0 ||theta_bay - theta_freq||``, t0 the last batch end before it.
-    The prediction regret is summed in round order too.  ``keep_rows`` keeps
-    the chosen context of every round.
+    with the batch-frozen estimates of the cell's rule and R =
+    ``context_norm_bound`` at the cell's horizon, the per-round bound on how
+    far the two greedy rules' reward predictions can disagree.
+    ``probe_values`` maps each of GAP_PROBE_ROUNDS within the cell's horizon
+    to ``t0 ||theta_bay - theta_freq||``, t0 the last batch end before it.
+    The prediction regret, of greedy on the rule's posterior mean, is summed
+    in round order too.  ``keep_rows`` keeps the chosen context of every round.
     """
-    if acting not in ("freq", "bayes"):
-        raise ValueError(f"acting must be 'freq' or 'bayes', not {acting!r}")
+    if not cells or horizon != max(cell.horizon for cell in cells):
+        raise ValueError("horizon must be the longest cell horizon")
+    for cell in cells:
+        if cell.acting not in ("freq", "bayes"):
+            raise ValueError(f"acting must be 'freq' or 'bayes', not {cell.acting!r}")
     d, k = cat.dim, cat.n_actions
     n = len(replicates)
     thetas = np.asarray(thetas, dtype=float).reshape(n, d)
-    ctx, pert, rew, pol = (
+    ctx, pert, rew = (
         [stream(master_seed, rep, purpose) for rep in replicates]
-        for purpose in (Purpose.CONTEXTS, Purpose.PERTURBATIONS, Purpose.REWARDS, Purpose.POLICY)
+        for purpose in (Purpose.CONTEXTS, Purpose.PERTURBATIONS, Purpose.REWARDS)
     )
 
-    Z = np.zeros((n, d, d))
-    xr = np.zeros((n, d))
-    theta_freq = np.zeros((n, d))
-    theta_bay = np.repeat(prior.mean[None], n, axis=0)
-    cold = True
+    # Estimator state, one slice per acting rule along the leading axis.
+    rules = list(dict.fromkeys(cell.acting for cell in cells))
+    cell_rule = [rules.index(cell.acting) for cell in cells]
+    Z = np.zeros((len(rules), n, d, d))
+    xr = np.zeros((len(rules), n, d))
+    theta_freq = np.zeros((len(rules), n, d))
+    theta_bay = np.tile(prior.mean, (len(rules), n, 1))
 
-    pred_total = np.zeros(n)
-    allowance = np.zeros(n)
-    context_bound = context_norm_bound(cat.rho, d, horizon, k)
-    probes = [{} for _ in range(n)]
-    chosen_rows = np.empty((n, horizon, d)) if keep_rows else None
+    pred_total = [np.zeros(n) for _ in cells]
+    allowance = [np.zeros(n) for _ in cells]
+    context_bound = [context_norm_bound(cat.rho, d, cell.horizon, k) for cell in cells]
+    probes = [[{} for _ in range(n)] for _ in cells]
+    chosen_rows = np.empty((len(rules), n, horizon, d)) if keep_rows else None
 
     def values(x, v):
         """Each replicate's rows of ``x`` (n, y, k, d) times its row of ``v``."""
         return (x.reshape(n, -1, d) @ v[:, :, None]).reshape(x.shape[:3])
 
-    block_ix = np.arange(n)[:, None]
     done = 0
     while done < horizon:
         y = min(batch_size, horizon - done)
-        batch_ix = np.arange(y)
         idx = cat.entries(np.stack([g.random(y) for g in ctx]))
-        x = cat.means[idx] + np.stack([g.normal(0.0, cat.rho, size=(y, k, d)) for g in pert])
-        avail = cat.avail[idx]
-
-        pred_scores = np.where(avail, values(x, theta_bay), -np.inf)
-        if acting == "bayes":
-            scores = pred_scores
-        elif cold:
-            scores = np.where(avail, np.stack([g.random((y, k)) for g in pol]), -np.inf)
-        else:
-            scores = np.where(avail, values(x, theta_freq), -np.inf)
-        actions = np.argmax(scores, axis=2)
-        pred_actions = actions if acting == "bayes" else np.argmax(pred_scores, axis=2)
+        x = cat.means.take(idx, axis=0)
+        x += np.stack([g.normal(0.0, cat.rho, size=(y, k, d)) for g in pert])
+        avail = cat.avail.take(idx, axis=0)
+        noise = np.stack([g.standard_normal(y) for g in rew])[:, :, None]
 
         true_vals = np.where(avail, values(x, thetas), -np.inf)
-        best = true_vals.max(axis=2)
-        chosen_val = true_vals[block_ix, batch_ix, actions]
-        pred_val = true_vals[block_ix, batch_ix, pred_actions]
-        sums.add(slice(done, done + y), (best - chosen_val).T, cat.minority[idx].T)
-        pred_total = running_sum(pred_total, (best - pred_val).T)
+        # Slot by slot: a reduction over the short last axis costs several times more.
+        best = true_vals[:, :, 0].copy()
+        for a in range(1, k):
+            np.maximum(best, true_vals[:, :, a], out=best)
 
-        chosen = x[block_ix, batch_ix, actions]
-        rewards = chosen @ thetas[:, :, None] + np.stack([g.standard_normal(y) for g in rew])[:, :, None]
+        actions = np.empty((len(rules), n, y), dtype=np.intp)
+        pred_actions = np.empty((len(rules), n, y), dtype=np.intp)
+        for r, acting in enumerate(rules):
+            pred_scores = np.where(avail, values(x, theta_bay[r]), -np.inf)
+            if acting == "bayes":
+                scores = pred_scores
+            elif done == 0:
+                cold = [stream(master_seed, rep, Purpose.POLICY).random((y, k)) for rep in replicates]
+                scores = np.where(avail, np.stack(cold), -np.inf)
+            else:
+                scores = np.where(avail, values(x, theta_freq[r]), -np.inf)
+            actions[r] = np.argmax(scores, axis=2)
+            pred_actions[r] = actions[r] if acting == "bayes" else np.argmax(pred_scores, axis=2)
+
+        # Flat positions of the picks in the (n, y, k) arrays, read with one
+        # ``take`` each: indexing with three index arrays costs several times more.
+        offsets = np.arange(0, n * y * k, k).reshape(n, y)
+        actions += offsets
+        pred_actions += offsets
+        true_flat = true_vals.reshape(-1)
+        inst = best - true_flat.take(actions)
+        pred_inst = best - true_flat.take(pred_actions)
+        chosen = x.reshape(-1, d).take(actions, axis=0)
         if keep_rows:
-            chosen_rows[:, done:done + y] = chosen
+            chosen_rows[:, :, done:done + y] = chosen
 
         gap = theta_bay - theta_freq
-        norms = np.sqrt((gap[:, None, :] @ gap[:, :, None])[:, 0, 0])
-        allowance += 2.0 * context_bound * norms * y
-        for p in GAP_PROBE_ROUNDS:
-            if done < p <= done + y:
-                t0 = last_batch_end(p, batch_size)
-                for i in range(n):
-                    probes[i][p] = t0 * float(norms[i])
+        norms = np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
+        minority = cat.minority.take(idx)
+        for j, cell in enumerate(cells):
+            if cell.horizon <= done:
+                continue
+            r, m = cell_rule[j], min(y, cell.horizon - done)
+            cell.sums.add(slice(done, done + m), inst[r, :, :m].T, minority[:, :m].T)
+            pred_total[j] = running_sum(pred_total[j], pred_inst[r, :, :m].T)
+            allowance[j] += 2.0 * context_bound[j] * norms[r] * m
+            for p in GAP_PROBE_ROUNDS:
+                if done < p <= done + m:
+                    t0 = last_batch_end(p, batch_size)
+                    for i in range(n):
+                        probes[j][i][p] = t0 * float(norms[r, i])
 
-        Z += chosen.mT @ chosen
-        xr += (chosen.mT @ rewards)[:, :, 0]
         done += y
-        Z_sym = 0.5 * (Z + Z.mT)
-        theta_freq = ols_estimate(Z_sym, xr)
-        theta_bay = posterior_mean(Z_sym, xr, prior)
-        cold = False
+        if done == horizon:
+            break  # no batch reads the estimates after the last one
+        rewards = chosen @ thetas[:, :, None] + noise
+        Z += chosen.mT @ chosen
+        xr += (chosen.mT @ rewards)[..., 0]
+        Z_sym = (0.5 * (Z + Z.mT)).reshape(-1, d, d)
+        theta_freq = ols_estimate(Z_sym, xr.reshape(-1, d)).reshape(theta_freq.shape)
+        theta_bay = posterior_mean(Z_sym, xr.reshape(-1, d), prior).reshape(theta_bay.shape)
 
     return [
-        PerturbedRunResult(
-            float(pred_total[i]), float(allowance[i]), probes[i],
-            None if chosen_rows is None else chosen_rows[i],
-        )
-        for i in range(n)
+        [
+            PerturbedRunResult(
+                float(pred_total[j][i]), float(allowance[j][i]), probes[j][i],
+                None if chosen_rows is None else chosen_rows[cell_rule[j], i, :cell.horizon],
+            )
+            for i in range(n)
+        ]
+        for j, cell in enumerate(cells)
     ]
 
 

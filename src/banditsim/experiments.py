@@ -2,9 +2,10 @@
 
 ``EXPERIMENT_SPECS`` is the one table of what sets each named experiment
 apart; the config parser, the CLI and the harness read it.  Each experiment
-expands into independent jobs, each a block of replicates of one policy with
-the engine that runs it: at every horizon of the policy for perturbed LinUCB,
-at one horizon otherwise (``_jobs_for``).  The result of a (policy, horizon,
+expands into independent jobs, each a block of replicates with the engine
+that runs it: one policy at every horizon for perturbed LinUCB, every batched
+greedy policy at every horizon for perturbed batched greedy, and one policy
+at one horizon on two-bridge instances (``_jobs_for``).  The result of a (policy, horizon,
 replicate) comes only from the purpose-keyed streams of its replicate, so
 tables are byte-identical across repeated runs and any worker count; rows are
 sorted by (policy, T, replicate) and curves follow the cells before emission.
@@ -24,6 +25,7 @@ import numpy as np
 from .core import ConfigurationError, NoiseKind
 from .csvio import ResultRow
 from .engines import (
+    GreedyCell,
     LinUCBCell,
     run_perturbed_batch_greedy,
     run_perturbed_linucb,
@@ -44,8 +46,9 @@ if TYPE_CHECKING:
 # A constant, not derived from the worker count: a replicate's result does not
 # depend on its block, and the blocks do not depend on the scheduling.
 LINUCB_BLOCK = 32
-# Replicates of one batched greedy cell that one job advances in lockstep,
-# chosen the same way; larger blocks cost peak memory for little speed.
+# Replicates that one batched greedy job advances in lockstep, at every
+# horizon of every batched greedy policy of the run, chosen the same way;
+# larger blocks cost peak memory for little speed.
 GREEDY_BLOCK = 8
 
 # Points of replicate 0's cumulative-regret curve kept per (policy, T) cell.
@@ -134,11 +137,12 @@ def linucb_comparator_horizon(horizon: int, batch: int) -> int:
 
 
 def _run_job(job) -> list:
-    """Run one job ``(engine, cfg, instance, policy, horizons, replicates)``:
-    one (row, extras, curve points) outcome per (horizon, replicate) it holds."""
-    engine, cfg, instance, policy, horizons, reps = job
+    """Run one job ``(engine, cfg, instance, policies, horizons, replicates)``:
+    one (row, extras, curve points) outcome per (policy, horizon, replicate)
+    it holds."""
+    engine, cfg, instance, policies, horizons, reps = job
     try:
-        return engine(cfg, instance, policy, horizons, reps)
+        return engine(cfg, instance, policies, horizons, reps)
     except Exception as exc:
         if len(reps) > 1:
             # Replicates are independent of their block, so running them one
@@ -147,7 +151,7 @@ def _run_job(job) -> list:
         seed = replicate_seed_id(cfg.master_seed, reps[0])
         at = ",".join(str(t) for t in horizons)
         raise ReplicateError(
-            f"replicate {reps[0]} of {cfg.experiment}/{policy}/T={at} failed "
+            f"replicate {reps[0]} of {cfg.experiment}/{','.join(policies)}/T={at} failed "
             f"(seed {seed}): {exc}"
         ) from exc
 
@@ -209,8 +213,8 @@ def _sums(cfg: ExperimentConfig, reps: tuple, horizon: int) -> RegretSums:
     return RegretSums(cfg.master_seed, reps, horizon, cfg.restriction, cfg.restriction_p, reps[0] == 0)
 
 
-def _two_bridge_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
-    [horizon], [rep] = horizons, reps
+def _two_bridge_job(cfg: ExperimentConfig, instance, policies: tuple, horizons: tuple, reps: tuple) -> list:
+    [policy], [horizon], [rep] = policies, horizons, reps
     variant = cfg.theta_variant
     p_majority = MAJORITY_RATE if cfg.population == "full" else 0.0
     if EXPERIMENT_SPECS[cfg.experiment].theta_coin:
@@ -235,29 +239,31 @@ def _two_bridge_job(cfg: ExperimentConfig, instance, policy: str, horizons: tupl
     return [_outcome(cfg, policy, horizon, reps, 0, sums, int(variant == "theta1"), extras)]
 
 
-def _greedy_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
+def _greedy_job(cfg: ExperimentConfig, instance, policies: tuple, horizons: tuple, reps: tuple) -> list:
     catalog, prior = instance
-    [horizon] = horizons
     lambda_checks = EXPERIMENT_SPECS[cfg.experiment].lambda_checks
     thetas = np.array([draw_theta_for_replicate(cfg, prior, rep) for rep in reps])
-    sums = _sums(cfg, reps, horizon)
+    cells = {
+        (policy, t): GreedyCell(t, "bayes" if policy == "batch_bayes_greedy" else "freq", _sums(cfg, reps, t))
+        for policy in policies for t in horizons
+    }
     results = run_perturbed_batch_greedy(
-        catalog, prior, thetas, horizon, cfg.batch, cfg.master_seed, reps,
-        sums=sums,
-        acting="bayes" if policy == "batch_bayes_greedy" else "freq",
+        catalog, prior, list(cells.values()), thetas, max(horizons), cfg.batch, cfg.master_seed, reps,
         keep_rows=lambda_checks,
     )
     outcomes = []
-    for i, (rep, res) in enumerate(zip(reps, results)):
-        extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
-        if lambda_checks:
-            extras.update(_lambda_checks(_lambda_min_curve(res.chosen_rows), cfg.rho, horizon))
-        outcomes.append(_outcome(cfg, policy, horizon, reps, i, sums, rep, extras, res.regret_prediction))
+    for ((policy, horizon), cell), cell_results in zip(cells.items(), results):
+        for i, (rep, res) in enumerate(zip(reps, cell_results)):
+            extras = {"gap_allowance": res.gap_allowance, "probes": res.probe_values}
+            if lambda_checks:
+                extras.update(_lambda_checks(_lambda_min_curve(res.chosen_rows), cfg.rho, horizon))
+            outcomes.append(_outcome(cfg, policy, horizon, reps, i, cell.sums, rep, extras, res.regret_prediction))
     return outcomes
 
 
-def _linucb_job(cfg: ExperimentConfig, instance, policy: str, horizons: tuple, reps: tuple) -> list:
+def _linucb_job(cfg: ExperimentConfig, instance, policies: tuple, horizons: tuple, reps: tuple) -> list:
     catalog, prior = instance
+    [policy] = policies
     thetas = np.array([draw_theta_for_replicate(cfg, prior, rep) for rep in reps])
     run_catalog = catalog.minority_only() if policy == "linucb_minority" else catalog
     cells = [LinUCBCell(t, _perturbed_params(cfg, t), _sums(cfg, reps, t)) for t in horizons]
@@ -313,27 +319,33 @@ def _instance_for(cfg: ExperimentConfig):
 
 
 def _jobs_for(cfg: ExperimentConfig, instance) -> list:
-    """Jobs ``(engine, cfg, instance, policy, horizons, replicates)``; the engine runs the rest.
+    """Jobs ``(engine, cfg, instance, policies, horizons, replicates)``; the engine runs the rest.
 
-    A perturbed LinUCB job holds up to LINUCB_BLOCK consecutive replicates at
-    every horizon of its policy's cells, which its engine advances in one
+    A perturbed LinUCB job holds up to LINUCB_BLOCK consecutive replicates of
+    one policy at every horizon of its cells, which its engine advances in one
     lockstep pass.  A perturbed batched greedy job holds up to GREEDY_BLOCK
-    replicates at one horizon, and a two-bridge job one replicate at one
-    horizon.  The job that holds replicate 0 also tracks the regret curve of
-    each of its cells, which draws nothing and changes no total.
+    replicates of every batched greedy policy of the run at every horizon, all
+    in one lockstep pass that draws each replicate's inputs once.  A
+    two-bridge job holds one replicate of one policy at one horizon.  The job
+    that holds replicate 0 also tracks the regret curve of each of its cells,
+    which draws nothing and changes no total.
     """
+    greedy = tuple(p for p in cfg.policies if p.startswith("batch_"))
     jobs = []
     for policy in cfg.policies:
         horizons = tuple(t for p, t in _cells(cfg) if p == policy)
-        groups, engine, block = [(t,) for t in horizons], _two_bridge_job, 1
-        if instance is not None and policy.startswith("linucb"):
-            groups, engine, block = [horizons], _linucb_job, LINUCB_BLOCK
-        elif instance is not None:
-            engine, block = _greedy_job, GREEDY_BLOCK
-        for group in groups:
+        if instance is None:
+            groups, engine, block = [((policy,), (t,)) for t in horizons], _two_bridge_job, 1
+        elif policy.startswith("linucb"):
+            groups, engine, block = [((policy,), horizons)], _linucb_job, LINUCB_BLOCK
+        elif policy == greedy[0]:
+            groups, engine, block = [(greedy, horizons)], _greedy_job, GREEDY_BLOCK
+        else:
+            continue
+        for policies, group in groups:
             for first in range(0, cfg.replicates, block):
                 reps = tuple(range(first, min(first + block, cfg.replicates)))
-                jobs.append((engine, cfg, instance, policy, group, reps))
+                jobs.append((engine, cfg, instance, policies, group, reps))
     return jobs
 
 
@@ -767,9 +779,9 @@ def simulation_verification_report(cfg: ExperimentConfig, workers: int | None = 
     catalog, prior = build_instance(cfg)
     theta = draw_theta_for_replicate(cfg, prior, 0)
     horizon = cfg.horizons[0]
-    [res] = run_perturbed_batch_greedy(
-        catalog, prior, theta[None], horizon, cfg.batch, cfg.master_seed, (0,),
-        RegretSums(cfg.master_seed, (0,), horizon), acting="freq", keep_rows=True,
+    cell = GreedyCell(horizon, "freq", RegretSums(cfg.master_seed, (0,), horizon))
+    [[res]] = run_perturbed_batch_greedy(
+        catalog, prior, [cell], theta[None], horizon, cfg.batch, cfg.master_seed, (0,), keep_rows=True,
     )
     n_batches = horizon // cfg.batch
     lo = (n_batches - 1) * cfg.batch

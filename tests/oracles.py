@@ -294,9 +294,10 @@ def single_replicate_greedy(
 ) -> PerturbedRunResult:
     """Batched greedy on one replicate, one batch at a time.
 
-    Takes the arguments of ``banditsim.engines.run_perturbed_batch_greedy``
-    for one replicate, with ``theta`` its latent weight vector, and makes, call
-    for call, the products and solves of that engine's per-replicate slice.
+    Runs one cell of ``banditsim.engines.run_perturbed_batch_greedy`` for one
+    replicate, the cell's ``horizon``, ``acting`` and ``sums`` given apart and
+    ``theta`` the replicate's latent weight vector, and makes, call for call,
+    the products and solves of that engine's per-replicate slice.
     """
     if acting not in ("freq", "bayes"):
         raise ValueError(f"acting must be 'freq' or 'bayes', not {acting!r}")

@@ -23,6 +23,7 @@ import banditsim.engines as engines
 from banditsim.engines import (
     GAP_PROBE_ROUNDS,
     NOISE_CHUNK,
+    GreedyCell,
     LinUCBCell,
     _seg_sums,
     linucb_picks_top,
@@ -672,12 +673,23 @@ PRIOR = gaussian_prior(PRIOR_MEAN, PRIOR_COV)
 THETA = np.array([0.7, -0.3])
 
 
+def _greedy_cell(cat, prior, thetas, horizon, batch_size, master_seed, reps, acting="freq", keep_rows=False,
+                 **kwargs):
+    """The lockstep batched greedy engine on one cell of the block ``reps``,
+    through ``_run``; the cell's sums and its results, one per replicate."""
+    def one_cell(sums):
+        [results] = run_perturbed_batch_greedy(
+            cat, prior, [GreedyCell(horizon, acting, sums)], thetas, horizon, batch_size, master_seed, reps,
+            keep_rows=keep_rows,
+        )
+        return results
+
+    return _run(one_cell, reps=reps, horizon=horizon, **kwargs)
+
+
 def _greedy_one(cat, prior, theta, horizon, batch_size, master_seed, replicate, **kwargs):
-    """The lockstep batched greedy engine on a block of one replicate, through ``_run``."""
-    sums, [res] = _run(
-        run_perturbed_batch_greedy, cat, prior, [theta], horizon, batch_size, master_seed, (replicate,),
-        reps=(replicate,), horizon=horizon, **kwargs,
-    )
+    """The lockstep batched greedy engine on one cell of a block of one replicate."""
+    sums, [res] = _greedy_cell(cat, prior, [theta], horizon, batch_size, master_seed, (replicate,), **kwargs)
     return sums, res
 
 
@@ -905,10 +917,9 @@ class TestPerturbedGreedyLockstep:
         results = []
         for first in range(0, len(GREEDY_REPLICATES), block):
             reps = GREEDY_REPLICATES[first:first + block]
-            sums, block_results = _run(
-                run_perturbed_batch_greedy, cfg, PRIOR, thetas[first:first + block], GREEDY_HORIZON,
-                GREEDY_BATCH, MASTER, reps, reps=reps, horizon=GREEDY_HORIZON, restriction=restriction,
-                acting=acting, keep_rows=True,
+            sums, block_results = _greedy_cell(
+                cfg, PRIOR, thetas[first:first + block], GREEDY_HORIZON, GREEDY_BATCH, MASTER, reps,
+                restriction=restriction, acting=acting, keep_rows=True,
             )
             results += [(sums, i, res) for i, res in enumerate(block_results)]
         expected = _single_replicate_greedy_runs(acting, two_group, restriction)
@@ -916,6 +927,78 @@ class TestPerturbedGreedyLockstep:
         for (sums, i, res), want in zip(results, expected):
             assert set(res.probe_values) == set(GAP_PROBE_ROUNDS)
             _assert_same_run(sums, i, res, want, keeps_curve=i == 0)
+
+
+# Both acting rules at three horizons: a multiple of the batch past the first
+# probe round, one that ends inside the batch holding that round, and one
+# shorter than a batch.  The second
+# layout lists the rules in the other order and gives the frequentist rule no
+# cell at the longest horizon.
+MULTI_BATCH = 150
+MULTI_REPLICATES = (0, 7, 3)
+MULTI_LAYOUTS = {
+    "both_rules_every_horizon": [(a, t) for a in ("freq", "bayes") for t in (1050, 990, 100)],
+    "freq_ends_first": [("bayes", 1050), ("freq", 990), ("freq", 100), ("bayes", 100)],
+}
+
+
+def _assert_same_cell(sums, results, want_sums, want_results) -> None:
+    """A cell's sums and results against another call's, bit for bit."""
+    assert np.array_equal(sums.total, want_sums.total)
+    assert np.array_equal(sums.restricted, want_sums.restricted)
+    assert np.array_equal(sums.curve(), want_sums.curve())
+    assert len(results) == len(want_results)
+    for res, want in zip(results, want_results):
+        assert res.regret_prediction == want.regret_prediction
+        assert res.gap_allowance == want.gap_allowance
+        assert res.probe_values == want.probe_values
+        assert np.array_equal(res.chosen_rows, want.chosen_rows)
+
+
+class TestPerturbedGreedyCells:
+    @pytest.mark.parametrize("layout", sorted(MULTI_LAYOUTS))
+    @pytest.mark.parametrize("two_group, restriction", GREEDY_CASES)
+    def test_one_pass_equals_one_call_per_cell(self, layout, two_group, restriction):
+        cfg = _two_group_catalog() if two_group else _one_group_catalog()
+        thetas = _greedy_thetas(MULTI_REPLICATES)
+        horizons = [t for _, t in MULTI_LAYOUTS[layout]]
+        assert any(t % MULTI_BATCH for t in horizons) and min(horizons) < MULTI_BATCH
+        cells = [
+            GreedyCell(t, acting, _curve_sums(MULTI_REPLICATES, t, restriction=restriction))
+            for acting, t in MULTI_LAYOUTS[layout]
+        ]
+        results = run_perturbed_batch_greedy(
+            cfg, PRIOR, cells, thetas, max(horizons), MULTI_BATCH, MASTER, MULTI_REPLICATES, keep_rows=True,
+        )
+        assert len(results) == len(cells)
+        for cell, cell_results in zip(cells, results):
+            alone = _greedy_cell(
+                cfg, PRIOR, thetas, cell.horizon, MULTI_BATCH, MASTER, MULTI_REPLICATES,
+                restriction=restriction, acting=cell.acting, keep_rows=True,
+            )
+            _assert_same_cell(cell.sums, cell_results, *alone)
+            for i, (rep, theta, res) in enumerate(zip(MULTI_REPLICATES, thetas, cell_results)):
+                want = _run(
+                    single_replicate_greedy, cfg, PRIOR, theta, cell.horizon, MULTI_BATCH, MASTER, rep,
+                    reps=(rep,), horizon=cell.horizon, restriction=restriction, acting=cell.acting,
+                    keep_rows=True,
+                )
+                _assert_same_run(cell.sums, i, res, want, keeps_curve=i == 0)
+            assert set(cell_results[0].probe_values) == ({1000} if cell.horizon >= 1000 else set())
+
+    def test_horizon_is_the_longest_cell(self):
+        cfg = _one_group_catalog()
+        cells = [GreedyCell(t, "freq", _curve_sums((0,), t)) for t in (100, 200)]
+        for horizon in (100, 150, 300):
+            with pytest.raises(ValueError, match="longest cell horizon"):
+                run_perturbed_batch_greedy(cfg, PRIOR, cells, [THETA], horizon, 50, MASTER, (0,))
+        with pytest.raises(ValueError, match="longest cell horizon"):
+            run_perturbed_batch_greedy(cfg, PRIOR, [], [THETA], 100, 50, MASTER, (0,))
+
+    def test_unknown_acting_in_any_cell_is_rejected(self):
+        cells = [GreedyCell(100, "freq", _curve_sums((0,), 100)), GreedyCell(50, "ols", _curve_sums((0,), 50))]
+        with pytest.raises(ValueError, match="not 'ols'"):
+            run_perturbed_batch_greedy(_one_group_catalog(), PRIOR, cells, [THETA], 100, 50, MASTER, (0,))
 
 
 def _nearly_planar_catalog() -> Catalog:
@@ -965,9 +1048,9 @@ class TestGreedySingularFallback:
 
         monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
         monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-        sums, results = _run(
-            run_perturbed_batch_greedy, cat, prior, np.tile(theta, (n, 1)), self.HORIZON, 1, MASTER,
-            self.REPLICATES, reps=self.REPLICATES, horizon=self.HORIZON, acting=acting, keep_rows=True,
+        sums, results = _greedy_cell(
+            cat, prior, np.tile(theta, (n, 1)), self.HORIZON, 1, MASTER, self.REPLICATES,
+            acting=acting, keep_rows=True,
         )
         monkeypatch.undo()
 
@@ -1245,8 +1328,8 @@ class TestEngineInvariants:
         reps = tuple(range(first, first + block))
         thetas = np.array([THETA + 0.2 * stream(seed, rep, Purpose.THETA).standard_normal(2) for rep in reps])
         sums = RegretSums(seed, reps, horizon, restriction, 0.5, curve)
-        results = run_perturbed_batch_greedy(
-            cfg, PRIOR, thetas, horizon, batch, seed, reps, acting=acting, sums=sums,
+        [results] = run_perturbed_batch_greedy(
+            cfg, PRIOR, [GreedyCell(horizon, acting, sums)], thetas, horizon, batch, seed, reps,
         )
         assert len(results) == block
         _check_invariants(sums, horizon, curve)

@@ -5,6 +5,7 @@ import pytest
 
 from banditsim.core import ConfigurationError, NoiseKind
 from banditsim.engines import (
+    GreedyCell,
     LinUCBCell,
     _round_positions,
     _seg_sums,
@@ -226,9 +227,10 @@ def _greedy_rows(cfg, theta, horizon, batch_size, replicate=0, acting="freq", pr
     """Contexts the batched greedy engine chose, one row per round."""
     d = cfg.dim
     prior_mean = np.zeros(d) if prior_mean is None else prior_mean
-    [res] = run_perturbed_batch_greedy(
-        cfg, gaussian_prior(prior_mean, np.eye(d)), np.asarray(theta, dtype=float)[None], horizon, batch_size,
-        20260814, (replicate,), RegretSums(20260814, (replicate,), horizon), acting=acting, keep_rows=True,
+    cell = GreedyCell(horizon, acting, RegretSums(20260814, (replicate,), horizon))
+    [[res]] = run_perturbed_batch_greedy(
+        cfg, gaussian_prior(prior_mean, np.eye(d)), [cell], np.asarray(theta, dtype=float)[None], horizon,
+        batch_size, 20260814, (replicate,), keep_rows=True,
     )
     return res.chosen_rows
 
@@ -266,9 +268,9 @@ class TestPerturbedSampling:
             )
             run_perturbed_linucb(cfg, [LinUCBCell(horizon, params, sums)], [theta], horizon, 20260814, (0,))
         else:
+            cell = GreedyCell(horizon, policy.removeprefix("batch_"), sums)
             run_perturbed_batch_greedy(
-                cfg, gaussian_prior(np.zeros(2), np.eye(2)), [theta], horizon, 50, 20260814, (0,), sums,
-                acting=policy.removeprefix("batch_"),
+                cfg, gaussian_prior(np.zeros(2), np.eye(2)), [cell], [theta], horizon, 50, 20260814, (0,),
             )
         assert sums.total[0] == 0.0
 

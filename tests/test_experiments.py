@@ -247,11 +247,11 @@ class TestRunExperiment:
         engine = experiments.run_perturbed_batch_greedy
         blocks = []
 
-        def fail_on_replicate_1(catalog, prior, thetas, horizon, batch, master_seed, replicates, **kwargs):
+        def fail_on_replicate_1(catalog, prior, cells, thetas, horizon, batch, master_seed, replicates, **kwargs):
             blocks.append(replicates)
             if 1 in replicates:
                 raise FloatingPointError("injected")
-            return engine(catalog, prior, thetas, horizon, batch, master_seed, replicates, **kwargs)
+            return engine(catalog, prior, cells, thetas, horizon, batch, master_seed, replicates, **kwargs)
 
         monkeypatch.setattr(experiments, "run_perturbed_batch_greedy", fail_on_replicate_1)
         with pytest.raises(ReplicateError) as err:
@@ -260,6 +260,28 @@ class TestRunExperiment:
         assert blocks == [(0, 1, 2), (0,), (1,)]
         assert "replicate 1 " in str(err.value)
         assert str(replicate_seed_id(cfg.master_seed, 1)) in str(err.value)
+
+    def test_two_policy_greedy_failure_names_its_replicate(self, monkeypatch):
+        cfg = _cfg(SMALL_GREEDY + "policies = batch_bayes_greedy, batch_freq_greedy, linucb\n")
+        engine = experiments.run_perturbed_batch_greedy
+        calls = []
+
+        def fail_on_replicate_1(catalog, prior, cells, thetas, horizon, batch, master_seed, replicates, **kwargs):
+            calls.append((replicates, tuple(cell.acting for cell in cells)))
+            if 1 in replicates:
+                raise FloatingPointError("injected")
+            return engine(catalog, prior, cells, thetas, horizon, batch, master_seed, replicates, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_perturbed_batch_greedy", fail_on_replicate_1)
+        with pytest.raises(ReplicateError) as err:
+            run_experiment(cfg, workers=1)
+        # One call runs both rules; after the block fails, its replicates run one at a time.
+        assert calls == [((0, 1, 2), ("bayes", "freq")), ((0,), ("bayes", "freq")), ((1,), ("bayes", "freq"))]
+        seed = replicate_seed_id(cfg.master_seed, 1)
+        assert str(err.value) == (
+            f"replicate 1 of GreedyVsLinUCB/batch_bayes_greedy,batch_freq_greedy/T=2000 failed "
+            f"(seed {seed}): injected"
+        )
 
     def test_eig_growth_aggregates(self):
         cfg = _cfg(
@@ -315,30 +337,32 @@ class TestLinUCBBlocks:
     def test_perturbed_jobs_hold_blocks_of_their_engine(self):
         cfg = _cfg(SMALL_SCALING)
         jobs = experiments._jobs_for(cfg, build_instance(cfg))
-        for engine, _, _, policy, horizons, reps in jobs:
-            # A LinUCB job holds every horizon of its policy, a greedy job one.
-            if policy == "linucb":
+        greedy = ("batch_bayes_greedy", "batch_freq_greedy")
+        for engine, _, _, policies, horizons, reps in jobs:
+            # A LinUCB job holds every horizon of its policy, a greedy job
+            # every horizon of both greedy policies.
+            assert horizons == cfg.horizons
+            if policies == ("linucb",):
                 block = experiments.LINUCB_BLOCK
-                assert engine is experiments._linucb_job and horizons == cfg.horizons
+                assert engine is experiments._linucb_job
             else:
                 block = experiments.GREEDY_BLOCK
-                assert engine is experiments._greedy_job and len(horizons) == 1
+                assert engine is experiments._greedy_job and policies == greedy
             # Full blocks and one ragged block per cell.
             assert len(reps) in (block, 35 % block)
-        covered = sorted((p, t, r) for *_, p, hs, reps in jobs for t in hs for r in reps)
+        covered = sorted((p, t, r) for *_, ps, hs, reps in jobs for p in ps for t in hs for r in reps)
         assert covered == sorted(
             (p, t, r) for p in cfg.policies for t in cfg.horizons for r in range(35)
         )
         # Replicate 0, whose curve is kept, leads its block, so the engine tracks its curve.
-        assert [(p, hs, reps[0]) for *_, p, hs, reps in jobs if 0 in reps] == [
-            ("linucb", cfg.horizons, 0),
-            *(("batch_bayes_greedy", (t,), 0) for t in cfg.horizons),
-            *(("batch_freq_greedy", (t,), 0) for t in cfg.horizons),
+        assert [(ps, hs, reps[0]) for *_, ps, hs, reps in jobs if 0 in reps] == [
+            (("linucb",), cfg.horizons, 0),
+            (greedy, cfg.horizons, 0),
         ]
 
     def test_two_group_policies_get_their_engines(self):
         cfg = _cfg(SMALL_EXTERNALITY)
-        engines = {job[3]: job[0] for job in experiments._jobs_for(cfg, build_instance(cfg))}
+        engines = {p: job[0] for job in experiments._jobs_for(cfg, build_instance(cfg)) for p in job[3]}
         assert engines == {
             "batch_freq_greedy": experiments._greedy_job,
             "linucb_minority": experiments._linucb_job,
@@ -378,16 +402,16 @@ class TestLinUCBBlocks:
             # A chunk stays within a share of the work, plus the job that crosses into the next share.
             assert len(chunk) == 1 or sum(work[id(job)] for job in chunk[:-1]) < share
         # The multi-horizon LinUCB blocks do not all land in one chunk.
-        linucb = {i for i, chunk in enumerate(chunks) for job in chunk if job[3] == "linucb"}
+        linucb = {i for i, chunk in enumerate(chunks) for job in chunk if job[3] == ("linucb",)}
         assert len(linucb) > 1
 
     def test_two_bridge_jobs_hold_one_replicate(self):
         allowed = experiments.EXPERIMENT_SPECS["TwoBridgeLinUCB"].policies
         cfg = _cfg(SMALL_TWO_BRIDGE + f"policies = {', '.join(allowed)}\n")
         jobs = experiments._jobs_for(cfg, None)
-        assert {job[3] for job in jobs} == set(allowed)
-        for engine, *_, horizons, reps in jobs:
-            assert engine is experiments._two_bridge_job and len(horizons) == len(reps) == 1
+        assert {p for job in jobs for p in job[3]} == set(allowed)
+        for engine, _, _, policies, horizons, reps in jobs:
+            assert engine is experiments._two_bridge_job and len(policies) == len(horizons) == len(reps) == 1
 
     def test_failing_replicate_in_block_carries_its_seed(self, monkeypatch):
         cfg = _cfg("experiment = ScalingFit\nhorizons = 200, 400, 800\nreplicates = 6\npolicies = linucb\n")
