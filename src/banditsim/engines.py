@@ -6,10 +6,14 @@ points and the forced stretches between them collapse to bulk reward-sum
 draws.  Two-bridge LinUCB then decides its B rounds one stretch of equal picks
 at a time (``linucb_picks_top``), one replicate per call: a replicate takes
 one vector pass per switch of bridges plus one, not a Python step per B round;
-of 1,920 measured replicates, 8 switched once and none more often.
-Two-bridge replicates are not run in lockstep: a block of 32 raised a pool
-worker's peak RSS from 39 MB to 52-54 MB, and blocks small enough to keep it
-barely ran faster.  The perturbed engines advance a block of replicates in
+of 1,920 measured replicates, 8 switched once and none more often.  Batched
+greedy decides its warm batches in stretches the same way.  A two-bridge
+replicate draws its round kinds once (``two_bridge_rounds``), at the longest
+horizon its caller runs, and every (policy, horizon) call on it reads the
+prefix below its own horizon, which is what a run of that horizon alone
+draws.  Two-bridge replicates are not run in lockstep: a block of 32 raised a
+pool worker's peak RSS from 39 MB to 52-54 MB, and blocks small enough to
+keep it barely ran faster.  The perturbed engines advance a block of replicates in
 lockstep, each replicate from its own streams, and pick each round's catalog
 entry with one uniform (``Catalog.entries``), for every cell of the block at
 once with each replicate's inputs drawn once for all its cells: batched
@@ -41,6 +45,12 @@ from .metrics import RegretSums, running_sum
 from .policies import LinUCBParams, context_norm_bound, interval_width
 from .rng import Purpose, stream
 
+# Warm batches whose pick sums two-bridge batched greedy draws at once after
+# a switch of bridges; the window doubles while the picks hold.  Drawing every
+# remaining batch instead made a replicate that switches often slower than a
+# loop over its batches.
+STRETCH_BATCHES = 256
+
 # Rounds at which batched greedy probes the posterior/least-squares gap.
 GAP_PROBE_ROUNDS = (1000, 8000)
 
@@ -51,16 +61,36 @@ class TwoBridgeRunResult:
     b_rounds: int
 
 
-def _round_positions(cfg: TwoBridgeConfig, rng: np.random.Generator, horizon: int) -> tuple:
-    """Draw one uniform per round; return the positions of the majority (A)
-    rounds and of the B rounds.
+@dataclass(frozen=True)
+class TwoBridgeRounds:
+    """The round kinds of one two-bridge replicate over its first ``horizon``
+    rounds: the positions of its majority (A) rounds and of its B rounds."""
+
+    horizon: int
+    a_pos: np.ndarray
+    b_pos: np.ndarray
+
+    def before(self, horizon: int) -> tuple:
+        """The A and B positions below ``horizon``, the kinds of a run of that many rounds."""
+        if horizon > self.horizon:
+            raise ValueError(f"rounds drawn for {self.horizon} rounds cannot serve a run of {horizon}")
+        return tuple(pos[:np.searchsorted(pos, horizon)] for pos in (self.a_pos, self.b_pos))
+
+
+def two_bridge_rounds(cfg: TwoBridgeConfig, master_seed: int, replicate: int) -> TwoBridgeRounds:
+    """Draw the round kinds of a replicate over ``cfg.horizon`` rounds, one
+    uniform per round from its CONTEXTS stream.
 
     A round is A when its uniform falls below ``p_a``, B when it reaches
-    ``p_a + p_c`` and single-context (C) in between.
+    ``p_a + p_c`` and single-context (C) in between.  ``Generator.random``
+    makes one double from each 64-bit output, in order, so a shorter run's
+    kinds are the first rounds of a longer run's (``TwoBridgeRounds.before``),
+    and the CONTEXTS stream of a run of T rounds continues where it stands
+    after ``bit_generator.advance(T)``.
     """
     p_a, p_c, _ = cfg.kind_probabilities()
-    u = rng.random(horizon)
-    return np.flatnonzero(u < p_a), np.flatnonzero(u >= p_a + p_c)
+    u = stream(master_seed, replicate, Purpose.CONTEXTS).random(int(cfg.horizon))
+    return TwoBridgeRounds(int(cfg.horizon), np.flatnonzero(u < p_a), np.flatnonzero(u >= p_a + p_c))
 
 
 def _seg_sums(counts: np.ndarray, mean: float, noise: NoiseKind, rng: np.random.Generator) -> np.ndarray:
@@ -129,13 +159,16 @@ def linucb_picks_top(top_before, bot_before, seg_top, seg_bot, cand_top, cand_bo
 
 def run_two_bridge_policy(
     cfg: TwoBridgeConfig,
+    rounds: TwoBridgeRounds,
     policy_name: str,
     master_seed: int,
     replicate: int,
     sums: RegretSums,
 ) -> TwoBridgeRunResult:
     """One two-bridge replicate for linucb, linucb_full, linucb_minority,
-    uniform_random or oracle.
+    uniform_random or oracle, on the first ``cfg.horizon`` rounds of
+    ``rounds``, which ``two_bridge_rounds`` drew for this replicate at
+    ``cfg.horizon`` or longer on the same population.
 
     The LinUCB policies run with ``LinUCBParams.for_two_bridge(horizon)`` and
     decide their B rounds with ``linucb_picks_top``.  ``linucb_full`` also
@@ -156,8 +189,7 @@ def run_two_bridge_policy(
     top_best = theta[0] > theta[1]
     gap_size = abs(float(theta[0] - theta[1]))
 
-    ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
-    a_pos, b_pos = _round_positions(cfg, ctx, horizon)
+    a_pos, b_pos = rounds.before(horizon)
     n_b = b_pos.size
 
     if policy_name == "uniform_random":
@@ -173,6 +205,9 @@ def run_two_bridge_policy(
         a_before = np.searchsorted(a_pos, b_pos)
         top_before = a_before
         if policy_name == "linucb_full":
+            # The injected counts follow the kinds of a run of ``horizon`` rounds.
+            ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
+            ctx.bit_generator.advance(horizon)
             gaps = np.diff(b_pos, prepend=-1)
             top_before = a_before + np.cumsum(ctx.negative_binomial(gaps, 1.0 - MAJORITY_RATE))
         bot_before = b_pos - np.arange(n_b) - a_before
@@ -202,70 +237,105 @@ def _two_bridge_result(sums: RegretSums, gap_size: float, wrong_pos: np.ndarray,
 
 def run_two_bridge_batch_freq(
     cfg: TwoBridgeConfig,
+    rounds: TwoBridgeRounds,
     master_seed: int,
     replicate: int,
     batch_size: int,
     sums: RegretSums,
 ) -> TwoBridgeRunResult:
-    """Batched frequentist greedy on the two-bridge instance.
+    """Batched frequentist greedy on the two-bridge instance, on the first
+    ``cfg.horizon`` rounds of ``rounds`` (as in ``run_two_bridge_policy``).
 
     The acting estimate is frozen per batch, so each batch picks one bridge
     for all of its B rounds; the cold-start batch picks uniformly at random
     per B round.  ``sums`` is fed as in ``run_two_bridge_policy``.
+
+    The warm batches are decided one stretch of equal picks at a time, as
+    ``linucb_picks_top`` decides B rounds: draw in one call the pick sums of
+    a window of batches, as if each picked the current bridge; follow both
+    bridges' counts and running sums along that path (``np.add.accumulate``
+    adds in the per-batch order, pick sum then forced sums, so the sums are
+    the same floats); and end the stretch at the first batch whose estimates
+    pick the other bridge.  A vector draw consumes the stream value by value,
+    as one draw per batch does, so a stretch that ends inside its window
+    rewinds the stream and redraws only its own pick sums.  The window spans
+    STRETCH_BATCHES batches after each switch and doubles while the picks
+    hold, so a switch wastes at most that many draws however many batches
+    remain.
     """
     horizon = int(cfg.horizon)
-    theta = cfg.theta
-    top_best = theta[0] > theta[1]
-    gap_size = abs(float(theta[0] - theta[1]))
+    means = tuple(float(v) for v in cfg.theta)
+    top_best = means[0] > means[1]
+    gap_size = abs(means[0] - means[1])
 
-    ctx = stream(master_seed, replicate, Purpose.CONTEXTS)
     rew = stream(master_seed, replicate, Purpose.REWARDS)
     pol = stream(master_seed, replicate, Purpose.POLICY)
 
-    a_pos, b_pos = _round_positions(cfg, ctx, horizon)
+    a_pos, b_pos = rounds.before(horizon)
     n_batches = math.ceil(horizon / batch_size)
     bounds = np.append(np.arange(0, horizon, batch_size), horizon)
     count_a = np.diff(np.searchsorted(a_pos, bounds))
     first_b = np.searchsorted(b_pos, bounds)
     count_b = np.diff(first_b)
-    count_c = np.diff(bounds) - count_a - count_b
+    # Forced pulls of each batch per bridge: its A rounds on the top bridge,
+    # its C rounds on the bottom one, with their reward sums.
+    forced = (count_a, np.diff(bounds) - count_a - count_b)
+    forced_sums = tuple(_seg_sums(forced[b], means[b], cfg.noise, rew) for b in (0, 1))
 
-    seg_top = _seg_sums(count_a, float(theta[0]), cfg.noise, rew)
-    seg_bot = _seg_sums(count_c, float(theta[1]), cfg.noise, rew)
+    # The cold batch has no data: the least-squares estimate is the zero
+    # vector and every B round resolves its tie uniformly at random.
+    # Attribution within it is uniform in law; pin its wrong picks to its
+    # earliest B rounds.
+    nb = int(count_b[0])
+    picks_top = int(pol.binomial(nb, 0.5)) if nb else 0
+    picks = (picks_top, nb - picks_top)
+    wrong_runs = [b_pos[:picks[1] if top_best else picks[0]]]
+    counts, totals = [0, 0], [0.0, 0.0]
+    for b in (0, 1):
+        if picks[b]:
+            counts[b] += picks[b]
+            totals[b] += float(_seg_sums(picks[b], means[b], cfg.noise, rew))
+        # Forced pulls of a batch enter the statistics after its decisions.
+        counts[b] += int(forced[b][0])
+        totals[b] += float(forced_sums[b][0])
 
-    n1 = n2 = 0
-    s1 = s2 = 0.0
-    wrong_runs = []
-    for b in range(n_batches):
-        nb = int(count_b[b])
-        if n1 + n2 == 0:
-            # No data yet: the least-squares estimate is the zero vector and
-            # every B round resolves its tie uniformly at random.
-            picks_top = int(pol.binomial(nb, 0.5)) if nb else 0
-            picks_bot = nb - picks_top
+    k, width = 1, STRETCH_BATCHES
+    est = [totals[b] / counts[b] if counts[b] else 0.0 for b in (0, 1)]
+    side = 0 if est[0] >= est[1] else 1
+    while k < n_batches:
+        m = min(n_batches - k, width)
+        nb = count_b[k:k + m]
+        drawn = np.flatnonzero(nb)
+        state = rew.bit_generator.state
+        pick_sums = np.zeros(m)
+        pick_sums[drawn] = _seg_sums(nb[drawn], means[side], cfg.noise, rew)
+        # Each bridge's count and reward sum after each batch of the window.
+        after_n, after_s = [], []
+        for b in (0, 1):
+            stride = 2 if b == side else 1
+            seq = np.empty(stride * m + 1)
+            seq[0] = totals[b]
+            seq[stride::stride] = forced_sums[b][k:k + m]
+            if stride == 2:
+                seq[1::2] = pick_sums
+            after_s.append(np.add.accumulate(seq)[stride::stride])
+            after_n.append(counts[b] + np.cumsum(forced[b][k:k + m] + (nb if stride == 2 else 0)))
+        # The estimates after batch k + i decide batch k + i + 1.
+        est = [np.divide(after_s[b], after_n[b], out=np.zeros(m), where=after_n[b] > 0) for b in (0, 1)]
+        switch = np.flatnonzero((est[0] >= est[1]) != (side == 0))
+        j = int(switch[0]) + 1 if switch.size else m
+        if j < m:
+            rew.bit_generator.state = state
+            _seg_sums(nb[drawn[:np.searchsorted(drawn, j)]], means[side], cfg.noise, rew)
+        if (side == 0) != top_best:
+            wrong_runs.append(b_pos[first_b[k]:first_b[k + j]])
+        counts = [int(after_n[b][j - 1]) for b in (0, 1)]
+        totals = [float(after_s[b][j - 1]) for b in (0, 1)]
+        k += j
+        if switch.size:
+            side, width = 1 - side, STRETCH_BATCHES
         else:
-            e1 = s1 / n1 if n1 else 0.0
-            e2 = s2 / n2 if n2 else 0.0
-            if e1 >= e2:
-                picks_top, picks_bot = nb, 0
-            else:
-                picks_top, picks_bot = 0, nb
-        # A warm batch errs on all of its B rounds or on none.  Attribution
-        # within the cold batch is uniform in law; pin its wrong picks to its
-        # earliest B rounds.
-        batch_wrong = picks_bot if top_best else picks_top
-        wrong_runs.append(b_pos[first_b[b]:first_b[b] + batch_wrong])
-        if picks_top:
-            n1 += picks_top
-            s1 += float(_seg_sums(picks_top, float(theta[0]), cfg.noise, rew))
-        if picks_bot:
-            n2 += picks_bot
-            s2 += float(_seg_sums(picks_bot, float(theta[1]), cfg.noise, rew))
-        # Forced pulls of this batch enter the statistics after its decisions.
-        n1 += int(count_a[b])
-        s1 += float(seg_top[b])
-        n2 += int(count_c[b])
-        s2 += float(seg_bot[b])
+            width *= 2
     return _two_bridge_result(sums, gap_size, np.concatenate(wrong_runs), b_pos.size)
 
 

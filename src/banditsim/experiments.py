@@ -4,15 +4,17 @@
 apart; the config parser, the CLI and the harness read it.  Each experiment
 expands into independent jobs, each a block of replicates with the engine
 that runs it: one policy at every horizon for perturbed LinUCB, every batched
-greedy policy at every horizon for perturbed batched greedy, and one policy
-at one horizon on two-bridge instances (``_jobs_for``).  The result of a (policy, horizon,
-replicate) comes only from the purpose-keyed streams of its replicate, so
-tables are byte-identical across repeated runs and any worker count; rows are
-sorted by (policy, T, replicate) and curves follow the cells before emission.
+greedy policy at every horizon for perturbed batched greedy, and one
+replicate of every policy at every horizon on two-bridge instances
+(``_jobs_for``).  The result of a (policy, horizon, replicate) comes only
+from the purpose-keyed streams of its replicate, so tables are
+byte-identical across repeated runs and any worker count; rows are sorted
+by (policy, T, replicate) and curves follow the cells before emission.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -31,6 +33,7 @@ from .engines import (
     run_perturbed_linucb,
     run_two_bridge_batch_freq,
     run_two_bridge_policy,
+    two_bridge_rounds,
 )
 from .environments import MAJORITY_RATE, Catalog, TwoBridgeConfig, draw_theta
 from .estimators import gaussian_prior, min_eigenvalue
@@ -172,10 +175,10 @@ def _map_ordered(fn: Callable, items: list, n_workers: int) -> list:
 
 def _work_chunks(jobs: list, n_chunks: int) -> list:
     """Split ``jobs`` into runs of consecutive jobs that each hold about
-    1/``n_chunks`` of the total work, a job's work being the sum of its
-    horizons times its replicate count; a job larger than that share runs
-    alone."""
-    work = [sum(horizons) * len(reps) for *_, horizons, reps in jobs]
+    1/``n_chunks`` of the total work, a job's work being its policy count
+    times the sum of its horizons times its replicate count; a job larger
+    than that share runs alone."""
+    work = [len(policies) * sum(horizons) * len(reps) for *_, policies, horizons, reps in jobs]
     total = sum(work)
     chunks: dict = {}
     done = 0
@@ -183,6 +186,10 @@ def _work_chunks(jobs: list, n_chunks: int) -> list:
         chunks.setdefault(done * n_chunks // total, []).append(job)
         done += w
     return list(chunks.values())
+
+
+# Every row of a job names its replicate's seed, so derive each seed once.
+_seed_id = functools.lru_cache(maxsize=LINUCB_BLOCK)(replicate_seed_id)
 
 
 def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, reps: tuple, i: int, sums: RegretSums,
@@ -197,7 +204,7 @@ def _outcome(cfg: ExperimentConfig, policy: str, horizon: int, reps: tuple, i: i
         policy=policy,
         horizon=horizon,
         replicate=rep,
-        seed=replicate_seed_id(cfg.master_seed, rep),
+        seed=_seed_id(cfg.master_seed, rep),
         regret_total=total,
         regret_minority=float(sums.restricted[i]),
         regret_prediction=total if prediction is None else prediction,
@@ -214,7 +221,7 @@ def _sums(cfg: ExperimentConfig, reps: tuple, horizon: int) -> RegretSums:
 
 
 def _two_bridge_job(cfg: ExperimentConfig, instance, policies: tuple, horizons: tuple, reps: tuple) -> list:
-    [policy], [horizon], [rep] = policies, horizons, reps
+    [rep] = reps
     variant = cfg.theta_variant
     p_majority = MAJORITY_RATE if cfg.population == "full" else 0.0
     if EXPERIMENT_SPECS[cfg.experiment].theta_coin:
@@ -224,19 +231,24 @@ def _two_bridge_job(cfg: ExperimentConfig, instance, policies: tuple, horizons: 
         variant = "theta1" if coin else "theta0"
         p_majority = 0.0
     base = TwoBridgeConfig(
-        horizon=horizon,
+        horizon=max(horizons),
         theta_variant=variant,
         noise=NoiseKind(cfg.noise),
         p_majority=p_majority,
     )
-    sums = _sums(cfg, reps, horizon)
-    if policy == "batch_freq_greedy":
-        res = run_two_bridge_batch_freq(base, cfg.master_seed, rep, cfg.batch, sums=sums)
-    else:
-        res = run_two_bridge_policy(base, policy, cfg.master_seed, rep, sums=sums)
-
-    extras = {"wrong_b_rounds": res.wrong_b_rounds, "b_rounds": res.b_rounds}
-    return [_outcome(cfg, policy, horizon, reps, 0, sums, int(variant == "theta1"), extras)]
+    rounds = two_bridge_rounds(base, cfg.master_seed, rep)
+    outcomes = []
+    for policy in policies:
+        for horizon in horizons:
+            cell = dataclasses.replace(base, horizon=horizon)
+            sums = _sums(cfg, reps, horizon)
+            if policy == "batch_freq_greedy":
+                res = run_two_bridge_batch_freq(cell, rounds, cfg.master_seed, rep, cfg.batch, sums=sums)
+            else:
+                res = run_two_bridge_policy(cell, rounds, policy, cfg.master_seed, rep, sums=sums)
+            extras = {"wrong_b_rounds": res.wrong_b_rounds, "b_rounds": res.b_rounds}
+            outcomes.append(_outcome(cfg, policy, horizon, reps, 0, sums, int(variant == "theta1"), extras))
+    return outcomes
 
 
 def _greedy_job(cfg: ExperimentConfig, instance, policies: tuple, horizons: tuple, reps: tuple) -> list:
@@ -326,26 +338,27 @@ def _jobs_for(cfg: ExperimentConfig, instance) -> list:
     lockstep pass.  A perturbed batched greedy job holds up to GREEDY_BLOCK
     replicates of every batched greedy policy of the run at every horizon, all
     in one lockstep pass that draws each replicate's inputs once.  A
-    two-bridge job holds one replicate of one policy at one horizon.  The job
+    two-bridge job holds one replicate of every policy of the run at every
+    horizon: it draws the replicate's theta coin and round kinds once, at the
+    longest horizon, and runs each (policy, horizon) cell on them.  The job
     that holds replicate 0 also tracks the regret curve of each of its cells,
     which draws nothing and changes no total.
     """
+    if instance is None:
+        return [(_two_bridge_job, cfg, None, cfg.policies, cfg.horizons, (rep,)) for rep in range(cfg.replicates)]
     greedy = tuple(p for p in cfg.policies if p.startswith("batch_"))
     jobs = []
     for policy in cfg.policies:
         horizons = tuple(t for p, t in _cells(cfg) if p == policy)
-        if instance is None:
-            groups, engine, block = [((policy,), (t,)) for t in horizons], _two_bridge_job, 1
-        elif policy.startswith("linucb"):
-            groups, engine, block = [((policy,), horizons)], _linucb_job, LINUCB_BLOCK
+        if policy.startswith("linucb"):
+            policies, engine, block = (policy,), _linucb_job, LINUCB_BLOCK
         elif policy == greedy[0]:
-            groups, engine, block = [(greedy, horizons)], _greedy_job, GREEDY_BLOCK
+            policies, engine, block = greedy, _greedy_job, GREEDY_BLOCK
         else:
             continue
-        for policies, group in groups:
-            for first in range(0, cfg.replicates, block):
-                reps = tuple(range(first, min(first + block, cfg.replicates)))
-                jobs.append((engine, cfg, instance, policies, group, reps))
+        for first in range(0, cfg.replicates, block):
+            reps = tuple(range(first, min(first + block, cfg.replicates)))
+            jobs.append((engine, cfg, instance, policies, horizons, reps))
     return jobs
 
 

@@ -10,6 +10,7 @@ to ``oracles.single_replicate_greedy``, and the two-bridge engines to the
 per-round loops of ``oracles``.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -31,6 +32,7 @@ from banditsim.engines import (
     run_perturbed_linucb,
     run_two_bridge_batch_freq,
     run_two_bridge_policy,
+    two_bridge_rounds,
 )
 from banditsim.environments import MAJORITY_RATE, Catalog, TwoBridgeConfig
 from banditsim.estimators import gaussian_prior, ols_estimate
@@ -84,6 +86,11 @@ def _run(engine, *args, reps, horizon, restriction="minority", restriction_p=0.5
     the accumulator and the engine's result."""
     sums = _curve_sums(reps, horizon, restriction=restriction, restriction_p=restriction_p)
     return sums, engine(*args, sums=sums, **kwargs)
+
+
+def _rounds(cfg, replicate):
+    """The round kinds of ``replicate`` at ``cfg.horizon``, as the experiment harness draws them."""
+    return two_bridge_rounds(cfg, MASTER, replicate)
 
 
 def _replicate_without_b_rounds(cfg):
@@ -154,9 +161,11 @@ def reference_two_bridge_linucb(cfg, master_seed, replicate, params, inject_rate
     return b_pos, wrong_mask
 
 
-def reference_two_bridge_batch_freq(cfg, master_seed, replicate, batch_size):
+def reference_two_bridge_batch_freq(cfg, master_seed, replicate, batch_size, sides=None):
     """Decide each batch by greedy selection on a generic least-squares estimate;
-    return the positions of the wrong B rounds and the number of B rounds."""
+    return the positions of the wrong B rounds and the number of B rounds.
+    ``sides``, when given, receives each warm batch's pick, True for the top
+    bridge."""
     theta = cfg.theta
     horizon = cfg.horizon
     top_best = bool(theta[0] > theta[1])
@@ -185,7 +194,10 @@ def reference_two_bridge_batch_freq(cfg, master_seed, replicate, batch_size):
             picks_bot = nb - picks_top
         else:
             est = ols_estimate(np.diag([float(n1), float(n2)]), np.array([s1, s2]))
-            if greedy_select(B_ROUND, est) == 0:
+            top = greedy_select(B_ROUND, est) == 0
+            if sides is not None:
+                sides.append(top)
+            if top:
                 picks_top, picks_bot = nb, 0
             else:
                 picks_top, picks_bot = 0, nb
@@ -325,7 +337,7 @@ class TestTwoBridgePolicyEngine:
             horizon=horizon, theta_variant=variant, noise=noise, p_majority=p_majority
         )
         params = LinUCBParams.for_two_bridge(horizon)
-        sums, res = _run(run_two_bridge_policy, cfg, policy, MASTER, 3, reps=(3,), horizon=horizon)
+        sums, res = _run(run_two_bridge_policy, cfg, _rounds(cfg, 3), policy, MASTER, 3, reps=(3,), horizon=horizon)
         # linucb_full also learns from majority stretches at rate 0.95.
         inject = 0.95 if policy == "linucb_full" else 0.0
         b_pos, wrong_mask = reference_two_bridge_linucb(cfg, MASTER, 3, params, inject)
@@ -339,7 +351,7 @@ class TestTwoBridgePolicyEngine:
 
     def test_oracle_never_wrong(self):
         cfg = TwoBridgeConfig(horizon=5000, p_majority=0.0)
-        sums, res = _run(run_two_bridge_policy, cfg, "oracle", MASTER, 0, reps=(0,), horizon=cfg.horizon)
+        sums, res = _run(run_two_bridge_policy, cfg, _rounds(cfg, 0), "oracle", MASTER, 0, reps=(0,), horizon=cfg.horizon)
         assert res.wrong_b_rounds == 0
         assert sums.total[0] == 0.0
         assert res.b_rounds > 0
@@ -348,7 +360,7 @@ class TestTwoBridgePolicyEngine:
         cfg = TwoBridgeConfig(horizon=40_000, p_majority=0.0)
         wrongs, totals = 0, 0
         for rep in range(20):
-            sums, res = _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, rep, reps=(rep,), horizon=cfg.horizon)
+            sums, res = _run(run_two_bridge_policy, cfg, _rounds(cfg, rep), "uniform_random", MASTER, rep, reps=(rep,), horizon=cfg.horizon)
             assert sums.total[0] == pytest.approx(cfg.epsilon * res.wrong_b_rounds)
             assert sums.restricted[0] == sums.total[0]
             wrongs += res.wrong_b_rounds
@@ -359,7 +371,7 @@ class TestTwoBridgePolicyEngine:
     @pytest.mark.parametrize("noise", [NoiseKind.GAUSSIAN_UNIT, NoiseKind.BERNOULLI])
     def test_oracle_accrues_no_regret(self, variant, noise):
         cfg = TwoBridgeConfig(horizon=3000, theta_variant=variant, noise=noise, p_majority=0.0)
-        sums, res = _run(run_two_bridge_policy, cfg, "oracle", MASTER, 1, reps=(1,), horizon=cfg.horizon)
+        sums, res = _run(run_two_bridge_policy, cfg, _rounds(cfg, 1), "oracle", MASTER, 1, reps=(1,), horizon=cfg.horizon)
         assert res.b_rounds > 0
         assert res.wrong_b_rounds == 0
         assert sums.total[0] == sums.restricted[0] == 0.0
@@ -372,7 +384,7 @@ class TestTwoBridgePolicyEngine:
         # decided and no policy can pay the gap.
         cfg = TwoBridgeConfig(horizon=200, noise=noise)
         rep = _replicate_without_b_rounds(cfg)
-        sums, res = _run(run_two_bridge_policy, cfg, policy, MASTER, rep, reps=(rep,), horizon=cfg.horizon)
+        sums, res = _run(run_two_bridge_policy, cfg, _rounds(cfg, rep), policy, MASTER, rep, reps=(rep,), horizon=cfg.horizon)
         assert res.b_rounds == 0
         assert res.wrong_b_rounds == 0
         assert sums.total[0] == 0.0
@@ -381,20 +393,21 @@ class TestTwoBridgePolicyEngine:
     def test_theta_override_sets_the_gap(self):
         # Under theta1 the bottom bridge is best, by epsilon.
         cfg = TwoBridgeConfig(horizon=20_000, theta_variant="theta1", p_majority=0.0)
-        sums, res = _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, 2, reps=(2,), horizon=cfg.horizon)
+        sums, res = _run(run_two_bridge_policy, cfg, _rounds(cfg, 2), "uniform_random", MASTER, 2, reps=(2,), horizon=cfg.horizon)
         assert res.wrong_b_rounds > 0
         assert sums.total[0] == pytest.approx(cfg.epsilon * res.wrong_b_rounds)
         assert sums.curve()[-1] == sums.total[0]
         # The wrong picks are the top-bridge picks: the complement of the
         # wrong picks under the default theta0 on the same streams.
-        _, default = _run(run_two_bridge_policy, TwoBridgeConfig(horizon=20_000, p_majority=0.0), "uniform_random",
+        default_cfg = TwoBridgeConfig(horizon=20_000, p_majority=0.0)
+        _, default = _run(run_two_bridge_policy, default_cfg, _rounds(default_cfg, 2), "uniform_random",
                           MASTER, 2, reps=(2,), horizon=20_000)
         assert res.b_rounds == default.b_rounds
         assert res.wrong_b_rounds == default.b_rounds - default.wrong_b_rounds
 
     def test_linucb_sanity(self):
         cfg = TwoBridgeConfig(horizon=400, p_majority=0.0)
-        sums, res = _run(run_two_bridge_policy, cfg, "linucb", MASTER, 10, reps=(10,), horizon=cfg.horizon)
+        sums, res = _run(run_two_bridge_policy, cfg, _rounds(cfg, 10), "linucb", MASTER, 10, reps=(10,), horizon=cfg.horizon)
         assert 0 <= res.wrong_b_rounds <= res.b_rounds
         assert sums.total[0] >= 0.0
         assert sums.restricted[0] == sums.total[0]
@@ -405,8 +418,8 @@ class TestTwoBridgePolicyEngine:
         # Injection draws after the kind sequence, so the simulated rounds are
         # the same with and without it.
         cfg = TwoBridgeConfig(horizon=5000, p_majority=0.0)
-        _, plain = _run(run_two_bridge_policy, cfg, "linucb", MASTER, 4, reps=(4,), horizon=cfg.horizon)
-        _, injected = _run(run_two_bridge_policy, cfg, "linucb_full", MASTER, 4, reps=(4,), horizon=cfg.horizon)
+        _, plain = _run(run_two_bridge_policy, cfg, _rounds(cfg, 4), "linucb", MASTER, 4, reps=(4,), horizon=cfg.horizon)
+        _, injected = _run(run_two_bridge_policy, cfg, _rounds(cfg, 4), "linucb_full", MASTER, 4, reps=(4,), horizon=cfg.horizon)
         assert injected.b_rounds == plain.b_rounds
 
     @pytest.mark.parametrize("gap", [1, 3, 20])
@@ -424,12 +437,12 @@ class TestTwoBridgePolicyEngine:
     def test_unknown_policy_rejected(self):
         cfg = TwoBridgeConfig(horizon=100)
         with pytest.raises(ValueError):
-            _run(run_two_bridge_policy, cfg, "thompson", MASTER, 0, reps=(0,), horizon=cfg.horizon)
+            _run(run_two_bridge_policy, cfg, _rounds(cfg, 0), "thompson", MASTER, 0, reps=(0,), horizon=cfg.horizon)
 
     def test_deterministic_and_replicate_sensitive(self):
         cfg = TwoBridgeConfig(horizon=20_000)
         (sa, a), (sb, b), (sc, c) = (
-            _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, rep, reps=(rep,), horizon=cfg.horizon)
+            _run(run_two_bridge_policy, cfg, _rounds(cfg, rep), "uniform_random", MASTER, rep, reps=(rep,), horizon=cfg.horizon)
             for rep in (1, 1, 2)
         )
         assert a == b
@@ -439,8 +452,8 @@ class TestTwoBridgePolicyEngine:
 
     def test_coin_restriction_counts_flagged_wrong_rounds(self):
         cfg = TwoBridgeConfig(horizon=30_000, p_majority=0.0)
-        base, _ = _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, 5, reps=(5,), horizon=cfg.horizon)
-        coin, _ = _run(run_two_bridge_policy, cfg, "uniform_random", MASTER, 5, reps=(5,), horizon=cfg.horizon,
+        base, _ = _run(run_two_bridge_policy, cfg, _rounds(cfg, 5), "uniform_random", MASTER, 5, reps=(5,), horizon=cfg.horizon)
+        coin, _ = _run(run_two_bridge_policy, cfg, _rounds(cfg, 5), "uniform_random", MASTER, 5, reps=(5,), horizon=cfg.horizon,
                        restriction="coin", restriction_p=0.25)
         assert coin.total[0] == base.total[0]
         np.testing.assert_array_equal(coin.curve(), base.curve())
@@ -459,7 +472,7 @@ class TestTwoBridgeBatchFreqEngine:
         cfg = TwoBridgeConfig(
             horizon=3000, theta_variant=variant, noise=noise, p_majority=p_majority
         )
-        sums, res = _run(run_two_bridge_batch_freq, cfg, MASTER, 2, batch_size, reps=(2,), horizon=cfg.horizon)
+        sums, res = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, 2), MASTER, 2, batch_size, reps=(2,), horizon=cfg.horizon)
         wrong_pos, n_b = reference_two_bridge_batch_freq(cfg, MASTER, 2, batch_size)
         wrong = wrong_pos.size
         assert res.wrong_b_rounds == wrong
@@ -471,7 +484,7 @@ class TestTwoBridgeBatchFreqEngine:
     def test_no_choice_rounds_means_no_regret(self, noise):
         cfg = TwoBridgeConfig(horizon=200, noise=noise)
         rep = _replicate_without_b_rounds(cfg)
-        sums, res = _run(run_two_bridge_batch_freq, cfg, MASTER, rep, 20, reps=(rep,), horizon=cfg.horizon)
+        sums, res = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, rep), MASTER, rep, 20, reps=(rep,), horizon=cfg.horizon)
         assert res.b_rounds == 0
         assert sums.total[0] == 0.0
 
@@ -481,7 +494,7 @@ class TestTwoBridgeBatchFreqEngine:
         cfg = TwoBridgeConfig(horizon=4000, p_majority=0.0)
         wrongs = totals = 0
         for rep in range(20):
-            _, res = _run(run_two_bridge_batch_freq, cfg, MASTER, rep, cfg.horizon, reps=(rep,), horizon=cfg.horizon)
+            _, res = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, rep), MASTER, rep, cfg.horizon, reps=(rep,), horizon=cfg.horizon)
             wrongs += res.wrong_b_rounds
             totals += res.b_rounds
         assert wrongs / totals == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(totals))
@@ -492,7 +505,7 @@ class TestTwoBridgeBatchFreqEngine:
         cfg = TwoBridgeConfig(horizon=6000, p_majority=0.0)
         batch_size = 100
         for rep in range(5):
-            sums, res = _run(run_two_bridge_batch_freq, cfg, MASTER, rep, batch_size, reps=(rep,), horizon=cfg.horizon)
+            sums, res = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, rep), MASTER, rep, batch_size, reps=(rep,), horizon=cfg.horizon)
             kinds = kind_codes(cfg, stream(MASTER, rep, Purpose.CONTEXTS), cfg.horizon)
             starts = np.arange(0, cfg.horizon, batch_size)
             count_b = np.add.reduceat(kinds == KIND_B, starts)
@@ -504,7 +517,7 @@ class TestTwoBridgeBatchFreqEngine:
     def test_deterministic_and_replicate_sensitive(self):
         cfg = TwoBridgeConfig(horizon=20_000)
         (sa, a), (sb, b), (sc, c) = (
-            _run(run_two_bridge_batch_freq, cfg, MASTER, rep, 500, reps=(rep,), horizon=cfg.horizon)
+            _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, rep), MASTER, rep, 500, reps=(rep,), horizon=cfg.horizon)
             for rep in (1, 1, 2)
         )
         assert a == b
@@ -514,15 +527,15 @@ class TestTwoBridgeBatchFreqEngine:
 
     def test_curve_reaches_total(self):
         cfg = TwoBridgeConfig(horizon=3000, p_majority=0.0)
-        sums, _ = _run(run_two_bridge_batch_freq, cfg, MASTER, 4, 100, reps=(4,), horizon=cfg.horizon)
+        sums, _ = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, 4), MASTER, 4, 100, reps=(4,), horizon=cfg.horizon)
         assert sums.curve().shape == (3000,)
         assert sums.curve()[-1] == sums.total[0]
         assert np.all(np.diff(sums.curve()) >= 0)
 
     def test_coin_restriction_identity(self):
         cfg = TwoBridgeConfig(horizon=3000, p_majority=0.0)
-        base, _ = _run(run_two_bridge_batch_freq, cfg, MASTER, 6, 100, reps=(6,), horizon=cfg.horizon)
-        coin, _ = _run(run_two_bridge_batch_freq, cfg, MASTER, 6, 100, reps=(6,), horizon=cfg.horizon,
+        base, _ = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, 6), MASTER, 6, 100, reps=(6,), horizon=cfg.horizon)
+        coin, _ = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, 6), MASTER, 6, 100, reps=(6,), horizon=cfg.horizon,
                        restriction="coin", restriction_p=0.5)
         assert coin.total[0] == base.total[0]
         coins = _coins(MASTER, 6, cfg.horizon, 0.5)
@@ -562,7 +575,7 @@ class TestTwoBridgeEnginesMatchOracles:
                 np.cumsum(top_inc), np.cumsum(bot_inc), seg_top, seg_bot, cand_top, cand_bot, params
             )
             wrong_pos = b_pos[picks_top != (cfg.theta[0] > cfg.theta[1])]
-            sums, res = _run(run_two_bridge_policy, cfg, policy, MASTER, rep, reps=(rep,), horizon=horizon)
+            sums, res = _run(run_two_bridge_policy, cfg, _rounds(cfg, rep), policy, MASTER, rep, reps=(rep,), horizon=horizon)
             assert (res.b_rounds, res.wrong_b_rounds) == (b_pos.size, wrong_pos.size)
             np.testing.assert_array_equal(sums.curve(), _wrong_curve(cfg, wrong_pos))
             assert sums.total[0] == sums.curve()[-1]
@@ -582,7 +595,7 @@ class TestTwoBridgeEnginesMatchOracles:
         monkeypatch.setattr(engines, "linucb_picks_top", record)
         cfg = TwoBridgeConfig(horizon=horizon, noise=noise, p_majority=POPULATIONS[population])
         for rep in range(3):
-            _run(run_two_bridge_policy, cfg, "linucb_full", MASTER, rep, reps=(rep,), horizon=horizon)
+            _run(run_two_bridge_policy, cfg, _rounds(cfg, rep), "linucb_full", MASTER, rep, reps=(rep,), horizon=horizon)
             (_, _, top_inc, bot_inc, *draws, _) = _two_bridge_draws(cfg, MASTER, rep, 0.95)
             for got, want in zip(seen.pop(), (np.cumsum(top_inc), np.cumsum(bot_inc), *draws), strict=True):
                 np.testing.assert_array_equal(got, want)
@@ -598,9 +611,70 @@ class TestTwoBridgeEnginesMatchOracles:
         # least squares in every round.
         rep = horizon % 3
         wrong_pos, n_b = reference_two_bridge_batch_freq(cfg, MASTER, rep, batch_size)
-        sums, res = _run(run_two_bridge_batch_freq, cfg, MASTER, rep, batch_size, reps=(rep,), horizon=horizon)
+        sums, res = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, rep), MASTER, rep, batch_size, reps=(rep,), horizon=horizon)
         assert (res.b_rounds, res.wrong_b_rounds) == (n_b, wrong_pos.size)
         np.testing.assert_array_equal(sums.curve(), _wrong_curve(cfg, wrong_pos))
+
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    @pytest.mark.parametrize("p_majority", [0.95, 0.5])
+    @pytest.mark.parametrize("batch_size", [2, 7, 30])
+    @pytest.mark.parametrize("window", [1, 3, engines.STRETCH_BATCHES])
+    def test_batch_freq_switching_often_matches_the_per_batch_loop(self, noise, p_majority, batch_size, window,
+                                                                   monkeypatch):
+        # A full population leaves the bottom bridge few pulls, and an even
+        # one feeds both bridges alike, so the estimates swing and the picks
+        # switch often: stretches end early, rewind the reward stream and
+        # redraw their pick sums, and small windows also run stretches that
+        # outlast their window.
+        monkeypatch.setattr(engines, "STRETCH_BATCHES", window)
+        cfg = TwoBridgeConfig(horizon=3000, noise=noise, p_majority=p_majority)
+        switches = []
+        for rep in range(4):
+            sides = []
+            wrong_pos, n_b = reference_two_bridge_batch_freq(cfg, MASTER, rep, batch_size, sides)
+            switches.append(int(np.sum(np.diff(sides) != 0)))
+            sums, res = _run(run_two_bridge_batch_freq, cfg, _rounds(cfg, rep), MASTER, rep, batch_size,
+                             reps=(rep,), horizon=cfg.horizon)
+            assert (res.b_rounds, res.wrong_b_rounds) == (n_b, wrong_pos.size)
+            np.testing.assert_array_equal(sums.curve(), _wrong_curve(cfg, wrong_pos))
+            assert sums.total[0] == sums.curve()[-1]
+        assert max(switches) >= 3
+
+    @pytest.mark.parametrize("horizon", ORACLE_HORIZONS[:-1])
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    @pytest.mark.parametrize("population", POPULATIONS)
+    @pytest.mark.parametrize(
+        "policy", ["linucb", "linucb_full", "linucb_minority", "uniform_random", "oracle", "batch_freq_greedy"]
+    )
+    def test_rounds_drawn_longer_give_the_same_cell(self, horizon, noise, population, policy, monkeypatch):
+        # A job draws a replicate's round kinds once at its longest horizon;
+        # each shorter cell must match a run on kinds drawn at its own, down
+        # to what LinUCB decides on (linucb_full's injected counts continue
+        # the CONTEXTS stream after the cell's own rounds).
+        seen = []
+
+        def record(*args):
+            seen.append(args[:6])
+            return linucb_picks_top(*args)
+
+        monkeypatch.setattr(engines, "linucb_picks_top", record)
+        cfg = TwoBridgeConfig(horizon=horizon, noise=noise, p_majority=POPULATIONS[population])
+        for rep in range(3):
+            longer = two_bridge_rounds(dataclasses.replace(cfg, horizon=ORACLE_HORIZONS[-1]), MASTER, rep)
+            runs = []
+            for rounds in (_rounds(cfg, rep), longer):
+                if policy == "batch_freq_greedy":
+                    sums, res = _run(run_two_bridge_batch_freq, cfg, rounds, MASTER, rep, 7, reps=(rep,), horizon=horizon)
+                else:
+                    sums, res = _run(run_two_bridge_policy, cfg, rounds, policy, MASTER, rep, reps=(rep,), horizon=horizon)
+                runs.append((res, float(sums.total[0]), float(sums.restricted[0]), sums.curve()))
+            (own, own_total, own_restricted, own_curve), (cut, cut_total, cut_restricted, cut_curve) = runs
+            assert (own.b_rounds, own.wrong_b_rounds) == (cut.b_rounds, cut.wrong_b_rounds)
+            assert (own_total, own_restricted) == (cut_total, cut_restricted)
+            np.testing.assert_array_equal(own_curve, cut_curve)
+            if seen:
+                for got, want in zip(seen.pop(), seen.pop(), strict=True):
+                    np.testing.assert_array_equal(got, want)
 
 
 def _synthetic_draws(seed, n_b, max_inc, zero_share, noise):
@@ -1300,7 +1374,7 @@ class TestEngineInvariants:
                                replicate, restriction, curve):
         cfg = TwoBridgeConfig(horizon=horizon, theta_variant=variant, noise=noise, p_majority=p_majority)
         sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
-        res = run_two_bridge_policy(cfg, policy, seed, replicate, sums=sums)
+        res = run_two_bridge_policy(cfg, two_bridge_rounds(cfg, seed, replicate), policy, seed, replicate, sums=sums)
         _check_invariants(sums, horizon, curve)
         assert 0 <= res.wrong_b_rounds <= res.b_rounds
 
@@ -1313,7 +1387,7 @@ class TestEngineInvariants:
         cfg = TwoBridgeConfig(horizon=horizon, noise=noise, p_majority=p_majority)
         batch = 1 + int(batch_frac * (horizon - 1))
         sums = RegretSums(seed, (replicate,), horizon, restriction, 0.5, curve)
-        res = run_two_bridge_batch_freq(cfg, seed, replicate, batch, sums=sums)
+        res = run_two_bridge_batch_freq(cfg, two_bridge_rounds(cfg, seed, replicate), seed, replicate, batch, sums=sums)
         _check_invariants(sums, horizon, curve)
         assert 0 <= res.wrong_b_rounds <= res.b_rounds
 

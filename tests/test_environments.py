@@ -7,10 +7,10 @@ from banditsim.core import ConfigurationError, NoiseKind
 from banditsim.engines import (
     GreedyCell,
     LinUCBCell,
-    _round_positions,
     _seg_sums,
     run_perturbed_batch_greedy,
     run_perturbed_linucb,
+    two_bridge_rounds,
 )
 from banditsim.environments import Catalog, TwoBridgeConfig, draw_theta
 from banditsim.estimators import gaussian_prior
@@ -53,9 +53,10 @@ class TestTwoBridgeConfig:
             TwoBridgeConfig(horizon=100, p_majority=1.0)
 
 
-def _engine_codes(cfg, rng, horizon):
-    """The engine's kind draw as the oracle's codes."""
-    a_pos, b_pos = _round_positions(cfg, rng, horizon)
+def _engine_codes(cfg, master_seed, replicate, horizon=None):
+    """The engine's kind draw at ``cfg.horizon``, cut to ``horizon`` rounds, as the oracle's codes."""
+    horizon = cfg.horizon if horizon is None else horizon
+    a_pos, b_pos = two_bridge_rounds(cfg, master_seed, replicate).before(horizon)
     codes = np.full(horizon, KIND_C, dtype=np.int8)
     codes[a_pos] = KIND_A
     codes[b_pos] = KIND_B
@@ -67,7 +68,7 @@ class TestTwoBridgeSampling:
         # The engine's vectorized kind draw follows the configured law:
         # P(A) = 0.95, P(C) = 0.0475, P(B) = 0.0025.
         n = 1_000_000
-        codes = _engine_codes(TwoBridgeConfig(horizon=n), np.random.default_rng(7), n)
+        codes = _engine_codes(TwoBridgeConfig(horizon=n), 7, 0)
         freq = np.bincount(codes, minlength=3) / n
         assert freq[0] == pytest.approx(0.95, abs=3 * 0.0002)
         assert freq[1] == pytest.approx(0.0475, abs=3 * 0.0002)
@@ -75,20 +76,21 @@ class TestTwoBridgeSampling:
 
     def test_minority_only_has_no_majority_rounds(self):
         cfg = TwoBridgeConfig(horizon=1000, p_majority=0.0)
-        codes = _engine_codes(cfg, np.random.default_rng(3), 1000)
+        codes = _engine_codes(cfg, 3, 0)
         assert set(np.unique(codes)) == {KIND_B, KIND_C}
 
     def test_one_code_per_round_from_one_uniform_each(self):
         # The kind draw consumes exactly one uniform per round, so the
-        # context stream continues identically whatever the kinds were.
+        # context stream continues identically whatever the kinds were, and
+        # advancing a fresh stream by the rounds reaches the same state.
         cfg = TwoBridgeConfig(horizon=500)
-        rng = np.random.default_rng(4)
-        codes = _engine_codes(cfg, rng, 500)
+        codes = _engine_codes(cfg, 4, 0)
         assert codes.shape == (500,)
         assert set(np.unique(codes)) <= {KIND_A, KIND_B, KIND_C}
-        twin = np.random.default_rng(4)
-        twin.random(500)
-        assert rng.random() == twin.random()
+        drawn, advanced = stream(4, 0, Purpose.CONTEXTS), stream(4, 0, Purpose.CONTEXTS)
+        drawn.random(500)
+        advanced.bit_generator.advance(500)
+        assert advanced.random() == drawn.random()
 
     def test_minority_activity_grows_linearly(self):
         # After the warm-up round count the cumulative number of single-option
@@ -97,8 +99,7 @@ class TestTwoBridgeSampling:
         cfg = TwoBridgeConfig(horizon=horizon, p_majority=0.0)
         failures = 0
         for rep in range(500):
-            rng = stream(99, rep, Purpose.CONTEXTS)
-            codes = _engine_codes(cfg, rng, horizon)
+            codes = _engine_codes(cfg, 99, rep)
             counts = np.cumsum(codes == KIND_C)
             ts = np.arange(1, horizon + 1)
             tail = ts >= t0
@@ -110,10 +111,17 @@ class TestTwoBridgeSampling:
     def test_positions_match_the_oracle_codes(self, p_majority):
         cfg = TwoBridgeConfig(horizon=20_000, p_majority=p_majority)
         for seed in range(5):
-            np.testing.assert_array_equal(
-                _engine_codes(cfg, np.random.default_rng(seed), cfg.horizon),
-                kind_codes(cfg, np.random.default_rng(seed), cfg.horizon),
-            )
+            codes = kind_codes(cfg, stream(seed, 0, Purpose.CONTEXTS), cfg.horizon)
+            np.testing.assert_array_equal(_engine_codes(cfg, seed, 0), codes)
+            # A shorter run's kinds are the first rounds of a longer run's.
+            for horizon in (1, 37, 9_999):
+                np.testing.assert_array_equal(_engine_codes(cfg, seed, 0, horizon), codes[:horizon])
+
+    def test_rounds_serve_no_longer_run(self):
+        rounds = two_bridge_rounds(TwoBridgeConfig(horizon=400), 5, 0)
+        assert [pos.size for pos in rounds.before(400)] == [rounds.a_pos.size, rounds.b_pos.size]
+        with pytest.raises(ValueError):
+            rounds.before(401)
 
 
 def _two_entry_config(rho: float, minority_prob: float = 0.0) -> Catalog:

@@ -283,6 +283,33 @@ class TestRunExperiment:
             f"(seed {seed}): injected"
         )
 
+    def test_two_bridge_failure_names_its_replicate(self, monkeypatch):
+        cfg = _cfg(
+            "experiment = TwoBridgeImpossibility\n"
+            "horizons = 400, 900\n"
+            "replicates = 3\n"
+            "policies = linucb_full, batch_freq_greedy\n"
+        )
+        engine = experiments.run_two_bridge_batch_freq
+        calls = []
+
+        def fail_on_replicate_1(cell, rounds, master_seed, replicate, batch, sums):
+            calls.append((replicate, cell.horizon))
+            if replicate == 1:
+                raise FloatingPointError("injected")
+            return engine(cell, rounds, master_seed, replicate, batch, sums=sums)
+
+        monkeypatch.setattr(experiments, "run_two_bridge_batch_freq", fail_on_replicate_1)
+        with pytest.raises(ReplicateError) as err:
+            run_experiment(cfg, workers=1)
+        # Replicate 0 runs both horizons; replicate 1 fails at its first cell.
+        assert calls == [(0, 400), (0, 900), (1, 400)]
+        seed = replicate_seed_id(cfg.master_seed, 1)
+        assert str(err.value) == (
+            f"replicate 1 of TwoBridgeImpossibility/linucb_full,batch_freq_greedy/T=400,900 failed "
+            f"(seed {seed}): injected"
+        )
+
     def test_eig_growth_aggregates(self):
         cfg = _cfg(
             "experiment = EigGrowth\n"
@@ -393,7 +420,7 @@ class TestLinUCBBlocks:
     def test_chunks_hold_consecutive_jobs_of_about_equal_work(self):
         cfg = _cfg(SMALL_SCALING)
         jobs = experiments._jobs_for(cfg, build_instance(cfg))
-        work = {id(job): sum(job[4]) * len(job[5]) for job in jobs}
+        work = {id(job): len(job[3]) * sum(job[4]) * len(job[5]) for job in jobs}
         share = sum(work.values()) / 8
         chunks = experiments._work_chunks(jobs, 8)
         assert [job for chunk in chunks for job in chunk] == jobs
@@ -405,13 +432,14 @@ class TestLinUCBBlocks:
         linucb = {i for i, chunk in enumerate(chunks) for job in chunk if job[3] == ("linucb",)}
         assert len(linucb) > 1
 
-    def test_two_bridge_jobs_hold_one_replicate(self):
+    def test_two_bridge_jobs_hold_one_replicate_at_every_policy_and_horizon(self):
         allowed = experiments.EXPERIMENT_SPECS["TwoBridgeLinUCB"].policies
         cfg = _cfg(SMALL_TWO_BRIDGE + f"policies = {', '.join(allowed)}\n")
         jobs = experiments._jobs_for(cfg, None)
-        assert {p for job in jobs for p in job[3]} == set(allowed)
+        assert [job[5] for job in jobs] == [(rep,) for rep in range(cfg.replicates)]
         for engine, _, _, policies, horizons, reps in jobs:
-            assert engine is experiments._two_bridge_job and len(policies) == len(horizons) == len(reps) == 1
+            assert engine is experiments._two_bridge_job
+            assert (policies, horizons) == (allowed, cfg.horizons)
 
     def test_failing_replicate_in_block_carries_its_seed(self, monkeypatch):
         cfg = _cfg("experiment = ScalingFit\nhorizons = 200, 400, 800\nreplicates = 6\npolicies = linucb\n")

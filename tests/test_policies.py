@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from banditsim.engines import run_two_bridge_policy
+from banditsim.engines import run_two_bridge_policy, two_bridge_rounds
 from banditsim.metrics import RegretSums
 from banditsim.environments import TwoBridgeConfig
 from banditsim.estimators import ols_estimate
@@ -253,7 +253,7 @@ class TestLinUCBWarmBehavior:
         b_after = 0
         for rep in range(reps):
             sums = RegretSums(20260814, (rep,), horizon, curve=True)
-            run_two_bridge_policy(cfg, "linucb", 20260814, rep, sums=sums)
+            run_two_bridge_policy(cfg, two_bridge_rounds(cfg, 20260814, rep), "linucb", 20260814, rep, sums=sums)
             increments = np.diff(sums.curve(), prepend=0.0) > 0
             codes = kind_codes(cfg, stream(20260814, rep, Purpose.CONTEXTS), horizon)
             tail = np.arange(1, horizon + 1) >= t0
